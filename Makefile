@@ -29,8 +29,16 @@ bench:
 # between loadbench refreshes.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep' -benchmem -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkFreshEngineIndexed' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
+
+# perfbench-check vets and tests the serving benchmark. perfbench is a
+# nested module, so the root `go build ./...` and `go test ./...` skip
+# it; this target catches a change that breaks what it uses of the
+# program (identifiers it pins, the defaults in its config.json).
+.PHONY: perfbench-check
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # loadsmoke drives the in-process hospital server through a short ramp
 # and fails (exit 2) if overload is reached without the admitted-latency

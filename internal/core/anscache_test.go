@@ -265,7 +265,7 @@ func TestAnswerCacheSoundness(t *testing.T) {
 }
 
 // TestAnswerCacheEpochStaleness mutates a document in place — the
-// sharpest staleness scenario, where even pointer-identity keying would
+// sharpest staleness scenario, where even document-id keying would
 // serve the stale answer — and proves BumpEpoch makes the pre-swap
 // answer unreachable.
 func TestAnswerCacheEpochStaleness(t *testing.T) {

@@ -41,23 +41,22 @@ import (
 
 // Default capacities for the engine's caches. Plans are small (an AST
 // per entry); per-height rewriters embed an unfolded DTD and are
-// bigger, so their cache is tighter; label indexes hold a posting-list
-// entry per document node, so the index cache is tightest — sized for
-// the handful of live documents a server actually queries.
+// bigger, so their cache is tighter.
 const (
 	DefaultPlanCacheCapacity   = 512
 	DefaultHeightCacheCapacity = 64
-	DefaultIndexCacheCapacity  = 16
+	// Deprecated: no effect. Label indexes belong to the document
+	// (xmltree.Document.Labeled), one per document shared by every
+	// engine, so engines keep no index cache.
+	DefaultIndexCacheCapacity = 16
 	// DefaultAnswerCacheCapacity bounds the semantic answer cache
-	// (Config.AnswerCache): each entry pins a result node-set, so it sits
-	// between the plan cache (tiny entries) and the index cache (huge
-	// ones).
+	// (Config.AnswerCache): each entry pins a result node-set.
 	DefaultAnswerCacheCapacity = 256
 )
 
 // DefaultIndexThreshold is the document size (nodes) below which an
-// indexed-configured engine keeps walking: building and caching a label
-// index for a small tree costs more than the walk it replaces.
+// indexed-configured engine keeps walking: building a label index for a
+// small tree costs more than the walk it replaces.
 const DefaultIndexThreshold = 512
 
 // ErrUnboundVars marks queries rejected at plan time because they still
@@ -81,18 +80,18 @@ type Config struct {
 	Parallel bool
 	// ParallelConfig tunes the worker pool when Parallel is set.
 	ParallelConfig xpath.ParallelConfig
-	// Indexed turns on indexed evaluation: the engine builds and caches
-	// a per-document label index (xpath.Index) and answers queries with
-	// descendant steps over documents of at least IndexThreshold nodes
-	// from posting lists instead of subtree walks. Per query the engine
-	// picks indexed, parallel, or sequential: indexed when applicable,
-	// else parallel when Parallel is set, else the sequential walk.
+	// Indexed turns on indexed evaluation: queries with descendant steps
+	// over documents of at least IndexThreshold nodes are answered from
+	// the document's label index (xpath.Index) instead of subtree walks.
+	// Per query the engine picks indexed, parallel, or sequential:
+	// indexed when applicable, else parallel when Parallel is set, else
+	// the sequential walk.
 	Indexed bool
 	// IndexThreshold is the minimum document size (nodes) for indexed
 	// evaluation. 0 means DefaultIndexThreshold; negative forces the
 	// index on for tests.
 	IndexThreshold int
-	// IndexCacheCapacity bounds the per-document index cache. 0 means
+	// Deprecated: no effect. Engines keep no index cache; see
 	// DefaultIndexCacheCapacity.
 	IndexCacheCapacity int
 	// AnswerCache turns on the semantic answer cache: evaluated result
@@ -127,13 +126,6 @@ func (c Config) heightCap() int {
 		return c.HeightCacheCapacity
 	}
 	return DefaultHeightCacheCapacity
-}
-
-func (c Config) indexCap() int {
-	if c.IndexCacheCapacity > 0 {
-		return c.IndexCacheCapacity
-	}
-	return DefaultIndexCacheCapacity
 }
 
 func (c Config) answerCap() int {
@@ -176,21 +168,14 @@ type Engine struct {
 	// height class) so repeated queries skip rewrite+optimize.
 	plans *plancache.Cache[*Prepared]
 
-	// indexes caches per-document label indexes, keyed by (epoch,
-	// document pointer identity). A cached Index holds its document
-	// alive, so a live entry can never alias a different document at the
-	// same address; indexFor verifies anyway and rebuilds on mismatch.
-	indexes *plancache.Cache[*xpath.Index]
-
 	// answers is the semantic answer cache (Config.AnswerCache), nil
 	// when disabled. Keys embed epoch, so BumpEpoch strands — and then
 	// purges — every entry.
 	answers *anscache.Cache
 
 	// epoch counts document/policy rebinds the engine has been told
-	// about (BumpEpoch). It prefixes every answer-cache and index-cache
-	// key, so artifacts derived before a swap are unreachable by
-	// construction afterward.
+	// about (BumpEpoch). It prefixes every answer-cache key, so answers
+	// derived before a swap are unreachable by construction afterward.
 	epoch atomic.Uint64
 
 	queries      atomic.Uint64
@@ -234,7 +219,6 @@ func FromViewConfig(view *secview.View, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		byHeight: plancache.New[*rewrite.Rewriter](cfg.heightCap()),
 		plans:    plancache.New[*Prepared](cfg.planCap()),
-		indexes:  plancache.New[*xpath.Index](cfg.indexCap()),
 	}
 	if cfg.AnswerCache {
 		e.answers = anscache.New(cfg.answerCap())
@@ -263,22 +247,22 @@ func (e *Engine) DocumentDTD() *dtd.DTD { return e.spec.D }
 func (e *Engine) Spec() *access.Spec { return e.spec }
 
 // Epoch returns the engine's current document/policy epoch. The epoch
-// is part of every answer-cache and index-cache key, so cached answers
-// and indexes from before a BumpEpoch can never be served after it.
+// is part of every answer-cache key, so cached answers from before a
+// BumpEpoch can never be served after it.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
 // BumpEpoch advances the epoch, called when a document the engine has
 // served (or the policy binding behind it) is swapped out from under
-// it. Every cached answer and per-document index becomes unreachable by
-// key immediately — staleness by construction — and both caches are
-// purged to reclaim the memory; plans survive, because a plan depends
-// only on the policy and query text, never on a document.
+// it. Every cached answer becomes unreachable by key immediately —
+// staleness by construction — and the answer cache is purged to reclaim
+// the memory; plans survive, because a plan depends only on the policy
+// and query text, never on a document. Label indexes need no purge:
+// each document owns its index, keyed by the document's generation.
 func (e *Engine) BumpEpoch() {
 	e.epoch.Add(1)
 	if e.answers != nil {
 		e.answers.Purge()
 	}
-	e.indexes.Purge()
 }
 
 // RewriteMode names the engine's rewriting strategy: "flat" for a
@@ -486,28 +470,11 @@ func (e *Engine) indexApplicable(prep *Prepared, doc *xmltree.Document) bool {
 	return xpath.HasDescend(prep.Optimized) || xpath.HasDescend(prep.Source)
 }
 
-// docGroup keys a document for the answer and index caches: the
-// engine epoch plus the document's pointer identity. The epoch prefix
-// makes every pre-swap entry unreachable after BumpEpoch.
+// docGroup keys a document for the answer cache: the engine epoch plus
+// the document's id. The epoch prefix makes every pre-swap entry
+// unreachable after BumpEpoch.
 func (e *Engine) docGroup(doc *xmltree.Document) string {
-	return strconv.FormatUint(e.epoch.Load(), 10) + "\x00" + fmt.Sprintf("%p", doc)
-}
-
-// indexFor returns the cached label index for the document, building
-// and caching it on first use. Keys are (epoch, document pointer
-// identity); a cached index pins its document, so a live entry cannot
-// collide with a recycled address, and the Doc check below is pure
-// defense.
-func (e *Engine) indexFor(doc *xmltree.Document) *xpath.Index {
-	key := e.docGroup(doc)
-	idx, _ := e.indexes.GetOrCompute(key, func() (*xpath.Index, error) {
-		return xpath.NewIndex(doc), nil
-	})
-	if idx == nil || idx.Doc() != doc {
-		idx = xpath.NewIndex(doc)
-		e.indexes.Put(key, idx)
-	}
-	return idx
+	return strconv.FormatUint(e.epoch.Load(), 10) + "\x00" + strconv.FormatUint(doc.ID(), 10)
 }
 
 // evalPrepared runs the evaluation phase, picking the eval mode per
@@ -527,7 +494,7 @@ func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.
 	if qm == nil && sp == nil {
 		if indexed {
 			e.indexedEvals.Add(1)
-			return xpath.EvalIndexedCtx(ctx, prep.Optimized, e.indexFor(doc))
+			return xpath.EvalIndexedCtx(ctx, prep.Optimized, xpath.NewIndex(doc))
 		}
 		if e.cfg.Parallel {
 			return xpath.EvalDocParallelCtx(ctx, prep.Optimized, doc, e.cfg.ParallelConfig, &e.evalStats)
@@ -544,7 +511,7 @@ func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.
 		e.indexedEvals.Add(1)
 		mode = obs.ModeIndexed
 		var ticks uint64
-		out, ticks, err = xpath.EvalIndexedCtxCounted(ctx, prep.Optimized, e.indexFor(doc))
+		out, ticks, err = xpath.EvalIndexedCtxCounted(ctx, prep.Optimized, xpath.NewIndex(doc))
 		if qm != nil {
 			qm.NodesVisited = ticks
 		}
@@ -761,9 +728,6 @@ type Stats struct {
 	// HeightCache reports the per-height rewriter cache (recursive
 	// views only; empty for flat views).
 	HeightCache plancache.Stats `json:"height_cache"`
-	// IndexCache reports the per-document label index cache (indexed
-	// mode only; empty otherwise).
-	IndexCache plancache.Stats `json:"index_cache"`
 	// AnswerCache reports the semantic answer cache (Config.AnswerCache;
 	// zero when off). Hits are equal hits; ContainmentHits count answers
 	// assembled by qualifier-filtering a cached superset.
@@ -807,7 +771,6 @@ func (e *Engine) Stats() Stats {
 		PlanCacheHeightClasses: classes,
 		PlanCacheNodes:         nodes,
 		HeightCache:            e.byHeight.Stats(),
-		IndexCache:             e.indexes.Stats(),
 		SequentialEvals:        seq,
 		ParallelEvals:          par,
 		IndexedEvals:           e.indexedEvals.Load(),

@@ -331,12 +331,102 @@ func TestIndexedEngineMatchesSequential(t *testing.T) {
 	if s.SequentialEvals == 0 {
 		t.Errorf("descendant-free query should have fallen back to sequential: %+v", s)
 	}
-	if s.IndexCache.Entries == 0 || s.IndexCache.Misses == 0 {
-		t.Errorf("index cache never populated: %+v", s.IndexCache)
+	// Every engine reads the document's own label index: another
+	// binding's engine finds the same posting lists, not a copy, and
+	// its queries do not rebuild them.
+	posting := &doc.Labeled("patient")[0]
+	spec2, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "2"})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
 	}
-	// The second query over the same document reuses the cached index.
-	if s.IndexCache.Hits == 0 {
-		t.Errorf("index cache never hit across queries: %+v", s.IndexCache)
+	idxE2, err := NewWithConfig(spec2, Config{Indexed: true, IndexThreshold: -1})
+	if err != nil {
+		t.Fatalf("NewWithConfig: %v", err)
+	}
+	if _, err := idxE2.QueryString(doc, "//dept//treatment//bill"); err != nil {
+		t.Fatalf("second binding: %v", err)
+	}
+	if idxE2.Stats().IndexedEvals == 0 {
+		t.Errorf("second engine recorded no indexed evals")
+	}
+	if &xpath.NewIndex(doc).Labeled("patient")[0] != posting {
+		t.Errorf("second engine rebuilt or copied the document's label index")
+	}
+}
+
+// TestSharedLabelIndexConcurrentFirstUse: many engines of several
+// bindings issue their first descendant queries at once on a fresh
+// document. The document builds its label index once under the race,
+// and every answer matches the sequential evaluator's.
+func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
+	doc := dtds.GenerateHospital(23, 6)
+	queries := []string{"//dept//treatment//bill", "//patient/name", "//bill"}
+	wards := []string{"1", "2", "3"}
+	type want struct{ ward, q string }
+	expected := map[want][]*xmltree.Node{}
+	for _, w := range wards {
+		spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": w})
+		if err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		seqE, err := New(spec)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		for _, q := range queries {
+			out, err := seqE.QueryString(doc, q)
+			if err != nil {
+				t.Fatalf("sequential %q: %v", q, err)
+			}
+			expected[want{w, q}] = out
+		}
+	}
+	// Sequential engines never touch the label index: it is still
+	// unbuilt when the indexed engines below race to their first use.
+
+	const perBinding = 8
+	postings := make(chan **xmltree.Node, perBinding*len(wards))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for _, w := range wards {
+		spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": w})
+		if err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		for g := 0; g < perBinding; g++ {
+			e, err := NewWithConfig(spec, Config{Indexed: true, IndexThreshold: -1})
+			if err != nil {
+				t.Fatalf("NewWithConfig: %v", err)
+			}
+			wg.Add(1)
+			go func(w string, e *Engine) {
+				defer wg.Done()
+				<-start
+				for _, q := range queries {
+					got, err := e.QueryString(doc, q)
+					if err != nil {
+						t.Errorf("ward %s %q: %v", w, q, err)
+						return
+					}
+					if !reflect.DeepEqual(got, expected[want{w, q}]) {
+						t.Errorf("ward %s %q: indexed %d nodes, sequential %d", w, q, len(got), len(expected[want{w, q}]))
+					}
+				}
+				if e.Stats().IndexedEvals == 0 {
+					t.Errorf("ward %s: no indexed evals", w)
+				}
+				postings <- &doc.Labeled("patient")[0]
+			}(w, e)
+		}
+	}
+	close(start)
+	wg.Wait()
+	close(postings)
+	first := &doc.Labeled("patient")[0]
+	for p := range postings {
+		if p != first {
+			t.Fatalf("engines saw different posting lists: the label index was built more than once")
+		}
 	}
 }
 

@@ -181,17 +181,17 @@ func (c *Class) EngineCtx(ctx context.Context, params map[string]string) (*core.
 func (c *Class) EngineCacheStats() plancache.Stats { return c.engines.Stats() }
 
 // BumpEpoch advances the epoch of every engine currently cached for the
-// class (see core.Engine.BumpEpoch): their cached answers and
-// per-document indexes become unreachable. Engines derived afterward
-// start at epoch 0 with empty caches, which is equally safe.
+// class (see core.Engine.BumpEpoch): their cached answers become
+// unreachable. Engines derived afterward start at epoch 0 with empty
+// caches, which is equally safe.
 func (c *Class) BumpEpoch() {
 	c.engines.Each(func(_ string, e *core.Engine) { e.BumpEpoch() })
 }
 
 // BumpEpoch advances the epoch of every cached engine in every class.
 // Servers call it when a document is rebound (swapped, reloaded) so no
-// answer or index derived against the old tree can be served against
-// the new one — even when the new document lands at the same address.
+// answer derived against the old tree can be served against the new
+// one — even when the tree was mutated in place.
 func (r *Registry) BumpEpoch() {
 	for _, name := range r.order {
 		r.classes[name].BumpEpoch()

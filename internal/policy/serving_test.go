@@ -151,7 +151,14 @@ func TestRegistryIndexedModePropagates(t *testing.T) {
 	if s.IndexedEvals == 0 {
 		t.Errorf("registry engine recorded no indexed evals: %+v", s)
 	}
-	if s.IndexCache.Entries == 0 {
-		t.Errorf("index cache empty after descendant queries: %+v", s.IndexCache)
+	// Another binding's engine answers from the same posting lists the
+	// first engine used: the document owns one label index.
+	posting := &doc.Labeled("patient")[0]
+	other := map[string]string{"wardNo": "2"}
+	if _, err := idx.QueryCtx(context.Background(), "nurse", other, doc, "//dept//treatment//bill"); err != nil {
+		t.Fatalf("second binding: %v", err)
+	}
+	if &doc.Labeled("patient")[0] != posting {
+		t.Errorf("second binding rebuilt the document's label index")
 	}
 }

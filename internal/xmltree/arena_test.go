@@ -3,6 +3,8 @@ package xmltree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -189,5 +191,82 @@ func TestCompactSingleNode(t *testing.T) {
 	}
 	if got := doc.Root.Subtree(); len(got) != 1 || got[0] != doc.Root {
 		t.Fatalf("single-node Subtree = %v", got)
+	}
+}
+
+// TestLabeledPostingLists: each posting list holds exactly the label's
+// nodes in document order, with no capacity beyond its length, and
+// repeated calls return the same lists rather than a rebuild.
+func TestLabeledPostingLists(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		doc := randomTree(5, 200)
+		if compact {
+			doc.Compact()
+		}
+		want := map[string][]*Node{}
+		for _, n := range doc.Nodes() {
+			want[n.Label] = append(want[n.Label], n)
+		}
+		for label, nodes := range want {
+			got := doc.Labeled(label)
+			if !reflect.DeepEqual(got, nodes) {
+				t.Fatalf("compact=%v: Labeled(%s) = %d nodes, want %d", compact, label, len(got), len(nodes))
+			}
+			if cap(got) != len(got) {
+				t.Errorf("compact=%v: Labeled(%s) has cap %d for %d nodes", compact, label, cap(got), len(got))
+			}
+			if &doc.Labeled(label)[0] != &got[0] {
+				t.Errorf("compact=%v: Labeled(%s) rebuilt within one generation", compact, label)
+			}
+		}
+		if got := doc.Labeled("nosuch"); got != nil {
+			t.Errorf("Labeled(nosuch) = %v", got)
+		}
+	}
+}
+
+// TestLabeledConcurrentFirstUse: goroutines released together at a
+// fresh document's first Labeled call all get the same, single build.
+func TestLabeledConcurrentFirstUse(t *testing.T) {
+	for round := int64(0); round < 10; round++ {
+		doc := randomTree(round, 5000)
+		doc.Compact()
+		const workers = 8
+		got := make([]**Node, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i] = &doc.Labeled("root")[0]
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i := range got {
+			if got[i] != got[0] {
+				t.Fatalf("round %d: worker %d saw a second build of the label index", round, i)
+			}
+		}
+	}
+}
+
+// TestLabeledFollowsRenumber: the label index is keyed by generation,
+// so a node appended and renumbered in shows up in the next Labeled
+// call with no other invalidation step.
+func TestLabeledFollowsRenumber(t *testing.T) {
+	doc := sampleDoc()
+	before := doc.Labeled("patient")
+	if len(before) != 2 {
+		t.Fatalf("Labeled(patient) = %d nodes, want 2", len(before))
+	}
+	added := E("patient", T("name", "Carol"))
+	doc.Root.Children[0].Children[0].AppendChild(added)
+	doc.Renumber()
+	after := doc.Labeled("patient")
+	if len(after) != 3 || after[2] != added {
+		t.Fatalf("after Renumber: Labeled(patient) = %d nodes, last %v", len(after), after[len(after)-1].Path())
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // NodeKind distinguishes element nodes from text (PCDATA) nodes.
@@ -229,7 +231,9 @@ func (n *Node) Path() string {
 // Document is an XML document: a root element plus cached size,
 // document-order numbering, and the node table byOrd (all nodes in
 // document order, so byOrd[n.Ord()] == n and a subtree is the
-// contiguous range byOrd[ord : ord+desc+1]).
+// contiguous range byOrd[ord : ord+desc+1]). It also owns the label
+// index over that table (see Labeled), so every reader of one document
+// shares one index.
 type Document struct {
 	Root    *Node
 	size    int
@@ -237,7 +241,21 @@ type Document struct {
 	byOrd   []*Node
 	compact bool
 	gen     uint64
+	id      uint64
+
+	labels   atomic.Pointer[labelTable]
+	labelsMu sync.Mutex // serializes label table builds
 }
+
+// labelTable is the label index of a document at one generation: for
+// each label, the document's nodes carrying it in document order.
+type labelTable struct {
+	gen     uint64
+	byLabel map[string][]*Node
+}
+
+// docIDs hands out Document ids; 0 means "not yet assigned".
+var docIDs atomic.Uint64
 
 // NewDocument wraps a root node into a document and assigns document
 // order.
@@ -251,9 +269,14 @@ func NewDocument(root *Node) *Document {
 // after tree mutation. A node's subtree occupies the contiguous ord range
 // [ord, ord+desc], which makes descendant tests O(1). The same walk
 // rebuilds the byOrd node table and caches the document height, so both
-// are as fresh as the numbering itself.
+// are as fresh as the numbering itself; the label index, keyed by
+// generation, is dropped and rebuilt on its next use.
 func (d *Document) Renumber() {
+	if d.id == 0 {
+		d.id = docIDs.Add(1)
+	}
 	d.gen++
+	d.labels.Store(nil)
 	d.byOrd = d.byOrd[:0]
 	d.height = 0
 	var walk func(node *Node, depth int) int
@@ -273,6 +296,51 @@ func (d *Document) Renumber() {
 	}
 	walk(d.Root, 0)
 	d.size = len(d.byOrd)
+}
+
+// ID returns the document's process-unique id, assigned by its first
+// Renumber (NewDocument runs one). Caches key documents by it: unlike a
+// pointer, an id is never reused by a later document.
+func (d *Document) ID() uint64 { return d.id }
+
+// Labeled returns the document's nodes carrying label, in document
+// order. The slice is shared; callers must not mutate it. The label
+// index behind it is built on first use, once per generation, from the
+// node table, and every later call reads it without locking. Documents
+// without a node table (never renumbered) return nil.
+func (d *Document) Labeled(label string) []*Node {
+	t := d.labels.Load()
+	if t == nil || t.gen != d.gen {
+		t = d.buildLabels()
+	}
+	return t.byLabel[label]
+}
+
+// buildLabels builds the label table for the current generation unless
+// a concurrent caller already has. Posting lists are carved from one
+// slab sized by a counting pass, each capped at its exact length.
+func (d *Document) buildLabels() *labelTable {
+	d.labelsMu.Lock()
+	defer d.labelsMu.Unlock()
+	if t := d.labels.Load(); t != nil && t.gen == d.gen {
+		return t
+	}
+	counts := make(map[string]int)
+	for _, n := range d.byOrd {
+		counts[n.Label]++
+	}
+	t := &labelTable{gen: d.gen, byLabel: make(map[string][]*Node, len(counts))}
+	slab := make([]*Node, len(d.byOrd))
+	off := 0
+	for label, c := range counts {
+		t.byLabel[label] = slab[off : off : off+c]
+		off += c
+	}
+	for _, n := range d.byOrd {
+		t.byLabel[n.Label] = append(t.byLabel[n.Label], n)
+	}
+	d.labels.Store(t)
+	return t
 }
 
 // Size returns the number of nodes in the document (elements + text).

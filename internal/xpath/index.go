@@ -8,42 +8,43 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Index is a per-document label index: for each element label (and the
-// text pseudo-label) the document's nodes in document order. It speeds up
-// descendant steps the way the paper's "state-of-the-art" evaluator [17]
-// avoids full scans: //l becomes an index lookup plus an ancestor filter
-// instead of a subtree walk. Build one per document and reuse it across
-// queries; it becomes stale if the document mutates.
+// Index is a label index over one document: for each element label (and
+// the text pseudo-label) the document's nodes in document order. It
+// speeds up descendant steps the way the paper's "state-of-the-art"
+// evaluator [17] avoids full scans: //l becomes an index lookup plus an
+// ancestor filter instead of a subtree walk. The posting lists belong
+// to the document (xmltree.Document.Labeled), built once per generation
+// and shared by every Index over it, so an Index is a free view that
+// follows the document across Renumber.
 type Index struct {
-	doc     *xmltree.Document
-	byLabel map[string][]*xmltree.Node
+	doc *xmltree.Document
+	// walked holds posting lists built by a walk for a document without
+	// a node table; nil when the document's own lists are used.
+	walked map[string][]*xmltree.Node
 }
 
-// NewIndex builds the label index in one pass. Renumbered documents are
-// indexed straight off their node table (already in document order);
-// trees without one fall back to a walk.
+// NewIndex returns the label index of doc. For a renumbered document it
+// is an O(1) view over the document's own posting lists; a tree without
+// a node table is indexed by a walk instead.
 func NewIndex(doc *xmltree.Document) *Index {
-	idx := &Index{doc: doc, byLabel: make(map[string][]*xmltree.Node)}
-	if nodes := doc.Nodes(); nodes != nil {
-		for _, n := range nodes {
-			idx.byLabel[n.Label] = append(idx.byLabel[n.Label], n)
-		}
-		return idx
+	if doc.Nodes() != nil {
+		return &Index{doc: doc}
 	}
+	walked := make(map[string][]*xmltree.Node)
 	doc.Root.Walk(func(n *xmltree.Node) bool {
-		idx.byLabel[n.Label] = append(idx.byLabel[n.Label], n)
+		walked[n.Label] = append(walked[n.Label], n)
 		return true
 	})
-	return idx
+	return &Index{doc: doc, walked: walked}
 }
-
-// Doc returns the indexed document.
-func (idx *Index) Doc() *xmltree.Document { return idx.doc }
 
 // Labeled returns all nodes with the given label in document order. The
 // slice is shared; callers must not mutate it.
 func (idx *Index) Labeled(label string) []*xmltree.Node {
-	return idx.byLabel[label]
+	if idx.walked != nil {
+		return idx.walked[label]
+	}
+	return idx.doc.Labeled(label)
 }
 
 // EvalIndexed evaluates a query at the document root using the index.
@@ -373,14 +374,4 @@ func (e indexedEvaluator) evalQual(q Qual, v *xmltree.Node) (bool, error) {
 	default:
 		return false, fmt.Errorf("EvalQual: unknown qualifier node %T", q)
 	}
-}
-
-// Ensure deterministic iteration in tests that inspect the index.
-func (idx *Index) labels() []string {
-	out := make([]string, 0, len(idx.byLabel))
-	for l := range idx.byLabel {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

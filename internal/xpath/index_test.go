@@ -3,30 +3,66 @@ package xpath
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xmltree"
 )
 
 func TestIndexBasics(t *testing.T) {
 	doc := hospitalDoc()
 	idx := NewIndex(doc)
-	if idx.Doc() != doc {
-		t.Errorf("Doc() wrong")
-	}
 	if got := len(idx.Labeled("patient")); got != 3 {
 		t.Errorf("Labeled(patient) = %d, want 3", got)
 	}
 	if got := len(idx.Labeled("nosuch")); got != 0 {
 		t.Errorf("Labeled(nosuch) = %d", got)
 	}
-	// Posting lists are in document order.
-	for _, l := range idx.labels() {
+	// Posting lists are in document order and hold exactly the
+	// document's nodes of their label.
+	counts := map[string]int{}
+	for _, n := range doc.Nodes() {
+		counts[n.Label]++
+	}
+	for l, want := range counts {
 		nodes := idx.Labeled(l)
+		if len(nodes) != want {
+			t.Errorf("Labeled(%s) = %d nodes, want %d", l, len(nodes), want)
+		}
 		for i := 1; i < len(nodes); i++ {
 			if nodes[i-1].Ord() >= nodes[i].Ord() {
 				t.Errorf("posting list for %s out of order", l)
 			}
 		}
+	}
+	// The index is a view over the document's own posting lists.
+	if &idx.Labeled("patient")[0] != &doc.Labeled("patient")[0] {
+		t.Errorf("index copied the document's posting list")
+	}
+}
+
+// TestIndexWalkFallback: a tree without a node table is indexed by a
+// walk and evaluates like a renumbered copy of itself.
+func TestIndexWalkFallback(t *testing.T) {
+	numbered := hospitalDoc()
+	bare := &xmltree.Document{Root: hospitalDoc().Root}
+	if bare.Nodes() != nil {
+		t.Fatalf("bare document has a node table")
+	}
+	idx := NewIndex(bare)
+	for _, l := range []string{"hospital", "patient", "bill", xmltree.TextLabel, "nosuch"} {
+		if got, want := len(idx.Labeled(l)), len(numbered.Labeled(l)); got != want {
+			t.Errorf("Labeled(%s) = %d nodes, want %d", l, got, want)
+		}
+	}
+	// Unnumbered nodes share ord 0, so compare answers as sets.
+	got := texts(EvalIndexed(MustParse("//patient/name"), idx))
+	want := texts(EvalDoc(MustParse("//patient/name"), numbered))
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("walk-indexed //patient/name = %v, want %v", got, want)
 	}
 }
 
