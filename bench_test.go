@@ -636,7 +636,9 @@ func BenchmarkGenerate(b *testing.B) {
 // hospital document, comparing the tree-walk evaluator, the
 // structural-index evaluator, and the worker-pool evaluator. The
 // index-build case prices the document's label index build, paid once
-// per document generation and shared by every engine.
+// per document generation and shared by every engine. qual-eq is the
+// shape rewritten view plans repeat in every union branch: a ward test
+// guarding a descent. (GenerateHospital's wards cycle over 0..3.)
 func BenchmarkDeepDescendant(b *testing.B) {
 	doc := dtds.GenerateHospital(1, 48)
 	if doc.Size() < 10000 {
@@ -647,6 +649,7 @@ func BenchmarkDeepDescendant(b *testing.B) {
 		{"dept-treatment-bill", "//dept//treatment//bill"},
 		{"deep-text", "//dept//patientInfo//name/text()"},
 		{"qual-descend", "//dept[.//trial]//bill"},
+		{"qual-eq", `//dept[patientInfo/patient/wardNo = "1"]//name`},
 	}
 	b.ReportMetric(float64(doc.Size()), "docnodes")
 	for _, tc := range queries {

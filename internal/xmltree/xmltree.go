@@ -154,6 +154,26 @@ func (n *Node) Text() string {
 	if n.Kind == TextNode {
 		return n.Data
 	}
+	// Most elements hold at most one text child; return its data as is
+	// and concatenate only for mixed content.
+	var only *Node
+	for _, c := range n.Children {
+		if c.Kind != TextNode {
+			continue
+		}
+		if only != nil {
+			return n.concatText()
+		}
+		only = c
+	}
+	if only == nil {
+		return ""
+	}
+	return only.Data
+}
+
+// concatText joins the data of every text child, in order.
+func (n *Node) concatText() string {
 	var b strings.Builder
 	for _, c := range n.Children {
 		if c.Kind == TextNode {

@@ -117,6 +117,39 @@ func TestParseAttributes(t *testing.T) {
 	}
 }
 
+// TestTextSingleChildAllocFree: the string value of an element with
+// one text child, the shape every [p = "c"] qualifier compares, is that
+// child's data, returned without building a new string.
+func TestTextSingleChildAllocFree(t *testing.T) {
+	d, err := ParseString(`<wardNo>17</wardNo>`)
+	if err != nil {
+		t.Fatalf("ParseString: %v", err)
+	}
+	var got string
+	allocs := testing.AllocsPerRun(100, func() { got = d.Root.Text() })
+	if got != "17" {
+		t.Fatalf("Text() = %q, want 17", got)
+	}
+	if allocs != 0 {
+		t.Errorf("Text() allocates %v times per call, want 0", allocs)
+	}
+	if got := E("empty").Text(); got != "" {
+		t.Errorf("Text() of an element without text children = %q", got)
+	}
+}
+
+// TestTextMixedContent: mixed content concatenates every text child in
+// order and skips the element children between them.
+func TestTextMixedContent(t *testing.T) {
+	d, err := ParseString(`<p>one <b>bold</b> two <i/>three</p>`)
+	if err != nil {
+		t.Fatalf("ParseString: %v", err)
+	}
+	if got := d.Root.Text(); got != "one  two three" {
+		t.Errorf("Text() = %q, want %q", got, "one  two three")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	for _, src := range []string{
 		"",

@@ -19,6 +19,13 @@ import (
 // from a sync.Pool, so a steady-state evaluation allocates only its
 // final result slice.
 //
+// Qualifiers are evaluated set-at-a-time, never per context node: sat
+// filters a whole candidate set with one forward pass over each
+// qualifier path and one backward pass (pre) from what it reached, so
+// a qualifier costs a few bitset passes however many candidates it
+// tests. Per-node qualifier semantics live only in the slice
+// evaluator, which the differential suites use as the reference.
+//
 // The gate (ordinalDoc) requires every context node to carry fresh
 // numbering from one compacted document. Hand-built NewDocument trees,
 // detached subtrees, and mixed-document contexts keep the slice path —
@@ -81,6 +88,9 @@ type bitEval struct {
 	doc   *xmltree.Document
 	owned []*nodeset.Set
 	free  []*nodeset.Set
+	// backward is set while a pre-image runs; see semiJoin for why an
+	// unbound variable then selects nothing instead of failing.
+	backward bool
 }
 
 // get returns a cleared set over the document's ordinal universe,
@@ -201,29 +211,11 @@ func (b *bitEval) path(p Path, ctx *nodeset.Set) (*nodeset.Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := b.get()
-		var loopErr error
-		mid.ForEachUntil(func(ord int) bool {
-			if loopErr = b.se.tick(); loopErr != nil {
-				return false
-			}
-			hold, err := b.qual(p.Cond, byOrd[ord])
-			if err != nil {
-				loopErr = err
-				return false
-			}
-			if hold {
-				out.Add(ord)
-			}
-			return true
-		})
+		out, err := b.sat(p.Cond, mid)
 		b.recycle(mid)
-		if loopErr != nil {
-			return nil, loopErr
-		}
-		return out, nil
+		return out, err
 	case Rec:
-		return b.evalRec(p, ctx)
+		return b.reach(p, ctx, false)
 	default:
 		return nil, fmt.Errorf("evalPath: unknown path node %T", p)
 	}
@@ -314,99 +306,280 @@ func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, boo
 	return out, true, err
 }
 
-// qual mirrors seqEval.qual over pooled sets: qualifier paths — where
-// p[q] plans spend their time — evaluate through b.path, so even the
-// per-node existence checks of nested qualifiers allocate nothing.
-func (b *bitEval) qual(q Qual, v *xmltree.Node) (bool, error) {
+// sat returns the members of cand at which q holds: the set-at-a-time
+// form of seqEval.qual. Each qualifier occurrence costs a constant
+// number of passes over the plan and the document, however many
+// candidates it filters. cand is borrowed; the result is a fresh set.
+//
+// Conjunction and disjunction chain their operands the way the
+// per-node form short-circuits: the right operand of an "and" sees
+// only the candidates the left accepted, that of an "or" only those it
+// rejected. An operand is never evaluated over an empty set, so an
+// unbound variable fails exactly when the slice evaluator reaches it
+// at some node.
+func (b *bitEval) sat(q Qual, cand *nodeset.Set) (*nodeset.Set, error) {
+	if cand.Empty() {
+		return b.get(), nil
+	}
+	if err := b.se.tick(); err != nil {
+		return nil, err
+	}
 	switch q := q.(type) {
 	case QTrue:
-		return true, nil
+		out := b.get()
+		out.Or(cand)
+		return out, nil
 	case QFalse:
-		return false, nil
+		return b.get(), nil
 	case QPath:
-		res, err := b.pathAtNode(q.Path, v)
-		if err != nil {
-			return false, err
-		}
-		hold := !res.Empty()
-		b.recycle(res)
-		return hold, nil
+		return b.semiJoin(q.Path, cand, nil)
 	case QEq:
 		if q.Var != "" {
-			return false, fmt.Errorf("unbound variable $%s in qualifier", q.Var)
+			if b.backward {
+				return b.get(), nil
+			}
+			return nil, fmt.Errorf("unbound variable $%s in qualifier", q.Var)
 		}
-		res, err := b.pathAtNode(q.Path, v)
-		if err != nil {
-			return false, err
-		}
-		byOrd := b.doc.Nodes()
-		hold := false
-		res.ForEachUntil(func(ord int) bool {
-			hold = byOrd[ord].Text() == q.Value
-			return !hold
-		})
-		b.recycle(res)
-		return hold, nil
+		return b.semiJoin(q.Path, cand, func(v *xmltree.Node) bool { return v.Text() == q.Value })
 	case QAttrEq:
-		val, ok := v.Attr(q.Name)
-		return ok && val == q.Value, nil
+		return b.filter(cand, func(v *xmltree.Node) bool {
+			val, ok := v.Attr(q.Name)
+			return ok && val == q.Value
+		})
 	case QAttrHas:
-		_, ok := v.Attr(q.Name)
-		return ok, nil
+		return b.filter(cand, func(v *xmltree.Node) bool {
+			_, ok := v.Attr(q.Name)
+			return ok
+		})
 	case QAnd:
-		left, err := b.qual(q.Left, v)
-		if err != nil || !left {
-			return false, err
+		left, err := b.sat(q.Left, cand)
+		if err != nil {
+			return nil, err
 		}
-		return b.qual(q.Right, v)
+		out, err := b.sat(q.Right, left)
+		b.recycle(left)
+		return out, err
 	case QOr:
-		left, err := b.qual(q.Left, v)
-		if err != nil || left {
-			return left, err
+		left, err := b.sat(q.Left, cand)
+		if err != nil {
+			return nil, err
 		}
-		return b.qual(q.Right, v)
+		rest := b.get()
+		rest.Or(cand)
+		rest.AndNot(left)
+		right, err := b.sat(q.Right, rest)
+		b.recycle(rest)
+		if err != nil {
+			return nil, err
+		}
+		left.Or(right)
+		b.recycle(right)
+		return left, nil
 	case QNot:
-		hold, err := b.qual(q.Sub, v)
-		return !hold && err == nil, err
+		hold, err := b.sat(q.Sub, cand)
+		if err != nil {
+			return nil, err
+		}
+		out := b.get()
+		out.Or(cand)
+		out.AndNot(hold)
+		b.recycle(hold)
+		return out, nil
 	default:
-		return false, fmt.Errorf("EvalQual: unknown qualifier node %T", q)
+		return nil, fmt.Errorf("EvalQual: unknown qualifier node %T", q)
 	}
 }
 
-// pathAtNode evaluates a qualifier's inner path at one context node.
-func (b *bitEval) pathAtNode(p Path, v *xmltree.Node) (*nodeset.Set, error) {
-	ctx := b.get()
-	ctx.Add(v.Ord())
-	res, err := b.path(p, ctx)
-	b.recycle(ctx)
-	return res, err
+// filter returns the members of s for which keep holds, one tick per
+// member: the per-node tests (text and attribute comparisons) that no
+// bitset operation can replace.
+func (b *bitEval) filter(s *nodeset.Set, keep func(*xmltree.Node) bool) (*nodeset.Set, error) {
+	out := b.get()
+	byOrd := b.doc.Nodes()
+	var err error
+	s.ForEachUntil(func(ord int) bool {
+		if err = b.se.tick(); err != nil {
+			return false
+		}
+		if keep(byOrd[ord]) {
+			out.Add(ord)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// evalRec is the product reachability of rec.go over bitset rows: the
-// visited set keeps one row per view state (visited[s].Has(ord) ⇔
+// semiJoin returns the members of cand from which p reaches a node —
+// one for which keep holds, when keep is non-nil. It is a forward pass
+// then a backward one: F = p(cand), X = F or its members kept, and the
+// answer is pre(p, X) ∩ cand.
+//
+// The forward pass evaluates every nested qualifier exactly where the
+// per-node evaluator would, so it alone reports unbound variables. The
+// backward pass also visits nodes no context reaches. A nested
+// qualifier's value there cannot change the answer, and the forward
+// pass has proven the variable unreachable from the ones that do count,
+// so under b.backward an unbound variable just selects nothing.
+func (b *bitEval) semiJoin(p Path, cand *nodeset.Set, keep func(*xmltree.Node) bool) (*nodeset.Set, error) {
+	img, err := b.path(p, cand)
+	if err != nil {
+		return nil, err
+	}
+	if keep != nil {
+		hits, err := b.filter(img, keep)
+		b.recycle(img)
+		if err != nil {
+			return nil, err
+		}
+		img = hits
+	}
+	saved := b.backward
+	b.backward = true
+	out, err := b.pre(p, img)
+	b.backward = saved
+	b.recycle(img)
+	if err != nil {
+		return nil, err
+	}
+	out.And(cand)
+	return out, nil
+}
+
+// pre returns the pre-image of x under p: every node v with
+// p(v) ∩ x ≠ ∅, over the whole document. It is path run backwards —
+// child steps map to parents, a sequence composes right to left, and
+// a qualified step first keeps the members where its qualifier holds.
+// x is borrowed; the result is a fresh set.
+func (b *bitEval) pre(p Path, x *nodeset.Set) (*nodeset.Set, error) {
+	if x.Empty() {
+		return b.get(), nil
+	}
+	if err := b.se.tick(); err != nil {
+		return nil, err
+	}
+	byOrd := b.doc.Nodes()
+	switch p := p.(type) {
+	case Empty:
+		return b.get(), nil
+	case Self:
+		out := b.get()
+		out.Or(x)
+		return out, nil
+	case Label:
+		out := b.get()
+		x.ForEach(func(ord int) {
+			if n := byOrd[ord]; n.Label == p.Name && n.Parent != nil {
+				out.Add(n.Parent.Ord())
+			}
+		})
+		return out, nil
+	case Wildcard:
+		out := b.get()
+		x.ForEach(func(ord int) {
+			if n := byOrd[ord]; n.Kind == xmltree.ElementNode && n.Parent != nil {
+				out.Add(n.Parent.Ord())
+			}
+		})
+		return out, nil
+	case Seq:
+		mid, err := b.pre(p.Right, x)
+		if err != nil {
+			return nil, err
+		}
+		out, err := b.pre(p.Left, mid)
+		b.recycle(mid)
+		return out, err
+	case Descend:
+		out, err := b.pre(p.Sub, x)
+		if err != nil {
+			return nil, err
+		}
+		return out, b.ancestorsOrSelf(out)
+	case Union:
+		left, err := b.pre(p.Left, x)
+		if err != nil {
+			return nil, err
+		}
+		right, err := b.pre(p.Right, x)
+		if err != nil {
+			return nil, err
+		}
+		left.Or(right)
+		b.recycle(right)
+		return left, nil
+	case Qualified:
+		held, err := b.sat(p.Cond, x)
+		if err != nil {
+			return nil, err
+		}
+		out, err := b.pre(p.Sub, held)
+		b.recycle(held)
+		return out, err
+	case Rec:
+		return b.reach(p, x, true)
+	default:
+		return nil, fmt.Errorf("evalPath: unknown path node %T", p)
+	}
+}
+
+// ancestorsOrSelf closes s upward in place: the pre-image of the
+// descendant-or-self axis. Each walk up the parent chain stops at the
+// first node already in s, whose own chain is then already in s or
+// still to be walked, so the whole closure marks each node at most
+// once. Ancestors have smaller ordinals than their descendants, so the
+// ascending iteration never revisits a node it added.
+func (b *bitEval) ancestorsOrSelf(s *nodeset.Set) error {
+	byOrd := b.doc.Nodes()
+	var err error
+	s.ForEachUntil(func(ord int) bool {
+		for p := byOrd[ord].Parent; p != nil && !s.Has(p.Ord()); p = p.Parent {
+			if err = b.se.tick(); err != nil {
+				return false
+			}
+			s.Add(p.Ord())
+		}
+		return true
+	})
+	return err
+}
+
+// reach is the product reachability of rec.go over bitset rows, in
+// either direction. Forward it seeds p.Start's row with seed, maps each
+// frontier across the σ edges with path, and answers p.Accept's row.
+// Backward it seeds p.Accept's row, maps frontiers back across the
+// reversed edges with pre, and answers p.Start's row: the nodes from
+// which some σ chain reaches seed, which is pre(p, seed).
+//
+// The visited set keeps one row per view state (rows[s].Has(ord) ⇔
 // (node, s) seen), and frontiers are sets, so per-level dedup against
 // everything already visited is one AndNot instead of a map probe per
 // (node, state) pair. States iterate in sorted order like the slice
-// form, keeping σ evaluation order — and therefore tick counts —
+// form, keeping σ evaluation order, and therefore tick counts,
 // deterministic.
-func (b *bitEval) evalRec(p Rec, ctx *nodeset.Set) (*nodeset.Set, error) {
-	out := b.get()
+func (b *bitEval) reach(p Rec, seed *nodeset.Set, backward bool) (*nodeset.Set, error) {
 	if p.G == nil {
-		return out, nil
+		return b.get(), nil
 	}
-	visited := make(map[string]*nodeset.Set, len(p.G.states))
+	from, to, edges, step := p.Start, p.Accept, p.G.edges, b.path
+	if backward {
+		from, to, edges, step = p.Accept, p.Start, p.G.into, b.pre
+	}
+	rows := make(map[string]*nodeset.Set, len(p.G.states))
 	row := func(state string) *nodeset.Set {
-		r := visited[state]
+		r := rows[state]
 		if r == nil {
 			r = b.get()
-			visited[state] = r
+			rows[state] = r
 		}
 		return r
 	}
 	start := b.get()
-	start.Or(ctx)
-	row(p.Start).Or(ctx)
-	frontier := map[string]*nodeset.Set{p.Start: start}
+	start.Or(seed)
+	row(from).Or(seed)
+	frontier := map[string]*nodeset.Set{from: start}
 	states := make([]string, 0, len(p.G.states))
 	for len(frontier) > 0 {
 		states = states[:0]
@@ -417,11 +590,8 @@ func (b *bitEval) evalRec(p Rec, ctx *nodeset.Set) (*nodeset.Set, error) {
 		next := map[string]*nodeset.Set{}
 		for _, s := range states {
 			nodes := frontier[s]
-			if s == p.Accept {
-				out.Or(nodes)
-			}
-			for _, edge := range p.G.edges[s] {
-				hit, err := b.path(edge.Sig, nodes)
+			for _, edge := range edges[s] {
+				hit, err := step(edge.Sig, nodes)
 				if err != nil {
 					return nil, err
 				}
@@ -441,8 +611,11 @@ func (b *bitEval) evalRec(p Rec, ctx *nodeset.Set) (*nodeset.Set, error) {
 		}
 		frontier = next
 	}
-	for _, r := range visited {
-		b.recycle(r)
+	out := row(to)
+	for s, r := range rows {
+		if s != to {
+			b.recycle(r)
+		}
 	}
 	return out, nil
 }

@@ -10,9 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dtds"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -217,4 +219,61 @@ func TestEvalIndexedCtxCountedTicks(t *testing.T) {
 	if ticks == 0 {
 		t.Fatalf("ticks = 0, want nonzero nodes-visited proxy")
 	}
+}
+
+// wardUnion is a served-shape plan dominated by qualifiers: 20 union
+// branches of //dept[patientInfo/patient/wardNo = "k"]//*, each
+// guarding a whole-subtree descent with a ward test.
+func wardUnion(t *testing.T) xpath.Path {
+	t.Helper()
+	branches := make([]string, 20)
+	for k := range branches {
+		branches[k] = fmt.Sprintf(`//dept[patientInfo/patient/wardNo = "%d"]//*`, k%4+7*(k/4))
+	}
+	p, err := xpath.Parse(strings.Join(branches, " | "))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	return p
+}
+
+// TestQualifierHeavyDeadline: set-at-a-time qualifier evaluation ticks
+// like every other step, so a deadline cuts a qualifier-heavy plan off
+// promptly and the counted form reports the work it did.
+func TestQualifierHeavyDeadline(t *testing.T) {
+	doc := dtds.GenerateHospital(1, 48)
+	if doc.Size() < 10000 {
+		t.Fatalf("document too small: %d nodes", doc.Size())
+	}
+	idx := xpath.NewIndex(doc)
+	p := wardUnion(t)
+
+	start := time.Now()
+	out, ticks, err := xpath.EvalIndexedCtxCounted(context.Background(), p, idx)
+	full := time.Since(start)
+	if err != nil {
+		t.Fatalf("uncancelled eval: %v", err)
+	}
+	if len(out) == 0 {
+		t.Fatal("plan selects nothing; the deadline check below would prove little")
+	}
+	if ticks == 0 {
+		t.Fatal("ticks = 0, want a nonzero nodes-visited proxy")
+	}
+
+	// A deadline at a tenth of the full run must stop evaluation with
+	// the context's error, well within the promptness bound.
+	ctx, cancel := context.WithTimeout(context.Background(), full/10)
+	defer cancel()
+	start = time.Now()
+	_, partial, err := xpath.EvalIndexedCtxCounted(ctx, p, idx)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after %v (full run %v), want context.DeadlineExceeded", err, elapsed, full)
+	}
+	assertPrompt(t, elapsed)
+	if partial >= ticks {
+		t.Errorf("cancelled run counted %d ticks, the full run %d", partial, ticks)
+	}
+	t.Logf("full run %v, %d ticks; cancelled after %v, %d ticks", full, ticks, elapsed, partial)
 }

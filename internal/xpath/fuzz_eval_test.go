@@ -58,13 +58,20 @@ func fuzzSeeds() []string {
 }
 
 // FuzzEval drives EvalErr (via EvalDocErr) and the forced-parallel
-// evaluator with arbitrary parsed queries. Run with
+// evaluator with arbitrary parsed queries, and checks the bitset
+// evaluator over a compacted copy of the document against the slice
+// reference on the uncompacted original, ordinal for ordinal. Run with
 // go test -fuzz=FuzzEval$ ./internal/xpath.
 func FuzzEval(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	doc := fuzzDoc()
+	compact := xmltree.NewDocument(doc.Root.Clone())
+	compact.Compact()
+	if xpath.OrdinalApplicable(doc) || !xpath.OrdinalApplicable(compact) {
+		f.Fatal("fuzzDoc must take the slice path and its compacted copy the bitset path")
+	}
 	cfg := xpath.ParallelConfig{Threshold: -1, Workers: 2}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := xpath.Parse(src)
@@ -77,10 +84,27 @@ func FuzzEval(f *testing.F) {
 			t.Fatalf("evaluators disagree on error for %q: sequential %v, parallel %v", src, seqErr, parErr)
 		}
 		if seqErr != nil {
-			return // both rejected (e.g. unbound $variable) without panicking
+			// Both rejected (e.g. unbound $variable) without panicking;
+			// the bitset evaluator must reject it too.
+			if _, err := xpath.EvalDocErr(p, compact); err == nil {
+				t.Fatalf("bitset evaluator accepts %q, which the slice reference rejects: %v", src, seqErr)
+			}
+			return
 		}
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("parallel ≠ sequential for %q: %d vs %d nodes", src, len(par), len(seq))
+		}
+		bits, err := xpath.EvalDocErr(p, compact)
+		if err != nil {
+			t.Fatalf("bitset evaluator rejects %q, which the slice reference accepts: %v", src, err)
+		}
+		if len(bits) != len(seq) {
+			t.Fatalf("bitset ≠ slice for %q: %d vs %d nodes", src, len(bits), len(seq))
+		}
+		for i := range seq {
+			if bits[i].Ord() != seq[i].Ord() {
+				t.Fatalf("bitset ≠ slice for %q: node %d is ord %d, want %d", src, i, bits[i].Ord(), seq[i].Ord())
+			}
 		}
 		seen := make(map[*xmltree.Node]bool, len(seq))
 		for i, n := range seq {

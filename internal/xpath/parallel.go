@@ -374,23 +374,29 @@ func (e *pEval) evalChunked(sub Path, nodes []*xmltree.Node) ([]*xmltree.Node, e
 func (e *pEval) filterChunked(q Qual, mid []*xmltree.Node) ([]*xmltree.Node, error) {
 	filter := func(nodes []*xmltree.Node) ([]*xmltree.Node, error) {
 		// One seqEval per chunk: the tick counter must stay
-		// goroutine-local. On compacted documents the per-node condition
-		// checks run through a chunk-local bitEval, so the qualifier's
-		// inner paths evaluate over pooled sets instead of allocating
-		// slices per candidate.
+		// goroutine-local. On compacted documents the chunk is filtered
+		// set-at-a-time by a chunk-local bitEval, as on the sequential
+		// path.
 		se := newSeqEval(e.ctx)
-		qual := se.qual
 		if d := ordinalDoc(nodes); d != nil {
 			b := &bitEval{se: se, doc: d}
 			defer b.release()
-			qual = b.qual
+			cand := b.get()
+			for _, v := range nodes {
+				cand.Add(v.Ord())
+			}
+			out, err := b.sat(q, cand)
+			if err != nil {
+				return nil, err
+			}
+			return b.materialize(out), nil
 		}
 		var out []*xmltree.Node
 		for _, v := range nodes {
 			if err := se.tick(); err != nil {
 				return nil, err
 			}
-			hold, err := qual(q, v)
+			hold, err := se.qual(q, v)
 			if err != nil {
 				return nil, err
 			}

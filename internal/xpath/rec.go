@@ -37,12 +37,16 @@ type RecEdge struct {
 type RecGraph struct {
 	states []string // sorted
 	edges  map[string][]RecEdge
-	size   int // Σ over edges of (1 + Size(Sig)); height-independent
+	// into is the reversed graph: into[t] holds one edge per edge s→t,
+	// with To naming its source s. The bitset evaluator walks it to
+	// compute a Rec's pre-image inside qualifiers.
+	into map[string][]RecEdge
+	size int // Σ over edges of (1 + Size(Sig)); height-independent
 }
 
 // NewRecGraph builds a graph from per-state edge lists (copied).
 func NewRecGraph(edges map[string][]RecEdge) *RecGraph {
-	g := &RecGraph{edges: make(map[string][]RecEdge, len(edges))}
+	g := &RecGraph{edges: make(map[string][]RecEdge, len(edges)), into: map[string][]RecEdge{}}
 	for s, es := range edges {
 		g.edges[s] = append([]RecEdge(nil), es...)
 		g.states = append(g.states, s)
@@ -51,6 +55,11 @@ func NewRecGraph(edges map[string][]RecEdge) *RecGraph {
 		}
 	}
 	sort.Strings(g.states)
+	for _, s := range g.states {
+		for _, e := range g.edges[s] {
+			g.into[e.To] = append(g.into[e.To], RecEdge{To: s, Sig: e.Sig})
+		}
+	}
 	return g
 }
 
@@ -183,7 +192,7 @@ var recSeenPool sync.Pool
 //
 // Note the bitset evaluator does not pass through here: on compacted
 // documents Rec evaluates over per-state bitset rows instead
-// (bitEval.evalRec), and this map-based form serves the remaining
+// (bitEval.reach), and this map-based form serves the remaining
 // slice-path inputs.
 func evalRec(p Rec, ctx []*xmltree.Node, step func(Path, []*xmltree.Node) ([]*xmltree.Node, error)) ([]*xmltree.Node, error) {
 	if p.G == nil || len(ctx) == 0 {
