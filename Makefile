@@ -31,6 +31,7 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkFreshEngineIndexed' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
+	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion' -benchmem -benchtime 1x ./internal/optimize
 
 # perfbench-check vets and tests the serving benchmark. perfbench is a
 # nested module, so the root `go build ./...` and `go test ./...` skip

@@ -15,7 +15,7 @@ import "repro/internal/xpath"
 // automata), are never proved contained.
 func (o *Optimizer) Contains(p1, p2 xpath.Path) bool {
 	o.mu.Lock()
-	defer o.mu.Unlock()
+	defer o.unlock()
 	return o.containsLocked(p1, p2)
 }
 
@@ -28,7 +28,7 @@ func (o *Optimizer) Equivalent(p1, p2 xpath.Path) bool {
 		return true
 	}
 	o.mu.Lock()
-	defer o.mu.Unlock()
+	defer o.unlock()
 	return o.containsLocked(p1, p2) && o.containsLocked(p2, p1)
 }
 

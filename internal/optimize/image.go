@@ -228,11 +228,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		if g2 == nil {
 			return g1
 		}
-		// Merge only the shared root occurrence; branches stay separate.
-		g1.kids = append(g1.kids, g2.kids...)
-		g1.quals = append(g1.quals, g2.quals...)
-		g1.frontier = g1.frontier || g2.frontier
-		return g1
+		return mergeRoots(a, g1, g2)
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); !ok {
 			return b.build(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
@@ -262,6 +258,22 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 	}
 }
 
+// mergeRoots merges the root occurrences of union branches' images into
+// a fresh root; the branches stay separate below it. The roots are left
+// as they are: a '//' branch's spine can loop back to its own root on a
+// recursive DTD, and that edge must not reach the other branches'
+// content (merging in place would let the image claim paths such as
+// a/b/a/c for //b ∪ c, proving //c ⊑ //b ∪ c).
+func mergeRoots(a string, roots ...*inode) *inode {
+	n := &inode{label: a}
+	for _, r := range roots {
+		n.kids = append(n.kids, r.kids...)
+		n.quals = append(n.quals, r.quals...)
+		n.frontier = n.frontier || r.frontier
+	}
+	return n
+}
+
 func hasKid(n, k *inode) bool {
 	for _, c := range n.kids {
 		if c == k {
@@ -272,8 +284,9 @@ func hasKid(n, k *inode) bool {
 }
 
 // pruneDead removes branches that reach no frontier occurrence; it
-// reports whether the root survives. Spine sharing can make the graph
-// cyclic for recursive DTDs, so liveness is a fixpoint.
+// reports whether the root survives. A dead root keeps only its
+// qualifiers. Spine sharing can make the graph cyclic for recursive
+// DTDs, so liveness is a fixpoint.
 func pruneDead(root *inode) bool {
 	live := make(map[*inode]bool)
 	state := make(map[*inode]int)
@@ -308,9 +321,6 @@ func pruneDead(root *inode) bool {
 			break
 		}
 	}
-	if !live[root] {
-		return false
-	}
 	seen := make(map[*inode]bool)
 	var strip func(n *inode)
 	strip = func(n *inode) {
@@ -328,7 +338,7 @@ func pruneDead(root *inode) bool {
 		n.kids = kept
 	}
 	strip(root)
-	return true
+	return live[root]
 }
 
 // textNode is the pseudo image-graph node for text content.

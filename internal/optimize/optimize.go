@@ -12,14 +12,17 @@ import (
 
 // Optimizer rewrites XPath queries into equivalent, cheaper queries over
 // instances of one document DTD (Algorithm optimize, Fig. 10). It is
-// stateful only as a cache: reach sets, recProc tables for '//', and the
-// DP memo are shared across queries under a mutex, so an Optimizer is
-// safe for concurrent use.
+// stateful only as a cache of DTD facts: reach sets, recProc tables for
+// '//' and reaching sets are shared across queries under a mutex, so an
+// Optimizer is safe for concurrent use. The DP memo lives for one public
+// call (OptimizeAt, OptimizeCtx, Reach, Contains, Equivalent): plans are
+// cached by the caller, so a memo kept across calls would only hold
+// heap, and a plan never depends on the calls made before it.
 type Optimizer struct {
 	mu sync.Mutex
 	d  *dtd.DTD
 
-	memo     map[memoKey]result
+	memo     map[memoKey]result // nil between calls
 	recReach map[string][]string
 	recPaths map[string]map[string]xpath.Path
 	reaching map[string]map[string]bool
@@ -28,8 +31,11 @@ type Optimizer struct {
 	// guaranteed qualifiers, exclusive or implied conjuncts, union
 	// containment); pruned counts the subtrees those decisions removed
 	// (union branches dropped, qualifier subtrees decided outright).
-	// Memoized cells fire their rules once, on first computation. Both
-	// are guarded by mu like the memo they describe.
+	// A decision counts each time a call takes it: once per DP cell, and
+	// once per image graph built for a union branch or a containment
+	// test that holds the qualifier. With the memo scoped to one call,
+	// the same query adds the same amounts on every call. Both are
+	// guarded by mu.
 	rules  uint64
 	pruned uint64
 }
@@ -40,7 +46,6 @@ type Optimizer struct {
 func New(d *dtd.DTD) *Optimizer {
 	return &Optimizer{
 		d:        d,
-		memo:     make(map[memoKey]result),
 		recReach: make(map[string][]string),
 		recPaths: make(map[string]map[string]xpath.Path),
 		reaching: make(map[string]map[string]bool),
@@ -91,8 +96,14 @@ func (o *Optimizer) Optimize(p xpath.Path) xpath.Path {
 // OptimizeAt rewrites p as evaluated at elements of type a.
 func (o *Optimizer) OptimizeAt(p xpath.Path, a string) xpath.Path {
 	o.mu.Lock()
-	defer o.mu.Unlock()
+	defer o.unlock()
 	return o.optimizeAtLocked(p, a)
+}
+
+// unlock ends a public call: the DP memo is dropped with the lock.
+func (o *Optimizer) unlock() {
+	o.memo = nil
+	o.mu.Unlock()
 }
 
 func (o *Optimizer) optimizeAtLocked(p xpath.Path, a string) xpath.Path {
@@ -109,7 +120,7 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, p xpath.Path) xpath.Path {
 	r0, p0 := o.rules, o.pruned
 	out := o.optimizeAtLocked(p, o.d.Root())
 	dr, dp := o.rules-r0, o.pruned-p0
-	o.mu.Unlock()
+	o.unlock()
 	if sp != nil {
 		sp.SetAttr("input_size", xpath.Size(p))
 		sp.SetAttr("output_size", xpath.Size(out))
@@ -147,7 +158,7 @@ func (o *Optimizer) targets(p xpath.Path, a string) []string {
 // marks text results). Static analyses build on this.
 func (o *Optimizer) Reach(p xpath.Path) []string {
 	o.mu.Lock()
-	defer o.mu.Unlock()
+	defer o.unlock()
 	return append([]string(nil), o.targets(p, o.d.Root())...)
 }
 
@@ -158,6 +169,9 @@ func (o *Optimizer) opt(p xpath.Path, a string) result {
 	}
 	res := o.compute(p, a)
 	sort.Strings(res.reach)
+	if o.memo == nil {
+		o.memo = make(map[memoKey]result)
+	}
 	o.memo[key] = res
 	return res
 }
@@ -204,27 +218,8 @@ func (o *Optimizer) compute(p xpath.Path, a string) result {
 		}
 		return res
 	case xpath.Union: // case (6): drop a branch contained in the other
-		g1, ok1 := o.image(p.Left, a)
-		g2, ok2 := o.image(p.Right, a)
-		if ok1 && ok2 {
-			if o.simulate(g1, g2) {
-				o.rules++
-				o.pruned++
-				return o.opt(p.Right, a)
-			}
-			if o.simulate(g2, g1) {
-				o.rules++
-				o.pruned++
-				return o.opt(p.Left, a)
-			}
-		}
-		for _, sub := range []xpath.Path{p.Left, p.Right} {
-			rs := o.opt(sub, a)
-			for _, w := range rs.reach {
-				res.add(w, rs.byTarget[w])
-			}
-		}
-		return res
+		u := o.newUnionPass(p, a)
+		return u.decide(p, 0, 0, len(u.branches))
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); ok { // case (7)
 			tv, q := o.optQual(p.Cond, a)

@@ -86,11 +86,17 @@ func (o *Optimizer) runRecProc(a string) {
 				}
 			}
 		}
-		var textPaths xpath.Path = xpath.Empty{}
-		for b, pb := range paths {
+		// Sorted, so the plan text does not depend on map order.
+		textTypes := make([]string, 0, len(paths))
+		for b := range paths {
 			if c, ok := o.d.Production(b); ok && c.Kind == dtd.Text {
-				textPaths = xpath.MakeUnion(textPaths, xpath.MakeSeq(pb, xpath.L(xpath.TextName)))
+				textTypes = append(textTypes, b)
 			}
+		}
+		sort.Strings(textTypes)
+		var textPaths xpath.Path = xpath.Empty{}
+		for _, b := range textTypes {
+			textPaths = xpath.MakeUnion(textPaths, xpath.MakeSeq(paths[b], xpath.L(xpath.TextName)))
 		}
 		if !xpath.IsEmpty(textPaths) {
 			paths[textNode] = textPaths

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,29 @@ func TestImageBudgetOverflow(t *testing.T) {
 	po := o.Optimize(p)
 	if xpath.IsEmpty(po) {
 		t.Fatalf("overflow turned a live query into ∅")
+	}
+
+	// Branches that each fit the budget but together exceed it: the
+	// range holding both must overflow, as the image of their union
+	// built at once does, while each branch alone is still compared.
+	x := strings.Repeat("(b | b | b | b)/", 4) + "(b | b)/"
+	left := xpath.Union{Left: xpath.MustParse(x + "c"), Right: xpath.MustParse(x + "(c | b)")}
+	u := o.newUnionPass(xpath.Union{Left: left, Right: xpath.MustParse(x + "b")}, "a")
+	for i, b := range u.branches {
+		if b.overflow || b.size > imageBudget {
+			t.Fatalf("branch %d alone overflows (size %d); shrink the test query", i, b.size)
+		}
+	}
+	if _, ok := u.image(0, 2); ok {
+		t.Errorf("branches of sizes %d and %d composed within the budget %d", u.branches[0].size, u.branches[1].size, imageBudget)
+	}
+	if _, ok := o.image(left, "a"); ok {
+		t.Errorf("image of the union built at once fits the budget; the test no longer straddles it")
+	}
+	for _, r := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		if _, ok := u.image(r[0], r[1]); !ok {
+			t.Errorf("branch range %v overflowed alone", r)
+		}
 	}
 }
 

@@ -26,6 +26,8 @@ func FuzzParse(f *testing.F) {
 		"not(a)",
 		"a | | b",
 		"𝛆/weird-unicode",
+		"0[0=\"\x10\"]",
+		`a[b = 'say "hi"']`,
 	} {
 		f.Add(seed)
 	}
@@ -55,6 +57,9 @@ func FuzzParseQual(f *testing.F) {
 		"@x = 'v'",
 		"true() and false()",
 		"a and",
+		"0=\"\xa4\"",
+		`a = "x""y"`,
+		"(not)",
 	} {
 		f.Add(seed)
 	}

@@ -366,22 +366,37 @@ func (p *parser) expectParens() error {
 }
 
 // parseLiteral parses "str", 'str', $var, or a bare number/word constant.
-// It returns (value, varName).
+// It returns (value, varName). A string literal's bytes are taken as they
+// are, except that a doubled delimiter ("" inside "…", '' inside '…')
+// stands for one, as in XPath 2.0; the printer relies on that to write
+// any value.
 func (p *parser) parseLiteral() (string, string, error) {
 	p.skipSpace()
 	switch {
 	case p.peek() == '"' || p.peek() == '\'':
 		quote := p.peek()
 		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != quote {
-			p.pos++
-		}
-		if p.pos == len(p.src) {
-			return "", "", p.errf("unterminated string literal")
+		start, doubled := p.pos, false
+		for {
+			i := strings.IndexByte(p.src[p.pos:], quote)
+			if i < 0 {
+				p.pos = len(p.src)
+				return "", "", p.errf("unterminated string literal")
+			}
+			p.pos += i
+			if p.pos+1 < len(p.src) && p.src[p.pos+1] == quote {
+				p.pos += 2
+				doubled = true
+				continue
+			}
+			break
 		}
 		val := p.src[start:p.pos]
 		p.pos++
+		if doubled {
+			q := string(quote)
+			val = strings.ReplaceAll(val, q+q, q)
+		}
 		return val, "", nil
 	case p.peek() == '$':
 		p.pos++

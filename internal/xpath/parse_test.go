@@ -91,6 +91,7 @@ func TestParseErrors(t *testing.T) {
 		"not(a)",
 		"a[not b]",
 		`a[b = "unterminated]`,
+		`a[b = "x""]`,
 	} {
 		if p, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) = %v, want error", src, String(p))
@@ -183,6 +184,29 @@ func randQual(r *rand.Rand, depth int) Qual {
 }
 
 // TestPrintParsePropery: for random ASTs, Parse(String(p)) == p.
+// TestLiteralRoundTrip: every constant, whatever its bytes, prints to a
+// literal that parses back to the same value.
+func TestLiteralRoundTrip(t *testing.T) {
+	for _, v := range []string{"", "7", `say "hi"`, "it's", `both ' and "`, `C:\dir`, "\x10", "\xa4", "\x00\n\t", "é", `""`} {
+		for _, q := range []Qual{QEq{Path: L("b"), Value: v}, QAttrEq{Name: "id", Value: v}} {
+			out := QualString(q)
+			back, err := ParseQual(out)
+			if err != nil {
+				t.Errorf("value %q printed as %s does not reparse: %v", v, out, err)
+				continue
+			}
+			if !QualEqual(q, back) {
+				t.Errorf("value %q printed as %s reparsed as %s", v, out, QualString(back))
+			}
+		}
+	}
+	// Single quotes double the same way.
+	q, err := ParseQual(`b = 'it''s'`)
+	if err != nil || !QualEqual(q, QEq{Path: L("b"), Value: "it's"}) {
+		t.Errorf("'it''s' parsed as %v, %v", q, err)
+	}
+}
+
 func TestPrintParseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -224,6 +248,14 @@ func TestKeywordNamesAreLabels(t *testing.T) {
 	want := Seq{Left: Label{Name: "android"}, Right: Label{Name: "order"}}
 	if !Equal(p, want) {
 		t.Errorf("got %s", String(p))
+	}
+	// A qualifier path that starts with a keyword-named label prints in
+	// parentheses and reparses as the label.
+	for _, src := range []string{"(not)", "(true)/a", "(false) = \"1\"", "(not | a)/b and c"} {
+		q := MustParseQual(src)
+		if back, err := ParseQual(QualString(q)); err != nil || !QualEqual(q, back) {
+			t.Errorf("%s printed as %s: reparse %v, %v", src, QualString(q), back, err)
+		}
 	}
 	q := MustParseQual("android and order")
 	wantQ := QAnd{Left: QPath{Path: Label{Name: "android"}}, Right: QPath{Path: Label{Name: "order"}}}

@@ -106,6 +106,47 @@ const (
 	qprecNot
 )
 
+// writeLiteral writes v as a double-quoted string literal: its bytes go
+// out as they are, with each '"' doubled (the XPath 2.0 escape), which is
+// exactly what Parse reads back.
+func writeLiteral(b *strings.Builder, v string) {
+	b.WriteByte('"')
+	b.WriteString(strings.ReplaceAll(v, `"`, `""`))
+	b.WriteByte('"')
+}
+
+// writeQualPath writes the path of a qualifier atom. A path that starts
+// with a label named not, true or false is parenthesized, or it would
+// reparse as that keyword.
+func writeQualPath(b *strings.Builder, p Path, ctx int) {
+	switch leadingLabel(p) {
+	case "not", "true", "false":
+		b.WriteString("(")
+		writePath(b, p, precUnion)
+		b.WriteString(")")
+	default:
+		writePath(b, p, ctx)
+	}
+}
+
+// leadingLabel returns the label a printed path may start with, or "".
+func leadingLabel(p Path) string {
+	for {
+		switch l := p.(type) {
+		case Seq:
+			p = l.Left
+		case Union:
+			p = l.Left
+		case Qualified:
+			p = l.Sub
+		case Label:
+			return l.Name
+		default:
+			return ""
+		}
+	}
+}
+
 func writeQual(b *strings.Builder, q Qual, ctx int) {
 	switch q := q.(type) {
 	case QTrue:
@@ -113,18 +154,21 @@ func writeQual(b *strings.Builder, q Qual, ctx int) {
 	case QFalse:
 		b.WriteString("false()")
 	case QPath:
-		writePath(b, q.Path, precUnion)
+		writeQualPath(b, q.Path, precUnion)
 	case QEq:
-		writePath(b, q.Path, precSeq)
+		writeQualPath(b, q.Path, precSeq)
 		b.WriteString(" = ")
 		if q.Var != "" {
 			b.WriteString("$")
 			b.WriteString(q.Var)
 		} else {
-			fmt.Fprintf(b, "%q", q.Value)
+			writeLiteral(b, q.Value)
 		}
 	case QAttrEq:
-		fmt.Fprintf(b, "@%s = %q", q.Name, q.Value)
+		b.WriteString("@")
+		b.WriteString(q.Name)
+		b.WriteString(" = ")
+		writeLiteral(b, q.Value)
 	case QAttrHas:
 		fmt.Fprintf(b, "@%s", q.Name)
 	case QAnd:
