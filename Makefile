@@ -21,7 +21,8 @@ bench:
 
 # bench-smoke runs the serving-relevant benchmarks once each — no
 # timings asserted, just "they still build, run, and agree" (the
-# indexed benchmarks cross-check their evaluators' result counts).
+# deep-descendant benchmark cross-checks the evaluator's result counts
+# against the reference).
 # -benchmem is on so a single run already shows allocs/op: the ordinal
 # bitset path is an allocation-budget feature, and its regressions are
 # visible in allocs/op long before they show up in wall time. CI runs
@@ -40,6 +41,15 @@ bench-smoke:
 .PHONY: perfbench-check
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# netlines reports the lines a change adds and removes against BASE
+# (a git revision), split into non-test Go, test Go and testdata, with
+# perfbench/ excluded: make netlines BASE=<rev>.
+BASE ?= HEAD
+
+.PHONY: netlines
+netlines:
+	bash scripts/netlines.sh $(BASE)
 
 # loadsmoke drives the in-process hospital server through a short ramp
 # and fails (exit 2) if overload is reached without the admitted-latency

@@ -123,38 +123,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1Indexed repeats the Table 1 grid under the indexed
-// evaluator (the closer analogue of the paper's evaluator [17]): the
-// naive/rewrite gap narrows but persists, because the naive query still
-// pays an ancestor filter and attribute check per candidate while the
-// rewritten query touches only the relevant region.
-func BenchmarkTable1Indexed(b *testing.B) {
-	st := table1Setup(b)
-	indexes := make(map[string]*xpath.Index, len(benchDataSets))
-	for _, ds := range benchDataSets {
-		indexes[ds.name] = xpath.NewIndex(st.docs[ds.name])
-	}
-	for _, qname := range []string{"Q1", "Q2", "Q3", "Q4"} {
-		for _, ds := range benchDataSets {
-			idx := indexes[ds.name]
-			for _, approach := range []struct {
-				name string
-				q    xpath.Path
-			}{
-				{"naive", st.naiveQ[qname]},
-				{"rewrite", st.rewriteQ[qname]},
-				{"optimize", st.optimizeQ[qname]},
-			} {
-				b.Run(fmt.Sprintf("%s/%s/%s", qname, ds.name, approach.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						xpath.EvalIndexed(approach.q, idx)
-					}
-				})
-			}
-		}
-	}
-}
-
 // ---------- Ablation A: derive cost vs DTD size ----------
 
 // layeredDTD builds a DTD with the given number of layers and width:
@@ -529,7 +497,7 @@ func BenchmarkPlanCache(b *testing.B) {
 }
 
 // BenchmarkPlanCacheRecursive is the same comparison on a recursive
-// view, where a miss additionally pays the per-height unfolding.
+// view, where a miss additionally pays the height-free rewrite of //b.
 func BenchmarkPlanCacheRecursive(b *testing.B) {
 	p := xpath.MustParse("//b")
 	var build func(d int) *xmltree.Node
@@ -564,59 +532,6 @@ func BenchmarkPlanCacheRecursive(b *testing.B) {
 	})
 }
 
-// ---------- parallel evaluation: sequential vs worker pool ----------
-
-// BenchmarkParallelEval compares the sequential evaluator with the
-// worker-pool evaluator on union-heavy and descendant-heavy queries
-// over documents of increasing size.
-func BenchmarkParallelEval(b *testing.B) {
-	spec := dtds.AdexSpec()
-	view, err := secview.Derive(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rw, err := rewrite.ForView(view)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := optimize.New(dtds.Adex())
-	queries := map[string]string{
-		"Q1": dtds.AdexQueries["Q1"],
-		"Q4": dtds.AdexQueries["Q4"],
-	}
-	for _, size := range []struct {
-		name      string
-		maxRepeat int
-	}{{"small", 400}, {"large", 3200}} {
-		doc := dtds.GenerateAdex(5, size.maxRepeat)
-		for qname, q := range queries {
-			pt, err := rw.Rewrite(xpath.MustParse(q))
-			if err != nil {
-				b.Fatal(err)
-			}
-			po := opt.Optimize(pt)
-			b.Run(fmt.Sprintf("%s/%s/sequential", qname, size.name), func(b *testing.B) {
-				b.ReportMetric(float64(doc.Size()), "docnodes")
-				for i := 0; i < b.N; i++ {
-					if _, err := xpath.EvalDocErr(po, doc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			for _, workers := range []int{2, 4} {
-				b.Run(fmt.Sprintf("%s/%s/parallel-%d", qname, size.name, workers), func(b *testing.B) {
-					cfg := xpath.ParallelConfig{Workers: workers}
-					for i := 0; i < b.N; i++ {
-						if _, err := xpath.EvalDocParallel(po, doc, cfg, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // ---------- generator throughput ----------
 
 func BenchmarkGenerate(b *testing.B) {
@@ -629,12 +544,12 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// ---------- deep-descendant workload: walk vs index vs parallel ----------
+// ---------- deep-descendant workload ----------
 
-// BenchmarkDeepDescendant is the ROADMAP's structural-index target
-// workload: //dept//treatment//bill-class queries over a 10k+ node
-// hospital document, comparing the tree-walk evaluator, the
-// structural-index evaluator, and the worker-pool evaluator. The
+// BenchmarkDeepDescendant is the structural-index target workload:
+// //dept//treatment//bill-class queries over a 10k+ node hospital
+// document, through the evaluator (label index plus subtree fills) and
+// the reference evaluator (walks, per-node qualifiers) for scale. The
 // index-build case prices the document's label index build, paid once
 // per document generation and shared by every engine. qual-eq is the
 // shape rewritten view plans repeat in every union branch: a ward test
@@ -644,7 +559,6 @@ func BenchmarkDeepDescendant(b *testing.B) {
 	if doc.Size() < 10000 {
 		b.Fatalf("document too small: %d nodes", doc.Size())
 	}
-	idx := xpath.NewIndex(doc)
 	queries := []struct{ name, q string }{
 		{"dept-treatment-bill", "//dept//treatment//bill"},
 		{"deep-text", "//dept//patientInfo//name/text()"},
@@ -655,26 +569,18 @@ func BenchmarkDeepDescendant(b *testing.B) {
 	for _, tc := range queries {
 		p := xpath.MustParse(tc.q)
 		want := len(xpath.EvalDoc(p, doc))
-		b.Run(tc.name+"/walk", func(b *testing.B) {
+		b.Run(tc.name+"/eval", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := xpath.EvalDocErr(p, doc)
 				if err != nil || len(out) != want {
-					b.Fatalf("walk: %d nodes, err %v", len(out), err)
+					b.Fatalf("eval: %d nodes, err %v", len(out), err)
 				}
 			}
 		})
-		b.Run(tc.name+"/indexed", func(b *testing.B) {
+		b.Run(tc.name+"/reference", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if out := xpath.EvalIndexed(p, idx); len(out) != want {
-					b.Fatalf("indexed: %d nodes, want %d", len(out), want)
-				}
-			}
-		})
-		b.Run(tc.name+"/parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := xpath.EvalDocParallel(p, doc, xpath.ParallelConfig{}, nil)
-				if err != nil || len(out) != want {
-					b.Fatalf("parallel: %d nodes, err %v", len(out), err)
+				if out, err := xpath.EvalRef(p, []*xmltree.Node{doc.Root}); err != nil || len(out) != want {
+					b.Fatalf("reference: %d nodes, err %v", len(out), err)
 				}
 			}
 		})
@@ -689,8 +595,8 @@ func BenchmarkDeepDescendant(b *testing.B) {
 
 // BenchmarkFreshEngineIndexed prices an engine miss on a large
 // document: each round binds a new ward, derives its engine, and
-// answers the binding's first //dept//treatment//bill by indexed
-// evaluation. The label index belongs to the document and is built
+// answers the binding's first //dept//treatment//bill, whose descendant
+// steps read the document's label index. The label index belongs to the document and is built
 // before the timer starts, so B/op shows that a miss allocates for
 // derivation and its answer, not for a copy of the document's index.
 func BenchmarkFreshEngineIndexed(b *testing.B) {
@@ -704,15 +610,15 @@ func BenchmarkFreshEngineIndexed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := core.NewWithConfig(spec, core.Config{Indexed: true})
+		e, err := core.New(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := e.Query(doc, p); err != nil {
 			b.Fatal(err)
 		}
-		if e.Stats().IndexedEvals != 1 {
-			b.Fatalf("query was not evaluated indexed: %+v", e.Stats())
+		if e.Stats().Evals != 1 {
+			b.Fatalf("query was not evaluated: %+v", e.Stats())
 		}
 	}
 }

@@ -31,7 +31,6 @@ func main() {
 		repeats = flag.Int("repeats", 3, "evaluations averaged per cell")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		queries = flag.Bool("queries", false, "print rewritten and optimized query forms")
-		indexed = flag.Bool("indexed", false, "use the label-index evaluator instead of the tree walker")
 		sweep   = flag.Bool("height-sweep", false, "print the recursive-view height sweep (height-free vs unfold) instead of Table 1")
 	)
 	flag.Parse()
@@ -44,7 +43,7 @@ func main() {
 		return
 	}
 
-	cfg := benchtable.Config{Repeats: *repeats, Seed: *seed, Verify: true, Indexed: *indexed}
+	cfg := benchtable.Config{Repeats: *repeats, Seed: *seed, Verify: true}
 	if *quick {
 		cfg.DataSets = []benchtable.DataSet{
 			{Name: "D1", MaxRepeat: 100},

@@ -50,7 +50,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
 func main() {
@@ -65,9 +64,6 @@ func main() {
 		duration    = flag.Duration("duration", 2*time.Second, "wall time per level")
 		timeout     = flag.Duration("timeout", 250*time.Millisecond, "per-request evaluation deadline")
 		maxInFlight = flag.Int("max-inflight", 16, "in-process server admission limit (excess gets 429)")
-		parallel    = flag.Bool("parallel", false, "in-process engines use the parallel worker-pool evaluator")
-		workers     = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-		indexed     = flag.Bool("indexed", true, "in-process engines answer large-document descendant queries from a cached label index")
 		anscache    = flag.Bool("anscache", false, "in-process engines answer repeated or provably-contained queries from a semantic answer cache")
 		zipf        = flag.Float64("zipf", 0, "Zipf-skew the mix's popularity with this exponent (0 = keep the mix's own weights); pair with -anscache for the repeated-query scenario")
 		backoff     = flag.Duration("reject-backoff", time.Millisecond, "closed-loop pause after a 429 before retrying (negative = spin)")
@@ -97,12 +93,7 @@ func main() {
 		target = loadgen.URLTarget{BaseURL: strings.TrimRight(*targetURL, "/")}
 		scenarioDoc = *targetURL
 	} else {
-		reg, d, err := buildScenario(*builtin, *docPath, *genSeed, *genRepeat, core.Config{
-			Parallel:       *parallel,
-			ParallelConfig: xpath.ParallelConfig{Workers: *workers},
-			Indexed:        *indexed,
-			AnswerCache:    *anscache,
-		})
+		reg, d, err := buildScenario(*builtin, *docPath, *genSeed, *genRepeat, core.Config{AnswerCache: *anscache})
 		if err != nil {
 			fatal(err)
 		}

@@ -14,17 +14,15 @@
 // -explain prints a JSON explain document instead of the result XML
 // (the intermediate queries plus fresh per-phase timings and the eval
 // mode — the CLI twin of the server's /explainz); -no-optimize skips
-// the optimization pass; -indexed evaluates with the label-index
-// evaluator; -parallel evaluates with the worker-pool evaluator
-// (-workers bounds it); the two are mutually exclusive. -stats prints
+// the optimization pass. -stats prints
 // the engine's plan-cache and evaluation counters to stderr, plus the
 // query's fingerprint (the hash the server's /queryz rows and event-log
 // records key on); -anscache
 // answers repeats (and provably-contained restrictions) from a bounded
 // semantic answer cache; -repeat re-runs the query to exercise the
 // plan and answer caches; -timeout bounds each
-// evaluation with a deadline regardless of evaluator (a query that
-// exceeds it fails with a context error).
+// evaluation with a deadline (a query that exceeds it fails with a
+// context error).
 package main
 
 import (
@@ -56,9 +54,6 @@ func main() {
 		showOpt    = flag.Bool("show-optimize", false, "print the optimized document query")
 		explain    = flag.Bool("explain", false, "print a JSON explain (per-phase timings, intermediate queries, eval mode) instead of the result")
 		noOptimize = flag.Bool("no-optimize", false, "skip the DTD-based optimization pass")
-		indexed    = flag.Bool("indexed", false, "evaluate with the label-index evaluator")
-		parallel   = flag.Bool("parallel", false, "evaluate with the parallel worker-pool evaluator")
-		workers    = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
 		anscache   = flag.Bool("anscache", false, "answer repeated or provably-contained queries from a bounded answer cache (pair with -repeat)")
 		stats      = flag.Bool("stats", false, "print plan-cache and evaluation counters to stderr")
 		repeat     = flag.Int("repeat", 1, "run the query this many times (repeats hit the plan and answer caches)")
@@ -71,18 +66,10 @@ func main() {
 	if *query == "" || *docPath == "" {
 		fatal(fmt.Errorf("need -q and -doc"))
 	}
-	if *indexed && *parallel {
-		fatal(fmt.Errorf("-indexed and -parallel are mutually exclusive; pick one evaluator"))
-	}
 	if *repeat < 1 {
 		*repeat = 1
 	}
-	cfg := core.Config{
-		Parallel:       *parallel,
-		ParallelConfig: xpath.ParallelConfig{Workers: *workers},
-		AnswerCache:    *anscache,
-	}
-	engine, err := buildEngine(*viewPath, *builtin, *dtdPath, *specPath, params, cfg)
+	engine, err := buildEngine(*viewPath, *builtin, *dtdPath, *specPath, params, core.Config{AnswerCache: *anscache})
 	if err != nil {
 		fatal(err)
 	}
@@ -123,7 +110,7 @@ func main() {
 		printStats(engine, *stats, nil)
 		return
 	}
-	if *showRw || *showOpt || *noOptimize || *indexed {
+	if *showRw || *showOpt || *noOptimize {
 		pt, err := engine.Rewrite(p, doc.Height())
 		if err != nil {
 			fatal(err)
@@ -138,35 +125,18 @@ func main() {
 				fmt.Fprintf(os.Stderr, "optimized: %s\n", xpath.String(final))
 			}
 		}
-		if *noOptimize || *indexed {
+		if *noOptimize {
 			ctx := context.Background()
 			if *timeout > 0 {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, *timeout)
 				defer cancel()
 			}
-			var result []*xmltree.Node
-			var evalStats xpath.ParallelStats
-			switch {
-			case *indexed:
-				if result, err = xpath.EvalIndexedCtx(ctx, final, xpath.NewIndex(doc)); err != nil {
-					fatal(err)
-				}
-			case *parallel:
-				if result, err = xpath.EvalDocParallelCtx(ctx, final, doc, cfg.ParallelConfig, &evalStats); err != nil {
-					fatal(err)
-				}
-			default:
-				if result, err = xpath.EvalDocCtx(ctx, final, doc); err != nil {
-					fatal(err)
-				}
+			result, _, err := xpath.EvalDocCtx(ctx, final, doc)
+			if err != nil {
+				fatal(err)
 			}
 			printResult(result)
-			if *stats {
-				seq, par, forks, parts := evalStats.Snapshot()
-				fmt.Fprintf(os.Stderr, "evaluation:   %d sequential, %d parallel (%d union forks, %d partitions)\n",
-					seq, par, forks, parts)
-			}
 			return
 		}
 	}
@@ -214,10 +184,7 @@ func printStats(engine *core.Engine, show bool, qm *obs.QueryMetrics) {
 	fmt.Fprintf(os.Stderr, "queries:      %d (%d cancelled)\n", s.Queries, s.Cancelled)
 	fmt.Fprintf(os.Stderr, "plan cache:   %d hits, %d misses, %d evictions, %d/%d entries\n",
 		s.PlanCache.Hits, s.PlanCache.Misses, s.PlanCache.Evictions, s.PlanCache.Entries, s.PlanCache.Capacity)
-	fmt.Fprintf(os.Stderr, "height cache: %d hits, %d misses, %d evictions, %d/%d entries\n",
-		s.HeightCache.Hits, s.HeightCache.Misses, s.HeightCache.Evictions, s.HeightCache.Entries, s.HeightCache.Capacity)
-	fmt.Fprintf(os.Stderr, "evaluation:   %d sequential, %d parallel, %d indexed (%d union forks, %d partitions)\n",
-		s.SequentialEvals, s.ParallelEvals, s.IndexedEvals, s.UnionForks, s.Partitions)
+	fmt.Fprintf(os.Stderr, "evaluation:   %d evals\n", s.Evals)
 	if s.AnswerCache.Capacity > 0 {
 		fmt.Fprintf(os.Stderr, "answer cache: %d hits, %d containment hits, %d misses, %d evictions, %d/%d entries\n",
 			s.AnswerCache.Hits, s.AnswerCache.ContainmentHits, s.AnswerCache.Misses,

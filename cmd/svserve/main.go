@@ -25,12 +25,8 @@
 //	GET /debug/pprof/* — the runtime profiler
 //
 // Flags -timeout and -max-timeout bound each request's evaluation
-// deadline; -max-inflight caps concurrent evaluations; -parallel,
-// -workers, and -threshold tune the worker-pool evaluator handed to
-// every derived engine; -indexed (on by default) lets engines answer
-// descendant queries over large documents from a cached per-document
-// label index, with -index-threshold setting the minimum document
-// size; -anscache lets engines answer repeated or provably-contained
+// deadline; -max-inflight caps concurrent evaluations; -anscache lets
+// engines answer repeated or provably-contained
 // queries from a bounded semantic answer cache (-anscache-cap bounds
 // it); -trace-sample/-trace-ring tune request-trace sampling and
 // -slow-query the slow-query log threshold. -qstats-cap bounds the
@@ -59,7 +55,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/xmltree"
-	"repro/internal/xpath"
 )
 
 // builtinClassNames gives each built-in scenario's single policy a
@@ -79,11 +74,6 @@ func main() {
 		timeout     = flag.Duration("timeout", serve.DefaultTimeout, "default per-request evaluation deadline")
 		maxTimeout  = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "hard cap on per-request deadlines")
 		maxInFlight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "maximum concurrently evaluating queries (excess gets 429)")
-		parallel    = flag.Bool("parallel", false, "evaluate with the parallel worker-pool evaluator")
-		workers     = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-		threshold   = flag.Int("threshold", 0, "parallel-evaluation size threshold (0 = default)")
-		indexed     = flag.Bool("indexed", true, "serve descendant queries over large documents from a cached label index")
-		indexMin    = flag.Int("index-threshold", 0, "minimum document size (nodes) for indexed evaluation (0 = default)")
 		anscache    = flag.Bool("anscache", false, "answer repeated or provably-contained queries from a bounded per-engine answer cache")
 		anscacheCap = flag.Int("anscache-cap", 0, "answer-cache entries per engine (0 = default)")
 		headerWait  = flag.Duration("read-header-timeout", 5*time.Second, "how long a connection may take to send its request headers")
@@ -95,7 +85,6 @@ func main() {
 		eventLog    = flag.String("eventlog", "", "write a structured JSONL wide-event log to this file (replaces the plain slow-query log line)")
 		eventMax    = flag.Int64("eventlog-max-bytes", 0, "rotate the event log when it would exceed this size (0 = default; one predecessor file is kept)")
 		eventSample = flag.Int("eventlog-sample", 0, "also log one successful request in N (0 = errors and slow queries only)")
-		unfold      = flag.Bool("unfold-rewrite", false, "rewrite recursive views by unfolding to each document height (Section 4.2 oracle) instead of the default height-free automata")
 		classes     classFlags
 	)
 	flag.Var(&classes, "class", "define a user class from an annotation file, e.g. -class nurse=nurse.ann (repeatable)")
@@ -105,13 +94,8 @@ func main() {
 		fatal(fmt.Errorf("need -doc"))
 	}
 	engineCfg := core.Config{
-		Parallel:            *parallel,
-		ParallelConfig:      xpath.ParallelConfig{Workers: *workers, Threshold: *threshold},
-		Indexed:             *indexed,
-		IndexThreshold:      *indexMin,
 		AnswerCache:         *anscache,
 		AnswerCacheCapacity: *anscacheCap,
-		UnfoldRewrite:       *unfold,
 	}
 	reg, err := buildRegistry(*builtin, *dtdPath, classes, engineCfg)
 	if err != nil {

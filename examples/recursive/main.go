@@ -2,9 +2,10 @@
 // through a hidden c layer, the derived view DTD is recursive (a -> b,
 // a*), and '//' queries are rewritten height-free into a Rec automaton
 // valid for documents of any height. The paper's Section 4.2 treatment —
-// unfolding the view DTD to the concrete document height — is kept
-// behind EngineConfig.UnfoldRewrite as a differential oracle, and this
-// example runs both to show they agree.
+// unfolding the view DTD to the concrete document height — is kept as a
+// test oracle (rewrite.ForViewWithHeight, evaluated by the reference
+// evaluator xpath.EvalRef), and this example runs both to show they
+// agree.
 //
 //	go run ./examples/recursive
 package main
@@ -15,6 +16,8 @@ import (
 
 	securexml "repro"
 	"repro/internal/dtds"
+	"repro/internal/rewrite"
+	"repro/internal/xpath"
 )
 
 const tree = `
@@ -67,11 +70,11 @@ func main() {
 
 	// The Section 4.2 oracle unfolds the view DTD to the document height;
 	// its plan grows with the document, the automaton's does not.
-	oracle, err := securexml.NewEngineWithConfig(dtds.Fig7Spec(), securexml.EngineConfig{UnfoldRewrite: true})
+	oracle, err := rewrite.ForViewWithHeight(engine.View(), doc.Height())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ptU, err := oracle.Rewrite(p, doc.Height())
+	ptU, err := oracle.Rewrite(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,12 +89,15 @@ func main() {
 	for _, n := range nodes {
 		fmt.Printf("  %s\n", n.Text())
 	}
-	oracleNodes, err := oracle.QueryString(doc, "//b")
+	oracleNodes, err := xpath.EvalRef(ptU, []*securexml.Node{doc.Root})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("unfold oracle agrees: %v (%d nodes each)\n",
-		len(nodes) == len(oracleNodes), len(nodes))
+	agree := len(nodes) == len(oracleNodes)
+	for i := 0; agree && i < len(nodes); i++ {
+		agree = nodes[i] == oracleNodes[i]
+	}
+	fmt.Printf("unfold oracle agrees: %v (%d nodes each)\n", agree, len(nodes))
 
 	// Deeper view steps: the second view level is the second *a* level of
 	// the document, reached through the hidden c spine.

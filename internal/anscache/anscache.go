@@ -16,10 +16,9 @@
 //     mutually contained. The cached node-set is the answer.
 //   - Containment hit: the incoming plan is base[q1]...[qk] — a chain of
 //     trailing qualifiers over a base the prover shows equivalent to a
-//     cached plan. Every node of the cached answer is exactly the base's
-//     answer, so filtering it by the qualifiers (xpath.EvalQualCtx per
-//     node) yields the incoming plan's answer without touching the rest
-//     of the document.
+//     cached plan. The cached answer is exactly the base's answer, so
+//     one evaluation of .[q1]...[qk] at the cached nodes, set-at-a-time,
+//     yields the incoming plan's answer without re-running the base.
 //
 // Staleness is handled by construction, not by invalidation protocol:
 // the group key embeds the owning engine's epoch and the document's
@@ -107,32 +106,27 @@ type shard struct {
 	cap   int
 }
 
-// entry is one cached answer. Answers over compacted documents are
-// stored as ordinal bitsets (set/doc/gen) — a 10k-node document's
-// answer is ~1.3KB regardless of result size, hits materialize in
-// O(words + result) with no per-entry pointer slice to copy, and
-// containment filtering iterates ordinals directly. Answers whose
-// nodes are not uniformly owned by one compacted document keep the
-// pointer-slice form (nodes). Sets here are always unpooled clones:
-// entries outlive evaluations, so they must never re-enter the
-// evaluator's scratch pool.
+// entry is one cached answer, stored as an ordinal bitset over the
+// numbering of the document that owns the answer nodes (set/doc/gen):
+// a 10k-node document's answer is ~1.3KB regardless of result size,
+// and a hit materializes in O(words + result) with no per-entry pointer
+// slice to copy. An empty answer has no owner and stores no set. Sets
+// here are always unpooled: entries outlive evaluations, so they must
+// never re-enter the evaluator's scratch pool.
 type entry struct {
 	key   string // group + "\x00" + text
 	group string
 	text  string
 	plan  xpath.Path
-	nodes []*xmltree.Node // slice form; nil when set != nil
-	set   *nodeset.Set    // ordinal form over doc's arena
+	set   *nodeset.Set // nil for an empty answer
 	doc   *xmltree.Document
 	gen   uint64 // doc.Generation() at Put time
 }
 
-// fresh reports whether an ordinal entry's bitset still describes the
+// fresh reports whether the entry's bitset still describes the
 // document: a Renumber since Put (arena swap, mutation) may reassign
-// ordinals, making the set meaningless. Slice entries are always
-// fresh — their pointers stay valid, and the group key's epoch handles
-// logical staleness. This is defense in depth behind the epoch: an
-// epoch bump already abandons the group.
+// ordinals, making the set meaningless. This is defense in depth behind
+// the epoch: an epoch bump already abandons the group.
 func (en *entry) fresh() bool {
 	return en.set == nil || en.doc.Generation() == en.gen
 }
@@ -141,7 +135,7 @@ func (en *entry) fresh() bool {
 // owns. Callers must check fresh() first.
 func (en *entry) answer() []*xmltree.Node {
 	if en.set == nil {
-		return copyNodes(en.nodes)
+		return nil
 	}
 	k := en.set.Count()
 	if k == 0 {
@@ -185,9 +179,9 @@ func (c *Cache) shardFor(group string) *shard {
 // owning engine's epoch and the document identity. text is the printed
 // plan (the exact-match key). On a hit the returned slice is a fresh
 // copy the caller owns. An error is only returned when qualifier
-// re-evaluation on a containment hit fails (context cancellation);
-// the entry is then left untouched and the caller should abort, not
-// fall back to evaluation.
+// evaluation on a containment hit fails (context cancellation); the
+// entry is then left untouched and the caller should abort, not fall
+// back to evaluation.
 func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path, prover Prover) ([]*xmltree.Node, Kind, error) {
 	s := c.shardFor(group)
 	key := group + "\x00" + text
@@ -225,39 +219,11 @@ func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path,
 			continue
 		}
 		// cand's answer is exactly base's answer; the incoming plan keeps
-		// the nodes satisfying every trailing qualifier. A no-survivor
-		// filter returns nil, matching what the evaluator reports for an
-		// empty result. Ordinal entries filter straight off the bitset —
-		// ascending ordinal iteration is document order, so no slice is
-		// materialized for the candidates that do not survive.
-		var out []*xmltree.Node
-		var qerr error
-		filter := func(n *xmltree.Node) bool {
-			for _, q := range quals {
-				ok, err := xpath.EvalQualCtx(ctx, q, n)
-				if err != nil {
-					qerr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-			}
-			out = append(out, n)
-			return true
-		}
-		if cand.set != nil {
-			byOrd := cand.doc.Nodes()
-			cand.set.ForEachUntil(func(ord int) bool { return filter(byOrd[ord]) })
-		} else {
-			for _, n := range cand.nodes {
-				if !filter(n) {
-					break
-				}
-			}
-		}
-		if qerr != nil {
-			return nil, KindMiss, qerr
+		// the nodes satisfying every trailing qualifier, which one
+		// evaluation of .[q1]...[qk] at those nodes selects.
+		out, err := xpath.EvalAtCtx(ctx, selfFilter(quals), cand.answer())
+		if err != nil {
+			return nil, KindMiss, err
 		}
 		c.containmentHits.Add(1)
 		return out, KindContainment, nil
@@ -266,12 +232,13 @@ func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path,
 	return nil, KindMiss, nil
 }
 
-// Put caches an evaluated answer. Oversized results are dropped (see
-// maxNodes). Answers over one compacted document are stored as an
-// ordinal bitset stamped with the document's generation; anything else
-// copies the nodes slice. Either way the entry shares the document's
-// nodes, which the group key pins logically (an epoch bump abandons
-// the group) — callers purge on epoch bumps to reclaim the memory too.
+// Put caches an evaluated answer as an ordinal bitset stamped with the
+// owning document's generation. Oversized results are dropped (see
+// maxNodes), and so are answers whose nodes are not all numbered by one
+// document, which no evaluation returns. The entry shares the
+// document's nodes, which the group key pins logically (an epoch bump
+// abandons the group) — callers purge on epoch bumps to reclaim the
+// memory too.
 func (c *Cache) Put(group, text string, plan xpath.Path, nodes []*xmltree.Node) {
 	if len(nodes) > maxNodes {
 		return
@@ -279,14 +246,19 @@ func (c *Cache) Put(group, text string, plan xpath.Path, nodes []*xmltree.Node) 
 	s := c.shardFor(group)
 	key := group + "\x00" + text
 	en := &entry{key: key, group: group, text: text, plan: plan}
-	if d := ordinalOwner(nodes); d != nil {
+	if len(nodes) > 0 {
+		d := nodes[0].Owner()
+		if d == nil {
+			return
+		}
 		set := nodeset.New(d.Size())
 		for _, n := range nodes {
+			if n.Owner() != d {
+				return
+			}
 			set.Add(n.Ord())
 		}
 		en.set, en.doc, en.gen = set, d, d.Generation()
-	} else {
-		en.nodes = copyNodes(nodes)
 	}
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
@@ -395,33 +367,14 @@ func splitQuals(p xpath.Path) (xpath.Path, []xpath.Qual) {
 	return p, nil
 }
 
-// ordinalOwner returns the compacted document owning every node, or
-// nil when the answer cannot take the ordinal form (empty, detached or
-// stale nodes, uncompacted or mixed documents).
-func ordinalOwner(nodes []*xmltree.Node) *xmltree.Document {
-	if len(nodes) == 0 {
-		return nil
+// selfFilter is .[q1]...[qk]: the context nodes at which every
+// qualifier holds.
+func selfFilter(quals []xpath.Qual) xpath.Path {
+	var p xpath.Path = xpath.Self{}
+	for _, q := range quals {
+		p = xpath.Qualified{Sub: p, Cond: q}
 	}
-	d := nodes[0].Owner()
-	if d == nil || !d.Compacted() {
-		return nil
-	}
-	for _, n := range nodes[1:] {
-		if n.Owner() != d {
-			return nil
-		}
-	}
-	return d
-}
-
-// copyNodes snapshots a result slice so cache-internal storage and
-// caller-returned slices never alias. Empty results stay nil, matching
-// what the evaluator reports.
-func copyNodes(nodes []*xmltree.Node) []*xmltree.Node {
-	if len(nodes) == 0 {
-		return nil
-	}
-	return append([]*xmltree.Node(nil), nodes...)
+	return p
 }
 
 // fnv32 is the FNV-1a hash, inlined to avoid a hash.Hash allocation on

@@ -117,6 +117,49 @@ func TestContainmentHit(t *testing.T) {
 	}
 }
 
+// TestContainmentHitNestedQualifiers: trailing qualifiers that nest
+// qualifiers of their own, and a chain of two trailing qualifiers, are
+// applied to the cached answer in one set-at-a-time evaluation and
+// select exactly what the reference evaluator selects from the document.
+func TestContainmentHitNestedQualifiers(t *testing.T) {
+	doc := hospitalDoc(t)
+	prover := optimize.New(dtds.Hospital())
+	base := xpath.MustParse("//patient")
+	baseNodes := xpath.EvalDoc(base, doc)
+	quals := [][]string{
+		{"treatment[trial[bill]]"},
+		{"treatment[not(regular[bill])]"},
+		{"treatment", "name[. = \"no-such-name\"] or treatment[trial]"},
+	}
+	for _, qs := range quals {
+		c := New(8)
+		c.Put("g", xpath.String(base), base, baseNodes)
+		var q xpath.Path = base
+		for _, s := range qs {
+			q = xpath.Qualified{Sub: q, Cond: xpath.MustParseQual(s)}
+		}
+		got, kind := lookupMust(t, c, "g", q, prover)
+		if kind != KindContainment {
+			t.Fatalf("%s: kind = %v, want containment", xpath.String(q), kind)
+		}
+		want, err := xpath.EvalRef(q, []*xmltree.Node{doc.Root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || len(want) == len(baseNodes) {
+			t.Fatalf("%s: qualifier not discriminating (%d of %d)", xpath.String(q), len(want), len(baseNodes))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: containment hit returned %d nodes, want %d", xpath.String(q), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: node %d differs", xpath.String(q), i)
+			}
+		}
+	}
+}
+
 // TestNonContainedNeverHits is the soundness leg: a query that is not
 // contained in any cached entry must miss, even when the cache is full
 // of same-group entries.
@@ -223,15 +266,12 @@ func TestSplitQuals(t *testing.T) {
 	}
 }
 
-// TestOrdinalEntryStorage: answers over a compacted document are stored
-// as ordinal bitsets (not node slices), and a hit materializes exactly
-// the original nodes.
+// TestOrdinalEntryStorage: answers are stored as ordinal bitsets over
+// the owning document's numbering, and a hit materializes exactly the
+// original nodes.
 func TestOrdinalEntryStorage(t *testing.T) {
 	c := New(8)
 	doc := hospitalDoc(t)
-	if !doc.Compacted() {
-		t.Fatal("generated document is not compacted")
-	}
 	p := xpath.MustParse("//patient")
 	want := xpath.EvalDoc(p, doc)
 	c.Put("g", xpath.String(p), p, want)
@@ -246,8 +286,8 @@ func TestOrdinalEntryStorage(t *testing.T) {
 	if en == nil {
 		t.Fatal("entry not stored")
 	}
-	if en.set == nil || en.nodes != nil {
-		t.Fatalf("compacted-document answer stored as slice (set=%v nodes=%d)", en.set != nil, len(en.nodes))
+	if en.set == nil || en.doc != doc || en.gen != doc.Generation() {
+		t.Fatalf("answer not stored as a bitset over the document's numbering (set=%v)", en.set != nil)
 	}
 	got, kind := lookupMust(t, c, "g", p, neverProver{})
 	if kind != KindEqual {

@@ -87,10 +87,6 @@ type Config struct {
 	Seed int64
 	// Verify cross-checks that the three approaches agree node-for-node.
 	Verify bool
-	// Indexed evaluates with the label-index evaluator instead of the
-	// tree-walking one (the closer analogue of the paper's evaluator
-	// [17]); the naive/rewrite gap narrows but persists.
-	Indexed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -122,12 +118,8 @@ func Run(cfg Config) (*Report, error) {
 		doc := dtds.GenerateAdex(cfg.Seed+int64(i), ds.MaxRepeat)
 		naive.Annotate(spec, doc)
 		report.Sizes[ds.Name] = doc.Size()
-		var idx *xpath.Index
-		if cfg.Indexed {
-			idx = xpath.NewIndex(doc)
-		}
 		for _, qname := range QueryNames {
-			cell, err := measure(cfg, rw, opt, ds.Name, qname, doc, idx)
+			cell, err := measure(cfg, rw, opt, ds.Name, qname, doc)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +129,7 @@ func Run(cfg Config) (*Report, error) {
 	return report, nil
 }
 
-func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, qname string, doc *xmltree.Document, idx *xpath.Index) (*Cell, error) {
+func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, qname string, doc *xmltree.Document) (*Cell, error) {
 	p, err := xpath.Parse(dtds.AdexQueries[qname])
 	if err != nil {
 		return nil, err
@@ -162,17 +154,10 @@ func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, 
 		OptimizedQuery:     xpath.String(po),
 	}
 
-	eval := func(p xpath.Path) []*xmltree.Node {
-		if idx != nil {
-			return xpath.EvalIndexed(p, idx)
-		}
-		return xpath.EvalDoc(p, doc)
-	}
-
 	if cfg.Verify {
-		nv := eval(pn)
-		rv := eval(pt)
-		ov := eval(po)
+		nv := xpath.EvalDoc(pn, doc)
+		rv := xpath.EvalDoc(pt, doc)
+		ov := xpath.EvalDoc(po, doc)
 		if !sameNodes(nv, rv) || !sameNodes(rv, ov) {
 			return nil, fmt.Errorf("%s over %s: approaches disagree (naive %d, rewrite %d, optimize %d)",
 				qname, dsName, len(nv), len(rv), len(ov))
@@ -184,7 +169,7 @@ func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, 
 		var total time.Duration
 		for i := 0; i < cfg.Repeats; i++ {
 			start := time.Now()
-			eval(p)
+			xpath.EvalDoc(p, doc)
 			total += time.Since(start)
 		}
 		return total / time.Duration(cfg.Repeats)

@@ -87,17 +87,17 @@ func TestNaiveSlowerOnLargerData(t *testing.T) {
 	}
 }
 
-// TestRunIndexed: the indexed-evaluator variant preserves verification
-// and the qualitative shape.
+// TestRunIndexed: on a data set large enough that descendant steps take
+// the document's label index, verification and the qualitative shape
+// hold.
 func TestRunIndexed(t *testing.T) {
 	report, err := Run(Config{
 		DataSets: []DataSet{{Name: "T", MaxRepeat: 120}},
 		Repeats:  1,
 		Verify:   true,
-		Indexed:  true,
 	})
 	if err != nil {
-		t.Fatalf("Run(indexed): %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(report.Cells) != 4 {
 		t.Fatalf("cells = %d", len(report.Cells))

@@ -95,36 +95,6 @@ func TestQueryCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestQueryCtxDeadlineParallel repeats the deadline check on an engine
-// configured for parallel evaluation: the worker pool must drain and
-// surface the context error just as promptly.
-func TestQueryCtxDeadlineParallel(t *testing.T) {
-	doc := bigHospital()
-	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	e, err := NewWithConfig(spec, Config{Parallel: true})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = e.QueryStringCtx(ctx, doc, heavyQuery)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed >= 100*time.Millisecond {
-		t.Errorf("cancelled parallel query took %v, want well under 100ms", elapsed)
-	}
-	if got, err := e.QueryString(doc, heavyQuery); err != nil || len(got) == 0 {
-		t.Errorf("retry after parallel cancellation: %d nodes, err %v", len(got), err)
-	}
-}
-
 // TestQueryCtxAlreadyCancelled: a context that is already done fails the
 // query immediately with context.Canceled, before touching the document.
 func TestQueryCtxAlreadyCancelled(t *testing.T) {

@@ -8,14 +8,12 @@
 //
 // On top of the paper's pipeline the engine adds a serving layer:
 // rewritten-and-optimized plans are kept in a bounded LRU plan cache, so
-// repeated queries skip the rewrite and optimize stages entirely;
-// recursive views rewrite height-free by default (one plan per query,
-// valid for documents of any height — see package rewrite), with the
-// Section 4.2 unfolding path available behind Config.UnfoldRewrite as a
-// differential oracle, whose per-height rewriters live in a second
-// bounded cache so adversarial height profiles cannot grow memory
-// without limit; and evaluation can fan out over a worker pool for large
-// documents (Config.Parallel).
+// repeated queries skip the rewrite and optimize stages entirely, and
+// recursive views rewrite height-free (one plan per query, valid for
+// documents of any height — see package rewrite). Evaluation is
+// xpath.EvalDocCtx, the one evaluator; the Section 4.2 unfolding
+// (rewrite.ForViewWithHeight) and the reference evaluator
+// (xpath.EvalRef) are test oracles, not serving modes.
 package core
 
 import (
@@ -23,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -39,25 +36,21 @@ import (
 	"repro/internal/xpath"
 )
 
-// Default capacities for the engine's caches. Plans are small (an AST
-// per entry); per-height rewriters embed an unfolded DTD and are
-// bigger, so their cache is tighter.
+// Default capacities for the engine's caches.
 const (
-	DefaultPlanCacheCapacity   = 512
-	DefaultHeightCacheCapacity = 64
+	DefaultPlanCacheCapacity = 512
+	// DefaultAnswerCacheCapacity bounds the semantic answer cache
+	// (Config.AnswerCache): each entry pins a result node-set.
+	DefaultAnswerCacheCapacity = 256
+
 	// Deprecated: no effect. Label indexes belong to the document
 	// (xmltree.Document.Labeled), one per document shared by every
 	// engine, so engines keep no index cache.
 	DefaultIndexCacheCapacity = 16
-	// DefaultAnswerCacheCapacity bounds the semantic answer cache
-	// (Config.AnswerCache): each entry pins a result node-set.
-	DefaultAnswerCacheCapacity = 256
+	// Deprecated: no effect. The evaluator always reads the document's
+	// label index and picks index or subtree walk per descendant step.
+	DefaultIndexThreshold = 512
 )
-
-// DefaultIndexThreshold is the document size (nodes) below which an
-// indexed-configured engine keeps walking: building a label index for a
-// small tree costs more than the walk it replaces.
-const DefaultIndexThreshold = 512
 
 // ErrUnboundVars marks queries rejected at plan time because they still
 // contain unbound $variables — the caller's fault (a missing parameter
@@ -66,34 +59,11 @@ const DefaultIndexThreshold = 512
 var ErrUnboundVars = errors.New("query has unbound variables")
 
 // Config tunes an engine's serving layer. The zero value gives the
-// defaults: bounded caches, sequential evaluation.
+// defaults: bounded plan cache, answer cache off.
 type Config struct {
-	// PlanCacheCapacity bounds the (query, height class) → Prepared
-	// cache. 0 means DefaultPlanCacheCapacity.
+	// PlanCacheCapacity bounds the query → Prepared cache. 0 means
+	// DefaultPlanCacheCapacity.
 	PlanCacheCapacity int
-	// HeightCacheCapacity bounds the per-height rewriter cache used by
-	// recursive views. 0 means DefaultHeightCacheCapacity.
-	HeightCacheCapacity int
-	// Parallel turns on parallel evaluation for Query/QueryString:
-	// union branches fan out and large descendant context sets are
-	// partitioned over a worker pool (see xpath.EvalDocParallel).
-	Parallel bool
-	// ParallelConfig tunes the worker pool when Parallel is set.
-	ParallelConfig xpath.ParallelConfig
-	// Indexed turns on indexed evaluation: queries with descendant steps
-	// over documents of at least IndexThreshold nodes are answered from
-	// the document's label index (xpath.Index) instead of subtree walks.
-	// Per query the engine picks indexed, parallel, or sequential:
-	// indexed when applicable, else parallel when Parallel is set, else
-	// the sequential walk.
-	Indexed bool
-	// IndexThreshold is the minimum document size (nodes) for indexed
-	// evaluation. 0 means DefaultIndexThreshold; negative forces the
-	// index on for tests.
-	IndexThreshold int
-	// Deprecated: no effect. Engines keep no index cache; see
-	// DefaultIndexCacheCapacity.
-	IndexCacheCapacity int
 	// AnswerCache turns on the semantic answer cache: evaluated result
 	// node-sets are cached per (engine epoch, document, optimized plan)
 	// and an incoming query is answered from a cached entry the
@@ -106,11 +76,21 @@ type Config struct {
 	// AnswerCacheCapacity bounds the answer cache. 0 means
 	// DefaultAnswerCacheCapacity.
 	AnswerCacheCapacity int
-	// UnfoldRewrite selects the Section 4.2 unfolding path for recursive
-	// views instead of the default height-free rewriting: plans are then
-	// built per document height class and cached per (query, height).
-	// Kept as the differential oracle for the height-free path; flat
-	// (non-recursive) views ignore it.
+
+	// Deprecated: no effect. The evaluator always reads the document's
+	// label index (see DefaultIndexThreshold).
+	Indexed bool
+	// Deprecated: no effect.
+	IndexThreshold int
+	// Deprecated: no effect. Engines keep no index cache; see
+	// DefaultIndexCacheCapacity.
+	IndexCacheCapacity int
+	// Deprecated: no effect. Evaluation is sequential; a worker pool
+	// lost to it on the 2-core hardware it was measured on.
+	Parallel bool
+	// Deprecated: no effect. Recursive views always rewrite height-free;
+	// the Section 4.2 unfolding is the test oracle
+	// rewrite.ForViewWithHeight.
 	UnfoldRewrite bool
 }
 
@@ -121,28 +101,11 @@ func (c Config) planCap() int {
 	return DefaultPlanCacheCapacity
 }
 
-func (c Config) heightCap() int {
-	if c.HeightCacheCapacity > 0 {
-		return c.HeightCacheCapacity
-	}
-	return DefaultHeightCacheCapacity
-}
-
 func (c Config) answerCap() int {
 	if c.AnswerCacheCapacity > 0 {
 		return c.AnswerCacheCapacity
 	}
 	return DefaultAnswerCacheCapacity
-}
-
-func (c Config) indexThreshold() int {
-	switch {
-	case c.IndexThreshold > 0:
-		return c.IndexThreshold
-	case c.IndexThreshold < 0:
-		return 1
-	}
-	return DefaultIndexThreshold
 }
 
 // Engine enforces one access policy: it owns the derived security view
@@ -154,18 +117,12 @@ type Engine struct {
 	spec *access.Spec
 	view *secview.View
 	opt  *optimize.Optimizer
-	cfg  Config
+	// rw is the view's rewriter: flat for a non-recursive view,
+	// height-free for a recursive one.
+	rw *rewrite.Rewriter
 
-	// flat is the height-independent rewriter: every non-recursive view
-	// has one, and recursive views get a height-free one unless
-	// Config.UnfoldRewrite asked for the Section 4.2 oracle path. When
-	// nil (unfold mode), per-height rewriters are built on demand and
-	// kept in the bounded byHeight cache.
-	flat     *rewrite.Rewriter
-	byHeight *plancache.Cache[*rewrite.Rewriter]
-
-	// plans caches rewritten-and-optimized queries by (query text,
-	// height class) so repeated queries skip rewrite+optimize.
+	// plans caches rewritten-and-optimized queries by query text so
+	// repeated queries skip rewrite+optimize.
 	plans *plancache.Cache[*Prepared]
 
 	// answers is the semantic answer cache (Config.AnswerCache), nil
@@ -178,11 +135,9 @@ type Engine struct {
 	// derived before a swap are unreachable by construction afterward.
 	epoch atomic.Uint64
 
-	queries      atomic.Uint64
-	cancelled    atomic.Uint64
-	evalStats    xpath.ParallelStats
-	indexedEvals atomic.Uint64
-	ordinalEvals atomic.Uint64
+	queries   atomic.Uint64
+	cancelled atomic.Uint64
+	evals     atomic.Uint64
 }
 
 // New derives the security view for a bound access specification (no
@@ -212,23 +167,19 @@ func FromView(view *secview.View) (*Engine, error) {
 
 // FromViewConfig is FromView with explicit serving-layer tuning.
 func FromViewConfig(view *secview.View, cfg Config) (*Engine, error) {
+	rw, err := rewrite.ForView(view)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		spec:     view.Spec,
-		view:     view,
-		opt:      optimize.New(view.Doc),
-		cfg:      cfg,
-		byHeight: plancache.New[*rewrite.Rewriter](cfg.heightCap()),
-		plans:    plancache.New[*Prepared](cfg.planCap()),
+		spec:  view.Spec,
+		view:  view,
+		opt:   optimize.New(view.Doc),
+		rw:    rw,
+		plans: plancache.New[*Prepared](cfg.planCap()),
 	}
 	if cfg.AnswerCache {
 		e.answers = anscache.New(cfg.answerCap())
-	}
-	if !view.IsRecursive() || !cfg.UnfoldRewrite {
-		r, err := rewrite.ForView(view)
-		if err != nil {
-			return nil, err
-		}
-		e.flat = r
 	}
 	return e, nil
 }
@@ -267,44 +218,14 @@ func (e *Engine) BumpEpoch() {
 
 // RewriteMode names the engine's rewriting strategy: "flat" for a
 // non-recursive view, "height-free" for a recursive view rewritten via
-// Rec automata (the default), and "unfold" for the Section 4.2 oracle
-// path (Config.UnfoldRewrite). Surfaced in /explainz and /metricsz.
-func (e *Engine) RewriteMode() string {
-	if e.flat != nil {
-		return e.flat.Mode()
-	}
-	return "unfold"
-}
-
-// Rewriter returns the query rewriter for documents of the given height.
-// The height is ignored except in unfold-oracle mode (Config.UnfoldRewrite
-// on a recursive view), where the view is unfolded to it per Section 4.2;
-// those per-height rewriters are cached with LRU eviction, so an
-// adversarial stream of documents with many distinct heights costs
-// repeated unfolds, never unbounded memory.
-func (e *Engine) Rewriter(height int) (*rewrite.Rewriter, error) {
-	if e.flat != nil {
-		return e.flat, nil
-	}
-	return e.byHeight.GetOrCompute(strconv.Itoa(height), func() (*rewrite.Rewriter, error) {
-		return rewrite.ForViewWithHeight(e.view, height)
-	})
-}
+// Rec automata. Surfaced in /explainz and /metricsz.
+func (e *Engine) RewriteMode() string { return e.rw.Mode() }
 
 // Rewrite translates a view query into the equivalent document query p_t.
-// Recursive views need the height of the document the query will run on.
+// The plan is valid for documents of any height, so height is ignored;
+// the parameter remains for existing callers.
 func (e *Engine) Rewrite(p xpath.Path, height int) (xpath.Path, error) {
-	return e.RewriteCtx(context.Background(), p, height)
-}
-
-// RewriteCtx is Rewrite with observability: a context carrying a trace
-// span gets a "rewrite" child span (see rewrite.RewriteCtx).
-func (e *Engine) RewriteCtx(ctx context.Context, p xpath.Path, height int) (xpath.Path, error) {
-	r, err := e.Rewriter(height)
-	if err != nil {
-		return nil, err
-	}
-	return r.RewriteCtx(ctx, p)
+	return e.rw.Rewrite(p)
 }
 
 // Optimize improves a document query using the document DTD's structural
@@ -314,20 +235,8 @@ func (e *Engine) Optimize(p xpath.Path) xpath.Path {
 	return e.opt.Optimize(p)
 }
 
-// heightClass maps a document height to the plan-cache key component.
-// With a height-independent rewriter (flat views, and recursive views in
-// the default height-free mode) every document shares one class — one
-// cache entry per query text; only the unfold oracle needs one plan per
-// height.
-func (e *Engine) heightClass(height int) int {
-	if e.flat != nil {
-		return 0
-	}
-	return height
-}
-
-// prepared returns the cached plan for (query, height class), building
-// and caching it on a miss. Queries with unbound $variables are
+// prepared returns the cached plan for a query, building and caching it
+// on a miss. Queries with unbound $variables are
 // rejected up front: depending on the document they would either error
 // mid-evaluation or silently match nothing, and neither belongs in the
 // cache. A context carrying a QueryMetrics carrier gets the cache
@@ -337,12 +246,11 @@ func (e *Engine) heightClass(height int) int {
 // the last Put wins (GetOrCompute singleflights, but this path wants
 // per-request metrics attribution, and a duplicate plan build is
 // harmless).
-func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepared, error) {
+func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, error) {
 	if vars := xpath.Vars(p); len(vars) > 0 {
 		return nil, fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
 	}
-	text := xpath.String(p)
-	key := strconv.Itoa(e.heightClass(height)) + "\x00" + text
+	key := xpath.String(p)
 	qm := obs.QueryMetricsFromContext(ctx)
 	if prep, ok := e.plans.Get(key); ok {
 		if qm != nil {
@@ -357,7 +265,7 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 	}
 	obs.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
 	start := time.Now()
-	pt, err := e.RewriteCtx(ctx, p, height)
+	pt, err := e.rw.RewriteCtx(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -368,9 +276,6 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 		qm.Optimize = time.Since(rewriteDone)
 		qm.RewrittenSize = xpath.Size(pt)
 		qm.OptimizedSize = xpath.Size(po)
-		if e.flat == nil {
-			qm.UnfoldHeight = height
-		}
 		if qm.CaptureQueries {
 			qm.Rewritten = xpath.String(pt)
 			qm.Optimized = xpath.String(po)
@@ -384,9 +289,9 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path, height int) (*Prepa
 // Query answers a view query over a document: rewrite, optimize, and
 // evaluate over the original tree. The result contains exactly the
 // document nodes the policy exposes to the query. Plans are served from
-// the engine's cache when the same query text was answered before (for
-// recursive views: at the same document height), and malformed or
-// unbound-variable queries return an error rather than panicking.
+// the engine's cache when the same query text was answered before, and
+// malformed or unbound-variable queries return an error rather than
+// panicking.
 func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
 	return e.QueryCtx(context.Background(), doc, p)
 }
@@ -405,7 +310,7 @@ func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, er
 // result is then cached). Hits report eval mode "cached".
 func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
 	e.queries.Add(1)
-	prep, err := e.prepared(ctx, p, doc.Height())
+	prep, err := e.prepared(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +338,6 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 		if kind != anscache.KindMiss {
 			if qm != nil {
 				qm.EvalMode = obs.ModeCached
-				qm.SetRepr = setRepr(doc)
 			}
 			return out, nil
 		}
@@ -451,25 +355,6 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 	return out, nil
 }
 
-// indexApplicable reports whether the engine should answer this
-// (plan, document) pair with the index-backed evaluator: indexed mode
-// is on, the document is big enough to repay the index, and the query
-// is descend-class — a descendant step in the evaluated plan, or in
-// the source view query. Fig. 6 rewriting unfolds view-level // steps
-// into unions of label chains, so most serving plans carry no Descend
-// of their own; routing descend-sourced plans through the indexed
-// evaluator keeps one consistent mode for the class (visible in
-// /explainz and /metricsz) and serves any residual // from posting
-// lists with the per-step selectivity heuristic. Child-axis-only view
-// queries touch the same nodes either way, so the walk serves them
-// without index overhead.
-func (e *Engine) indexApplicable(prep *Prepared, doc *xmltree.Document) bool {
-	if !e.cfg.Indexed || doc.Size() < e.cfg.indexThreshold() {
-		return false
-	}
-	return xpath.HasDescend(prep.Optimized) || xpath.HasDescend(prep.Source)
-}
-
 // docGroup keys a document for the answer cache: the engine epoch plus
 // the document's id. The epoch prefix makes every pre-swap entry
 // unreachable after BumpEpoch.
@@ -477,90 +362,26 @@ func (e *Engine) docGroup(doc *xmltree.Document) string {
 	return strconv.FormatUint(e.epoch.Load(), 10) + "\x00" + strconv.FormatUint(doc.ID(), 10)
 }
 
-// evalPrepared runs the evaluation phase, picking the eval mode per
-// query: indexed when applicable (see indexApplicable), else parallel
-// when configured, else the sequential walk. When the context carries a
-// QueryMetrics carrier or a trace span it additionally reports the eval
-// mode actually taken, the work counters (cooperation ticks, or this
-// call's union forks and partitions), and the phase duration; a bare
-// context takes the uninstrumented fast path unchanged.
+// evalPrepared runs the evaluation phase. When the context carries a
+// QueryMetrics carrier or a trace span it additionally reports the
+// nodes-visited count and the phase duration.
 func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.Document) ([]*xmltree.Node, error) {
+	e.evals.Add(1)
 	qm := obs.QueryMetricsFromContext(ctx)
 	_, sp := obs.StartSpan(ctx, "eval")
-	indexed := e.indexApplicable(prep, doc)
-	if xpath.OrdinalApplicable(doc) {
-		e.ordinalEvals.Add(1)
-	}
-	if qm == nil && sp == nil {
-		if indexed {
-			e.indexedEvals.Add(1)
-			return xpath.EvalIndexedCtx(ctx, prep.Optimized, xpath.NewIndex(doc))
-		}
-		if e.cfg.Parallel {
-			return xpath.EvalDocParallelCtx(ctx, prep.Optimized, doc, e.cfg.ParallelConfig, &e.evalStats)
-		}
-		e.evalStats.SequentialEvals.Add(1)
-		return xpath.EvalDocCtx(ctx, prep.Optimized, doc)
-	}
 	start := time.Now()
-	var out []*xmltree.Node
-	var err error
-	mode := obs.ModeSequential
-	switch {
-	case indexed:
-		e.indexedEvals.Add(1)
-		mode = obs.ModeIndexed
-		var ticks uint64
-		out, ticks, err = xpath.EvalIndexedCtxCounted(ctx, prep.Optimized, xpath.NewIndex(doc))
-		if qm != nil {
-			qm.NodesVisited = ticks
-		}
-		sp.SetAttr("nodes_visited", ticks)
-	case e.cfg.Parallel:
-		// A per-call local stats value reports this request's fan-out
-		// alone, then rolls up into the engine-wide aggregate.
-		var local xpath.ParallelStats
-		out, err = xpath.EvalDocParallelCtx(ctx, prep.Optimized, doc, e.cfg.ParallelConfig, &local)
-		e.evalStats.AddFrom(&local)
-		_, par, forks, parts := local.Snapshot()
-		if par > 0 {
-			mode = obs.ModeParallel
-		}
-		if qm != nil {
-			qm.UnionForks, qm.Partitions = forks, parts
-		}
-		sp.SetAttr("union_forks", forks)
-		sp.SetAttr("partitions", parts)
-	default:
-		e.evalStats.SequentialEvals.Add(1)
-		var ticks uint64
-		out, ticks, err = xpath.EvalDocCtxCounted(ctx, prep.Optimized, doc)
-		if qm != nil {
-			qm.NodesVisited = ticks
-		}
-		sp.SetAttr("nodes_visited", ticks)
-	}
+	out, visited, err := xpath.EvalDocCtx(ctx, prep.Optimized, doc)
 	if qm != nil {
 		qm.Eval = time.Since(start)
-		qm.EvalMode = mode
-		qm.SetRepr = setRepr(doc)
+		qm.EvalMode = obs.ModeEval
+		qm.NodesVisited = visited
 	}
 	if sp != nil {
-		sp.SetAttr("mode", mode)
-		sp.SetAttr("set_repr", setRepr(doc))
+		sp.SetAttr("nodes_visited", visited)
 		sp.SetAttr("result_count", len(out))
 		sp.Finish()
 	}
 	return out, err
-}
-
-// setRepr names the node-set representation evaluation over doc uses —
-// the compaction gate, rendered for metrics labels.
-func setRepr(doc *xmltree.Document) string {
-	if xpath.OrdinalApplicable(doc) {
-		return obs.ReprBitset
-	}
-	return obs.ReprSlice
 }
 
 // QueryString is Query with parsing.
@@ -597,21 +418,16 @@ type Explain struct {
 	// RewrittenSize and OptimizedSize are AST sizes (xpath.Size).
 	RewrittenSize int `json:"rewritten_size"`
 	OptimizedSize int `json:"optimized_size"`
-	// EvalMode is what the evaluator actually did (obs.ModeSequential,
-	// obs.ModeParallel, or obs.ModeIndexed); NodesVisited / UnionForks
-	// / Partitions are its work counters for this run (see
+	// EvalMode is obs.ModeEval: explain always evaluates. NodesVisited
+	// is the evaluator's work counter for this run (see
 	// obs.QueryMetrics).
 	EvalMode     string `json:"eval_mode"`
 	NodesVisited uint64 `json:"nodes_visited,omitempty"`
-	UnionForks   uint64 `json:"union_forks,omitempty"`
-	Partitions   uint64 `json:"partitions,omitempty"`
 	ResultCount  int    `json:"result_count"`
-	// DocHeight is the document's height; UnfoldHeight is the height a
-	// recursive view was unfolded to for this document (0 outside
-	// unfold-oracle mode); RecursiveView flags the view DTD as recursive;
-	// RewriteMode is the engine's rewriting strategy (Engine.RewriteMode).
+	// DocHeight is the document's height; RecursiveView flags the view
+	// DTD as recursive; RewriteMode is the engine's rewriting strategy
+	// (Engine.RewriteMode).
 	DocHeight     int    `json:"doc_height"`
-	UnfoldHeight  int    `json:"unfold_height,omitempty"`
 	RecursiveView bool   `json:"recursive_view"`
 	RewriteMode   string `json:"rewrite_mode"`
 	// PlanWasCached reports whether the serving path would have hit the
@@ -636,20 +452,15 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 		return nil, fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
 	}
 	e.queries.Add(1)
-	height := doc.Height()
 	ex := &Explain{
 		Query:         xpath.String(p),
-		DocHeight:     height,
+		DocHeight:     doc.Height(),
 		RecursiveView: e.view.IsRecursive(),
 		RewriteMode:   e.RewriteMode(),
 	}
-	key := strconv.Itoa(e.heightClass(height)) + "\x00" + ex.Query
-	_, ex.PlanWasCached = e.plans.Get(key)
-	if e.flat == nil {
-		ex.UnfoldHeight = height
-	}
+	_, ex.PlanWasCached = e.plans.Get(ex.Query)
 	start := time.Now()
-	pt, err := e.RewriteCtx(ctx, p, height)
+	pt, err := e.rw.RewriteCtx(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -662,7 +473,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	ex.Optimized = xpath.String(po)
 	ex.OptimizedSize = xpath.Size(po)
 	prep := &Prepared{Source: p, Rewritten: pt, Optimized: po, optimizedText: ex.Optimized}
-	e.plans.Put(key, prep)
+	e.plans.Put(ex.Query, prep)
 	if e.answers != nil {
 		// Probe the answer cache for the report, then evaluate fresh
 		// anyway: explain's contract is measured phases.
@@ -670,8 +481,8 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 			ex.AnswerCacheHit = kind.String()
 		}
 	}
-	// Evaluate with a private carrier so the mode and work counters for
-	// this run are readable even when the caller installed none.
+	// Evaluate with a private carrier so the work counter for this run
+	// is readable even when the caller installed none.
 	qm := &obs.QueryMetrics{}
 	start = time.Now()
 	out, err := e.evalPrepared(obs.WithQueryMetrics(ctx, qm), prep, doc)
@@ -687,8 +498,6 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	}
 	ex.EvalMode = qm.EvalMode
 	ex.NodesVisited = qm.NodesVisited
-	ex.UnionForks = qm.UnionForks
-	ex.Partitions = qm.Partitions
 	ex.ResultCount = len(out)
 	return ex, nil
 }
@@ -710,41 +519,19 @@ type Stats struct {
 	// Cancelled counts queries that returned a context error (deadline
 	// exceeded or caller cancellation) mid-evaluation.
 	Cancelled uint64 `json:"cancelled"`
-	// PlanCache reports the (query, height class) → plan cache.
+	// PlanCache reports the query → plan cache.
 	PlanCache plancache.Stats `json:"plan_cache"`
-	// PlanCacheQueries counts the distinct query texts in the plan cache
-	// and PlanCacheHeightClasses the distinct height classes; Entries in
-	// PlanCache counts (query, height class) pairs. A height-independent
-	// rewriter keeps exactly one class, so Queries == Entries; the unfold
-	// oracle holds one entry per (query, height), which these two fields
-	// stopped conflating.
-	PlanCacheQueries       int `json:"plan_cache_queries"`
-	PlanCacheHeightClasses int `json:"plan_cache_height_classes"`
-	// PlanCacheNodes sums the AST size of every cached optimized plan —
-	// the memory-side view of the height-free win: with the unfold
-	// oracle it grows with both the number of height classes and the
-	// per-plan unfolding depth; height-free it tracks query count only.
+	// PlanCacheNodes sums the AST size of every cached optimized plan,
+	// the memory-side view of the plan cache.
 	PlanCacheNodes int `json:"plan_cache_nodes"`
-	// HeightCache reports the per-height rewriter cache (recursive
-	// views only; empty for flat views).
-	HeightCache plancache.Stats `json:"height_cache"`
 	// AnswerCache reports the semantic answer cache (Config.AnswerCache;
 	// zero when off). Hits are equal hits; ContainmentHits count answers
 	// assembled by qualifier-filtering a cached superset.
 	AnswerCache anscache.Stats `json:"answer_cache"`
 	// Epoch is the engine's document/policy epoch (see BumpEpoch).
 	Epoch uint64 `json:"epoch"`
-	// SequentialEvals, ParallelEvals, and IndexedEvals count
-	// evaluations by path; UnionForks and Partitions count the parallel
-	// evaluator's fan-outs (see xpath.ParallelStats).
-	SequentialEvals uint64 `json:"sequential_evals"`
-	ParallelEvals   uint64 `json:"parallel_evals"`
-	IndexedEvals    uint64 `json:"indexed_evals"`
-	UnionForks      uint64 `json:"union_forks"`
-	Partitions      uint64 `json:"partitions"`
-	// OrdinalEvals counts evaluations that passed the compaction gate
-	// and ran over ordinal bitsets (any mode; see internal/nodeset).
-	OrdinalEvals uint64 `json:"ordinal_evals"`
+	// Evals counts evaluator runs; answer-cache hits run none.
+	Evals uint64 `json:"evals"`
 	// OptimizeRules and OptimizePruned count the optimizer's DTD-driven
 	// simplification decisions and the subtrees they removed (see
 	// optimize.Optimizer.Stats).
@@ -754,57 +541,29 @@ type Stats struct {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	seq, par, forks, parts := e.evalStats.Snapshot()
 	rules, pruned := e.opt.Stats()
-	queries, classes, nodes := e.planCacheBreakdown()
+	nodes := 0
+	e.plans.Each(func(_ string, prep *Prepared) { nodes += xpath.Size(prep.Optimized) })
 	var ans anscache.Stats
 	if e.answers != nil {
 		ans = e.answers.Stats()
 	}
 	return Stats{
-		AnswerCache:            ans,
-		Epoch:                  e.epoch.Load(),
-		Queries:                e.queries.Load(),
-		Cancelled:              e.cancelled.Load(),
-		PlanCache:              e.plans.Stats(),
-		PlanCacheQueries:       queries,
-		PlanCacheHeightClasses: classes,
-		PlanCacheNodes:         nodes,
-		HeightCache:            e.byHeight.Stats(),
-		SequentialEvals:        seq,
-		ParallelEvals:          par,
-		IndexedEvals:           e.indexedEvals.Load(),
-		UnionForks:             forks,
-		Partitions:             parts,
-		OrdinalEvals:           e.ordinalEvals.Load(),
-		OptimizeRules:          rules,
-		OptimizePruned:         pruned,
+		AnswerCache:    ans,
+		Epoch:          e.epoch.Load(),
+		Queries:        e.queries.Load(),
+		Cancelled:      e.cancelled.Load(),
+		PlanCache:      e.plans.Stats(),
+		PlanCacheNodes: nodes,
+		Evals:          e.evals.Load(),
+		OptimizeRules:  rules,
+		OptimizePruned: pruned,
 	}
 }
 
-// planCacheBreakdown walks the plan cache and counts distinct query
-// texts, distinct height classes, and total optimized-plan AST nodes
-// across its entries. Point-in-time like the rest of Stats: concurrent
-// Puts/evictions may be missed.
-func (e *Engine) planCacheBreakdown() (queries, classes, nodes int) {
-	qs := make(map[string]bool)
-	cs := make(map[string]bool)
-	e.plans.Each(func(key string, prep *Prepared) {
-		class, text, ok := strings.Cut(key, "\x00")
-		if !ok {
-			return
-		}
-		qs[text] = true
-		cs[class] = true
-		nodes += xpath.Size(prep.Optimized)
-	})
-	return len(qs), len(cs), nodes
-}
-
 // Prepared is a view query rewritten and optimized once, reusable across
-// documents sharing its height class (every document for non-recursive
-// views; same-height documents for recursive ones). Engine.Query keeps
-// these in its plan cache; Prepare hands one out directly.
+// every document. Engine.Query keeps these in its plan cache; Prepare
+// hands one out directly.
 type Prepared struct {
 	// Source is the original view query.
 	Source xpath.Path
@@ -828,15 +587,9 @@ func (q *Prepared) optText() string {
 }
 
 // Prepare rewrites and optimizes a view query once, so frontends can
-// amortize translation across many documents and evaluations. It is
-// available whenever rewriting is height-independent — always, except
-// for a recursive view in unfold-oracle mode (Config.UnfoldRewrite),
-// whose plans depend on each document's height; use Engine.Query then.
+// amortize translation across many documents and evaluations.
 func (e *Engine) Prepare(p xpath.Path) (*Prepared, error) {
-	if e.flat == nil {
-		return nil, fmt.Errorf("core: Prepare needs a height-independent rewriter; the unfold oracle (Config.UnfoldRewrite) plans per document height — use Query, or Rewrite with the height")
-	}
-	return e.prepared(context.Background(), p, 0)
+	return e.prepared(context.Background(), p)
 }
 
 // PrepareString parses and prepares in one step.
@@ -848,8 +601,8 @@ func (e *Engine) PrepareString(query string) (*Prepared, error) {
 	return e.Prepare(p)
 }
 
-// Eval runs a prepared query over a document with the tree evaluator.
-// It panics on unbound $variables; use EvalErr for untrusted queries.
+// Eval runs a prepared query over a document. It panics on unbound
+// $variables; use EvalErr for untrusted queries.
 func (q *Prepared) Eval(doc *xmltree.Document) []*xmltree.Node {
 	return xpath.EvalDoc(q.Optimized, doc)
 }
@@ -861,36 +614,8 @@ func (q *Prepared) EvalErr(doc *xmltree.Document) ([]*xmltree.Node, error) {
 
 // EvalCtx is EvalErr honoring a context deadline or cancellation.
 func (q *Prepared) EvalCtx(ctx context.Context, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return xpath.EvalDocCtx(ctx, q.Optimized, doc)
-}
-
-// EvalParallel runs a prepared query with the parallel evaluator.
-func (q *Prepared) EvalParallel(doc *xmltree.Document, cfg xpath.ParallelConfig, stats *xpath.ParallelStats) ([]*xmltree.Node, error) {
-	return xpath.EvalDocParallel(q.Optimized, doc, cfg, stats)
-}
-
-// EvalParallelCtx is EvalParallel honoring a context deadline or
-// cancellation.
-func (q *Prepared) EvalParallelCtx(ctx context.Context, doc *xmltree.Document, cfg xpath.ParallelConfig, stats *xpath.ParallelStats) ([]*xmltree.Node, error) {
-	return xpath.EvalDocParallelCtx(ctx, q.Optimized, doc, cfg, stats)
-}
-
-// EvalIndexed runs a prepared query against a prebuilt label index. It
-// panics on unbound $variables; see EvalIndexedCtx.
-func (q *Prepared) EvalIndexed(idx *xpath.Index) []*xmltree.Node {
-	return xpath.EvalIndexed(q.Optimized, idx)
-}
-
-// EvalIndexedErr is EvalIndexed returning an error instead of
-// panicking.
-func (q *Prepared) EvalIndexedErr(idx *xpath.Index) ([]*xmltree.Node, error) {
-	return xpath.EvalIndexedErr(q.Optimized, idx)
-}
-
-// EvalIndexedCtx is EvalIndexedErr honoring a context deadline or
-// cancellation.
-func (q *Prepared) EvalIndexedCtx(ctx context.Context, idx *xpath.Index) ([]*xmltree.Node, error) {
-	return xpath.EvalIndexedCtx(ctx, q.Optimized, idx)
+	out, _, err := xpath.EvalDocCtx(ctx, q.Optimized, doc)
+	return out, err
 }
 
 // Materialize builds the view instance T_v of a document — the view's

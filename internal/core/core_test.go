@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/dtds"
+	"repro/internal/xmlgen"
 	"repro/internal/xpath"
 )
 
@@ -102,53 +105,50 @@ func TestEngineRecursiveRewriterHeightFree(t *testing.T) {
 	if got := e.RewriteMode(); got != "height-free" {
 		t.Errorf("RewriteMode = %q, want height-free", got)
 	}
-	r1, err := e.Rewriter(5)
+	p := xpath.MustParse("//b")
+	p5, err := e.Rewrite(p, 5)
 	if err != nil {
-		t.Fatalf("Rewriter(5): %v", err)
+		t.Fatalf("Rewrite at height 5: %v", err)
 	}
-	r3, err := e.Rewriter(9)
+	p9, err := e.Rewrite(p, 9)
 	if err != nil {
-		t.Fatalf("Rewriter(9): %v", err)
+		t.Fatalf("Rewrite at height 9: %v", err)
 	}
-	if r1 != r3 {
-		t.Errorf("height-free mode built per-height rewriters")
+	if !xpath.Equal(p5, p9) {
+		t.Errorf("height-free plans differ by height:\n%s\n%s", xpath.String(p5), xpath.String(p9))
 	}
 }
 
-func TestEngineRecursiveRewriterCacheUnfold(t *testing.T) {
-	e, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
+// TestEngineRecursiveMatchesUnfoldOracle: the engine's height-free
+// answers over a recursive view equal the Section 4.2 oracle's — the
+// view unfolded to each document's height, evaluated by the reference
+// evaluator — on documents of several heights.
+func TestEngineRecursiveMatchesUnfoldOracle(t *testing.T) {
+	e, err := New(dtds.Fig7Spec())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if got := e.RewriteMode(); got != "unfold" {
-		t.Errorf("RewriteMode = %q, want unfold", got)
-	}
-	r1, err := e.Rewriter(5)
-	if err != nil {
-		t.Fatalf("Rewriter(5): %v", err)
-	}
-	r2, err := e.Rewriter(5)
-	if err != nil {
-		t.Fatalf("Rewriter(5) again: %v", err)
-	}
-	if r1 != r2 {
-		t.Errorf("per-height rewriter not cached")
-	}
-	r3, err := e.Rewriter(9)
-	if err != nil {
-		t.Fatalf("Rewriter(9): %v", err)
-	}
-	if r1 == r3 {
-		t.Errorf("different heights share a rewriter")
+	for seed := int64(1); seed <= 4; seed++ {
+		doc := xmlgen.Generate(dtds.Fig7(), xmlgen.Config{Seed: seed, MinRepeat: 1, MaxRepeat: 3, MaxDepth: 4 + int(seed)*2, MaxNodes: 800})
+		for _, q := range []string{"//b", "//a//a/b", "a/b", "//a[b]"} {
+			p := xpath.MustParse(q)
+			got, err := e.Query(doc, p)
+			if err != nil {
+				t.Fatalf("Query(%s): %v", q, err)
+			}
+			want := unfoldOracle(t, e.View(), doc, p)
+			assertSameNodes(t, fmt.Sprintf("seed %d height %d %s", seed, doc.Height(), q), got, want)
+		}
 	}
 }
 
 func TestEngineNonRecursiveIgnoresHeight(t *testing.T) {
 	e := nurseEngine(t, "6")
-	r1, _ := e.Rewriter(1)
-	r2, _ := e.Rewriter(100)
-	if r1 != r2 {
-		t.Errorf("non-recursive view built per-height rewriters")
+	p := xpath.MustParse("//patient/name")
+	p1, _ := e.Rewrite(p, 1)
+	p2, _ := e.Rewrite(p, 100)
+	if !xpath.Equal(p1, p2) {
+		t.Errorf("non-recursive view rewrote differently by height")
 	}
 }
 
@@ -191,10 +191,9 @@ func TestPreparedQueries(t *testing.T) {
 		if len(got) != len(want) {
 			t.Errorf("seed %d: prepared %d, direct %d", seed, len(got), len(want))
 		}
-		idx := xpath.NewIndex(doc)
-		gotIdx := q.EvalIndexed(idx)
-		if len(gotIdx) != len(want) {
-			t.Errorf("seed %d: indexed prepared %d, direct %d", seed, len(gotIdx), len(want))
+		gotCtx, err := q.EvalCtx(context.Background(), doc)
+		if err != nil || len(gotCtx) != len(want) {
+			t.Errorf("seed %d: prepared EvalCtx %d (%v), direct %d", seed, len(gotCtx), err, len(want))
 		}
 	}
 	if _, err := e.PrepareString("///"); err == nil {
@@ -203,21 +202,14 @@ func TestPreparedQueries(t *testing.T) {
 }
 
 func TestPrepareRecursiveView(t *testing.T) {
-	// Height-free mode (default) can prepare over a recursive view; the
-	// unfold oracle cannot — its plans depend on the document height.
+	// Height-free plans are valid for every document, so a recursive
+	// view prepares like a flat one.
 	e, err := New(dtds.Fig7Spec())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if _, err := e.PrepareString("//b"); err != nil {
 		t.Errorf("height-free Prepare: %v", err)
-	}
-	eo, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
-	if err != nil {
-		t.Fatalf("New(unfold): %v", err)
-	}
-	if _, err := eo.PrepareString("//b"); err == nil {
-		t.Errorf("unfold-oracle engine prepared a recursive view")
 	}
 }
 
@@ -248,7 +240,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentRecursive exercises the per-height rewriter cache
+// TestEngineConcurrentRecursive exercises recursive-view rewriting
 // under parallel access.
 func TestEngineConcurrentRecursive(t *testing.T) {
 	e, err := New(dtds.Fig7Spec())

@@ -29,7 +29,7 @@ func fig7Engine(t *testing.T) (*Engine, *xmltree.Document) {
 // TestExplainRecursive: an explain over the recursive Fig. 7 view must
 // report all three phases with measured (nonzero) durations, the
 // intermediate query strings, the eval mode, and the height-free rewrite
-// mode (with no unfold height) — even when the plan cache is already
+// mode — even when the plan cache is already
 // warm, because the explain path re-times rewrite and optimize from
 // scratch.
 func TestExplainRecursive(t *testing.T) {
@@ -50,14 +50,14 @@ func TestExplainRecursive(t *testing.T) {
 	if ex.Rewritten == "" || ex.Optimized == "" {
 		t.Errorf("intermediate queries missing: rewritten=%q optimized=%q", ex.Rewritten, ex.Optimized)
 	}
-	if ex.EvalMode != obs.ModeSequential {
-		t.Errorf("EvalMode = %q, want %q", ex.EvalMode, obs.ModeSequential)
+	if ex.EvalMode != obs.ModeEval {
+		t.Errorf("EvalMode = %q, want %q", ex.EvalMode, obs.ModeEval)
 	}
 	if !ex.RecursiveView {
 		t.Error("fig7 view not reported recursive")
 	}
-	if ex.DocHeight <= 0 || ex.UnfoldHeight != 0 {
-		t.Errorf("heights: doc=%d unfold=%d (height-free mode must not unfold)", ex.DocHeight, ex.UnfoldHeight)
+	if ex.DocHeight <= 0 {
+		t.Errorf("doc height = %d", ex.DocHeight)
 	}
 	if ex.RewriteMode != "height-free" {
 		t.Errorf("RewriteMode = %q, want height-free", ex.RewriteMode)
@@ -113,7 +113,7 @@ func TestQueryMetricsCarrier(t *testing.T) {
 	if qm.Rewrite <= 0 || qm.Optimize <= 0 || qm.Eval <= 0 {
 		t.Errorf("cold phases: rewrite=%v optimize=%v eval=%v", qm.Rewrite, qm.Optimize, qm.Eval)
 	}
-	if qm.EvalMode != obs.ModeSequential || qm.NodesVisited == 0 {
+	if qm.EvalMode != obs.ModeEval || qm.NodesVisited == 0 {
 		t.Errorf("eval accounting: mode=%q nodes=%d", qm.EvalMode, qm.NodesVisited)
 	}
 	if qm.Rewritten == "" || qm.Optimized == "" {

@@ -1,9 +1,9 @@
 package core
 
 // QueryMetrics surfacing suite: the per-request carrier contracts the
-// serving layer depends on. SetRepr on answer-cache hits must report
-// the representation the cached answer is stored in (the documented
-// ModeCached contract in internal/obs), and PlanText — the fingerprint
+// serving layer depends on. EvalMode tells an evaluator run from an
+// answer-cache hit (the documented ModeCached contract in internal/obs),
+// and PlanText — the fingerprint
 // basis for internal/qstats — must be set on every successful path:
 // plan-cache miss, plan-cache hit, and answer-cache hit.
 
@@ -26,56 +26,57 @@ func queryWithMetrics(t *testing.T, e *Engine, doc *xmltree.Document, q xpath.Pa
 	return qm
 }
 
-// TestCachedHitSetReprBitset: on a compacted document a cached answer
-// reports ReprBitset — the representation bitset evaluation stored it
-// in — not a stale or empty repr.
-func TestCachedHitSetReprBitset(t *testing.T) {
+// checkCachedHit: the first query runs the evaluator (ModeEval) and
+// its repeat is served by the answer cache (ModeCached, an "equal" hit)
+// with the same answer.
+func checkCachedHit(t *testing.T, doc *xmltree.Document) {
+	t.Helper()
 	on, _ := nurseEngines(t, "1")
-	doc := genHospital(7) // xmlgen compacts, so the bitset path applies
-	if !doc.Compacted() {
-		t.Fatal("generated document unexpectedly not compacted")
-	}
 	q := xpath.MustParse("//patient")
 
-	first := queryWithMetrics(t, on, doc, q)
-	if first.EvalMode == obs.ModeCached {
-		t.Fatalf("first query reported cached; cache should be cold")
+	qm := &obs.QueryMetrics{}
+	want, err := on.QueryCtx(obs.WithQueryMetrics(context.Background(), qm), doc, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if first.SetRepr != obs.ReprBitset {
-		t.Fatalf("first query repr = %q, want %q", first.SetRepr, obs.ReprBitset)
+	if qm.EvalMode != obs.ModeEval {
+		t.Fatalf("first query mode = %q, want %q on a cold cache", qm.EvalMode, obs.ModeEval)
+	}
+	if len(want) == 0 {
+		t.Fatal("first query returned no nodes; the check needs a non-empty answer")
 	}
 
-	second := queryWithMetrics(t, on, doc, q)
-	if second.EvalMode != obs.ModeCached || second.AnswerCacheHit != "equal" {
-		t.Fatalf("second query mode=%q hit=%q, want cached/equal", second.EvalMode, second.AnswerCacheHit)
+	qm = &obs.QueryMetrics{}
+	got, err := on.QueryCtx(obs.WithQueryMetrics(context.Background(), qm), doc, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if second.SetRepr != obs.ReprBitset {
-		t.Errorf("cached hit repr = %q, want %q", second.SetRepr, obs.ReprBitset)
+	if qm.EvalMode != obs.ModeCached || qm.AnswerCacheHit != "equal" {
+		t.Fatalf("second query mode=%q hit=%q, want cached/equal", qm.EvalMode, qm.AnswerCacheHit)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("cached answer has %d nodes, evaluated answer %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cached answer differs from the evaluated one at position %d", i)
+		}
 	}
 }
 
-// TestCachedHitSetReprSlice: same contract on an uncompacted document,
-// where both evaluation and the cached answer use the slice repr.
-func TestCachedHitSetReprSlice(t *testing.T) {
-	on, _ := nurseEngines(t, "1")
-	// Parse (like xmlgen) compacts; cloning the tree into a fresh
-	// document skips that, giving the slice-repr path.
-	reparsed := xmltree.NewDocument(genHospital(7).Root.Clone())
-	if reparsed.Compacted() {
-		t.Fatal("rebuilt document unexpectedly compacted")
-	}
-	q := xpath.MustParse("//patient")
+// TestCachedHitSetReprBitset: on a parsed (compacted) document the
+// first query is evaluated and its repeat is served from the answer
+// cache, which stores the answer as an ordinal bitset.
+func TestCachedHitSetReprBitset(t *testing.T) {
+	checkCachedHit(t, genHospital(7))
+}
 
-	if qm := queryWithMetrics(t, on, reparsed, q); qm.SetRepr != obs.ReprSlice {
-		t.Fatalf("first query repr = %q, want %q", qm.SetRepr, obs.ReprSlice)
-	}
-	second := queryWithMetrics(t, on, reparsed, q)
-	if second.EvalMode != obs.ModeCached {
-		t.Fatalf("second query mode = %q, want cached", second.EvalMode)
-	}
-	if second.SetRepr != obs.ReprSlice {
-		t.Errorf("cached hit repr = %q, want %q", second.SetRepr, obs.ReprSlice)
-	}
+// TestCachedHitSetReprSlice: the same contract on a renumbered clone
+// that was never compacted. There is no slice representation any more:
+// evaluation and answer storage depend only on the numbering, so the
+// uncompacted document takes the same path as the compacted one.
+func TestCachedHitSetReprSlice(t *testing.T) {
+	checkCachedHit(t, xmltree.NewDocument(genHospital(7).Root.Clone()))
 }
 
 // TestPlanTextSurfaced: PlanText carries the rendered optimized plan on

@@ -9,8 +9,9 @@ package core
 // as the hospital sweep pin the answer down: the materialized view
 // (definitional, any query) and the §6 naive annotation semantics
 // (sound here for descendant-axis queries; the generated DTDs also have
-// unique element labels). A third comparison runs the identical engine
-// configuration with the unfold oracle enabled, closing the loop with
+// unique element labels). A third comparison checks the engine against
+// the Section 4.2 unfold oracle — the view unfolded to the document's
+// height, evaluated by the reference evaluator — closing the loop with
 // the rewrite-level differential harness at the engine level.
 
 import (
@@ -20,9 +21,47 @@ import (
 
 	"repro/internal/dtds"
 	"repro/internal/naive"
+	"repro/internal/rewrite"
+	"repro/internal/secview"
 	"repro/internal/xmlgen"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
+
+// unfoldOracle answers p over doc the Section 4.2 way: rewrite through
+// the view unfolded to doc's height, then evaluate with the reference
+// evaluator. No engine, plan cache, optimizer or bitset evaluation is
+// involved, so it checks the height-free serving path end to end.
+func unfoldOracle(t *testing.T, view *secview.View, doc *xmltree.Document, p xpath.Path) []*xmltree.Node {
+	t.Helper()
+	r, err := rewrite.ForViewWithHeight(view, doc.Height())
+	if err != nil {
+		t.Fatalf("ForViewWithHeight(%d): %v", doc.Height(), err)
+	}
+	pt, err := r.Rewrite(p)
+	if err != nil {
+		t.Fatalf("unfold Rewrite(%s): %v", xpath.String(p), err)
+	}
+	out, err := xpath.EvalRef(pt, []*xmltree.Node{doc.Root})
+	if err != nil {
+		t.Fatalf("reference eval of %s: %v", xpath.String(pt), err)
+	}
+	return out
+}
+
+// assertSameNodes fails unless got and want are the same nodes in the
+// same order.
+func assertSameNodes(t *testing.T, label string, got, want []*xmltree.Node) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d nodes, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: node %d is %s, want %s", label, i, got[i].Path(), want[i].Path())
+		}
+	}
+}
 
 // deepViewQueries are posed over random recursive views for the
 // materialization baseline; n0..n2 and v0..v2 exist for every generated
@@ -50,7 +89,7 @@ var deepDescendantQueries = []string{
 // TestInvariantDeepRecursivePolicies sweeps randomized recursive
 // (DTD, policy) pairs on documents of height ≥ 20 and checks the
 // height-free engine against the materialized view, the naive
-// annotation baseline, and an unfold-oracle engine.
+// annotation baseline, and the unfold oracle.
 func TestInvariantDeepRecursivePolicies(t *testing.T) {
 	const trials = 60
 	tested, deep, derivationFailed, materializeFailed := 0, 0, 0, 0
@@ -69,12 +108,8 @@ func TestInvariantDeepRecursivePolicies(t *testing.T) {
 			derivationFailed++
 			continue
 		}
-		unfoldEngine, err := NewWithConfig(spec, Config{UnfoldRewrite: true})
-		if err != nil {
-			t.Fatalf("trial %d: unfold engine rejected a spec the height-free engine accepted: %v", trial, err)
-		}
-		if e.RewriteMode() == "unfold" || unfoldEngine.RewriteMode() == "flat" {
-			t.Fatalf("trial %d: engine modes inverted: %q / %q", trial, e.RewriteMode(), unfoldEngine.RewriteMode())
+		if e.RewriteMode() != "height-free" {
+			t.Fatalf("trial %d: recursive view rewrites %q, want height-free", trial, e.RewriteMode())
 		}
 		doc := xmlgen.Generate(spec.D, xmlgen.Config{
 			Seed: trial, MinRepeat: 1, MaxRepeat: 2, MaxDepth: 24, MaxNodes: 2500,
@@ -106,10 +141,7 @@ func TestInvariantDeepRecursivePolicies(t *testing.T) {
 		// (unfolding a // at height 20+ is the very blowup the default
 		// mode exists to avoid).
 		for _, q := range deepViewQueries {
-			want, err := unfoldEngine.QueryString(doc, q)
-			if err != nil {
-				t.Fatalf("trial %d (h=%d): unfold query %q: %v", trial, doc.Height(), q, err)
-			}
+			want := unfoldOracle(t, e.View(), doc, xpath.MustParse(q))
 			got, err := e.QueryString(doc, q)
 			if err != nil {
 				t.Fatalf("trial %d (h=%d): height-free query %q: %v", trial, doc.Height(), q, err)

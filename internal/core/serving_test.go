@@ -64,30 +64,26 @@ func TestPlanCacheHits(t *testing.T) {
 	}
 }
 
-// TestPlanCacheRecursiveHeightClasses: the unfold oracle caches one plan
-// per (query, document height); height-free mode collapses all heights
-// into one entry per query.
+// TestPlanCacheRecursiveHeightClasses: documents of two heights share
+// the one cached height-free plan, and on each the answers equal the
+// Section 4.2 oracle's — the view unfolded to that height, evaluated by
+// the reference evaluator.
 func TestPlanCacheRecursiveHeightClasses(t *testing.T) {
-	e, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
+	e, err := New(dtds.Fig7Spec())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	d3, d5 := fig7Doc(1), fig7Doc(2)
+	p := xpath.MustParse("//b")
 	for _, doc := range []*xmltree.Document{d3, d5, d3, d5} {
-		if _, err := e.QueryString(doc, "//b"); err != nil {
-			t.Fatalf("QueryString: %v", err)
+		got, err := e.Query(doc, p)
+		if err != nil {
+			t.Fatalf("Query: %v", err)
 		}
+		assertSameNodes(t, fmt.Sprintf("//b at height %d", doc.Height()), got, unfoldOracle(t, e.View(), doc, p))
 	}
-	s := e.Stats()
-	if s.PlanCache.Entries != 2 {
-		t.Errorf("entries = %d, want 2 (one per height class)", s.PlanCache.Entries)
-	}
-	if s.PlanCache.Hits != 2 || s.PlanCache.Misses != 2 {
-		t.Errorf("hits/misses = %d/%d, want 2/2", s.PlanCache.Hits, s.PlanCache.Misses)
-	}
-	if s.PlanCacheQueries != 1 || s.PlanCacheHeightClasses != 2 {
-		t.Errorf("breakdown = %d queries / %d classes, want 1/2",
-			s.PlanCacheQueries, s.PlanCacheHeightClasses)
+	if s := e.Stats(); s.PlanCache.Entries != 1 || s.PlanCache.Misses != 1 {
+		t.Errorf("plan cache = %+v, want one entry built once for both heights", s.PlanCache)
 	}
 	// The recursive answers must still be right: every b is visible.
 	got, err := e.QueryString(d5, "//b")
@@ -119,10 +115,6 @@ func TestPlanCacheHeightFreeCollapsesClasses(t *testing.T) {
 	if s.PlanCache.Hits != 3 || s.PlanCache.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 3/1", s.PlanCache.Hits, s.PlanCache.Misses)
 	}
-	if s.PlanCacheQueries != 1 || s.PlanCacheHeightClasses != 1 {
-		t.Errorf("breakdown = %d queries / %d classes, want 1/1",
-			s.PlanCacheQueries, s.PlanCacheHeightClasses)
-	}
 	got, err := e.QueryString(d5, "//b")
 	if err != nil {
 		t.Fatalf("QueryString: %v", err)
@@ -133,28 +125,29 @@ func TestPlanCacheHeightFreeCollapsesClasses(t *testing.T) {
 }
 
 // TestByHeightCapRegression: adversarial clients submitting documents
-// of many distinct heights must not grow the per-height rewriter map
-// without bound.
+// of many distinct heights must not grow serving memory: every height
+// shares one plan per query, and the answers match the unfold oracle.
 func TestByHeightCapRegression(t *testing.T) {
-	e, err := NewWithConfig(dtds.Fig7Spec(), Config{HeightCacheCapacity: 4, UnfoldRewrite: true})
+	e, err := New(dtds.Fig7Spec())
 	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
+		t.Fatalf("New: %v", err)
 	}
+	p := xpath.MustParse("//b")
 	for h := 2; h < 40; h++ {
-		if _, err := e.Rewriter(h); err != nil {
-			t.Fatalf("Rewriter(%d): %v", h, err)
+		doc := fig7Doc(h)
+		got, err := e.Query(doc, p)
+		if err != nil {
+			t.Fatalf("Query at depth %d: %v", h, err)
+		}
+		if len(got) != h+1 {
+			t.Fatalf("//b at depth %d = %d nodes, want %d", h, len(got), h+1)
+		}
+		if h <= 8 {
+			assertSameNodes(t, fmt.Sprintf("//b at depth %d", h), got, unfoldOracle(t, e.View(), doc, p))
 		}
 	}
-	s := e.Stats()
-	if s.HeightCache.Entries > 4 {
-		t.Errorf("height cache grew to %d entries, cap 4", s.HeightCache.Entries)
-	}
-	if s.HeightCache.Evictions == 0 {
-		t.Errorf("no evictions recorded despite 38 distinct heights")
-	}
-	// The cap must not change answers: re-request an evicted height.
-	if _, err := e.Rewriter(2); err != nil {
-		t.Errorf("Rewriter(2) after eviction: %v", err)
+	if s := e.Stats(); s.PlanCache.Entries != 1 || s.PlanCacheNodes == 0 {
+		t.Errorf("plan cache grew with document height: %+v (%d plan nodes)", s.PlanCache, s.PlanCacheNodes)
 	}
 }
 
@@ -176,59 +169,20 @@ func TestQueryUnboundVarReturnsError(t *testing.T) {
 	}
 }
 
-// TestParallelEngineMatchesSequential: a Parallel engine returns the
-// same answers as the default one.
-func TestParallelEngineMatchesSequential(t *testing.T) {
-	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	seqE, err := New(spec)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	parE, err := NewWithConfig(spec, Config{
-		Parallel:       true,
-		ParallelConfig: xpath.ParallelConfig{Workers: 4, Threshold: -1},
-	})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
-	doc := dtds.GenerateHospital(17, 6)
-	for _, q := range []string{"//patient/name", "//bill", "dept/staffInfo/staff/*", "//patient[wardNo]/name"} {
-		want, err := seqE.QueryString(doc, q)
-		if err != nil {
-			t.Fatalf("sequential %q: %v", q, err)
-		}
-		got, err := parE.QueryString(doc, q)
-		if err != nil {
-			t.Fatalf("parallel %q: %v", q, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: parallel %d nodes, sequential %d", q, len(got), len(want))
-		}
-	}
-	s := parE.Stats()
-	if s.ParallelEvals == 0 {
-		t.Errorf("parallel engine recorded no parallel evals: %+v", s)
-	}
-	if s := seqE.Stats(); s.SequentialEvals == 0 {
-		t.Errorf("sequential engine recorded no sequential evals")
-	}
-}
-
 // TestConcurrentQueriesFlatAndRecursive: satellite coverage — parallel
 // Query/Prepare from many goroutines under -race, on both view shapes.
 func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 	flat := nurseEngine(t, "1")
 	flatDoc := dtds.GenerateHospital(7, 4)
-	// Unfold-oracle mode so the per-height rewriter cache is exercised
-	// under concurrency too (height-free mode never touches it).
-	rec, err := NewWithConfig(dtds.Fig7Spec(), Config{UnfoldRewrite: true})
+	rec, err := New(dtds.Fig7Spec())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	recDocs := []*xmltree.Document{fig7Doc(1), fig7Doc(2), fig7Doc(3)}
+	recWant := make([][]*xmltree.Node, len(recDocs))
+	for i, doc := range recDocs {
+		recWant[i] = unfoldOracle(t, rec.View(), doc, xpath.MustParse("//b"))
+	}
 	queries := []string{"//patient/name", "//bill", "dept/staffInfo/staff/*"}
 
 	var wg sync.WaitGroup
@@ -246,8 +200,14 @@ func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 					t.Errorf("prepare %q: %v", q, err)
 					return
 				}
-				if _, err := rec.QueryString(recDocs[(g+i)%len(recDocs)], "//b"); err != nil {
+				d := (g + i) % len(recDocs)
+				got, err := rec.QueryString(recDocs[d], "//b")
+				if err != nil {
 					t.Errorf("recursive //b: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(got, recWant[d]) {
+					t.Errorf("recursive //b on doc %d: %d nodes, unfold oracle %d", d, len(got), len(recWant[d]))
 					return
 				}
 			}
@@ -258,9 +218,6 @@ func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 	fs, rs := flat.Stats(), rec.Stats()
 	if fs.PlanCache.Hits == 0 || rs.PlanCache.Hits == 0 {
 		t.Errorf("no plan-cache hits under concurrency: flat %+v recursive %+v", fs.PlanCache, rs.PlanCache)
-	}
-	if rs.HeightCache.Entries == 0 {
-		t.Errorf("recursive engine cached no rewriters")
 	}
 }
 
@@ -287,69 +244,46 @@ func TestPrepareServedFromPlanCache(t *testing.T) {
 	}
 }
 
-// TestIndexedEngineMatchesSequential: the tentpole serving contract —
-// an engine with the structural index enabled answers descendant
-// queries from posting lists, matches the sequential evaluator node
-// for node, and reports the mode through Explain and Stats.
+// TestIndexedEngineMatchesSequential: the serving contract — engine
+// answers, which descendant steps take from the document's label index,
+// match the sequential reference evaluator node for node on the same
+// plan, and every engine reads the document's one label index.
 func TestIndexedEngineMatchesSequential(t *testing.T) {
-	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	seqE, err := New(spec)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	idxE, err := NewWithConfig(spec, Config{Indexed: true, IndexThreshold: -1})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
+	e := nurseEngine(t, "1")
 	doc := dtds.GenerateHospital(17, 6)
 	for _, q := range []string{
 		"//patient/name",
 		"//dept//treatment//bill",
 		"//bill",
 		"//patient[wardNo]/name",
-		"dept/staffInfo/staff/*", // no // step: falls back to sequential
+		"dept/staffInfo/staff/*",
 	} {
-		want, err := seqE.QueryString(doc, q)
+		got, err := e.QueryString(doc, q)
 		if err != nil {
-			t.Fatalf("sequential %q: %v", q, err)
+			t.Fatalf("%q: %v", q, err)
 		}
-		got, err := idxE.QueryString(doc, q)
+		prep, err := e.PrepareString(q)
 		if err != nil {
-			t.Fatalf("indexed %q: %v", q, err)
+			t.Fatalf("PrepareString(%q): %v", q, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: indexed %d nodes, sequential %d", q, len(got), len(want))
+		want, err := xpath.EvalRef(prep.Optimized, []*xmltree.Node{doc.Root})
+		if err != nil {
+			t.Fatalf("reference %q: %v", q, err)
 		}
+		assertSameNodes(t, q, got, want)
 	}
-	s := idxE.Stats()
-	if s.IndexedEvals == 0 {
-		t.Errorf("indexed engine recorded no indexed evals: %+v", s)
-	}
-	if s.SequentialEvals == 0 {
-		t.Errorf("descendant-free query should have fallen back to sequential: %+v", s)
+	if s := e.Stats(); s.Evals != 5 {
+		t.Errorf("evals = %d, want 5: %+v", s.Evals, s)
 	}
 	// Every engine reads the document's own label index: another
 	// binding's engine finds the same posting lists, not a copy, and
 	// its queries do not rebuild them.
 	posting := &doc.Labeled("patient")[0]
-	spec2, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "2"})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	idxE2, err := NewWithConfig(spec2, Config{Indexed: true, IndexThreshold: -1})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
-	if _, err := idxE2.QueryString(doc, "//dept//treatment//bill"); err != nil {
+	e2 := nurseEngine(t, "2")
+	if _, err := e2.QueryString(doc, "//dept//treatment//bill"); err != nil {
 		t.Fatalf("second binding: %v", err)
 	}
-	if idxE2.Stats().IndexedEvals == 0 {
-		t.Errorf("second engine recorded no indexed evals")
-	}
-	if &xpath.NewIndex(doc).Labeled("patient")[0] != posting {
+	if &doc.Labeled("patient")[0] != posting {
 		t.Errorf("second engine rebuilt or copied the document's label index")
 	}
 }
@@ -357,7 +291,7 @@ func TestIndexedEngineMatchesSequential(t *testing.T) {
 // TestSharedLabelIndexConcurrentFirstUse: many engines of several
 // bindings issue their first descendant queries at once on a fresh
 // document. The document builds its label index once under the race,
-// and every answer matches the sequential evaluator's.
+// and every answer matches the reference evaluator's.
 func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
 	doc := dtds.GenerateHospital(23, 6)
 	queries := []string{"//dept//treatment//bill", "//patient/name", "//bill"}
@@ -374,18 +308,22 @@ func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		for _, q := range queries {
-			out, err := seqE.QueryString(doc, q)
+			prep, err := seqE.PrepareString(q)
 			if err != nil {
-				t.Fatalf("sequential %q: %v", q, err)
+				t.Fatalf("PrepareString(%q): %v", q, err)
+			}
+			out, err := xpath.EvalRef(prep.Optimized, []*xmltree.Node{doc.Root})
+			if err != nil {
+				t.Fatalf("reference %q: %v", q, err)
 			}
 			expected[want{w, q}] = out
 		}
 	}
-	// Sequential engines never touch the label index: it is still
-	// unbuilt when the indexed engines below race to their first use.
+	// The reference evaluator never touches the label index: it is still
+	// unbuilt when the engines below race to their first use.
 
 	const perBinding = 8
-	postings := make(chan **xmltree.Node, perBinding*len(wards))
+	postings := make(chan *int32, perBinding*len(wards))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for _, w := range wards {
@@ -394,9 +332,9 @@ func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("Bind: %v", err)
 		}
 		for g := 0; g < perBinding; g++ {
-			e, err := NewWithConfig(spec, Config{Indexed: true, IndexThreshold: -1})
+			e, err := New(spec)
 			if err != nil {
-				t.Fatalf("NewWithConfig: %v", err)
+				t.Fatalf("New: %v", err)
 			}
 			wg.Add(1)
 			go func(w string, e *Engine) {
@@ -409,11 +347,8 @@ func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
 						return
 					}
 					if !reflect.DeepEqual(got, expected[want{w, q}]) {
-						t.Errorf("ward %s %q: indexed %d nodes, sequential %d", w, q, len(got), len(expected[want{w, q}]))
+						t.Errorf("ward %s %q: served %d nodes, reference %d", w, q, len(got), len(expected[want{w, q}]))
 					}
-				}
-				if e.Stats().IndexedEvals == 0 {
-					t.Errorf("ward %s: no indexed evals", w)
 				}
 				postings <- &doc.Labeled("patient")[0]
 			}(w, e)
@@ -430,18 +365,11 @@ func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestExplainReportsIndexedMode: /explainz's EvalMode shows what the
-// evaluator actually did, including the indexed mode and its
-// nodes-visited counter.
-func TestExplainReportsIndexedMode(t *testing.T) {
-	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	e, err := NewWithConfig(spec, Config{Indexed: true, IndexThreshold: -1})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
+// TestExplainReportsEvalMode: /explainz's EvalMode and nodes-visited
+// counter describe the evaluator run, here a descendant query the label
+// index serves.
+func TestExplainReportsEvalMode(t *testing.T) {
+	e := nurseEngine(t, "1")
 	doc := dtds.GenerateHospital(3, 4)
 	p, err := xpath.Parse("//dept//treatment//bill")
 	if err != nil {
@@ -451,22 +379,10 @@ func TestExplainReportsIndexedMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExplainCtx: %v", err)
 	}
-	if ex.EvalMode != obs.ModeIndexed {
-		t.Errorf("EvalMode = %q, want %q", ex.EvalMode, obs.ModeIndexed)
+	if ex.EvalMode != obs.ModeEval {
+		t.Errorf("EvalMode = %q, want %q", ex.EvalMode, obs.ModeEval)
 	}
 	if ex.NodesVisited == 0 {
-		t.Errorf("indexed explain reported zero nodes visited")
-	}
-	// A small document under the default threshold stays sequential.
-	small, err := NewWithConfig(spec, Config{Indexed: true})
-	if err != nil {
-		t.Fatalf("NewWithConfig: %v", err)
-	}
-	ex2, err := small.ExplainCtx(context.Background(), doc, p)
-	if err != nil {
-		t.Fatalf("ExplainCtx: %v", err)
-	}
-	if doc.Size() < DefaultIndexThreshold && ex2.EvalMode != obs.ModeSequential {
-		t.Errorf("below-threshold EvalMode = %q, want %q", ex2.EvalMode, obs.ModeSequential)
+		t.Errorf("explain reported zero nodes visited")
 	}
 }

@@ -132,8 +132,9 @@ func HospitalLargeMix() Mix {
 }
 
 // ForumMix is the recursive-view mix (the forum scenario's guest class
-// over a recursive thread DTD): rewriting goes through §4.2 unfolding,
-// which is the expensive rewriting tail a load mix must include.
+// over a recursive thread DTD): rewriting emits height-free Rec
+// automata, the expensive rewriting and evaluation tail a load mix must
+// include.
 func ForumMix(class string) Mix {
 	return Mix{
 		Entry{Name: "cheap-author", Weight: 4, Class: class, Query: "//post/author"},
@@ -144,7 +145,7 @@ func ForumMix(class string) Mix {
 
 // Fig7Mix is the paper's Fig. 7 recursive view (svserve -builtin fig7,
 // class "user"): the view DTD itself is recursive (a -> b, a*), so
-// every // step rewrites through the unfolded closure.
+// every // step rewrites into a height-free Rec automaton.
 func Fig7Mix() Mix {
 	return Mix{
 		Entry{Name: "cheap-b", Weight: 4, Class: "user", Query: "//b"},

@@ -1,7 +1,6 @@
 // Package nodeset provides the ordinal node-set representation the
-// evaluation stack uses as its internal currency on compacted
-// documents: a word-packed bitset over the arena's preorder ordinal
-// space. Document.Renumber assigns every node a dense preorder ordinal,
+// evaluator uses as its internal currency: a word-packed bitset over a
+// document's preorder ordinal space. Document.Renumber assigns every node a dense preorder ordinal,
 // so a set of nodes is a set of small integers, and the set algebra the
 // rewritten plans spend their time in collapses to word operations —
 // union is word-wise OR, intersection is AND, deduplication is free

@@ -5,22 +5,12 @@ import (
 	"time"
 )
 
-// Eval modes reported by the evaluator layer. ModeCached means the
-// answer came from the semantic answer cache and no evaluator ran at
-// all (see internal/anscache).
+// Eval modes reported by the pipeline: ModeEval when the evaluator
+// ran, ModeCached when the answer came from the semantic answer cache
+// and no evaluator ran at all (see internal/anscache).
 const (
-	ModeSequential = "sequential"
-	ModeParallel   = "parallel"
-	ModeIndexed    = "indexed"
-	ModeCached     = "cached"
-)
-
-// Set representations reported by the evaluator layer: ReprBitset when
-// the document is compacted and node sets evaluate as ordinal bitsets
-// (see internal/nodeset), ReprSlice for the pointer-slice path.
-const (
-	ReprBitset = "bitset"
-	ReprSlice  = "slice"
+	ModeEval   = "eval"
+	ModeCached = "cached"
 )
 
 // QueryMetrics is the always-on per-request accounting the pipeline
@@ -43,7 +33,7 @@ type QueryMetrics struct {
 	Optimize time.Duration
 	Eval     time.Duration
 
-	// PlanCacheHit reports whether the (query, height class) plan was
+	// PlanCacheHit reports whether the query's plan was
 	// served from the engine's cache; EngineCacheHit whether the policy
 	// layer found the class's engine already derived for the binding.
 	PlanCacheHit   bool
@@ -53,34 +43,16 @@ type QueryMetrics struct {
 	// empty when the cache is off.
 	AnswerCacheHit string
 
-	// EvalMode is ModeSequential, ModeParallel, or ModeIndexed — what
-	// the evaluator actually did, not what was configured (a
-	// parallel-configured engine still runs small inputs sequentially;
-	// an indexed-configured one walks small documents and
-	// child-axis-only queries).
+	// EvalMode is ModeEval or ModeCached.
 	EvalMode string
-	// SetRepr is the node-set representation evaluation used: ReprBitset
-	// on compacted documents (ordinal bitsets, pooled scratch) or
-	// ReprSlice otherwise. For cached answers it reports the
-	// representation the answer is stored in.
-	SetRepr string
-	// NodesVisited counts the sequential or indexed evaluator's
-	// cooperation ticks (one per path step plus one per node in the hot
-	// loops) — a work-done proxy. Zero for parallel evaluations, which
-	// report UnionForks/Partitions instead.
+	// NodesVisited counts the evaluator's cooperation ticks (one per
+	// path step plus one per node in the hot loops) — a work-done proxy.
 	NodesVisited uint64
-	// UnionForks and Partitions are the parallel evaluator's fan-outs
-	// for this request alone.
-	UnionForks uint64
-	Partitions uint64
 
 	// RewrittenSize and OptimizedSize are AST sizes of the intermediate
 	// queries (xpath.Size), recorded on plan build and on explain.
 	RewrittenSize int
 	OptimizedSize int
-	// UnfoldHeight is the document height a recursive view was unfolded
-	// to (0 for non-recursive views).
-	UnfoldHeight int
 
 	// PlanText is the optimized-plan text of the plan that served the
 	// request — the normalization the answer cache keys on, and (paired

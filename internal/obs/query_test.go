@@ -27,7 +27,7 @@ func TestWithQueryMetricsNilCarrier(t *testing.T) {
 }
 
 func TestQueryMetricsRoundTrip(t *testing.T) {
-	qm := &QueryMetrics{EvalMode: ModeSequential}
+	qm := &QueryMetrics{EvalMode: ModeEval}
 	ctx := WithQueryMetrics(context.Background(), qm)
 	if got := QueryMetricsFromContext(ctx); got != qm {
 		t.Errorf("round trip returned %p, want %p", got, qm)

@@ -1,9 +1,8 @@
 // Package plancache provides a size-bounded, mutex-sharded LRU cache
 // for the query-serving layer: rewritten-and-optimized query plans
-// (core.Prepared), per-height rewriters for recursive views, and derived
-// enforcement engines are all expensive artifacts keyed by small strings,
-// and the paper's Fig. 3 pipeline recomputes them per request unless
-// something holds on to them. A Cache keeps the hot entries, evicts in
+// (core.Prepared) and derived enforcement engines are both expensive
+// artifacts keyed by small strings, and the paper's Fig. 3 pipeline
+// recomputes them per request unless something holds on to them. A Cache keeps the hot entries, evicts in
 // least-recently-used order, and is safe for concurrent use; sharding
 // keeps lock contention low when many goroutines serve queries at once.
 package plancache

@@ -71,7 +71,7 @@ func NewRegistry(d *dtd.DTD) *Registry {
 // NewRegistryWithConfig is NewRegistry with serving-layer tuning:
 // engineCap bounds each class's engine cache (0 means
 // DefaultEngineCacheCapacity) and engineCfg is handed to every derived
-// engine (plan-cache sizes, parallel evaluation).
+// engine (plan-cache size, answer cache).
 func NewRegistryWithConfig(d *dtd.DTD, engineCap int, engineCfg core.Config) *Registry {
 	if engineCap <= 0 {
 		engineCap = DefaultEngineCacheCapacity
@@ -204,8 +204,8 @@ type BindingStats struct {
 	// Binding is the canonical parameter binding ("" for parameterless
 	// classes, "wardNo=6;" style otherwise).
 	Binding string `json:"binding"`
-	// RewriteMode is the engine's rewriting strategy ("flat",
-	// "height-free", or "unfold"; see core.Engine.RewriteMode).
+	// RewriteMode is the engine's rewriting strategy ("flat" or
+	// "height-free"; see core.Engine.RewriteMode).
 	RewriteMode string     `json:"rewrite_mode"`
 	Engine      core.Stats `json:"engine"`
 }

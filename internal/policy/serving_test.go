@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtds"
+	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // TestEngineCacheBounded: adversarial parameter bindings (a fresh
@@ -112,29 +114,34 @@ func TestRegistryEngineConfigPropagates(t *testing.T) {
 	}
 }
 
-// TestRegistryIndexedModePropagates: the Indexed engine config reaches
-// class engines through the registry, and descendant-class queries over
-// a large document are answered by the index-backed evaluator with the
-// same result set.
-func TestRegistryIndexedModePropagates(t *testing.T) {
-	plain := hospitalRegistry(t)
-	idx := NewRegistryWithConfig(dtds.Hospital(), 0, core.Config{Indexed: true, IndexThreshold: -1})
-	if _, err := idx.Define("nurse", dtds.NurseSpecSource); err != nil {
-		t.Fatalf("Define: %v", err)
-	}
+// TestRegistryEnginesShareLabelIndex: class engines answer
+// descendant-class queries over a large document exactly as the
+// reference evaluator does on their plans, and every binding's engine
+// reads the document's one label index.
+func TestRegistryEnginesShareLabelIndex(t *testing.T) {
+	r := hospitalRegistry(t)
 	doc := dtds.GenerateHospital(11, 5)
 	params := map[string]string{"wardNo": "1"}
+	c, _ := r.Class("nurse")
+	e, err := c.Engine(params)
+	if err != nil {
+		t.Fatalf("Engine: %v", err)
+	}
 	for _, q := range []string{"//patient/name", "//dept//treatment//bill"} {
-		want, err := plain.QueryCtx(context.Background(), "nurse", params, doc, q)
+		got, err := r.QueryCtx(context.Background(), "nurse", params, doc, q)
 		if err != nil {
-			t.Fatalf("plain %q: %v", q, err)
+			t.Fatalf("%q: %v", q, err)
 		}
-		got, err := idx.QueryCtx(context.Background(), "nurse", params, doc, q)
+		prep, err := e.PrepareString(q)
 		if err != nil {
-			t.Fatalf("indexed %q: %v", q, err)
+			t.Fatalf("PrepareString(%q): %v", q, err)
+		}
+		want, err := xpath.EvalRef(prep.Optimized, []*xmltree.Node{doc.Root})
+		if err != nil {
+			t.Fatalf("reference %q: %v", q, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%q: indexed %d nodes, plain %d", q, len(got), len(want))
+			t.Fatalf("%q: served %d nodes, reference %d", q, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -142,20 +149,14 @@ func TestRegistryIndexedModePropagates(t *testing.T) {
 			}
 		}
 	}
-	c, _ := idx.Class("nurse")
-	e, err := c.Engine(params)
-	if err != nil {
-		t.Fatalf("Engine: %v", err)
-	}
-	s := e.Stats()
-	if s.IndexedEvals == 0 {
-		t.Errorf("registry engine recorded no indexed evals: %+v", s)
+	if s := e.Stats(); s.Evals == 0 {
+		t.Errorf("registry engine recorded no evals: %+v", s)
 	}
 	// Another binding's engine answers from the same posting lists the
 	// first engine used: the document owns one label index.
 	posting := &doc.Labeled("patient")[0]
 	other := map[string]string{"wardNo": "2"}
-	if _, err := idx.QueryCtx(context.Background(), "nurse", other, doc, "//dept//treatment//bill"); err != nil {
+	if _, err := r.QueryCtx(context.Background(), "nurse", other, doc, "//dept//treatment//bill"); err != nil {
 		t.Fatalf("second binding: %v", err)
 	}
 	if &doc.Labeled("patient")[0] != posting {

@@ -78,10 +78,9 @@ type Observation struct {
 	// AnswerCacheOutcome is the anscache outcome string ("equal",
 	// "containment", "miss") or empty when the cache is off.
 	AnswerCacheOutcome string
-	// EvalMode and SetRepr label what the evaluator actually did
-	// (obs.Mode*/Repr* values); empty strings are not tallied.
+	// EvalMode labels whether the evaluator ran (obs.Mode* values);
+	// empty strings are not tallied.
 	EvalMode string
-	SetRepr  string
 
 	NodesVisited uint64
 	ResultCount  int
@@ -108,7 +107,6 @@ type entry struct {
 	ansContain  uint64
 	ansMiss     uint64
 	modes       map[string]uint64
-	reprs       map[string]uint64
 	nodes       uint64
 	resultNodes uint64
 	lastSeenNs  int64 // unix nanoseconds
@@ -212,8 +210,7 @@ func (r *Registry) Observe(class, plan, query string, o Observation) {
 			plan:  plan,
 			query: clip(query),
 			hash:  h,
-			modes: make(map[string]uint64, 4),
-			reprs: make(map[string]uint64, 2),
+			modes: make(map[string]uint64, 2),
 		}
 		if len(sh.entries) >= sh.cap {
 			// Space-saving replacement: evict the minimum-count row and
@@ -246,9 +243,6 @@ func (r *Registry) Observe(class, plan, query string, o Observation) {
 	}
 	if o.EvalMode != "" {
 		e.modes[o.EvalMode]++
-	}
-	if o.SetRepr != "" {
-		e.reprs[o.SetRepr]++
 	}
 	e.nodes += o.NodesVisited
 	if o.ResultCount > 0 {
@@ -287,7 +281,6 @@ type FingerprintStats struct {
 	AnsCacheMissRate float64 `json:"anscache_miss_rate,omitempty"`
 
 	EvalModes map[string]uint64 `json:"eval_modes,omitempty"`
-	SetReprs  map[string]uint64 `json:"set_reprs,omitempty"`
 
 	NodesVisited uint64 `json:"nodes_visited"`
 	ResultNodes  uint64 `json:"result_nodes"`
@@ -344,12 +337,6 @@ func (e *entry) stats() FingerprintStats {
 		fs.EvalModes = make(map[string]uint64, len(e.modes))
 		for k, v := range e.modes {
 			fs.EvalModes[k] = v
-		}
-	}
-	if len(e.reprs) > 0 {
-		fs.SetReprs = make(map[string]uint64, len(e.reprs))
-		for k, v := range e.reprs {
-			fs.SetReprs[k] = v
 		}
 	}
 	return fs

@@ -11,8 +11,7 @@ func obsWith(eval time.Duration) Observation {
 	return Observation{
 		Total:        eval + time.Millisecond,
 		Eval:         eval,
-		EvalMode:     "sequential",
-		SetRepr:      "bitset",
+		EvalMode:     "eval",
 		NodesVisited: 10,
 		ResultCount:  3,
 	}
@@ -40,8 +39,8 @@ func TestObserveAccumulates(t *testing.T) {
 	if fs.AnsCacheMisses != 5 || fs.AnsCacheMissRate != 1 {
 		t.Errorf("anscache misses = %d rate %g, want 5 rate 1", fs.AnsCacheMisses, fs.AnsCacheMissRate)
 	}
-	if fs.EvalModes["sequential"] != 5 || fs.SetReprs["bitset"] != 5 {
-		t.Errorf("mode/repr tallies = %v / %v", fs.EvalModes, fs.SetReprs)
+	if fs.EvalModes["eval"] != 5 {
+		t.Errorf("mode tallies = %v", fs.EvalModes)
 	}
 	if fs.NodesVisited != 50 || fs.ResultNodes != 15 {
 		t.Errorf("nodes = %d results = %d, want 50/15", fs.NodesVisited, fs.ResultNodes)

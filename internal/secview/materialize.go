@@ -104,7 +104,7 @@ func (e *expander) expand(vn, dn *xmltree.Node) error {
 		return nil
 	case dtd.Text:
 		p := e.v.MustSigma(a, dtd.TextLabel)
-		res := accessible(xpath.Eval(p, dn), e.acc)
+		res := accessible(evalSigma(p, dn), e.acc)
 		if len(res) != 1 || res[0].Kind != xmltree.TextNode {
 			if e.lenient {
 				return nil
@@ -189,11 +189,23 @@ func (e *expander) expandStarred(vn, dn *xmltree.Node, child string) error {
 // extract evaluates σ(parent, child) at the document context and filters
 // by accessibility (dummies exempt, see Materialize).
 func (e *expander) extract(parent, child string, dn *xmltree.Node) []*xmltree.Node {
-	res := xpath.Eval(e.v.MustSigma(parent, child), dn)
+	res := evalSigma(e.v.MustSigma(parent, child), dn)
 	if e.v.IsDummy(child) {
 		return res
 	}
 	return accessible(res, e.acc)
+}
+
+// evalSigma evaluates a σ path at one document node with the reference
+// evaluator: the materialized view is the definition served answers are
+// checked against, so it must not share the evaluator that serves them.
+// σ paths of a bound view have no variables, so an error is a bug.
+func evalSigma(p xpath.Path, dn *xmltree.Node) []*xmltree.Node {
+	res, err := xpath.EvalRef(p, []*xmltree.Node{dn})
+	if err != nil {
+		panic("secview: " + err.Error())
+	}
+	return res
 }
 
 // attach creates the view child for an extracted document node and

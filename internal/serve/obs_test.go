@@ -82,13 +82,12 @@ func TestMetricszExposition(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("plan-cache misses = %d, want 1 (one distinct query)", misses)
 	}
-	// The test document comes from xmlgen, so it is compacted and every
-	// sequential eval runs on the ordinal bitset representation.
-	if got := metricValue(t, body, `sv_eval_total{mode="sequential",repr="bitset"}`); got != pipeline {
-		t.Errorf("sequential bitset evals = %d, want %d", got, pipeline)
+	// With the answer cache off every pipeline runs the evaluator.
+	if got := metricValue(t, body, `sv_eval_total{mode="eval"}`); got != pipeline {
+		t.Errorf("evals = %d, want %d", got, pipeline)
 	}
-	if got := metricValue(t, body, `sv_eval_total{mode="sequential",repr="slice"}`); got != 0 {
-		t.Errorf("sequential slice evals = %d, want 0 on a compacted document", got)
+	if got := metricValue(t, body, `sv_eval_total{mode="cached"}`); got != 0 {
+		t.Errorf("cached evals = %d, want 0 with the answer cache off", got)
 	}
 	if got := metricValue(t, body, "sv_request_duration_seconds_count"); got != n {
 		t.Errorf("request histogram count = %d, want %d (admitted requests only)", got, n)
@@ -112,11 +111,8 @@ func TestStatszPipelineSection(t *testing.T) {
 	if p.PlanCacheHits != 2 || p.PlanCacheMisses != 1 {
 		t.Errorf("plan cache = %d hits / %d misses, want 2/1", p.PlanCacheHits, p.PlanCacheMisses)
 	}
-	if p.SequentialEvals != 3 || p.ParallelEvals != 0 {
-		t.Errorf("eval modes = %d seq / %d par", p.SequentialEvals, p.ParallelEvals)
-	}
-	if p.BitsetEvals != 3 || p.SliceEvals != 0 {
-		t.Errorf("eval reprs = %d bitset / %d slice, want 3/0 on a compacted document", p.BitsetEvals, p.SliceEvals)
+	if p.Evals != 3 || p.CachedEvals != 0 {
+		t.Errorf("evals = %d, cached = %d, want 3/0", p.Evals, p.CachedEvals)
 	}
 	for _, phase := range []string{"rewrite", "optimize", "eval"} {
 		lat, ok := p.Phases[phase]
@@ -354,7 +350,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("slow-query lines = %d, want 1: %q", len(got), got)
 	}
-	for _, want := range []string{"slow query", "class=nurse", "rewrite=", "optimize=", "eval=", "mode=sequential", "status=200"} {
+	for _, want := range []string{"slow query", "class=nurse", "rewrite=", "optimize=", "eval=", "mode=eval", "status=200"} {
 		if !strings.Contains(got[0], want) {
 			t.Errorf("slow-query line missing %q: %s", want, got[0])
 		}

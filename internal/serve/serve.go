@@ -185,11 +185,11 @@ type Server struct {
 	planMisses   atomic.Uint64
 	engineHits   atomic.Uint64
 	engineMisses atomic.Uint64
-	// evalCounts is the completed-pipeline eval matrix, indexed
-	// [mode][repr] per evalModes/evalReprs — every sv_eval_total series
-	// carries both the eval mode and the node-set representation, and
-	// the /statsz per-mode counters are row sums of the same atomics.
-	evalCounts  [len(evalModes)][len(evalReprs)]atomic.Uint64
+	// evals and cachedEvals split completed pipelines by whether the
+	// evaluator ran or the answer cache served them: sv_eval_total's
+	// two modes and the /statsz evals/cached_evals counters.
+	evals       atomic.Uint64
+	cachedEvals atomic.Uint64
 	slowQueries atomic.Uint64
 	explains    atomic.Uint64
 
@@ -274,13 +274,9 @@ func (s *Server) registerMetrics() {
 	const engineHelp = "Per-binding engine-cache outcomes for completed pipelines."
 	m.CounterFunc("sv_engine_cache_total", engineHelp, s.engineHits.Load, obs.L("result", "hit"))
 	m.CounterFunc("sv_engine_cache_total", engineHelp, s.engineMisses.Load, obs.L("result", "miss"))
-	const modeHelp = "Completed pipelines by the eval mode actually taken and the node-set representation (repr) evaluation used."
-	for mi := range evalModes {
-		for ri := range evalReprs {
-			m.CounterFunc("sv_eval_total", modeHelp, s.evalCounts[mi][ri].Load,
-				obs.L("mode", evalModes[mi]), obs.L("repr", evalReprs[ri]))
-		}
-	}
+	const modeHelp = "Completed pipelines by whether the evaluator ran (eval) or the answer cache served them (cached)."
+	m.CounterFunc("sv_eval_total", modeHelp, s.evals.Load, obs.L("mode", obs.ModeEval))
+	m.CounterFunc("sv_eval_total", modeHelp, s.cachedEvals.Load, obs.L("mode", obs.ModeCached))
 	// Semantic answer-cache counters, rolled up over every cached engine
 	// like the plan-cache gauges below. All four stay 0 with -anscache
 	// off, which promcheck accepts (a counter may be zero, not absent).
@@ -303,8 +299,8 @@ func (s *Server) registerMetrics() {
 		ansSum(func(a anscache.Stats) uint64 { return a.Misses }))
 	m.CounterFunc("sv_anscache_evictions_total", "Answer-cache entries evicted by the LRU bound.",
 		ansSum(func(a anscache.Stats) uint64 { return a.Evictions }))
-	const rwHelp = "Cached policy engines by rewriting strategy (flat, height-free, unfold)."
-	for _, mode := range []string{"flat", "height-free", "unfold"} {
+	const rwHelp = "Cached policy engines by rewriting strategy (flat, height-free)."
+	for _, mode := range []string{"flat", "height-free"} {
 		mode := mode
 		m.GaugeFunc("sv_engines_by_rewrite_mode", rwHelp, func() float64 {
 			n := 0
@@ -318,20 +314,11 @@ func (s *Server) registerMetrics() {
 			return float64(n)
 		}, obs.L("mode", mode))
 	}
-	m.GaugeFunc("sv_plan_cache_nodes", "Total AST nodes across all cached optimized plans (all classes and bindings) — grows with document height under the unfold oracle, height-independent in height-free mode.", func() float64 {
+	m.GaugeFunc("sv_plan_cache_nodes", "Total AST nodes across all cached optimized plans (all classes and bindings).", func() float64 {
 		n := 0
 		for _, cs := range s.reg.Stats() {
 			for _, b := range cs.Bindings {
 				n += b.Engine.PlanCacheNodes
-			}
-		}
-		return float64(n)
-	})
-	m.GaugeFunc("sv_plan_cache_distinct_queries", "Distinct query texts across all cached plans; equals total entries exactly when no height-class splitting occurs.", func() float64 {
-		n := 0
-		for _, cs := range s.reg.Stats() {
-			for _, b := range cs.Bindings {
-				n += b.Engine.PlanCacheQueries
 			}
 		}
 		return float64(n)
@@ -572,53 +559,12 @@ func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 	} else {
 		s.engineMisses.Add(1)
 	}
-	if mi := evalModeIndex(qm.EvalMode); mi >= 0 {
-		s.evalCounts[mi][reprIndex(qm.SetRepr)].Add(1)
+	switch qm.EvalMode {
+	case obs.ModeEval:
+		s.evals.Add(1)
+	case obs.ModeCached:
+		s.cachedEvals.Add(1)
 	}
-}
-
-// evalModes and evalReprs order the eval-counter matrix; indexes are
-// resolved by evalModeIndex/reprIndex.
-var (
-	evalModes = [...]string{obs.ModeSequential, obs.ModeParallel, obs.ModeIndexed, obs.ModeCached}
-	evalReprs = [...]string{obs.ReprSlice, obs.ReprBitset}
-)
-
-func evalModeIndex(mode string) int {
-	for i, m := range evalModes {
-		if m == mode {
-			return i
-		}
-	}
-	return -1
-}
-
-// reprIndex defaults to the slice row: a pipeline that never reported
-// a representation ran some path outside the compaction gate.
-func reprIndex(repr string) int {
-	if repr == obs.ReprBitset {
-		return 1
-	}
-	return 0
-}
-
-// evalModeTotal sums one mode's row across representations — the
-// /statsz per-mode counters, unchanged by the repr split.
-func (s *Server) evalModeTotal(mi int) uint64 {
-	var n uint64
-	for ri := range evalReprs {
-		n += s.evalCounts[mi][ri].Load()
-	}
-	return n
-}
-
-// evalReprTotal sums one representation's column across modes.
-func (s *Server) evalReprTotal(ri int) uint64 {
-	var n uint64
-	for mi := range evalModes {
-		n += s.evalCounts[mi][ri].Load()
-	}
-	return n
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -670,11 +616,8 @@ type queryEvent struct {
 	EngineCacheHit bool   `json:"engine_cache_hit"`
 	AnswerCache    string `json:"answer_cache,omitempty"`
 	EvalMode       string `json:"eval_mode,omitempty"`
-	SetRepr        string `json:"set_repr,omitempty"`
 
 	NodesVisited uint64 `json:"nodes_visited"`
-	UnionForks   uint64 `json:"union_forks,omitempty"`
-	Partitions   uint64 `json:"partitions,omitempty"`
 	ResultCount  int    `json:"result_count"`
 }
 
@@ -698,7 +641,6 @@ func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration
 			PlanCacheHit:       qm.PlanCacheHit,
 			AnswerCacheOutcome: qm.AnswerCacheHit,
 			EvalMode:           qm.EvalMode,
-			SetRepr:            qm.SetRepr,
 			NodesVisited:       qm.NodesVisited,
 			ResultCount:        results,
 		})
@@ -749,10 +691,7 @@ func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration
 		EngineCacheHit: qm.EngineCacheHit,
 		AnswerCache:    qm.AnswerCacheHit,
 		EvalMode:       qm.EvalMode,
-		SetRepr:        qm.SetRepr,
 		NodesVisited:   qm.NodesVisited,
-		UnionForks:     qm.UnionForks,
-		Partitions:     qm.Partitions,
 		ResultCount:    results,
 	}
 	if err := s.cfg.EventLog.Emit(ev); err != nil {
@@ -1026,12 +965,8 @@ type PipelineStats struct {
 	PlanCacheMisses uint64                  `json:"plan_cache_misses"`
 	EngineHits      uint64                  `json:"engine_cache_hits"`
 	EngineMisses    uint64                  `json:"engine_cache_misses"`
-	SequentialEvals uint64                  `json:"sequential_evals"`
-	ParallelEvals   uint64                  `json:"parallel_evals"`
-	IndexedEvals    uint64                  `json:"indexed_evals"`
+	Evals           uint64                  `json:"evals"`
 	CachedEvals     uint64                  `json:"cached_evals"`
-	BitsetEvals     uint64                  `json:"bitset_evals"`
-	SliceEvals      uint64                  `json:"slice_evals"`
 	Phases          map[string]LatencyStats `json:"phases"`
 }
 
@@ -1087,12 +1022,8 @@ func (s *Server) Stats() Statsz {
 				PlanCacheMisses: s.planMisses.Load(),
 				EngineHits:      s.engineHits.Load(),
 				EngineMisses:    s.engineMisses.Load(),
-				SequentialEvals: s.evalModeTotal(0),
-				ParallelEvals:   s.evalModeTotal(1),
-				IndexedEvals:    s.evalModeTotal(2),
-				CachedEvals:     s.evalModeTotal(3),
-				BitsetEvals:     s.evalReprTotal(1),
-				SliceEvals:      s.evalReprTotal(0),
+				Evals:           s.evals.Load(),
+				CachedEvals:     s.cachedEvals.Load(),
 				Phases:          phases,
 			},
 		},

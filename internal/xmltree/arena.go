@@ -41,9 +41,4 @@ func (d *Document) Compact() {
 	}
 	d.Root = build(d.Root, nil)
 	d.Renumber() // number the arena nodes and rebuild byOrd over them
-	d.compact = true
 }
-
-// Compacted reports whether the document's nodes live in a flat arena
-// (Compact has run and the tree has not been swapped out since).
-func (d *Document) Compacted() bool { return d.compact }

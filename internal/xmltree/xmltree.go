@@ -255,23 +255,22 @@ func (n *Node) Path() string {
 // index over that table (see Labeled), so every reader of one document
 // shares one index.
 type Document struct {
-	Root    *Node
-	size    int
-	height  int
-	byOrd   []*Node
-	compact bool
-	gen     uint64
-	id      uint64
+	Root   *Node
+	size   int
+	height int
+	byOrd  []*Node
+	gen    uint64
+	id     uint64
 
 	labels   atomic.Pointer[labelTable]
 	labelsMu sync.Mutex // serializes label table builds
 }
 
 // labelTable is the label index of a document at one generation: for
-// each label, the document's nodes carrying it in document order.
+// each label, the ordinals of the nodes carrying it in document order.
 type labelTable struct {
 	gen     uint64
-	byLabel map[string][]*Node
+	byLabel map[string][]int32
 }
 
 // docIDs hands out Document ids; 0 means "not yet assigned".
@@ -323,12 +322,13 @@ func (d *Document) Renumber() {
 // pointer, an id is never reused by a later document.
 func (d *Document) ID() uint64 { return d.id }
 
-// Labeled returns the document's nodes carrying label, in document
-// order. The slice is shared; callers must not mutate it. The label
-// index behind it is built on first use, once per generation, from the
-// node table, and every later call reads it without locking. Documents
-// without a node table (never renumbered) return nil.
-func (d *Document) Labeled(label string) []*Node {
+// Labeled returns the ordinals of the document's nodes carrying label,
+// in document order (Nodes()[ord] is the node). The slice is shared;
+// callers must not mutate it. The label index behind it is built on
+// first use, once per generation, from the node table, and every later
+// call reads it without locking. Postings are ordinals rather than
+// pointers so the index adds nothing for the garbage collector to scan.
+func (d *Document) Labeled(label string) []int32 {
 	t := d.labels.Load()
 	if t == nil || t.gen != d.gen {
 		t = d.buildLabels()
@@ -349,15 +349,15 @@ func (d *Document) buildLabels() *labelTable {
 	for _, n := range d.byOrd {
 		counts[n.Label]++
 	}
-	t := &labelTable{gen: d.gen, byLabel: make(map[string][]*Node, len(counts))}
-	slab := make([]*Node, len(d.byOrd))
+	t := &labelTable{gen: d.gen, byLabel: make(map[string][]int32, len(counts))}
+	slab := make([]int32, len(d.byOrd))
 	off := 0
 	for label, c := range counts {
 		t.byLabel[label] = slab[off : off : off+c]
 		off += c
 	}
-	for _, n := range d.byOrd {
-		t.byLabel[n.Label] = append(t.byLabel[n.Label], n)
+	for ord, n := range d.byOrd {
+		t.byLabel[n.Label] = append(t.byLabel[n.Label], int32(ord))
 	}
 	d.labels.Store(t)
 	return t
@@ -446,25 +446,6 @@ func SortDocOrder(nodes []*Node) []*Node {
 	return out
 }
 
-// CoverSize returns the number of distinct nodes in the union of the
-// subtrees rooted at nodes, which must be sorted in document order and
-// deduplicated (SortDocOrder). A node lying inside an earlier node's
-// subtree contributes nothing — its subtree is already covered — so
-// overlapping context sets (an ancestor plus its descendant) are not
-// double-counted.
-func CoverSize(nodes []*Node) int {
-	size := 0
-	limit := -1
-	for _, n := range nodes {
-		if n.ord <= limit {
-			continue
-		}
-		size += n.desc + 1
-		limit = n.ord + n.desc
-	}
-	return size
-}
-
 // String renders the subtree rooted at n as indented XML (see
 // serialize.go for the full document serializer).
 func (n *Node) String() string {
@@ -508,7 +489,9 @@ func writeAttrs(b *strings.Builder, n *Node) {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		fmt.Fprintf(b, " %s=%q", k, n.Attrs[k])
+		// Attribute values are written double-quoted, so a quote in the
+		// value must be escaped as well as the markup characters.
+		fmt.Fprintf(b, ` %s="%s"`, k, strings.ReplaceAll(escapeText(n.Attrs[k]), `"`, "&quot;"))
 	}
 }
 

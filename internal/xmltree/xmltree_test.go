@@ -286,6 +286,40 @@ func TestSerializeEscaping(t *testing.T) {
 	}
 }
 
+// TestSerializeRoundTripReservedChars: every character XML reserves,
+// in text and in attribute values, survives parse → String → parse, and
+// the serialized form is itself well-formed XML.
+func TestSerializeRoundTripReservedChars(t *testing.T) {
+	const reserved = `a&b "q" 'p' <c> d`
+	src := `<r x="a&amp;b &quot;q&quot; &apos;p&apos; &lt;c&gt; d" y='"'>` +
+		`<t z="&lt;&amp;&gt;">a&amp;b "q" 'p' &lt;c&gt; d</t></r>`
+	first, err := ParseString(src)
+	if err != nil {
+		t.Fatalf("parse source: %v", err)
+	}
+	out := first.XML()
+	back, err := ParseString(out)
+	if err != nil {
+		t.Fatalf("reparse of serialized form: %v\n%s", err, out)
+	}
+	if v, _ := back.Root.Attr("x"); v != reserved {
+		t.Errorf("attribute x = %q, want %q", v, reserved)
+	}
+	if v, _ := back.Root.Attr("y"); v != `"` {
+		t.Errorf("attribute y = %q, want %q", v, `"`)
+	}
+	tt := back.Root.Children[0]
+	if v, _ := tt.Attr("z"); v != "<&>" {
+		t.Errorf("attribute z = %q, want %q", v, "<&>")
+	}
+	if got := tt.Text(); got != reserved {
+		t.Errorf("text = %q, want %q", got, reserved)
+	}
+	if again := back.XML(); again != out {
+		t.Errorf("second round trip changed the bytes:\n%s\nvs\n%s", again, out)
+	}
+}
+
 // TestDocOrderProperty checks with random trees that Renumber assigns
 // strictly increasing positions in a pre-order walk.
 func TestDocOrderProperty(t *testing.T) {
@@ -325,43 +359,6 @@ func TestDocOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(gen, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestCoverSize: subtree-union sizing must count overlapping subtrees
-// once (duplicates and ancestor/descendant pairs), since the parallel
-// evaluator's gate depends on it.
-func TestCoverSize(t *testing.T) {
-	doc := NewDocument(E("a",
-		E("b", T("c", "1"), T("c", "2")),
-		E("d", E("e", T("f", "3")))))
-	root := doc.Root
-	b := root.Children[0]
-	d := root.Children[1]
-	e := d.Children[0]
-	cases := []struct {
-		name  string
-		nodes []*Node
-		want  int
-	}{
-		{"empty", nil, 0},
-		{"root alone", []*Node{root}, doc.Size()},
-		{"disjoint siblings", []*Node{b, d}, b.DescendantCount() + d.DescendantCount() + 2},
-		{"ancestor plus descendant", []*Node{root, e}, doc.Size()},
-		{"root plus everything", []*Node{root, b, d, e}, doc.Size()},
-		{"nested pair", []*Node{d, e}, d.DescendantCount() + 1},
-	}
-	for _, c := range cases {
-		nodes := SortDocOrder(append([]*Node(nil), c.nodes...))
-		if got := CoverSize(nodes); got != c.want {
-			t.Errorf("%s: CoverSize = %d, want %d", c.name, got, c.want)
-		}
-	}
-	// Duplicates are removed by SortDocOrder before sizing; CoverSize on
-	// the canonical set equals the single-node size.
-	dup := SortDocOrder([]*Node{e, e, e})
-	if got := CoverSize(dup); got != e.DescendantCount()+1 {
-		t.Errorf("duplicates: CoverSize = %d, want %d", got, e.DescendantCount()+1)
 	}
 }
 

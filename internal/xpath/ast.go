@@ -12,9 +12,10 @@
 // The package provides the AST, a parser for a conventional XPath-style
 // concrete syntax ('.', names, '*', '/', '//', '|', '[...]', 'and', 'or',
 // 'not(...)'), a printer whose output re-parses to an equal AST, a
-// set-semantics evaluator over xmltree documents, algebraic
-// simplification, and the C⁻ conjunctive-fragment check used by the
-// optimizer.
+// set-semantics evaluator over numbered xmltree documents (Eval*, bitset
+// based, reading the document's label index) with the slow reference it
+// is tested against (EvalRef), algebraic simplification, and the C⁻
+// conjunctive-fragment check used by the optimizer.
 package xpath
 
 // Path is a node of the query AST for the fragment C.

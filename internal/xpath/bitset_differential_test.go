@@ -1,23 +1,25 @@
 package xpath_test
 
-// Differential property suite for the ordinal (bitset) evaluation path:
-// on randomized (DTD, document, query) triples, evaluating over a
-// compacted document — which takes the bitset path — must agree exactly
-// with evaluating over an uncompacted structural twin of the same tree,
-// which takes the pointer-slice path. Structural twins get identical
-// preorder numbering, so agreement is checked ordinal by ordinal. The
-// suite also pins the two safety edges of the representation gate: a
-// detached (never-renumbered) context falls back to the slice path with
-// the same answers, and ordinal answer-cache entries die with the
-// numbering that defined them when the arena is swapped out underneath
-// them (Document.Generation).
+// Differential property suite for the evaluator against the reference:
+// on randomized (DTD, document, query) triples, xpath.Eval* (ordinal
+// bitsets, label index, set-at-a-time qualifiers) must return exactly
+// what xpath.EvalRef (node slices, per-node qualifiers, walks) returns,
+// at the root and at random subcontexts. The sweeps run over parsed and
+// generated documents, whose nodes live in a compacted arena, and over
+// uncompacted renumbered trees, the shape secview.Materialize and
+// NewDocument produce: evaluation depends on the numbering only. The
+// suite also pins the numbering contract's edges: detached, stale and
+// mixed-document contexts fail with ErrUnnumbered, and answers stay
+// right across Compact/Renumber cycles.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/dtd"
 	"repro/internal/dtds"
 	"repro/internal/rewrite"
@@ -27,46 +29,57 @@ import (
 	"repro/internal/xpath"
 )
 
-// sliceTwin builds an uncompacted document with the exact node
-// structure of doc. Renumbering assigns both trees the same preorder
-// ordinals, but the twin fails the Compacted() gate, so it always
-// evaluates over node slices.
-func sliceTwin(t *testing.T, doc *xmltree.Document) *xmltree.Document {
+// renumberedTwin builds an uncompacted document with the exact node
+// structure of doc: a clone renumbered by NewDocument, never compacted.
+func renumberedTwin(t *testing.T, doc *xmltree.Document) *xmltree.Document {
 	t.Helper()
 	twin := xmltree.NewDocument(doc.Root.Clone())
 	if twin.Size() != doc.Size() {
 		t.Fatalf("twin size %d != doc size %d", twin.Size(), doc.Size())
 	}
-	if xpath.OrdinalApplicable(twin) {
-		t.Fatal("structural twin must not pass the ordinal gate")
-	}
-	if !xpath.OrdinalApplicable(doc) {
-		t.Fatal("generated document must pass the ordinal gate")
-	}
 	return twin
 }
 
-// assertSameOrds fails unless got and want are the same nodes by
-// preorder ordinal and label — the cross-document equality for
-// structural twins.
-func assertSameOrds(t *testing.T, label string, got, want []*xmltree.Node) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d nodes, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Ord() != want[i].Ord() || got[i].Label != want[i].Label {
-			t.Fatalf("%s: node %d is ord %d (%s), want ord %d (%s)",
-				label, i, got[i].Ord(), got[i].Label, want[i].Ord(), want[i].Label)
+// randomContext draws 1-4 context nodes of doc, duplicates and
+// ancestor/descendant overlap included.
+func randomContext(r *rand.Rand, doc *xmltree.Document) []*xmltree.Node {
+	ctx := make([]*xmltree.Node, 1+r.Intn(4))
+	for i := range ctx {
+		ord := r.Intn(doc.Size())
+		if i > 0 && r.Intn(2) == 0 {
+			// A descendant of an earlier member: overlapping subtrees.
+			prev := ctx[r.Intn(i)]
+			ord = prev.Ord() + r.Intn(prev.DescendantCount()+1)
 		}
+		ctx[i] = doc.Nodes()[ord]
 	}
+	return ctx
+}
+
+// assertMatchesRef evaluates p at the root and at a random subcontext of
+// doc with the evaluator and with the reference, and fails on any
+// difference.
+func assertMatchesRef(t *testing.T, r *rand.Rand, p xpath.Path, doc *xmltree.Document) {
+	t.Helper()
+	q := xpath.String(p)
+	got, err := xpath.EvalDocErr(p, doc)
+	if err != nil {
+		t.Fatalf("eval error on %s: %v", q, err)
+	}
+	assertSortedUnique(t, "eval "+q, got)
+	assertSameNodes(t, "eval ≠ reference on "+q, got, ref(t, p, doc.Root))
+
+	ctx := randomContext(r, doc)
+	gotAt, err := xpath.EvalAtErr(p, ctx)
+	if err != nil {
+		t.Fatalf("EvalAt error on %s: %v", q, err)
+	}
+	assertSameNodes(t, "eval@ctx ≠ reference@ctx on "+q, gotAt, ref(t, p, ctx...))
 }
 
 // TestDifferentialBitsetVsSlice sweeps ~200 randomized (DTD, document,
-// query) triples through both representations: the compacted document
-// takes the bitset path for sequential and indexed evaluation, its
-// uncompacted twin takes the slice path, and the two must agree at the
-// root and at random subcontexts.
+// query) triples through the bitset evaluator and the slice reference,
+// at the root and at random subcontexts.
 func TestDifferentialBitsetVsSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(20260808))
 	triples := 0
@@ -83,52 +96,12 @@ func TestDifferentialBitsetVsSlice(t *testing.T) {
 			MaxDepth:  6,
 		})
 		if doc.Size() > 1500 {
-			continue // see TestDifferentialParallelVsSequential
+			continue // see TestDifferentialIndexedVsSequential
 		}
-		twin := sliceTwin(t, doc)
-		idx := xpath.NewIndex(doc)
 		labels := append(d.Types(), xpath.TextName)
 		for q := 0; q < 5; q++ {
 			triples++
-			p := randPath(r, labels, 3)
-			want, err := xpath.EvalDocErr(p, twin)
-			if err != nil {
-				t.Fatalf("slice eval error on %s: %v", xpath.String(p), err)
-			}
-			assertSortedUnique(t, "slice "+xpath.String(p), want)
-
-			got, err := xpath.EvalDocErr(p, doc)
-			if err != nil {
-				t.Fatalf("bitset eval error on %s: %v", xpath.String(p), err)
-			}
-			assertSortedUnique(t, "bitset "+xpath.String(p), got)
-			assertSameOrds(t, "bitset ≠ slice on "+xpath.String(p)+"\nDTD:\n"+src, got, want)
-
-			gotIdx, err := xpath.EvalIndexedErr(p, idx)
-			if err != nil {
-				t.Fatalf("indexed bitset eval error on %s: %v", xpath.String(p), err)
-			}
-			assertSameOrds(t, "indexed bitset ≠ slice on "+xpath.String(p), gotIdx, want)
-
-			// Subcontext leg: the same random ordinals as context in both
-			// documents (duplicates and ancestor/descendant overlap
-			// included) exercise the interval fills away from the root.
-			ctx := make([]*xmltree.Node, 1+r.Intn(4))
-			twinCtx := make([]*xmltree.Node, len(ctx))
-			for i := range ctx {
-				ord := r.Intn(doc.Size())
-				ctx[i] = doc.Nodes()[ord]
-				twinCtx[i] = twin.Nodes()[ord]
-			}
-			wantAt, err := xpath.EvalAtErr(p, twinCtx)
-			if err != nil {
-				t.Fatalf("slice EvalAt error on %s: %v", xpath.String(p), err)
-			}
-			gotAt, err := xpath.EvalAtErr(p, ctx)
-			if err != nil {
-				t.Fatalf("bitset EvalAt error on %s: %v", xpath.String(p), err)
-			}
-			assertSameOrds(t, "bitset@ctx ≠ slice@ctx on "+xpath.String(p), gotAt, wantAt)
+			assertMatchesRef(t, r, randPath(r, labels, 3), doc)
 		}
 	}
 }
@@ -155,7 +128,6 @@ func TestDifferentialRecBitsetVsSlice(t *testing.T) {
 		if doc.Size() > 1500 {
 			continue
 		}
-		twin := sliceTwin(t, doc)
 		labels := append(d.Types(), xpath.TextName)
 		accept := labels[r.Intn(len(labels))]
 		g := xpath.NewRecGraph(map[string][]xpath.RecEdge{
@@ -170,100 +142,88 @@ func TestDifferentialRecBitsetVsSlice(t *testing.T) {
 		if r.Intn(2) == 0 {
 			plan = xpath.Seq{Left: randPath(r, labels, 1), Right: rec}
 		}
-		want, err := xpath.EvalDocErr(plan, twin)
-		if err != nil {
-			t.Fatalf("slice rec eval: %v", err)
-		}
 		got, err := xpath.EvalDocErr(plan, doc)
 		if err != nil {
 			t.Fatalf("bitset rec eval: %v", err)
 		}
-		assertSameOrds(t, fmt.Sprintf("rec accept=%s trial %d", accept, trial), got, want)
+		assertSameNodes(t, fmt.Sprintf("rec accept=%s trial %d", accept, trial), got, ref(t, plan, doc.Root))
 	}
 }
 
-// TestBitsetDetachedNodeFallback: context nodes that were never part of
-// a renumbered document (Owner nil) must fall back to the slice path
-// and still produce the slice path's answers. Detached nodes carry no
-// usable ordinals, so equality is checked as a multiset of label paths.
-func TestBitsetDetachedNodeFallback(t *testing.T) {
-	r := rand.New(rand.NewSource(20260810))
-	for trial := 0; trial < 30; trial++ {
-		src := randomDTDSource(r)
-		d, err := dtd.Parse(src)
-		if err != nil {
-			t.Fatalf("random DTD does not parse: %v\n%s", err, src)
+// TestBitsetRejectsUnnumberedContexts: evaluation reads the numbering,
+// so contexts it does not cover fail closed with ErrUnnumbered instead
+// of falling back: nodes never part of a document, nodes detached or
+// added since the last Renumber, and contexts mixing two documents. The
+// panicking wrappers panic on the same contexts, and renumbering makes
+// a mutated tree evaluable again.
+func TestBitsetRejectsUnnumberedContexts(t *testing.T) {
+	p := xpath.MustParse("//patient/name")
+	doc := dtds.GenerateHospital(1, 3)
+	other := dtds.GenerateHospital(2, 3)
+
+	patients := xpath.EvalDoc(xpath.MustParse("//patient"), doc)
+	detached := patients[0]
+	detached.Parent.Children = detached.Parent.Children[1:]
+	detached.Parent = nil
+	doc.Renumber()
+	added := xmltree.E("patient", xmltree.T("name", "new"))
+	doc.Root.Children[0].AppendChild(added)
+
+	cases := map[string][]*xmltree.Node{
+		"never numbered":  {xmltree.E("hospital", xmltree.E("dept"))},
+		"detached":        {detached},
+		"added":           {added},
+		"stale and fresh": {doc.Root, added},
+		"mixed documents": {doc.Root, other.Root},
+	}
+	for name, ctx := range cases {
+		if _, err := xpath.EvalAtErr(p, ctx); !errors.Is(err, xpath.ErrUnnumbered) {
+			t.Errorf("%s: err = %v, want ErrUnnumbered", name, err)
 		}
-		doc := xmlgen.Generate(d, xmlgen.Config{
-			Seed:      r.Int63(),
-			MinRepeat: 1,
-			MaxRepeat: 2,
-			MaxDepth:  5,
-		})
-		if doc.Size() > 800 {
-			continue
+		if _, err := xpath.EvalAtCtx(context.Background(), p, ctx); !errors.Is(err, xpath.ErrUnnumbered) {
+			t.Errorf("%s: EvalAtCtx err = %v, want ErrUnnumbered", name, err)
 		}
-		// Clone the tree and never hand it to a Document: every node is
-		// detached (Owner nil), so ordinalDoc must reject the context.
-		detached := doc.Root.Clone()
-		if detached.Owner() != nil {
-			t.Fatal("clone unexpectedly owned")
-		}
-		labels := append(d.Types(), xpath.TextName)
-		for q := 0; q < 5; q++ {
-			p := randPath(r, labels, 2)
-			want, err := xpath.EvalDocErr(p, doc)
-			if err != nil {
-				t.Fatalf("doc eval error on %s: %v", xpath.String(p), err)
-			}
-			got, err := xpath.EvalAtErr(p, []*xmltree.Node{detached})
-			if err != nil {
-				t.Fatalf("detached eval error on %s: %v", xpath.String(p), err)
-			}
-			// Without document-order numbering the slice path cannot
-			// dedup by position, so a union may repeat a pointer; the
-			// node set underneath must still match.
-			gotPaths := labelPaths(uniqueNodes(got))
-			wantPaths := labelPaths(want)
-			if len(gotPaths) != len(wantPaths) {
-				t.Fatalf("detached ≠ doc on %s: got %d nodes, want %d", xpath.String(p), len(got), len(want))
-			}
-			for i := range wantPaths {
-				if gotPaths[i] != wantPaths[i] {
-					t.Fatalf("detached ≠ doc on %s: path %d is %s, want %s",
-						xpath.String(p), i, gotPaths[i], wantPaths[i])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: EvalAt did not panic", name)
 				}
-			}
+			}()
+			xpath.EvalAt(p, ctx)
+		}()
+		if len(ctx) == 1 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Eval did not panic", name)
+					}
+				}()
+				xpath.Eval(p, ctx[0])
+			}()
 		}
 	}
-}
-
-func uniqueNodes(nodes []*xmltree.Node) []*xmltree.Node {
-	seen := make(map[*xmltree.Node]bool, len(nodes))
-	out := nodes[:0:0]
-	for _, n := range nodes {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+	// The document's root is still numbered; it is the added node whose
+	// numbering is missing, and a Renumber supplies it.
+	doc.Renumber()
+	got, err := xpath.EvalDocErr(p, doc)
+	if err != nil {
+		t.Fatalf("after Renumber: %v", err)
 	}
-	return out
-}
-
-func labelPaths(nodes []*xmltree.Node) []string {
-	out := make([]string, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Path()
+	assertSameNodes(t, "after Renumber", got, ref(t, p, doc.Root))
+	if _, err := xpath.EvalAtErr(p, []*xmltree.Node{added}); err != nil {
+		t.Errorf("renumbered added node: %v", err)
 	}
-	sort.Strings(out)
-	return out
+	// An empty context selects nothing, without error.
+	if out, err := xpath.EvalAtErr(p, nil); err != nil || out != nil {
+		t.Errorf("empty context: %v, %v", out, err)
+	}
 }
 
 // TestBitsetSurvivesArenaSwap: evaluation stays correct across
-// Compact/Renumber cycles that swap the arena and bump the generation —
-// results obtained before a swap refer to the old (still valid) nodes,
-// results after the swap to the new arena, and both agree with the
-// slice twin.
+// Compact/Renumber cycles that swap the arena and bump the generation.
+// Results obtained before a swap refer to the old nodes, which no longer
+// belong to the document and fail the numbering gate; results after the
+// swap refer to the new arena and match the reference.
 func TestBitsetSurvivesArenaSwap(t *testing.T) {
 	r := rand.New(rand.NewSource(20260811))
 	src := randomDTDSource(r)
@@ -272,19 +232,14 @@ func TestBitsetSurvivesArenaSwap(t *testing.T) {
 		t.Fatalf("random DTD does not parse: %v", err)
 	}
 	doc := xmlgen.Generate(d, xmlgen.Config{Seed: 11, MinRepeat: 1, MaxRepeat: 3, MaxDepth: 5})
-	twin := sliceTwin(t, doc)
 	labels := append(d.Types(), xpath.TextName)
 	p := xpath.Descend{Sub: xpath.Label{Name: labels[0]}}
 
-	want, err := xpath.EvalDocErr(p, twin)
-	if err != nil {
-		t.Fatal(err)
-	}
 	before, err := xpath.EvalDocErr(p, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOrds(t, "pre-swap", before, want)
+	assertSameNodes(t, "pre-swap", before, ref(t, p, doc.Root))
 
 	gen := doc.Generation()
 	doc.Compact() // swap the arena out from under any held ordinals
@@ -295,12 +250,15 @@ func TestBitsetSurvivesArenaSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOrds(t, "post-swap", after, want)
-	// The pre-swap results still point at the old tree's nodes; their
-	// labels (though not their ownership) must be unchanged.
+	assertSameNodes(t, "post-swap", after, ref(t, p, doc.Root))
 	for i := range before {
-		if before[i].Label != after[i].Label {
-			t.Fatalf("node %d label changed across swap: %s vs %s", i, before[i].Label, after[i].Label)
+		if before[i].Label != after[i].Label || before[i].Ord() != after[i].Ord() {
+			t.Fatalf("node %d changed across swap: %s@%d vs %s@%d", i, before[i].Label, before[i].Ord(), after[i].Label, after[i].Ord())
+		}
+	}
+	if len(before) > 0 {
+		if _, err := xpath.EvalAtErr(xpath.Self{}, before[:1]); !errors.Is(err, xpath.ErrUnnumbered) {
+			t.Errorf("pre-swap node evaluated after the swap: err = %v", err)
 		}
 	}
 }
@@ -400,58 +358,29 @@ func textValues(doc *xmltree.Document) []string {
 	return out
 }
 
-// assertBitsetMatchesSlice evaluates p at the root and at a random
-// overlapping subcontext, over doc (bitset path, with and without the
-// label index) and over its slice twin (the reference), and fails on
-// any difference.
-func assertBitsetMatchesSlice(t *testing.T, r *rand.Rand, p xpath.Path, doc, twin *xmltree.Document, idx *xpath.Index) {
-	t.Helper()
-	q := xpath.String(p)
-	want, err := xpath.EvalDocErr(p, twin)
-	if err != nil {
-		t.Fatalf("slice eval error on %s: %v", q, err)
+// randServedPlan draws the i-th plan of a five-plan round: qualifier-heavy
+// paths (randQualPath), the served //*[q] shape, and at i == 4 a plan
+// whose qualifier pre-image climbs (climbPlan).
+func randServedPlan(r *rand.Rand, i int, labels, texts []string) xpath.Path {
+	if i == 4 {
+		return climbPlan(r, labels)
 	}
-	got, err := xpath.EvalDocErr(p, doc)
-	if err != nil {
-		t.Fatalf("bitset eval error on %s: %v", q, err)
+	if i%2 == 1 {
+		return randQualPath(r, labels, texts, 4)
 	}
-	assertSameOrds(t, "bitset ≠ slice on "+q, got, want)
-	gotIdx, err := xpath.EvalIndexedErr(p, idx)
-	if err != nil {
-		t.Fatalf("indexed bitset eval error on %s: %v", q, err)
+	// The served shape: //*[q], optionally continued.
+	var p xpath.Path = xpath.Descend{Sub: xpath.Qualified{
+		Sub:  xpath.Wildcard{},
+		Cond: randHeavyQual(r, labels, texts, 2),
+	}}
+	if r.Intn(2) == 0 {
+		p = xpath.Seq{Left: p, Right: randQualPath(r, labels, texts, 2)}
 	}
-	assertSameOrds(t, "indexed bitset ≠ slice on "+q, gotIdx, want)
-
-	ctx := make([]*xmltree.Node, 1+r.Intn(4))
-	twinCtx := make([]*xmltree.Node, len(ctx))
-	for i := range ctx {
-		ord := r.Intn(doc.Size())
-		if i > 0 && r.Intn(2) == 0 {
-			// A descendant of an earlier member: overlapping subtrees.
-			prev := ctx[r.Intn(i)]
-			ord = prev.Ord() + r.Intn(prev.DescendantCount()+1)
-		}
-		ctx[i] = doc.Nodes()[ord]
-		twinCtx[i] = twin.Nodes()[ord]
-	}
-	wantAt, err := xpath.EvalAtErr(p, twinCtx)
-	if err != nil {
-		t.Fatalf("slice EvalAt error on %s: %v", q, err)
-	}
-	gotAt, err := xpath.EvalAtErr(p, ctx)
-	if err != nil {
-		t.Fatalf("bitset EvalAt error on %s: %v", q, err)
-	}
-	assertSameOrds(t, "bitset@ctx ≠ slice@ctx on "+q, gotAt, wantAt)
-	gotIdxAt, err := xpath.EvalIndexedAtCtx(nil, p, idx, ctx)
-	if err != nil {
-		t.Fatalf("indexed bitset EvalAt error on %s: %v", q, err)
-	}
-	assertSameOrds(t, "indexed bitset@ctx ≠ slice@ctx on "+q, gotIdxAt, wantAt)
+	return p
 }
 
 // TestDifferentialQualifiersBitsetVsSlice sweeps qualifier-heavy random
-// plans (see randQualPath) through the set-at-a-time qualifier
+// plans (see randServedPlan) through the set-at-a-time qualifier
 // evaluation and the per-node slice reference.
 func TestDifferentialQualifiersBitsetVsSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(20261017))
@@ -471,37 +400,97 @@ func TestDifferentialQualifiersBitsetVsSlice(t *testing.T) {
 		if doc.Size() < 50 || doc.Size() > 1500 {
 			continue // too flat for qualifiers to discriminate, or too slow
 		}
-		twin := sliceTwin(t, doc)
-		idx := xpath.NewIndex(doc)
 		labels := append(d.Types(), xpath.TextName)
 		texts := textValues(doc)
 		for i := 0; i < 5; i++ {
 			plans++
-			p := randQualPath(r, labels, texts, 4)
-			if i%2 == 0 {
-				// The served shape: //*[q], optionally continued.
-				p = xpath.Descend{Sub: xpath.Qualified{
-					Sub:  xpath.Wildcard{},
-					Cond: randHeavyQual(r, labels, texts, 2),
-				}}
-				if r.Intn(2) == 0 {
-					p = xpath.Seq{Left: p, Right: randQualPath(r, labels, texts, 2)}
-				}
-			}
-			if i == 4 {
-				p = climbPlan(r, labels)
-			}
-			if len(xpath.EvalDoc(p, twin)) > 0 {
+			p := randServedPlan(r, i, labels, texts)
+			if len(ref(t, p, doc.Root)) > 0 {
 				held++
 			}
-
-			assertBitsetMatchesSlice(t, r, p, doc, twin, idx)
+			assertMatchesRef(t, r, p, doc)
 		}
 	}
 	// A sweep whose plans all select nothing would compare nothing.
 	if held < plans/10 {
 		t.Fatalf("only %d of %d plans selected any node", held, plans)
 	}
+}
+
+// TestDifferentialRenumberedUncompacted sweeps 3,000+ random plans,
+// qualifier-heavy ones included, over documents that were renumbered
+// but never compacted: structural clones of generated documents, and
+// materialized security views (secview.Materialize builds its T_v that
+// way). Each plan runs at the root and at a random subcontext against
+// the reference.
+func TestDifferentialRenumberedUncompacted(t *testing.T) {
+	r := rand.New(rand.NewSource(20261019))
+	plans, held := 0, 0
+	nurse, err := secview.Derive(mustBind(t, dtds.NurseSpec(), "wardNo", "1"))
+	if err != nil {
+		t.Fatalf("Derive(nurse): %v", err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		m, err := secview.Materialize(nurse, dtds.GenerateHospital(seed, 3))
+		if err != nil {
+			t.Fatalf("Materialize: %v", err)
+		}
+		labels := append(nurse.DTD.Types(), xpath.TextName)
+		texts := textValues(m.View)
+		for i := 0; i < 100; i++ {
+			plans++
+			p := randServedPlan(r, i%5, labels, texts)
+			if len(ref(t, p, m.View.Root)) > 0 {
+				held++
+			}
+			assertMatchesRef(t, r, p, m.View)
+		}
+	}
+	for plans < 3000 {
+		src := randomDTDSource(r)
+		d, err := dtd.Parse(src)
+		if err != nil {
+			t.Fatalf("random DTD does not parse: %v\n%s", err, src)
+		}
+		doc := xmlgen.Generate(d, xmlgen.Config{
+			Seed:      r.Int63(),
+			MinRepeat: 1,
+			MaxRepeat: 2 + r.Intn(3),
+			MaxDepth:  6,
+		})
+		if doc.Size() < 20 || doc.Size() > 1000 {
+			continue
+		}
+		twin := renumberedTwin(t, doc)
+		labels := append(d.Types(), xpath.TextName)
+		texts := textValues(twin)
+		for i := 0; i < 10; i++ {
+			plans++
+			p := randServedPlan(r, i%5, labels, texts)
+			if i >= 5 {
+				p = randPath(r, labels, 3)
+			}
+			if len(ref(t, p, twin.Root)) > 0 {
+				held++
+			}
+			assertMatchesRef(t, r, p, twin)
+		}
+	}
+	// A sweep whose plans all select nothing would compare nothing.
+	if held < plans/10 {
+		t.Fatalf("only %d of %d plans selected any node", held, plans)
+	}
+	t.Logf("%d plans, %d selecting nodes", plans, held)
+}
+
+// mustBind binds one parameter of spec.
+func mustBind(t *testing.T, spec *access.Spec, name, value string) *access.Spec {
+	t.Helper()
+	b, err := spec.Bind(map[string]string{name: value})
+	if err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	return b
 }
 
 // TestDifferentialRecQualifiersBitsetVsSlice runs view queries with
@@ -537,8 +526,6 @@ func TestDifferentialRecQualifiersBitsetVsSlice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ForView: %v", err)
 		}
-		twin := sliceTwin(t, f.doc)
-		idx := xpath.NewIndex(f.doc)
 		labels := append(f.view.DTD.Types(), xpath.TextName)
 		texts := textValues(f.doc)
 		for i := 0; i < 40; i++ {
@@ -570,13 +557,13 @@ func TestDifferentialRecQualifiersBitsetVsSlice(t *testing.T) {
 			if recUnderQualifier(plan) {
 				recInQual++
 			}
-			assertBitsetMatchesSlice(t, r, plan, f.doc, twin, idx)
+			assertMatchesRef(t, r, plan, f.doc)
 		}
 		// Recursive documents nest a label under itself, which the
 		// layered random DTDs of the sweep above never do.
 		docLabels := append(f.view.Doc.Types(), xpath.TextName)
 		for i := 0; i < 20; i++ {
-			assertBitsetMatchesSlice(t, r, climbPlan(r, docLabels), f.doc, twin, idx)
+			assertMatchesRef(t, r, climbPlan(r, docLabels), f.doc)
 		}
 	}
 	if recInQual < 20 {
@@ -626,12 +613,8 @@ func qualHasRec(q xpath.Qual) bool {
 // fail there.
 func TestBitsetUnboundVariableOnlyBackward(t *testing.T) {
 	doc := dtds.GenerateHospital(1, 2)
-	twin := sliceTwin(t, doc)
 	p := xpath.MustParse(`//patient[(name | nurse[name = $w])/text()]`)
-	want, err := xpath.EvalDocErr(p, twin)
-	if err != nil {
-		t.Fatalf("slice reference: %v", err)
-	}
+	want := ref(t, p, doc.Root)
 	if len(want) == 0 {
 		t.Fatal("no patient selected")
 	}
@@ -639,14 +622,56 @@ func TestBitsetUnboundVariableOnlyBackward(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bitset evaluator fails where the reference does not: %v", err)
 	}
-	assertSameOrds(t, "bitset ≠ slice", got, want)
+	assertSameNodes(t, "bitset ≠ slice", got, want)
 
 	// Where the reference does reach the variable, both fail.
 	reached := xpath.MustParse(`//patient[name[. = $w]]`)
-	if _, err := xpath.EvalDocErr(reached, twin); err == nil {
+	if _, err := xpath.EvalRef(reached, []*xmltree.Node{doc.Root}); err == nil {
 		t.Fatal("slice reference accepts a reached unbound variable")
 	}
 	if _, err := xpath.EvalDocErr(reached, doc); err == nil {
 		t.Fatal("bitset evaluator accepts a reached unbound variable")
+	}
+}
+
+// TestLabelChainsAtSubcontexts: chains of child label steps whose last
+// label is rare enough to be evaluated bottom-up agree with the
+// reference at the root, at the node each chain starts from, at that
+// node and its siblings, and at random contexts — contexts that hold
+// some of a chain's possible starting points but not others.
+func TestLabelChainsAtSubcontexts(t *testing.T) {
+	doc := dtds.GenerateAdex(3, 300)
+	r := rand.New(rand.NewSource(20261020))
+	nodes := doc.Nodes()
+	for chains := 0; chains < 300; {
+		n := nodes[r.Intn(len(nodes))]
+		if len(doc.Labeled(n.Label)) > doc.Size()/64 {
+			continue // evaluated top-down; the sweeps above cover that
+		}
+		labels := []string{n.Label}
+		m := n.Parent
+		for len(labels) < 2+r.Intn(3) && m != nil && m.Parent != nil {
+			labels = append([]string{m.Label}, labels...)
+			m = m.Parent
+		}
+		if len(labels) < 2 || m == nil {
+			continue
+		}
+		chains++
+		var p xpath.Path = xpath.Label{Name: labels[0]}
+		for _, l := range labels[1:] {
+			p = xpath.Seq{Left: p, Right: xpath.Label{Name: l}}
+		}
+		ctxs := [][]*xmltree.Node{{doc.Root}, {m}, randomContext(r, doc)}
+		if m.Parent != nil {
+			ctxs = append(ctxs, m.Parent.Children)
+		}
+		for _, ctx := range ctxs {
+			got, err := xpath.EvalAtErr(p, ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", xpath.String(p), err)
+			}
+			assertSameNodes(t, xpath.String(p), got, ref(t, p, ctx...))
+		}
 	}
 }

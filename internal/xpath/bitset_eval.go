@@ -8,40 +8,35 @@ import (
 	"repro/internal/xmltree"
 )
 
-// This file is the ordinal evaluation path: on compacted documents the
-// evaluator's internal currency is not a []*Node but a nodeset.Set — a
-// word-packed bitset over the arena's preorder ordinals. Preorder
-// ordinal order is document order, so the sort/dedup work the slice
-// evaluator does at every merge point disappears: union is word-wise
-// OR, deduplication is structural, descendant-or-self is a bit-range
-// fill over the subtree interval, and the Rec automaton's visited set
-// becomes one bitset row per view state. All intermediate sets come
-// from a sync.Pool, so a steady-state evaluation allocates only its
-// final result slice.
+// This file is the evaluator: its internal currency is not a []*Node
+// but a nodeset.Set — a word-packed bitset over the document's preorder
+// ordinals. Preorder ordinal order is document order, so the sort/dedup
+// work a slice evaluator does at every merge point disappears: union is
+// word-wise OR, deduplication is structural, descendant-or-self is a
+// bit-range fill over the subtree interval, and the Rec automaton's
+// visited set becomes one bitset row per view state. All intermediate
+// sets come from a sync.Pool, so a steady-state evaluation allocates
+// only its final result slice.
 //
 // Qualifiers are evaluated set-at-a-time, never per context node: sat
 // filters a whole candidate set with one forward pass over each
 // qualifier path and one backward pass (pre) from what it reached, so
 // a qualifier costs a few bitset passes however many candidates it
-// tests. Per-node qualifier semantics live only in the slice
-// evaluator, which the differential suites use as the reference.
+// tests. Per-node qualifier semantics live only in the reference
+// evaluator (seqEval), which the differential suites compare against.
 //
-// The gate (ordinalDoc) requires every context node to carry fresh
-// numbering from one compacted document. Hand-built NewDocument trees,
-// detached subtrees, and mixed-document contexts keep the slice path —
-// which also keeps the two implementations pinned against each other
-// by every differential suite that evaluates on parsed or generated
-// (always compacted) documents.
+// The numbering contract: evaluation reads the ordinals and node table
+// the last Document.Renumber assigned (NewDocument runs one), so every
+// context node must be freshly numbered by one document (ordinalDoc).
+// After a structural mutation, renumber; a stale, detached or
+// mixed-document context fails with ErrUnnumbered.
 
-// ordinalDoc returns the compacted document that owns every context
-// node, or nil when the ordinal path does not apply (empty context,
-// stale numbering, uncompacted document, or mixed owners).
+// ordinalDoc returns the document whose current numbering covers every
+// context node, or nil when there is none (stale numbering, detached
+// nodes, or mixed owners).
 func ordinalDoc(nodes []*xmltree.Node) *xmltree.Document {
-	if len(nodes) == 0 {
-		return nil
-	}
 	d := nodes[0].Owner()
-	if d == nil || !d.Compacted() {
+	if d == nil {
 		return nil
 	}
 	for _, n := range nodes[1:] {
@@ -52,19 +47,10 @@ func ordinalDoc(nodes []*xmltree.Node) *xmltree.Document {
 	return d
 }
 
-// OrdinalApplicable reports whether evaluation over doc takes the
-// bitset path — the compaction gate, exported so the serving layer can
-// label its metrics with the set representation actually in use.
-func OrdinalApplicable(doc *xmltree.Document) bool {
-	return doc != nil && doc.Compacted()
-}
-
 // evalOrdinal runs one bitset evaluation end to end: context slice in,
-// result slice out, every intermediate set pooled. It shares the
-// caller's seqEval so ticks and cancellation behave exactly as on the
-// slice path. idx is nil for the walk evaluator.
-func evalOrdinal(se *seqEval, idx *Index, d *xmltree.Document, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	b := &bitEval{se: se, idx: idx, doc: d}
+// result slice out, every intermediate set pooled.
+func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
+	b := &bitEval{se: t, doc: d}
 	defer b.release()
 	ctx := b.get()
 	for _, n := range nodes {
@@ -81,10 +67,9 @@ func evalOrdinal(se *seqEval, idx *Index, d *xmltree.Document, p Path, nodes []*
 // obtained (owned) so release can return each to the pool exactly once
 // no matter how evaluation unwound; recycle moves a set to the free
 // list for reuse within this evaluation without touching ownership.
-// A bitEval is single-goroutine, like the seqEval it wraps.
+// A bitEval is single-goroutine, like the ticker it wraps.
 type bitEval struct {
-	se    *seqEval
-	idx   *Index
+	se    *ticker
 	doc   *xmltree.Document
 	owned []*nodeset.Set
 	free  []*nodeset.Set
@@ -157,6 +142,18 @@ func (b *bitEval) path(p Path, ctx *nodeset.Set) (*nodeset.Set, error) {
 		return out, nil
 	case Label:
 		out := b.get()
+		// Selectivity: a posting list no longer than the context is
+		// cheaper to filter by parent than the context's children are
+		// to scan, since every context node would be visited at least
+		// once.
+		if candidates := b.doc.Labeled(p.Name); len(candidates) <= ctx.Count() {
+			for _, ord := range candidates {
+				if parent := byOrd[ord].Parent; parent != nil && ctx.Has(parent.Ord()) {
+					out.Add(int(ord))
+				}
+			}
+			return out, b.se.tickN(len(candidates))
+		}
 		ctx.ForEach(func(ord int) {
 			for _, c := range byOrd[ord].Children {
 				if c.Label == p.Name {
@@ -176,6 +173,9 @@ func (b *bitEval) path(p Path, ctx *nodeset.Set) (*nodeset.Set, error) {
 		})
 		return out, nil
 	case Seq:
+		if out, ok, err := b.chainUp(p, ctx); ok || err != nil {
+			return out, err
+		}
 		mid, err := b.path(p.Left, ctx)
 		if err != nil {
 			return nil, err
@@ -221,12 +221,71 @@ func (b *bitEval) path(p Path, ctx *nodeset.Set) (*nodeset.Set, error) {
 	}
 }
 
+// chainUp evaluates a chain of child label steps l1/.../lk bottom-up:
+// every node labeled lk whose ancestors carry l(k-1)...l1 in order and
+// whose chain starts under a context node. The rewritten plans of
+// non-recursive views are mostly such precise root paths. ok is false
+// when p is not a label chain, or when lk's posting list is longer than
+// the set's word count: a top-down step costs at least one pass over
+// the words, so up to that length the climb costs no more than one
+// step, and it skips every intermediate set.
+func (b *bitEval) chainUp(p Seq, ctx *nodeset.Set) (*nodeset.Set, bool, error) {
+	last := chainLast(p)
+	if last == "" {
+		return nil, false, nil
+	}
+	candidates := b.doc.Labeled(last)
+	if len(candidates) > b.doc.Size()/64+1 {
+		return nil, false, nil
+	}
+	out := b.get()
+	byOrd := b.doc.Nodes()
+	for _, ord := range candidates {
+		if top := climb(p, byOrd[ord]); top != nil && ctx.Has(top.Ord()) {
+			out.Add(int(ord))
+		}
+	}
+	return out, true, b.se.tickN(len(candidates))
+}
+
+// chainLast returns the last label of p when p is a sequence of child
+// label steps only, else "".
+func chainLast(p Path) string {
+	switch p := p.(type) {
+	case Label:
+		return p.Name
+	case Seq:
+		if chainLast(p.Left) != "" {
+			return chainLast(p.Right)
+		}
+	}
+	return ""
+}
+
+// climb matches the label chain p upward from n, which carries p's last
+// label, and returns the parent of the chain's first node: the node the
+// chain must start from. It returns nil on a mismatch.
+func climb(p Path, n *xmltree.Node) *xmltree.Node {
+	switch p := p.(type) {
+	case Label:
+		if n.Label != p.Name {
+			return nil
+		}
+		return n.Parent
+	case Seq:
+		if m := climb(p.Right, n); m != nil {
+			return climb(p.Left, m)
+		}
+	}
+	return nil
+}
+
 // descendantOrSelf is the bit-range-fill form of the descendant step:
 // iterate the context's ordinals ascending, skip any ordinal nested in
 // the previous subtree interval (intervals are laminar, so that drops
 // exactly the covered duplicates), and fill [ord, ord+desc] for each
 // maximal interval. tickN keeps the nodes-visited count and the
-// cancellation poll rate honest with the slice path's interval walk.
+// cancellation poll rate proportional to the nodes covered.
 func (b *bitEval) descendantOrSelf(ctx *nodeset.Set) (*nodeset.Set, error) {
 	out := b.get()
 	byOrd := b.doc.Nodes()
@@ -250,22 +309,21 @@ func (b *bitEval) descendantOrSelf(ctx *nodeset.Set) (*nodeset.Set, error) {
 	return out, nil
 }
 
-// descendViaIndex is the ordinal form of the indexed //label shortcut:
-// the context's descendant-or-self cover becomes a range-filled bitset,
-// and the posting-list filter is one Has per candidate parent instead
-// of a prefix-maxima binary search. ok is false when there is no index,
-// the head is not a label step, or the selectivity heuristic prefers
-// the subtree fill (context cover smaller than the posting list).
+// descendViaIndex answers //l... from the document's label index
+// (Document.Labeled), the way the paper's "state-of-the-art" evaluator
+// [17] avoids full scans: the context's descendant-or-self cover becomes
+// a range-filled bitset, and the posting list of l keeps the entries
+// whose parent the cover holds. ok is false when the head is not a
+// label step, or when the per-step selectivity heuristic prefers the
+// subtree fill (context cover smaller than the posting list, as for a
+// descendant step inside a qualifier tested at a few small subtrees).
 func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, bool, error) {
-	if b.idx == nil {
-		return nil, false, nil
-	}
 	head, rest := splitHead(sub)
 	label, ok := head.(Label)
 	if !ok {
 		return nil, false, nil
 	}
-	candidates := b.idx.Labeled(label.Name)
+	candidates := b.doc.Labeled(label.Name)
 	if len(candidates) == 0 {
 		return b.get(), true, nil
 	}
@@ -289,12 +347,12 @@ func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, boo
 		return nil, false, nil
 	}
 	matched := b.get()
-	for _, c := range candidates {
+	for _, ord := range candidates {
 		if err := b.se.tick(); err != nil {
 			return nil, true, err
 		}
-		if c.Parent != nil && cover.Has(c.Parent.Ord()) {
-			matched.Add(c.Ord())
+		if parent := byOrd[ord].Parent; parent != nil && cover.Has(parent.Ord()) {
+			matched.Add(int(ord))
 		}
 	}
 	b.recycle(cover)
@@ -306,6 +364,21 @@ func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, boo
 	return out, true, err
 }
 
+// splitHead splits a path into its first step and the remainder (nil when
+// the path is a single step). Sequences are left-deep, so the head is the
+// leftmost non-Seq node.
+func splitHead(p Path) (Path, Path) {
+	seq, ok := p.(Seq)
+	if !ok {
+		return p, nil
+	}
+	head, mid := splitHead(seq.Left)
+	if mid == nil {
+		return head, seq.Right
+	}
+	return head, Seq{Left: mid, Right: seq.Right}
+}
+
 // sat returns the members of cand at which q holds: the set-at-a-time
 // form of seqEval.qual. Each qualifier occurrence costs a constant
 // number of passes over the plan and the document, however many
@@ -315,8 +388,8 @@ func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, boo
 // per-node form short-circuits: the right operand of an "and" sees
 // only the candidates the left accepted, that of an "or" only those it
 // rejected. An operand is never evaluated over an empty set, so an
-// unbound variable fails exactly when the slice evaluator reaches it
-// at some node.
+// unbound variable fails exactly when the reference evaluator reaches
+// it at some node.
 func (b *bitEval) sat(q Qual, cand *nodeset.Set) (*nodeset.Set, error) {
 	if cand.Empty() {
 		return b.get(), nil
@@ -546,9 +619,9 @@ func (b *bitEval) ancestorsOrSelf(s *nodeset.Set) error {
 	return err
 }
 
-// reach is the product reachability of rec.go over bitset rows, in
-// either direction. Forward it seeds p.Start's row with seed, maps each
-// frontier across the σ edges with path, and answers p.Accept's row.
+// reach is the product reachability of Rec over bitset rows, in either
+// direction (seqEval.rec is the reference form). Forward it seeds
+// p.Start's row with seed, maps each frontier across the σ edges with path, and answers p.Accept's row.
 // Backward it seeds p.Accept's row, maps frontiers back across the
 // reversed edges with pre, and answers p.Start's row: the nodes from
 // which some σ chain reaches seed, which is pre(p, seed).
@@ -556,9 +629,8 @@ func (b *bitEval) ancestorsOrSelf(s *nodeset.Set) error {
 // The visited set keeps one row per view state (rows[s].Has(ord) ⇔
 // (node, s) seen), and frontiers are sets, so per-level dedup against
 // everything already visited is one AndNot instead of a map probe per
-// (node, state) pair. States iterate in sorted order like the slice
-// form, keeping σ evaluation order, and therefore tick counts,
-// deterministic.
+// (node, state) pair. States iterate in sorted order, keeping σ
+// evaluation order, and therefore tick counts, deterministic.
 func (b *bitEval) reach(p Rec, seed *nodeset.Set, backward bool) (*nodeset.Set, error) {
 	if p.G == nil {
 		return b.get(), nil

@@ -1,22 +1,23 @@
 package xpath_test
 
 // Differential property suite: on randomized (DTD, document, query)
-// triples, the parallel evaluator must agree with the sequential one
-// exactly — same node set, same document order, no duplicates — across
-// worker counts and partition thresholds. Hand-written equivalence cases
-// only cover the query shapes their authors thought of; the randomized
-// sweep pins the ≡ down across the whole fragment, including the
-// degenerate shapes (∅, ε, deep unions, qualifier nests) that tend to
-// hide partitioning bugs. Run it under -race to make it a concurrency
-// check too.
+// triples, the serving evaluator must agree with the reference
+// evaluator (xpath.EvalRef) exactly — same node set, same document
+// order, no duplicates. Hand-written equivalence cases only cover the
+// query shapes their authors thought of; the randomized sweep pins the
+// ≡ down across the whole fragment, including the degenerate shapes (∅,
+// ε, deep unions, qualifier nests) that tend to hide bugs in the label
+// index and interval paths.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/dtds"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -152,104 +153,18 @@ func assertSortedUnique(t *testing.T, label string, nodes []*xmltree.Node) {
 	}
 }
 
-// TestDifferentialParallelVsSequential sweeps ~200 randomized (DTD,
-// document, query) triples and a grid of parallel configurations.
-func TestDifferentialParallelVsSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(20260806))
-	configs := []xpath.ParallelConfig{
-		{Threshold: -1, Workers: 1},
-		{Threshold: -1, Workers: 4},
-		{Threshold: 64, Workers: 2},
-		{}, // defaults: threshold gate usually keeps small docs sequential
+// ref evaluates p at ctx with the reference evaluator.
+func ref(t *testing.T, p xpath.Path, ctx ...*xmltree.Node) []*xmltree.Node {
+	t.Helper()
+	out, err := xpath.EvalRef(p, ctx)
+	if err != nil {
+		t.Fatalf("reference eval error on %s: %v", xpath.String(p), err)
 	}
-	triples := 0
-	for triples < 200 {
-		src := randomDTDSource(r)
-		d, err := dtd.Parse(src)
-		if err != nil {
-			t.Fatalf("random DTD does not parse: %v\n%s", err, src)
-		}
-		doc := xmlgen.Generate(d, xmlgen.Config{
-			Seed:      r.Int63(),
-			MinRepeat: 1,
-			MaxRepeat: 2 + r.Intn(3),
-			MaxDepth:  6,
-		})
-		if doc.Size() > 1500 {
-			// Random star chains occasionally explode; nested Descend
-			// qualifiers are superlinear, so cap the document to keep the
-			// 200-triple sweep fast. The large-doc partitioning paths get
-			// their own dedicated test below.
-			continue
-		}
-		labels := append(d.Types(), xpath.TextName)
-		for q := 0; q < 5; q++ {
-			triples++
-			p := randPath(r, labels, 3)
-			want, seqErr := xpath.EvalDocErr(p, doc)
-			if seqErr != nil {
-				t.Fatalf("sequential eval error on %s: %v", xpath.String(p), seqErr)
-			}
-			assertSortedUnique(t, "sequential "+xpath.String(p), want)
-			for _, cfg := range configs {
-				var stats xpath.ParallelStats
-				got, err := xpath.EvalDocParallel(p, doc, cfg, &stats)
-				if err != nil {
-					t.Fatalf("parallel eval error (cfg %+v) on %s: %v", cfg, xpath.String(p), err)
-				}
-				assertSortedUnique(t, fmt.Sprintf("parallel %+v %s", cfg, xpath.String(p)), got)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("parallel ≠ sequential (cfg %+v)\nquery: %s\ngot %d nodes, want %d\nDTD:\n%s",
-						cfg, xpath.String(p), len(got), len(want), src)
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialLargeDocPartitioning repeats the check on documents
-// big enough to cross the default threshold, so the partitioned Descend
-// and qualifier paths run for real (not just with Threshold: -1).
-func TestDifferentialLargeDocPartitioning(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	src := `
-root e0
-e0 -> e1*
-e1 -> e2, e3*
-e2 -> e4*
-e3 -> e4, e5
-e4 -> e5*
-e5 -> #PCDATA
-`
-	d := dtd.MustParse(src)
-	doc := xmlgen.Generate(d, xmlgen.Config{Seed: 7, MinRepeat: 2, MaxRepeat: 9, MaxDepth: 10})
-	if doc.Size() < xpath.DefaultParallelThreshold {
-		t.Fatalf("generated doc too small to exercise partitioning: %d nodes", doc.Size())
-	}
-	labels := append(d.Types(), xpath.TextName)
-	for i := 0; i < 25; i++ {
-		p := randPath(r, labels, 2)
-		want, err := xpath.EvalDocErr(p, doc)
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		for _, cfg := range []xpath.ParallelConfig{{}, {Workers: 3, Threshold: 128}} {
-			var stats xpath.ParallelStats
-			got, err := xpath.EvalDocParallel(p, doc, cfg, &stats)
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallel ≠ sequential on %s (cfg %+v): got %d want %d nodes",
-					xpath.String(p), cfg, len(got), len(want))
-			}
-		}
-	}
+	return out
 }
 
 // assertSameNodes fails unless got and want hold the same nodes in the
-// same order (nil and empty are equal — the evaluators differ on which
-// they produce for empty results).
+// same order (nil and empty are equal).
 func assertSameNodes(t *testing.T, label string, got, want []*xmltree.Node) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -263,8 +178,9 @@ func assertSameNodes(t *testing.T, label string, got, want []*xmltree.Node) {
 }
 
 // TestDifferentialIndexedVsSequential sweeps ~200 randomized (DTD,
-// document, query) triples through the indexed evaluator, checking the
-// indexed ≡ sequential equivalence at the document root and at random
+// document, query) triples through the serving evaluator, whose
+// descendant and child steps read the label index, checking it against
+// the sequential reference at the document root and at random
 // subcontexts. This is the suite that licenses serving traffic from the
 // label index: any divergence here is a policy-enforcement bug, not a
 // performance bug.
@@ -284,18 +200,17 @@ func TestDifferentialIndexedVsSequential(t *testing.T) {
 			MaxDepth:  6,
 		})
 		if doc.Size() > 1500 {
-			continue // see TestDifferentialParallelVsSequential
+			// Random star chains occasionally explode, and the reference
+			// walks nested descends superlinearly: keep the sweep fast.
+			continue
 		}
-		idx := xpath.NewIndex(doc)
 		labels := append(d.Types(), xpath.TextName)
 		for q := 0; q < 5; q++ {
 			triples++
 			p := randPath(r, labels, 3)
-			want, seqErr := xpath.EvalDocErr(p, doc)
-			if seqErr != nil {
-				t.Fatalf("sequential eval error on %s: %v", xpath.String(p), seqErr)
-			}
-			got, err := xpath.EvalIndexedErr(p, idx)
+			want := ref(t, p, doc.Root)
+			assertSortedUnique(t, "reference "+xpath.String(p), want)
+			got, err := xpath.EvalDocErr(p, doc)
 			if err != nil {
 				t.Fatalf("indexed eval error on %s: %v", xpath.String(p), err)
 			}
@@ -304,17 +219,14 @@ func TestDifferentialIndexedVsSequential(t *testing.T) {
 
 			// Subcontext leg: a random context set (possibly with
 			// duplicates and ancestor/descendant overlap) exercises the
-			// selectivity gate and the underContext interval filter.
+			// selectivity gates and the interval cover.
 			all := doc.Nodes()
 			ctx := make([]*xmltree.Node, 1+r.Intn(4))
 			for i := range ctx {
 				ctx[i] = all[r.Intn(len(all))]
 			}
-			wantAt, err := xpath.EvalAtErr(p, ctx)
-			if err != nil {
-				t.Fatalf("sequential EvalAt error on %s: %v", xpath.String(p), err)
-			}
-			gotAt, err := xpath.EvalIndexedAtCtx(nil, p, idx, ctx)
+			wantAt := ref(t, p, ctx...)
+			gotAt, err := xpath.EvalAtErr(p, ctx)
 			if err != nil {
 				t.Fatalf("indexed EvalAt error on %s: %v", xpath.String(p), err)
 			}
@@ -323,9 +235,9 @@ func TestDifferentialIndexedVsSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialIndexedLargeDoc repeats the indexed ≡ sequential
-// check on a document big enough that the selectivity heuristic
-// actually chooses the posting-list path for whole-document descends.
+// TestDifferentialIndexedLargeDoc repeats the served ≡ reference check
+// on a document big enough that the selectivity heuristic actually
+// chooses the posting-list path for whole-document descends.
 func TestDifferentialIndexedLargeDoc(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	src := `
@@ -342,15 +254,11 @@ e5 -> #PCDATA
 	if doc.Size() < 1000 {
 		t.Fatalf("generated doc too small: %d nodes", doc.Size())
 	}
-	idx := xpath.NewIndex(doc)
 	labels := append(d.Types(), xpath.TextName)
 	for i := 0; i < 25; i++ {
 		p := randPath(r, labels, 2)
-		want, err := xpath.EvalDocErr(p, doc)
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		got, err := xpath.EvalIndexedErr(p, idx)
+		want := ref(t, p, doc.Root)
+		got, err := xpath.EvalDocErr(p, doc)
 		if err != nil {
 			t.Fatalf("indexed: %v", err)
 		}
@@ -359,23 +267,71 @@ e5 -> #PCDATA
 	// The canonical deep-descendant shapes, pinned explicitly.
 	for _, q := range []string{"//e1//e4//e5", "//e1//e5/text()", "//e1[.//e4]//e5", "//e0//e1//e3//e5"} {
 		p := xpath.MustParse(q)
-		assertSameNodes(t, q, xpath.EvalIndexed(p, idx), xpath.EvalDoc(p, doc))
+		assertSameNodes(t, q, xpath.EvalDoc(p, doc), ref(t, p, doc.Root))
 	}
 }
 
-// TestEvalIndexedRejectsUnboundVars: the indexed evaluator shares the
-// sequential evaluator's unbound-$variable contract.
+// TestEvalIndexedRejectsUnboundVars: the serving evaluator shares the
+// reference evaluator's unbound-$variable contract, on a descendant
+// step the label index serves too.
 func TestEvalIndexedRejectsUnboundVars(t *testing.T) {
-	doc := xmlgen.Generate(dtd.MustParse("root e0\ne0 -> #PCDATA\n"), xmlgen.Config{Seed: 1})
-	idx := xpath.NewIndex(doc)
-	p := xpath.Qualified{Sub: xpath.Self{}, Cond: xpath.QEq{Path: xpath.Self{}, Var: "w"}}
-	if _, err := xpath.EvalIndexedErr(p, idx); err == nil {
-		t.Fatalf("unbound variable accepted by EvalIndexedErr")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("EvalIndexed did not panic on unbound variable")
+	doc := xmlgen.Generate(dtd.MustParse("root e0\ne0 -> e1*\ne1 -> #PCDATA\n"), xmlgen.Config{Seed: 1, MinRepeat: 2})
+	for _, p := range []xpath.Path{
+		xpath.Qualified{Sub: xpath.Self{}, Cond: xpath.QEq{Path: xpath.Self{}, Var: "w"}},
+		xpath.MustParse("//e1[. = $w]"),
+	} {
+		if _, err := xpath.EvalRef(p, []*xmltree.Node{doc.Root}); err == nil {
+			t.Fatalf("reference accepted unbound variable in %s", xpath.String(p))
 		}
-	}()
-	xpath.EvalIndexed(p, idx)
+		if _, err := xpath.EvalDocErr(p, doc); err == nil {
+			t.Fatalf("unbound variable in %s accepted by EvalDocErr", xpath.String(p))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("EvalDoc did not panic on unbound variable in %s", xpath.String(p))
+				}
+			}()
+			xpath.EvalDoc(p, doc)
+		}()
+	}
+}
+
+// TestConcurrentEvalsShareDocument: many goroutines evaluate on one
+// fresh document at once — racing to build its label index, drawing
+// scratch sets from the shared pool — and every answer matches the
+// reference (run with -race).
+func TestConcurrentEvalsShareDocument(t *testing.T) {
+	doc := dtds.GenerateHospital(5, 6)
+	queries := []xpath.Path{
+		xpath.MustParse("//patient/name"),
+		xpath.MustParse(`//patient[wardNo = "3"]/name`),
+		xpath.MustParse("(//bill | //medication)"),
+		xpath.MustParse("(//patient | dept/patientInfo/patient)[treatment/regular]/name"),
+		xpath.MustParse("dept/staffInfo/staff/*"),
+	}
+	want := make([][]*xmltree.Node, len(queries))
+	for i, p := range queries {
+		want[i] = ref(t, p, doc.Root)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				k := (g + i) % len(queries)
+				got, err := xpath.EvalDocErr(queries[k], doc)
+				if err != nil {
+					t.Errorf("%s: %v", xpath.String(queries[k]), err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("%s: %d nodes, reference %d", xpath.String(queries[k]), len(got), len(want[k]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

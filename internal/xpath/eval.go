@@ -2,30 +2,44 @@ package xpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/xmltree"
 )
 
+// This file holds the evaluator's entry points and the reference
+// evaluator. Every Eval* function below runs the ordinal (bitset)
+// evaluator of bitset_eval.go, the one evaluator serving uses. EvalRef
+// and EvalQual run seqEval instead: a direct, per-node transcription of
+// the paper's semantics over node slices, kept as the reference every
+// differential suite and ground-truth oracle compares against.
+
+// ErrUnnumbered is returned when the context nodes are not all freshly
+// numbered by one document: a node was detached or the tree mutated
+// since the last Document.Renumber, the nodes were never part of a
+// document, or they come from different documents. Evaluation reads the
+// numbering, so it refuses such contexts instead of guessing.
+var ErrUnnumbered = errors.New("xpath: context nodes are not numbered by one document (renumber after structural mutation)")
+
 // Eval evaluates the query at a single context node and returns the
 // selected nodes in document order without duplicates (the paper's v⟦p⟧).
 // The query must not contain unbound variables; bind them first with
-// BindVars. Eval panics on unbound variables — untrusted queries should
-// go through EvalErr instead.
+// BindVars. Eval panics on any evaluation error — unbound variables,
+// unnumbered contexts; untrusted queries should go through EvalErr.
 func Eval(p Path, ctx *xmltree.Node) []*xmltree.Node {
 	return EvalAt(p, []*xmltree.Node{ctx})
 }
 
-// EvalErr is Eval returning an error instead of panicking on unbound
-// $variables or malformed AST nodes.
+// EvalErr is Eval returning an error instead of panicking.
 func EvalErr(p Path, ctx *xmltree.Node) ([]*xmltree.Node, error) {
 	return EvalAtErr(p, []*xmltree.Node{ctx})
 }
 
 // EvalAt evaluates the query at a set of context nodes and returns the
 // union of the per-node results in document order without duplicates.
-// It panics on unbound variables; see EvalAtErr.
+// It panics on evaluation errors; see EvalAtErr.
 func EvalAt(p Path, ctx []*xmltree.Node) []*xmltree.Node {
 	out, err := EvalAtErr(p, ctx)
 	if err != nil {
@@ -43,7 +57,7 @@ func EvalAtErr(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 // root as the context node. Queries written with a leading '/' or '//'
 // behave as in standard XPath because Parse treats the root element as
 // the context: //a finds every a including the root itself. It panics on
-// unbound variables; see EvalDocErr.
+// evaluation errors; see EvalDocErr.
 func EvalDoc(p Path, doc *xmltree.Document) []*xmltree.Node {
 	return Eval(p, doc.Root)
 }
@@ -54,64 +68,71 @@ func EvalDocErr(p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
 }
 
 // EvalDocCtx is EvalDocErr honoring a context: evaluation checks for
-// cancellation cooperatively (at every path step, and periodically inside
-// descendant walks and qualifier-filter loops) and returns ctx.Err() once
-// the context is done. A nil context disables the checks.
-func EvalDocCtx(ctx context.Context, p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return EvalAtCtx(ctx, p, []*xmltree.Node{doc.Root})
+// cancellation cooperatively (at every path step, and periodically
+// inside per-node loops) and returns ctx.Err() once the context is done.
+// A nil context disables the checks. visited reports the evaluation's
+// cooperation ticks — one per path step plus one per node in the hot
+// loops — as a nodes-visited proxy for observability; it is counted
+// only when ctx is non-nil (the counter rides the cancellation
+// machinery).
+func EvalDocCtx(ctx context.Context, p Path, doc *xmltree.Document) (nodes []*xmltree.Node, visited uint64, err error) {
+	return evalCtx(ctx, p, []*xmltree.Node{doc.Root})
 }
 
 // EvalAtCtx is EvalAtErr honoring a context; see EvalDocCtx.
-//
-// Contexts whose nodes all carry fresh numbering from one compacted
-// document take the ordinal (bitset) path — same results, same
-// cancellation behavior, near-zero intermediate allocation; see
-// bitset_eval.go. All other contexts evaluate over node slices.
 func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	e := newSeqEval(ctx)
-	if err := e.cancelled(); err != nil {
-		return nil, err
+	out, _, err := evalCtx(ctx, p, nodes)
+	return out, err
+}
+
+// evalCtx is the single evaluation entry point: it gates the context on
+// its numbering and runs the bitset evaluator.
+func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, uint64, error) {
+	t := newTicker(ctx)
+	if err := t.cancelled(); err != nil {
+		return nil, 0, err
 	}
-	if d := ordinalDoc(nodes); d != nil {
-		return evalOrdinal(e, nil, d, p, nodes)
+	if len(nodes) == 0 {
+		return nil, 0, nil
 	}
-	out, err := e.path(p, nodes)
+	d := ordinalDoc(nodes)
+	if d == nil {
+		return nil, 0, ErrUnnumbered
+	}
+	out, err := evalOrdinal(t, d, p, nodes)
+	return out, uint64(t.ticks), err
+}
+
+// EvalRef evaluates p at the context nodes with the reference evaluator:
+// node slices, qualifiers tested one node at a time, descendant steps by
+// walking. Its answers define what every other evaluation must return.
+// It is slow by design and never used for serving. Duplicate-free
+// document-order output requires the nodes to be numbered by one
+// document, as for Eval; on other inputs the answer holds the right
+// nodes in no particular order.
+func EvalRef(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
+	out, err := seqEval{}.path(p, ctx)
 	if err != nil {
 		return nil, err
 	}
 	return xmltree.SortDocOrder(out), nil
 }
 
-// EvalDocCtxCounted is EvalDocCtx additionally reporting the
-// evaluation's cooperation ticks — one per path step plus one per node
-// in the hot loops (descendant walks, qualifier filtering) — as a
-// nodes-visited proxy for observability. The count is maintained only
-// when ctx is non-nil (the tick counter rides the cancellation
-// machinery); the serving layer always passes a real context.
-func EvalDocCtxCounted(ctx context.Context, p Path, doc *xmltree.Document) ([]*xmltree.Node, uint64, error) {
-	e := newSeqEval(ctx)
-	if err := e.cancelled(); err != nil {
-		return nil, 0, err
-	}
-	root := []*xmltree.Node{doc.Root}
-	if d := ordinalDoc(root); d != nil {
-		out, err := evalOrdinal(e, nil, d, p, root)
-		return out, uint64(e.ticks), err
-	}
-	out, err := e.path(p, root)
+// EvalQual evaluates a qualifier at a context node (the paper's "[q]
+// holds at v") with the reference evaluator. It panics on unbound
+// $variables; untrusted qualifiers should go through EvalQualErr.
+func EvalQual(q Qual, v *xmltree.Node) bool {
+	hold, err := EvalQualErr(q, v)
 	if err != nil {
-		return nil, uint64(e.ticks), err
+		panic("xpath: " + err.Error())
 	}
-	return xmltree.SortDocOrder(out), uint64(e.ticks), nil
+	return hold
 }
 
-// EvalQualCtx is EvalQualErr honoring a context; see EvalDocCtx.
-func EvalQualCtx(ctx context.Context, q Qual, v *xmltree.Node) (bool, error) {
-	e := newSeqEval(ctx)
-	if err := e.cancelled(); err != nil {
-		return false, err
-	}
-	return e.qual(q, v)
+// EvalQualErr is EvalQual returning an error instead of panicking on
+// unbound $variables or malformed AST nodes.
+func EvalQualErr(q Qual, v *xmltree.Node) (bool, error) {
+	return seqEval{}.qual(q, v)
 }
 
 // tickMask sets the cooperative cancellation poll rate: one ctx.Done()
@@ -122,48 +143,29 @@ func EvalQualCtx(ctx context.Context, q Qual, v *xmltree.Node) (bool, error) {
 // increment per tick.
 const tickMask = 127
 
-// seqEval is one sequential evaluation: the optional cancellation
-// context and the tick counter that rate-limits polling it. A seqEval is
-// used by a single goroutine; the parallel evaluator creates one per
-// worker rather than sharing.
-type seqEval struct {
+// ticker is one evaluation's cancellation state: the optional context
+// and the tick counter that rate-limits polling it. A ticker is used by
+// a single goroutine.
+type ticker struct {
 	ctx      context.Context
 	ticks    uint
 	deadline time.Time
 	timed    bool
 }
 
-// newSeqEval captures the context's deadline once so every poll can
-// compare against the clock directly; see pollCtx.
-func newSeqEval(ctx context.Context) *seqEval {
-	e := &seqEval{ctx: ctx}
+// newTicker captures the context's deadline once so every poll can
+// compare against the clock directly; see cancelled.
+func newTicker(ctx context.Context) *ticker {
+	e := &ticker{ctx: ctx}
 	if ctx != nil {
 		e.deadline, e.timed = ctx.Deadline()
 	}
 	return e
 }
 
-// pollCtx reports whether the context is done, without blocking. Beyond
-// the ctx.Done() select it also checks an expired deadline against the
-// clock: the runtime timer that closes Done can lag the deadline by tens
-// of milliseconds when a CPU-bound evaluation monopolizes a single-P
-// scheduler, and a deadline the caller set must cut the query off even
-// then.
-func pollCtx(ctx context.Context, deadline time.Time, timed bool) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-	}
-	if timed && !time.Now().Before(deadline) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // tick advances the poll counter and reports ctx.Err() when the context
 // is done. It is cheap enough for per-node loops.
-func (e *seqEval) tick() error {
+func (e *ticker) tick() error {
 	if e.ctx == nil {
 		return nil
 	}
@@ -174,12 +176,25 @@ func (e *seqEval) tick() error {
 	return e.cancelled()
 }
 
-// cancelled polls the context immediately (no tick rate limit).
-func (e *seqEval) cancelled() error {
+// cancelled polls the context immediately (no tick rate limit). Beyond
+// the ctx.Done() select it also checks an expired deadline against the
+// clock: the runtime timer that closes Done can lag the deadline by tens
+// of milliseconds when a CPU-bound evaluation monopolizes a single-P
+// scheduler, and a deadline the caller set must cut the query off even
+// then.
+func (e *ticker) cancelled() error {
 	if e.ctx == nil {
 		return nil
 	}
-	return pollCtx(e.ctx, e.deadline, e.timed)
+	select {
+	case <-e.ctx.Done():
+		return e.ctx.Err()
+	default:
+	}
+	if e.timed && !time.Now().Before(e.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // tickN advances the poll counter by n at once — the bulk form of tick
@@ -188,7 +203,7 @@ func (e *seqEval) cancelled() error {
 // crossed a poll boundary, preserving tick's at-least-once-per-128-ticks
 // cancellation granularity and keeping the ticks count an honest
 // nodes-visited proxy.
-func (e *seqEval) tickN(n int) error {
+func (e *ticker) tickN(n int) error {
 	if e.ctx == nil || n <= 0 {
 		return nil
 	}
@@ -200,12 +215,13 @@ func (e *seqEval) tickN(n int) error {
 	return e.cancelled()
 }
 
-func (e *seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
+// seqEval is the reference evaluator: a direct transcription of the
+// paper's semantics over node slices, one qualifier test per node.
+type seqEval struct{}
+
+func (e seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 	if len(ctx) == 0 {
 		return nil, nil
-	}
-	if err := e.tick(); err != nil {
-		return nil, err
 	}
 	switch p := p.(type) {
 	case Empty:
@@ -240,11 +256,7 @@ func (e *seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 		return e.path(p.Right, xmltree.SortDocOrder(mid))
 	case Descend:
 		// descendant-or-self, then p.Sub.
-		dos, err := e.descendantOrSelf(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return e.path(p.Sub, dos)
+		return e.path(p.Sub, descendantOrSelf(ctx))
 	case Union:
 		left, err := e.path(p.Left, ctx)
 		if err != nil {
@@ -255,9 +267,7 @@ func (e *seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 			return nil, err
 		}
 		// Dedup eagerly: overlapping branches would otherwise hand
-		// duplicate nodes to an enclosing context, and while every
-		// consumer re-sorts today, keeping the invariant local makes it
-		// impossible to leak duplicates through a new consumer.
+		// duplicate nodes to an enclosing context.
 		return xmltree.SortDocOrder(append(left, right...)), nil
 	case Qualified:
 		mid, err := e.path(p.Sub, ctx)
@@ -266,9 +276,6 @@ func (e *seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 		}
 		var out []*xmltree.Node
 		for _, v := range xmltree.SortDocOrder(mid) {
-			if err := e.tick(); err != nil {
-				return nil, err
-			}
 			hold, err := e.qual(p.Cond, v)
 			if err != nil {
 				return nil, err
@@ -279,109 +286,31 @@ func (e *seqEval) path(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 		}
 		return out, nil
 	case Rec:
-		return evalRec(p, ctx, e.path)
+		return e.rec(p, ctx)
 	default:
 		return nil, fmt.Errorf("evalPath: unknown path node %T", p)
 	}
 }
 
 // descendantOrSelf collects the context nodes and all their descendants
-// in document order without duplicates, polling for cancellation as it
-// walks.
-//
-// On renumbered documents it is interval arithmetic, not a walk: each
-// node's subtree is the contiguous byOrd range [ord, ord+desc], so a
-// single context node's descendant-or-self set IS Subtree() — a shared
-// subslice of the document's node table, returned with zero copying —
-// and a multi-node context concatenates the maximal (non-nested)
-// subtree intervals in document order. Subtree intervals are laminar
-// (nested or disjoint, never partially overlapping), so skipping any
-// context node whose ord lies inside the previous interval drops
-// exactly the covered duplicates. Callers never mutate context slices
-// (path's Self case copies), which is what makes sharing byOrd safe.
-func (e *seqEval) descendantOrSelf(ctx []*xmltree.Node) ([]*xmltree.Node, error) {
-	if len(ctx) == 1 {
-		if sub := ctx[0].Subtree(); sub != nil {
-			return sub, e.tickN(len(sub))
-		}
-	}
-	if sorted, ok := subtreeIntervals(ctx); ok {
-		var dos []*xmltree.Node
-		limit := -1
-		for _, v := range sorted {
-			if v.Ord() <= limit {
-				continue // nested inside the previous interval
-			}
-			sub := v.Subtree()
-			if err := e.tickN(len(sub)); err != nil {
-				return nil, err
-			}
-			dos = append(dos, sub...)
-			limit = v.Ord() + v.DescendantCount()
-		}
-		return dos, nil
-	}
-	var walkErr error
+// without duplicates, by walking.
+func descendantOrSelf(ctx []*xmltree.Node) []*xmltree.Node {
 	var dos []*xmltree.Node
 	seen := make(map[*xmltree.Node]bool)
 	for _, v := range ctx {
 		v.Walk(func(n *xmltree.Node) bool {
-			if walkErr != nil || seen[n] {
-				return false
-			}
-			if walkErr = e.tick(); walkErr != nil {
+			if seen[n] {
 				return false
 			}
 			seen[n] = true
 			dos = append(dos, n)
 			return true
 		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
 	}
-	return xmltree.SortDocOrder(dos), nil
+	return xmltree.SortDocOrder(dos)
 }
 
-// subtreeIntervals prepares a context for interval-based descendant
-// collection: every node must carry fresh numbering from the same
-// document (Owner non-nil and shared). It returns a sorted,
-// deduplicated copy of the context, or ok=false to demand the walk
-// fallback.
-func subtreeIntervals(ctx []*xmltree.Node) ([]*xmltree.Node, bool) {
-	if len(ctx) == 0 {
-		return nil, false
-	}
-	d := ctx[0].Owner()
-	if d == nil {
-		return nil, false
-	}
-	for _, v := range ctx[1:] {
-		if v.Owner() != d {
-			return nil, false
-		}
-	}
-	return xmltree.SortDocOrder(append([]*xmltree.Node(nil), ctx...)), true
-}
-
-// EvalQual evaluates a qualifier at a context node (the paper's "[q]
-// holds at v"). It panics on unbound $variables; untrusted qualifiers
-// should go through EvalQualErr.
-func EvalQual(q Qual, v *xmltree.Node) bool {
-	hold, err := EvalQualErr(q, v)
-	if err != nil {
-		panic("xpath: " + err.Error())
-	}
-	return hold
-}
-
-// EvalQualErr is EvalQual returning an error instead of panicking on
-// unbound $variables or malformed AST nodes.
-func EvalQualErr(q Qual, v *xmltree.Node) (bool, error) {
-	return (&seqEval{}).qual(q, v)
-}
-
-func (e *seqEval) qual(q Qual, v *xmltree.Node) (bool, error) {
+func (e seqEval) qual(q Qual, v *xmltree.Node) (bool, error) {
 	switch q := q.(type) {
 	case QTrue:
 		return true, nil

@@ -1,12 +1,12 @@
 package xpath_test
 
-// Fuzz targets for the error-returning evaluator path: any query or
-// qualifier the parser accepts must evaluate without panicking —
-// rejections (unbound $variables) must come back as errors — and the
-// forced-parallel evaluator must agree with the sequential one on every
-// accepted input. Seeds come from the example queries shipped in
-// internal/dtds (the Table 1 Adex benchmarks and the hospital/nurse
-// scenario).
+// Fuzz targets for the evaluator: any query or qualifier the parser
+// accepts must evaluate without panicking — rejections (unbound
+// $variables) must come back as errors — and must agree with the
+// reference evaluator (xpath.EvalRef, xpath.EvalQualErr) on every
+// accepted input, errors included. Seeds come from the example queries
+// shipped in internal/dtds (the Table 1 Adex benchmarks and the
+// hospital/nurse scenario).
 
 import (
 	"reflect"
@@ -57,10 +57,9 @@ func fuzzSeeds() []string {
 	return seeds
 }
 
-// FuzzEval drives EvalErr (via EvalDocErr) and the forced-parallel
-// evaluator with arbitrary parsed queries, and checks the bitset
-// evaluator over a compacted copy of the document against the slice
-// reference on the uncompacted original, ordinal for ordinal. Run with
+// FuzzEval checks the evaluator against the reference on arbitrary
+// parsed queries, over the fuzz document (renumbered, never compacted)
+// and over a compacted copy, node for node. Run with
 // go test -fuzz=FuzzEval$ ./internal/xpath.
 func FuzzEval(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
@@ -69,54 +68,39 @@ func FuzzEval(f *testing.F) {
 	doc := fuzzDoc()
 	compact := xmltree.NewDocument(doc.Root.Clone())
 	compact.Compact()
-	if xpath.OrdinalApplicable(doc) || !xpath.OrdinalApplicable(compact) {
-		f.Fatal("fuzzDoc must take the slice path and its compacted copy the bitset path")
-	}
-	cfg := xpath.ParallelConfig{Threshold: -1, Workers: 2}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := xpath.Parse(src)
 		if err != nil {
 			return // parser rejection is fine; evaluator panics are not
 		}
-		seq, seqErr := xpath.EvalDocErr(p, doc)
-		par, parErr := xpath.EvalDocParallel(p, doc, cfg, nil)
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("evaluators disagree on error for %q: sequential %v, parallel %v", src, seqErr, parErr)
-		}
-		if seqErr != nil {
-			// Both rejected (e.g. unbound $variable) without panicking;
-			// the bitset evaluator must reject it too.
-			if _, err := xpath.EvalDocErr(p, compact); err == nil {
-				t.Fatalf("bitset evaluator accepts %q, which the slice reference rejects: %v", src, seqErr)
+		want, refErr := xpath.EvalRef(p, []*xmltree.Node{doc.Root})
+		for _, d := range []*xmltree.Document{doc, compact} {
+			got, err := xpath.EvalDocErr(p, d)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("evaluator and reference disagree on error for %q: %v vs %v", src, err, refErr)
 			}
-			return
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("parallel ≠ sequential for %q: %d vs %d nodes", src, len(par), len(seq))
-		}
-		bits, err := xpath.EvalDocErr(p, compact)
-		if err != nil {
-			t.Fatalf("bitset evaluator rejects %q, which the slice reference accepts: %v", src, err)
-		}
-		if len(bits) != len(seq) {
-			t.Fatalf("bitset ≠ slice for %q: %d vs %d nodes", src, len(bits), len(seq))
-		}
-		for i := range seq {
-			if bits[i].Ord() != seq[i].Ord() {
-				t.Fatalf("bitset ≠ slice for %q: node %d is ord %d, want %d", src, i, bits[i].Ord(), seq[i].Ord())
+			if err != nil {
+				continue // both rejected (e.g. unbound $variable) without panicking
 			}
-		}
-		seen := make(map[*xmltree.Node]bool, len(seq))
-		for i, n := range seq {
-			if seen[n] || (i > 0 && seq[i-1].Ord() >= n.Ord()) {
-				t.Fatalf("result of %q violates the sorted-unique invariant at %d", src, i)
+			if len(got) != len(want) {
+				t.Fatalf("eval ≠ reference for %q: %d vs %d nodes", src, len(got), len(want))
 			}
-			seen[n] = true
+			for i := range want {
+				if got[i].Ord() != want[i].Ord() {
+					t.Fatalf("eval ≠ reference for %q: node %d is ord %d, want %d", src, i, got[i].Ord(), want[i].Ord())
+				}
+				if i > 0 && got[i-1].Ord() >= got[i].Ord() {
+					t.Fatalf("result of %q violates the sorted-unique invariant at %d", src, i)
+				}
+			}
 		}
 	})
 }
 
-// FuzzEvalQual does the same for bare qualifiers through EvalQualErr.
+// FuzzEvalQual checks bare qualifiers: at every node, the evaluator's
+// .[q] selects the node exactly when the reference's EvalQualErr holds
+// there (and fails exactly when it fails), and one set-at-a-time
+// evaluation of .[q] at all nodes selects exactly those nodes.
 func FuzzEvalQual(f *testing.F) {
 	for _, seed := range []string{
 		"name",
@@ -137,12 +121,32 @@ func FuzzEvalQual(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Evaluate at every node so qualifiers exercise attribute, text,
-		// and element contexts; errors (unbound $variables) are fine,
-		// panics are the target.
-		doc.Root.Walk(func(n *xmltree.Node) bool {
-			_, _ = xpath.EvalQualErr(q, n)
-			return true
-		})
+		p := xpath.Qualified{Sub: xpath.Self{}, Cond: q}
+		var held []*xmltree.Node
+		var refErr error
+		for _, n := range doc.Nodes() {
+			hold, err := xpath.EvalQualErr(q, n)
+			got, gotErr := xpath.EvalErr(p, n)
+			if (err == nil) != (gotErr == nil) {
+				t.Fatalf("%q at %s: evaluator error %v, reference %v", src, n.Path(), gotErr, err)
+			}
+			if err != nil {
+				refErr = err
+				continue
+			}
+			if hold != (len(got) == 1) {
+				t.Fatalf("%q at %s: evaluator selects %d nodes, reference holds=%v", src, n.Path(), len(got), hold)
+			}
+			if hold {
+				held = append(held, n)
+			}
+		}
+		all, err := xpath.EvalAtErr(p, doc.Nodes())
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q at every node: evaluator error %v, reference %v", src, err, refErr)
+		}
+		if err == nil && !reflect.DeepEqual(all, held) {
+			t.Fatalf("%q at every node: evaluator selects %d nodes, reference %d", src, len(all), len(held))
+		}
 	})
 }

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/xmltree"
 )
@@ -170,49 +169,21 @@ type Rec struct {
 
 func (Rec) isPath() {}
 
-// recKey is one visited (node, state) pair of the product search.
-type recKey struct {
-	n     *xmltree.Node
-	state string
-}
-
-// recSeenPool recycles the visited-pair maps between evalRec calls:
-// the product search probes the map once per (node, state) candidate,
-// and rebuilding a map that immediately regrows to thousands of
-// entries was a measurable share of recursive-plan allocation. Maps
-// come back cleared but keep their buckets, so a steady stream of
-// same-shaped plans stops allocating after the first few.
-var recSeenPool sync.Pool
-
-// evalRec runs the product reachability. step evaluates one σ path at a
-// context set — the sequential and indexed evaluators pass their own
-// recursive entry points, so σ edges inherit the caller's cancellation
-// and index behavior (each step call ticks at least once, bounding the
-// work between cancellation polls by one σ evaluation).
-//
-// Note the bitset evaluator does not pass through here: on compacted
-// documents Rec evaluates over per-state bitset rows instead
-// (bitEval.reach), and this map-based form serves the remaining
-// slice-path inputs.
-func evalRec(p Rec, ctx []*xmltree.Node, step func(Path, []*xmltree.Node) ([]*xmltree.Node, error)) ([]*xmltree.Node, error) {
-	if p.G == nil || len(ctx) == 0 {
+// rec runs the product reachability over node slices, the reference
+// form of bitEval.reach: a breadth-first search over (node, view state)
+// pairs that maps each frontier across the σ edges with path.
+func (e seqEval) rec(p Rec, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
+	if p.G == nil {
 		return nil, nil
 	}
-	// Pre-size from the product's seed dimensions: every (context node,
-	// state) pair is a potential visit, and a fresh map sized below that
-	// regrows during the first level of the search.
-	seen, _ := recSeenPool.Get().(map[recKey]bool)
-	if seen == nil {
-		seen = make(map[recKey]bool, len(ctx)*len(p.G.states))
+	type visit struct {
+		n     *xmltree.Node
+		state string
 	}
-	defer func() {
-		clear(seen)
-		recSeenPool.Put(seen)
-	}()
+	seen := map[visit]bool{}
 	frontier := map[string][]*xmltree.Node{}
 	for _, v := range ctx {
-		k := recKey{v, p.Start}
-		if !seen[k] {
+		if k := (visit{v, p.Start}); !seen[k] {
 			seen[k] = true
 			frontier[p.Start] = append(frontier[p.Start], v)
 		}
@@ -231,13 +202,12 @@ func evalRec(p Rec, ctx []*xmltree.Node, step func(Path, []*xmltree.Node) ([]*xm
 				out = append(out, nodes...)
 			}
 			for _, edge := range p.G.edges[s] {
-				hit, err := step(edge.Sig, nodes)
+				hit, err := e.path(edge.Sig, nodes)
 				if err != nil {
 					return nil, err
 				}
 				for _, m := range hit {
-					k := recKey{m, edge.To}
-					if !seen[k] {
+					if k := (visit{m, edge.To}); !seen[k] {
 						seen[k] = true
 						next[edge.To] = append(next[edge.To], m)
 					}

@@ -35,15 +35,15 @@ func recBenchPlan() Rec {
 }
 
 // BenchmarkRecEval is the allocation regression benchmark for the
-// recursive-view product evaluation: the map leg exercises evalRec's
-// pooled, pre-sized visited map on a hand-built (uncompacted) tree, and
-// the bitset leg exercises bitEval.reach's per-state rows on the
-// compacted equivalent. Steady-state allocs/op on both legs must not
-// regress — see `make bench-smoke`.
+// recursive-view product evaluation, bitEval.reach's per-state rows: on
+// a hand-built tree that is renumbered but never compacted (the shape
+// of a materialized view) and on its compacted equivalent.
+// Steady-state allocs/op on both legs must not regress — see
+// `make bench-smoke`.
 func BenchmarkRecEval(b *testing.B) {
 	plan := Seq{Left: Label{Name: "a"}, Right: recBenchPlan()}
 
-	b.Run("map", func(b *testing.B) {
+	b.Run("uncompacted", func(b *testing.B) {
 		doc := xmltree.NewDocument(recBenchDoc(200, 3))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -58,7 +58,7 @@ func BenchmarkRecEval(b *testing.B) {
 		}
 	})
 
-	b.Run("bitset", func(b *testing.B) {
+	b.Run("compacted", func(b *testing.B) {
 		doc := xmltree.NewDocument(recBenchDoc(200, 3))
 		doc.Compact()
 		b.ReportAllocs()

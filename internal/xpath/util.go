@@ -397,44 +397,3 @@ func qualInCMinus(q Qual) bool {
 		return false
 	}
 }
-
-// HasDescend reports whether the path contains a descendant step (//),
-// in the main path or inside a qualifier. Mode selection uses it: the
-// structural index only pays off on queries with descendant steps —
-// child-axis-only queries touch the same nodes either way, so the walk
-// evaluator serves them without the index lookup overhead.
-func HasDescend(p Path) bool {
-	switch p := p.(type) {
-	case Seq:
-		return HasDescend(p.Left) || HasDescend(p.Right)
-	case Descend:
-		return true
-	case Union:
-		return HasDescend(p.Left) || HasDescend(p.Right)
-	case Qualified:
-		return HasDescend(p.Sub) || qualHasDescend(p.Cond)
-	case Rec:
-		// The automaton selects nodes at arbitrary depth — the defining
-		// property of a descendant-class construct.
-		return true
-	default:
-		return false
-	}
-}
-
-func qualHasDescend(q Qual) bool {
-	switch q := q.(type) {
-	case QPath:
-		return HasDescend(q.Path)
-	case QEq:
-		return HasDescend(q.Path)
-	case QAnd:
-		return qualHasDescend(q.Left) || qualHasDescend(q.Right)
-	case QOr:
-		return qualHasDescend(q.Left) || qualHasDescend(q.Right)
-	case QNot:
-		return qualHasDescend(q.Sub)
-	default:
-		return false
-	}
-}

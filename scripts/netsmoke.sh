@@ -76,15 +76,18 @@ echo "netsmoke: repeated-query Zipf svload over TCP (answer cache serving path)"
 "$WORK/bin/svload" -url "$BASE" -builtin fig7 -zipf 1.2 -levels 8 -duration 500ms \
     -timeout 250ms -out /dev/null -q
 
-echo "netsmoke: large-document scenario (structural index serving path)"
+echo "netsmoke: large-document scenario (label-index serving path)"
 "$WORK/bin/svload" -builtin hospital-large -levels 4 -duration 500ms \
     -timeout 250ms -out "$WORK/large.json" -q
-python3 - "$WORK/large.json" <<'EOF' || fail "hospital-large run did not serve from the label index"
+python3 - "$WORK/large.json" <<'EOF' || fail "hospital-large run did not evaluate"
 import json, sys
 r = json.load(open(sys.argv[1]))
 assert r["doc_nodes"] >= 10000, f'doc only {r["doc_nodes"]} nodes'
 p = r["server_stats"]["pipeline"]
-assert p["indexed_evals"] > 0, p
+assert p["evals"] > 0, p
+# The removed per-mode and per-representation counters must stay gone.
+for gone in ("sequential_evals", "parallel_evals", "indexed_evals", "bitset_evals", "slice_evals"):
+    assert gone not in p, (gone, p)
 EOF
 
 echo "netsmoke: /explainz on a recursive query"
@@ -112,16 +115,15 @@ grep -q '^sv_phase_duration_seconds_count{phase="rewrite"}' "$WORK/metrics.txt" 
 # served some of them.
 awk '$1 == "sv_anscache_hits_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
     fail "/metricsz sv_anscache_hits_total not > 0 after repeated-query run"
-# Every eval series must carry the node-set representation label, and
-# the parsed (hence compacted) document must have produced bitset-path
-# evals — losing either means the repr split regressed.
-if grep '^sv_eval_total{' "$WORK/metrics.txt" | grep -qv 'repr='; then
-    fail "/metricsz sv_eval_total series without a repr label"
+# Serving has one evaluator: every sv_eval_total series is mode="eval"
+# or mode="cached", and the evaluator must have run. The removed repr
+# label, the parallel/indexed modes and the unfold rewrite mode must not
+# reappear anywhere in the exposition.
+awk '$1 == "sv_eval_total{mode=\"eval\"}" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
+    fail '/metricsz sv_eval_total{mode="eval"} not > 0 after load'
+if grep -v '^#' "$WORK/metrics.txt" | grep -E 'repr=|mode="(parallel|indexed|sequential)"|"unfold"'; then
+    fail "/metricsz exposes a removed eval mode, repr label or unfold rewrite mode"
 fi
-grep -q '^sv_eval_total{' "$WORK/metrics.txt" ||
-    fail "/metricsz has no sv_eval_total series at all"
-awk -F' ' '/^sv_eval_total\{.*repr="bitset"/ { sum += $2 } END { exit !(sum > 0) }' "$WORK/metrics.txt" ||
-    fail '/metricsz sv_eval_total{repr="bitset"} not > 0 on a compacted document'
 # The fingerprint-registry gauges must be present (promcheck above
 # already validated their format) and the wide-event log must have
 # recorded events at -eventlog-sample 1.
@@ -131,6 +133,21 @@ for series in sv_qstats_fingerprints sv_qstats_capacity sv_qstats_observations_t
 done
 awk '$1 == "sv_eventlog_events_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
     fail "/metricsz sv_eventlog_events_total not > 0 with -eventlog-sample 1"
+
+echo "netsmoke: /statsz eval count"
+curl -fsS "$BASE/statsz" >"$WORK/statsz.json" || fail "/statsz request failed"
+python3 - "$WORK/statsz.json" <<'EOF' || fail "/statsz eval accounting broken"
+import json, sys
+s = json.load(open(sys.argv[1]))
+p = s["server"]["pipeline"]
+assert p["evals"] > 0, p
+assert p["evals"] + p["cached_evals"] == p["count"], p
+engines = [b["engine"] for c in s["classes"] for b in c["bindings"]]
+assert engines and sum(e["evals"] for e in engines) > 0, engines
+text = json.dumps(s)
+for gone in ("set_repr", "parallel_evals", "indexed_evals", "height_cache", "unfold"):
+    assert gone not in text, gone
+EOF
 
 echo "netsmoke: /queryz fingerprint accounting"
 curl -fsS "$BASE/queryz?n=0" >"$WORK/queryz.json" || fail "/queryz request failed"

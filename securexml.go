@@ -22,7 +22,8 @@
 // Everything the paper describes is included: Algorithm derive (Fig. 5),
 // the materialization semantics of Section 3.3 with soundness and
 // completeness checking, the dynamic-programming query rewriter (Fig. 6)
-// with recursive-view unfolding (Section 4.2), the approximate-containment
+// with height-free rewriting of recursive views (and the Section 4.2
+// unfolding as its test oracle), the approximate-containment
 // optimizer (Fig. 10), the naive element-annotation baseline of Section 6
 // (repro/internal/naive), and the Table 1 benchmark harness
 // (bench_test.go, cmd/svbench).
@@ -64,15 +65,12 @@ type (
 	// Engine enforces one bound access policy end to end (Fig. 3), with
 	// a bounded plan cache in front of the rewrite+optimize stages.
 	Engine = core.Engine
-	// EngineConfig tunes an engine's serving layer: cache capacities and
-	// parallel evaluation.
+	// EngineConfig tunes an engine's serving layer: plan-cache capacity
+	// and the answer cache.
 	EngineConfig = core.Config
 	// EngineStats is a snapshot of an engine's query, cache, and
 	// evaluation counters.
 	EngineStats = core.Stats
-	// ParallelConfig tunes the parallel evaluator's worker pool and the
-	// sequential-fallback threshold.
-	ParallelConfig = xpath.ParallelConfig
 	// Registry manages the policies of multiple user classes over one
 	// document DTD, caching derived engines per parameter binding with
 	// LRU eviction.
@@ -127,7 +125,7 @@ func Validate(doc *Document, d *DTD) error { return xmltree.Validate(doc, d) }
 func NewEngine(spec *Spec) (*Engine, error) { return core.New(spec) }
 
 // NewEngineWithConfig is NewEngine with explicit serving-layer tuning:
-// plan/height cache capacities and parallel evaluation.
+// plan-cache capacity and the answer cache.
 func NewEngineWithConfig(spec *Spec, cfg EngineConfig) (*Engine, error) {
 	return core.NewWithConfig(spec, cfg)
 }
