@@ -176,13 +176,15 @@ func (c *Cache) shardFor(group string) *shard {
 
 // Lookup tries to answer plan from the cache. group must embed every
 // bit of context the answer depends on beyond the plan itself — the
-// owning engine's epoch and the document identity. text is the printed
-// plan (the exact-match key). On a hit the returned slice is a fresh
+// owning engine's epoch, the document identity, and the values env
+// binds to the plan's variables. text is the printed plan (the
+// exact-match key); env binds the variables of a containment hit's
+// trailing qualifiers. On a hit the returned slice is a fresh
 // copy the caller owns. An error is only returned when qualifier
 // evaluation on a containment hit fails (context cancellation); the
 // entry is then left untouched and the caller should abort, not fall
 // back to evaluation.
-func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path, prover Prover) ([]*xmltree.Node, Kind, error) {
+func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path, env xpath.Env, prover Prover) ([]*xmltree.Node, Kind, error) {
 	s := c.shardFor(group)
 	key := group + "\x00" + text
 
@@ -221,7 +223,7 @@ func (c *Cache) Lookup(ctx context.Context, group, text string, plan xpath.Path,
 		// cand's answer is exactly base's answer; the incoming plan keeps
 		// the nodes satisfying every trailing qualifier, which one
 		// evaluation of .[q1]...[qk] at those nodes selects.
-		out, err := xpath.EvalAtCtx(ctx, selfFilter(quals), cand.answer())
+		out, err := xpath.EvalAtEnvCtx(ctx, selfFilter(quals), cand.answer(), env)
 		if err != nil {
 			return nil, KindMiss, err
 		}
@@ -316,20 +318,6 @@ type Stats struct {
 	Evictions       uint64 `json:"evictions"`
 	Entries         int    `json:"entries"`
 	Capacity        int    `json:"capacity"`
-}
-
-// Add accumulates o into s — the rollup used when one figure must
-// cover several caches (policy.ClassStats sums its bindings' caches so
-// /statsz can split answer-cache outcomes per class). Entries and
-// Capacity add too: the sum is the class's total cached answers and
-// total room.
-func (s *Stats) Add(o Stats) {
-	s.Hits += o.Hits
-	s.ContainmentHits += o.ContainmentHits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-	s.Capacity += o.Capacity
 }
 
 // Stats snapshots the counters and current size.

@@ -24,7 +24,7 @@ func hospitalDoc(t *testing.T) *xmltree.Document {
 
 func lookupMust(t *testing.T, c *Cache, group string, p xpath.Path, prover Prover) ([]*xmltree.Node, Kind) {
 	t.Helper()
-	nodes, kind, err := c.Lookup(context.Background(), group, xpath.String(p), p, prover)
+	nodes, kind, err := c.Lookup(context.Background(), group, xpath.String(p), p, xpath.Env{}, prover)
 	if err != nil {
 		t.Fatalf("Lookup(%s): %v", xpath.String(p), err)
 	}
@@ -244,7 +244,7 @@ func TestContainmentHonorsCancellation(t *testing.T) {
 	q := xpath.Qualified{Sub: base, Cond: xpath.MustParseQual(".//trial")}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Lookup(ctx, "g", xpath.String(q), q, prover); err == nil {
+	if _, _, err := c.Lookup(ctx, "g", xpath.String(q), q, xpath.Env{}, prover); err == nil {
 		t.Errorf("cancelled containment lookup returned no error")
 	}
 }

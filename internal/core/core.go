@@ -10,7 +10,10 @@
 // rewritten-and-optimized plans are kept in a bounded LRU plan cache, so
 // repeated queries skip the rewrite and optimize stages entirely, and
 // recursive views rewrite height-free (one plan per query, valid for
-// documents of any height — see package rewrite). Evaluation is
+// documents of any height — see package rewrite). A policy with
+// $parameters is derived once (NewClass) and every binding shares its
+// plans: the parameters and the query's literals stay symbolic in a plan
+// and evaluation binds them (Engine.Bind, xpath.Env). Evaluation is
 // xpath.EvalDocCtx, the one evaluator; the Section 4.2 unfolding
 // (rewrite.ForViewWithHeight) and the reference evaluator
 // (xpath.EvalRef) are test oracles, not serving modes.
@@ -108,21 +111,37 @@ func (c Config) answerCap() int {
 	return DefaultAnswerCacheCapacity
 }
 
-// Engine enforces one access policy: it owns the derived security view
-// and the per-view rewriting and optimization state. An Engine is cheap
-// to keep around and reuse across documents and queries; build one per
-// (policy, parameter binding) pair. All methods are safe for concurrent
-// use.
+// Engine enforces one access policy under one parameter binding. It is
+// a handle: the derived security view, the rewriter and optimizer, the
+// plan cache and the answer cache belong to the policy (state) and are
+// shared by every handle Bind returns, so a ward-6 and a ward-7 nurse
+// share one plan per query shape. The handle adds only the binding,
+// which evaluation reads as an environment. An Engine is cheap to keep
+// around and reuse across documents and queries. All methods are safe
+// for concurrent use.
 type Engine struct {
+	s *state
+	// params binds the specification's $parameters; bound reports that
+	// every one of them has a value (always true without parameters).
+	params map[string]string
+	bound  bool
+}
+
+// state is what every handle of one policy shares.
+type state struct {
 	spec *access.Spec
+	// vars are the specification's $parameters, sorted; the view, and
+	// every plan built from it, carries them unbound.
+	vars []string
 	view *secview.View
 	opt  *optimize.Optimizer
 	// rw is the view's rewriter: flat for a non-recursive view,
 	// height-free for a recursive one.
 	rw *rewrite.Rewriter
 
-	// plans caches rewritten-and-optimized queries by query text so
-	// repeated queries skip rewrite+optimize.
+	// plans caches rewritten-and-optimized queries by the text of the
+	// parameterized query (xpath.Parameterize), so repeated query shapes
+	// skip rewrite+optimize whatever their literals and binding.
 	plans *plancache.Cache[*Prepared]
 
 	// answers is the semantic answer cache (Config.AnswerCache), nil
@@ -149,8 +168,16 @@ func New(spec *access.Spec) (*Engine, error) {
 // NewWithConfig is New with explicit serving-layer tuning.
 func NewWithConfig(spec *access.Spec, cfg Config) (*Engine, error) {
 	if vars := spec.Vars(); len(vars) > 0 {
-		return nil, fmt.Errorf("core: specification has unbound parameters %v; call Spec.Bind first", vars)
+		return nil, fmt.Errorf("core: specification has unbound parameters %v; call Spec.Bind first, or NewClass", vars)
 	}
+	return NewClass(spec, cfg)
+}
+
+// NewClass derives the security view of a specification once, with its
+// $parameters left unbound, and prepares the engine every binding of
+// the policy shares. Bind the result before querying; a specification
+// without parameters is bound already.
+func NewClass(spec *access.Spec, cfg Config) (*Engine, error) {
 	view, err := secview.Derive(spec)
 	if err != nil {
 		return nil, err
@@ -171,127 +198,175 @@ func FromViewConfig(view *secview.View, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	s := &state{
 		spec:  view.Spec,
+		vars:  view.Spec.Vars(),
 		view:  view,
 		opt:   optimize.New(view.Doc),
 		rw:    rw,
 		plans: plancache.New[*Prepared](cfg.planCap()),
 	}
 	if cfg.AnswerCache {
-		e.answers = anscache.New(cfg.answerCap())
+		s.answers = anscache.New(cfg.answerCap())
 	}
-	return e, nil
+	return &Engine{s: s, bound: len(s.vars) == 0}, nil
 }
 
-// View returns the derived security view (view DTD plus σ).
-func (e *Engine) View() *secview.View { return e.view }
+// Bind returns the handle that evaluates under a parameter binding. It
+// fails when a specification parameter has no value; values for names
+// the specification does not use are ignored. Binding derives nothing:
+// the handle shares the view, the plans and the caches of e.
+func (e *Engine) Bind(params map[string]string) (*Engine, error) {
+	if len(e.s.vars) == 0 {
+		return e, nil
+	}
+	for _, v := range e.s.vars {
+		if _, ok := params[v]; !ok {
+			return nil, fmt.Errorf("core: unbound parameter $%s", v)
+		}
+	}
+	return &Engine{s: e.s, params: params, bound: true}, nil
+}
+
+// View returns the derived security view (view DTD plus σ). Its σ
+// qualifiers keep the specification's $parameters unbound.
+func (e *Engine) View() *secview.View { return e.s.view }
 
 // ViewDTD returns the view DTD D_v — the only schema information exposed
-// to users authorized by the policy.
-func (e *Engine) ViewDTD() *dtd.DTD { return e.view.DTD }
+// to users authorized by the policy. It does not depend on the binding.
+func (e *Engine) ViewDTD() *dtd.DTD { return e.s.view.DTD }
 
 // DocumentDTD returns the original document DTD D (administrator-side).
-func (e *Engine) DocumentDTD() *dtd.DTD { return e.spec.D }
+func (e *Engine) DocumentDTD() *dtd.DTD { return e.s.spec.D }
 
-// Spec returns the bound access specification.
-func (e *Engine) Spec() *access.Spec { return e.spec }
+// Spec returns the access specification, $parameters unbound.
+func (e *Engine) Spec() *access.Spec { return e.s.spec }
 
 // Epoch returns the engine's current document/policy epoch. The epoch
 // is part of every answer-cache key, so cached answers from before a
 // BumpEpoch can never be served after it.
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
+func (e *Engine) Epoch() uint64 { return e.s.epoch.Load() }
 
 // BumpEpoch advances the epoch, called when a document the engine has
-// served (or the policy binding behind it) is swapped out from under
-// it. Every cached answer becomes unreachable by key immediately —
-// staleness by construction — and the answer cache is purged to reclaim
-// the memory; plans survive, because a plan depends only on the policy
-// and query text, never on a document. Label indexes need no purge:
-// each document owns its index, keyed by the document's generation.
+// served (or the policy behind it) is swapped out from under it. Every
+// handle of the policy shares the epoch. Every cached answer becomes
+// unreachable by key immediately — staleness by construction — and the
+// answer cache is purged to reclaim the memory; plans survive, because
+// a plan depends only on the policy and the query shape, never on a
+// document. Label indexes need no purge: each document owns its index,
+// keyed by the document's generation.
 func (e *Engine) BumpEpoch() {
-	e.epoch.Add(1)
-	if e.answers != nil {
-		e.answers.Purge()
+	e.s.epoch.Add(1)
+	if e.s.answers != nil {
+		e.s.answers.Purge()
 	}
 }
 
 // RewriteMode names the engine's rewriting strategy: "flat" for a
 // non-recursive view, "height-free" for a recursive view rewritten via
 // Rec automata. Surfaced in /explainz and /metricsz.
-func (e *Engine) RewriteMode() string { return e.rw.Mode() }
+func (e *Engine) RewriteMode() string { return e.s.rw.Mode() }
 
 // Rewrite translates a view query into the equivalent document query p_t.
 // The plan is valid for documents of any height, so height is ignored;
-// the parameter remains for existing callers.
+// the parameter remains for existing callers. The specification's
+// $parameters stay symbolic in p_t.
 func (e *Engine) Rewrite(p xpath.Path, height int) (xpath.Path, error) {
-	return e.rw.Rewrite(p)
+	return e.s.rw.Rewrite(p)
 }
 
 // Optimize improves a document query using the document DTD's structural
 // constraints (Section 5). It is equivalence-preserving and never errors:
 // constructs outside the optimizer's reasoning pass through unchanged.
 func (e *Engine) Optimize(p xpath.Path) xpath.Path {
-	return e.opt.Optimize(p)
+	return e.s.opt.Optimize(p)
 }
 
-// prepared returns the cached plan for a query, building and caching it
-// on a miss. Queries with unbound $variables are
-// rejected up front: depending on the document they would either error
-// mid-evaluation or silently match nothing, and neither belongs in the
-// cache. A context carrying a QueryMetrics carrier gets the cache
-// outcome and, on a miss, the per-phase durations and plan shape; a
-// context carrying a span gets "rewrite"/"optimize" child spans.
-// Concurrent misses on one key may build the plan more than once and
-// the last Put wins (GetOrCompute singleflights, but this path wants
-// per-request metrics attribution, and a duplicate plan build is
-// harmless).
-func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, error) {
-	if vars := xpath.Vars(p); len(vars) > 0 {
-		return nil, fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
+// env is the evaluation environment of one request: the handle's
+// binding plus the query's literals.
+func (e *Engine) env(lits []string) xpath.Env {
+	return xpath.Env{Params: e.params, Literals: lits}
+}
+
+// prepared returns the cached plan for a query's shape, building and
+// caching it on a miss, plus the query's literals in placeholder order.
+// The query's p = "c" constants are renamed to placeholders first
+// (xpath.Parameterize), so queries that differ only in their constants
+// share one plan. This is sound because rewrite and optimize treat
+// constants as opaque: their one test on a value is syntactic equality,
+// which a consistent renaming keeps between query literals; a literal
+// equal to a specification constant just no longer proves it, and the
+// optimizer then proves less.
+//
+// Queries with $variables of their own are rejected up front: depending
+// on the document they would either error mid-evaluation or silently
+// match nothing, and neither belongs in the cache. So are queries
+// through a handle whose specification parameters are unbound. A
+// context carrying a QueryMetrics carrier gets the cache outcome and,
+// on a miss, the per-phase durations and plan shape; a context carrying
+// a span gets "rewrite"/"optimize" child spans. Concurrent misses on
+// one key may build the plan more than once and the last Put wins
+// (GetOrCompute singleflights, but this path wants per-request metrics
+// attribution, and a duplicate plan build is harmless).
+func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []string, error) {
+	if err := e.checkVars(p); err != nil {
+		return nil, nil, err
 	}
-	key := xpath.String(p)
+	shape, lits := xpath.Parameterize(p)
+	key := xpath.String(shape)
 	qm := obs.QueryMetricsFromContext(ctx)
-	if prep, ok := e.plans.Get(key); ok {
+	if prep, ok := e.s.plans.Get(key); ok {
 		if qm != nil {
 			qm.PlanCacheHit = true
 			if qm.CaptureQueries {
 				qm.Rewritten = xpath.String(prep.Rewritten)
-				qm.Optimized = xpath.String(prep.Optimized)
+				qm.Optimized = prep.text
 			}
 		}
 		obs.SpanFromContext(ctx).SetAttr("plan_cache", "hit")
-		return prep, nil
+		return prep, lits, nil
 	}
 	obs.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
 	start := time.Now()
-	pt, err := e.rw.RewriteCtx(ctx, p)
+	pt, err := e.s.rw.RewriteCtx(ctx, shape)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rewriteDone := time.Now()
-	po := e.opt.OptimizeCtx(ctx, pt)
+	po := e.s.opt.OptimizeCtx(ctx, pt)
+	prep := newPrepared(shape, pt, po)
 	if qm != nil {
 		qm.Rewrite = rewriteDone.Sub(start)
 		qm.Optimize = time.Since(rewriteDone)
 		qm.RewrittenSize = xpath.Size(pt)
-		qm.OptimizedSize = xpath.Size(po)
+		qm.OptimizedSize = prep.nodes
 		if qm.CaptureQueries {
 			qm.Rewritten = xpath.String(pt)
-			qm.Optimized = xpath.String(po)
+			qm.Optimized = prep.text
 		}
 	}
-	prep := &Prepared{Source: p, Rewritten: pt, Optimized: po, optimizedText: xpath.String(po)}
-	e.plans.Put(key, prep)
-	return prep, nil
+	e.s.plans.Put(key, prep)
+	return prep, lits, nil
+}
+
+// checkVars rejects a query with $variables of its own, and any query
+// through a handle that leaves a specification parameter unbound.
+func (e *Engine) checkVars(p xpath.Path) error {
+	if vars := xpath.Vars(p); len(vars) > 0 {
+		return fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
+	}
+	if !e.bound {
+		return fmt.Errorf("core: %w: specification parameters %v; call Engine.Bind first", ErrUnboundVars, e.s.vars)
+	}
+	return nil
 }
 
 // Query answers a view query over a document: rewrite, optimize, and
 // evaluate over the original tree. The result contains exactly the
 // document nodes the policy exposes to the query. Plans are served from
-// the engine's cache when the same query text was answered before, and
-// malformed or unbound-variable queries return an error rather than
-// panicking.
+// the engine's cache when a query of the same shape was answered
+// before, and malformed or unbound-variable queries return an error
+// rather than panicking.
 func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
 	return e.QueryCtx(context.Background(), doc, p)
 }
@@ -307,28 +382,29 @@ func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, er
 // semantic answer cache: a provably-equal cached plan answers directly,
 // a provable base-of-trailing-qualifiers match answers by filtering the
 // cached node-set, and only a miss runs the evaluator (whose successful
-// result is then cached). Hits report eval mode "cached".
+// result is then cached). Answers are cached per environment — binding
+// and literal values — since one plan serves them all. Hits report eval
+// mode "cached".
 func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
-	e.queries.Add(1)
-	prep, err := e.prepared(ctx, p)
+	e.s.queries.Add(1)
+	prep, lits, err := e.prepared(ctx, p)
 	if err != nil {
 		return nil, err
 	}
+	env := e.env(lits)
 	qm := obs.QueryMetricsFromContext(ctx)
 	if qm != nil {
 		// The rendered optimized plan is the request's fingerprint basis
 		// (see internal/qstats); it is precomputed on the Prepared, so
 		// surfacing it is a field copy on hits and misses alike.
-		qm.PlanText = prep.optText()
+		qm.PlanText = prep.text
 	}
-	var group, planText string
-	if e.answers != nil {
-		group, planText = e.docGroup(doc), prep.optText()
-		out, kind, err := e.answers.Lookup(ctx, group, planText, prep.Optimized, e.opt)
+	var group string
+	if e.s.answers != nil {
+		group = e.docGroup(doc, env)
+		out, kind, err := e.s.answers.Lookup(ctx, group, prep.text, prep.Optimized, env, e.s.opt)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				e.cancelled.Add(1)
-			}
+			e.noteCancel(err)
 			return nil, err
 		}
 		if qm != nil {
@@ -342,35 +418,63 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 			return out, nil
 		}
 	}
-	out, err := e.evalPrepared(ctx, prep, doc)
+	out, err := e.evalPrepared(ctx, prep, doc, env)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			e.cancelled.Add(1)
-		}
+		e.noteCancel(err)
 		return out, err
 	}
-	if e.answers != nil {
-		e.answers.Put(group, planText, prep.Optimized, out)
+	if e.s.answers != nil {
+		e.s.answers.Put(group, prep.text, prep.Optimized, out)
 	}
 	return out, nil
 }
 
-// docGroup keys a document for the answer cache: the engine epoch plus
-// the document's id. The epoch prefix makes every pre-swap entry
-// unreachable after BumpEpoch.
-func (e *Engine) docGroup(doc *xmltree.Document) string {
-	return strconv.FormatUint(e.epoch.Load(), 10) + "\x00" + strconv.FormatUint(doc.ID(), 10)
+// noteCancel counts a query that ended with a context error.
+func (e *Engine) noteCancel(err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		e.s.cancelled.Add(1)
+	}
+}
+
+// docGroup keys a document and an environment for the answer cache:
+// the engine epoch, the document's id, and every value the plan reads —
+// the specification parameters (in sorted order) and the query
+// literals. Handles of one policy share the cache and its plans, so the
+// values must be in the key: a ward-6 answer must never serve ward 7.
+// The epoch prefix makes every pre-swap entry unreachable after
+// BumpEpoch. Each value is length-prefixed, so no value can forge
+// another's key.
+func (e *Engine) docGroup(doc *xmltree.Document, env xpath.Env) string {
+	b := make([]byte, 0, 64)
+	b = strconv.AppendUint(b, e.s.epoch.Load(), 10)
+	b = append(b, 0)
+	b = strconv.AppendUint(b, doc.ID(), 10)
+	for _, v := range e.s.vars {
+		b = appendValue(b, env.Params[v])
+	}
+	b = append(b, 0)
+	for _, v := range env.Literals {
+		b = appendValue(b, v)
+	}
+	return string(b)
+}
+
+func appendValue(b []byte, v string) []byte {
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, ':')
+	return append(b, v...)
 }
 
 // evalPrepared runs the evaluation phase. When the context carries a
 // QueryMetrics carrier or a trace span it additionally reports the
 // nodes-visited count and the phase duration.
-func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	e.evals.Add(1)
+func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.Document, env xpath.Env) ([]*xmltree.Node, error) {
+	e.s.evals.Add(1)
 	qm := obs.QueryMetricsFromContext(ctx)
 	_, sp := obs.StartSpan(ctx, "eval")
 	start := time.Now()
-	out, visited, err := xpath.EvalDocCtx(ctx, prep.Optimized, doc)
+	out, visited, err := xpath.EvalDocEnvCtx(ctx, prep.Optimized, doc, env)
 	if qm != nil {
 		qm.Eval = time.Since(start)
 		qm.EvalMode = obs.ModeEval
@@ -403,11 +507,14 @@ func (e *Engine) QueryStringCtx(ctx context.Context, doc *xmltree.Document, quer
 // /explainz and svquery -explain. Durations are nanoseconds (the
 // internal unit everywhere; consumers divide for display).
 type Explain struct {
-	// Query, Rewritten, and Optimized are the view query and its two
-	// intermediate forms, printed.
-	Query     string `json:"query"`
-	Rewritten string `json:"rewritten"`
-	Optimized string `json:"optimized"`
+	// Query is the view query as given. Rewritten and Optimized are its
+	// two intermediate forms, printed as the plan cache holds them: the
+	// query's literals are placeholders ($#0, $#1, ...) and the
+	// specification's $parameters are unbound. Env binds both.
+	Query     string            `json:"query"`
+	Rewritten string            `json:"rewritten"`
+	Optimized string            `json:"optimized"`
+	Env       map[string]string `json:"env,omitempty"`
 	// RewriteNs, OptimizeNs, and EvalNs are the fresh per-phase wall
 	// times. Explain bypasses the plan cache for rewrite and optimize —
 	// a cached plan would report hit-and-nothing-to-time — so these are
@@ -435,32 +542,38 @@ type Explain struct {
 	// re-caches its fresh plan).
 	PlanWasCached bool `json:"plan_was_cached"`
 	// AnswerCacheHit is the answer-cache outcome the serving path would
-	// have seen for this (document, plan): "equal", "containment", or
-	// "miss"; empty when Config.AnswerCache is off. Explain still
-	// evaluates fresh — the phase timings above are always measured —
-	// and caches its fresh answer like a served query would.
+	// have seen for this (document, plan, environment): "equal",
+	// "containment", or "miss"; empty when Config.AnswerCache is off.
+	// Explain still evaluates fresh — the phase timings above are always
+	// measured — and caches its fresh answer like a served query would.
 	AnswerCacheHit string `json:"answer_cache_hit,omitempty"`
 }
 
 // ExplainCtx answers a view query like QueryCtx while measuring every
 // phase fresh: rewrite and optimize run even when the plan cache holds
-// the query (the cache outcome is still reported), and the built plan
-// is cached for subsequent requests. A context carrying a trace span
-// gets the usual phase child spans.
+// the query's shape (the cache outcome is still reported), and the
+// built plan is cached for subsequent requests. A context carrying a
+// trace span gets the usual phase child spans.
 func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) (*Explain, error) {
-	if vars := xpath.Vars(p); len(vars) > 0 {
-		return nil, fmt.Errorf("core: %w %v; bind them with xpath.BindVars before querying", ErrUnboundVars, vars)
+	if err := e.checkVars(p); err != nil {
+		return nil, err
 	}
-	e.queries.Add(1)
+	e.s.queries.Add(1)
+	shape, lits := xpath.Parameterize(p)
+	key := xpath.String(shape)
+	env := e.env(lits)
 	ex := &Explain{
 		Query:         xpath.String(p),
 		DocHeight:     doc.Height(),
-		RecursiveView: e.view.IsRecursive(),
+		RecursiveView: e.s.view.IsRecursive(),
 		RewriteMode:   e.RewriteMode(),
 	}
-	_, ex.PlanWasCached = e.plans.Get(ex.Query)
+	if len(env.Params) > 0 || len(lits) > 0 {
+		ex.Env = env.Map()
+	}
+	_, ex.PlanWasCached = e.s.plans.Get(key)
 	start := time.Now()
-	pt, err := e.rw.RewriteCtx(ctx, p)
+	pt, err := e.s.rw.RewriteCtx(ctx, shape)
 	if err != nil {
 		return nil, err
 	}
@@ -468,16 +581,18 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	ex.Rewritten = xpath.String(pt)
 	ex.RewrittenSize = xpath.Size(pt)
 	start = time.Now()
-	po := e.opt.OptimizeCtx(ctx, pt)
+	po := e.s.opt.OptimizeCtx(ctx, pt)
 	ex.OptimizeNs = time.Since(start).Nanoseconds()
-	ex.Optimized = xpath.String(po)
-	ex.OptimizedSize = xpath.Size(po)
-	prep := &Prepared{Source: p, Rewritten: pt, Optimized: po, optimizedText: ex.Optimized}
-	e.plans.Put(ex.Query, prep)
-	if e.answers != nil {
+	prep := newPrepared(shape, pt, po)
+	ex.Optimized = prep.text
+	ex.OptimizedSize = prep.nodes
+	e.s.plans.Put(key, prep)
+	var group string
+	if e.s.answers != nil {
 		// Probe the answer cache for the report, then evaluate fresh
 		// anyway: explain's contract is measured phases.
-		if _, kind, lerr := e.answers.Lookup(ctx, e.docGroup(doc), prep.optText(), prep.Optimized, e.opt); lerr == nil {
+		group = e.docGroup(doc, env)
+		if _, kind, lerr := e.s.answers.Lookup(ctx, group, prep.text, prep.Optimized, env, e.s.opt); lerr == nil {
 			ex.AnswerCacheHit = kind.String()
 		}
 	}
@@ -485,16 +600,14 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	// is readable even when the caller installed none.
 	qm := &obs.QueryMetrics{}
 	start = time.Now()
-	out, err := e.evalPrepared(obs.WithQueryMetrics(ctx, qm), prep, doc)
+	out, err := e.evalPrepared(obs.WithQueryMetrics(ctx, qm), prep, doc, env)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			e.cancelled.Add(1)
-		}
+		e.noteCancel(err)
 		return nil, err
 	}
 	ex.EvalNs = time.Since(start).Nanoseconds()
-	if e.answers != nil {
-		e.answers.Put(e.docGroup(doc), prep.optText(), prep.Optimized, out)
+	if e.s.answers != nil {
+		e.s.answers.Put(group, prep.text, prep.Optimized, out)
 	}
 	ex.EvalMode = qm.EvalMode
 	ex.NodesVisited = qm.NodesVisited
@@ -512,14 +625,16 @@ func (e *Engine) ExplainStringCtx(ctx context.Context, doc *xmltree.Document, qu
 }
 
 // Stats is a point-in-time snapshot of the engine's serving counters.
-// The JSON field names are part of the /statsz wire format.
+// Every handle of one policy reports the same counters: they belong to
+// the shared state. The JSON field names are part of the /statsz wire
+// format.
 type Stats struct {
 	// Queries counts Query/QueryString calls.
 	Queries uint64 `json:"queries"`
 	// Cancelled counts queries that returned a context error (deadline
 	// exceeded or caller cancellation) mid-evaluation.
 	Cancelled uint64 `json:"cancelled"`
-	// PlanCache reports the query → plan cache.
+	// PlanCache reports the query-shape → plan cache.
 	PlanCache plancache.Stats `json:"plan_cache"`
 	// PlanCacheNodes sums the AST size of every cached optimized plan,
 	// the memory-side view of the plan cache.
@@ -541,55 +656,73 @@ type Stats struct {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	rules, pruned := e.opt.Stats()
+	rules, pruned := e.s.opt.Stats()
 	nodes := 0
-	e.plans.Each(func(_ string, prep *Prepared) { nodes += xpath.Size(prep.Optimized) })
+	e.s.plans.Each(func(_ string, prep *Prepared) { nodes += prep.nodes })
 	var ans anscache.Stats
-	if e.answers != nil {
-		ans = e.answers.Stats()
+	if e.s.answers != nil {
+		ans = e.s.answers.Stats()
 	}
 	return Stats{
 		AnswerCache:    ans,
-		Epoch:          e.epoch.Load(),
-		Queries:        e.queries.Load(),
-		Cancelled:      e.cancelled.Load(),
-		PlanCache:      e.plans.Stats(),
+		Epoch:          e.s.epoch.Load(),
+		Queries:        e.s.queries.Load(),
+		Cancelled:      e.s.cancelled.Load(),
+		PlanCache:      e.s.plans.Stats(),
 		PlanCacheNodes: nodes,
-		Evals:          e.evals.Load(),
+		Evals:          e.s.evals.Load(),
 		OptimizeRules:  rules,
 		OptimizePruned: pruned,
 	}
 }
 
 // Prepared is a view query rewritten and optimized once, reusable across
-// every document. Engine.Query keeps these in its plan cache; Prepare
-// hands one out directly.
+// every document. Engine.Query keeps one per query shape in its plan
+// cache; Prepare hands one out with the environment of its query and
+// binding attached.
 type Prepared struct {
-	// Source is the original view query.
+	// Source is the view query as given to Prepare. In the plan cache
+	// it is the parameterized query (literals renamed to placeholders).
 	Source xpath.Path
-	// Rewritten is rw(p, r) over the document DTD.
+	// Rewritten is rw(p, r) over the document DTD and Optimized the
+	// DTD-optimized form actually evaluated. Both carry the query's
+	// literals as placeholders and the specification's $parameters
+	// unbound; Env binds them.
 	Rewritten xpath.Path
-	// Optimized is the DTD-optimized form actually evaluated.
 	Optimized xpath.Path
+	// Env binds the plan's variables: the engine's parameter binding
+	// and the query's literals. Evaluation reads it; xpath.BindVars with
+	// Env.Map() substitutes it for the reference evaluator.
+	Env xpath.Env
 
-	// optimizedText is xpath.String(Optimized), rendered once at build
-	// time: it is the answer cache's exact-match key, needed per query.
-	optimizedText string
+	// text is xpath.String(Optimized) and nodes its AST size, computed
+	// once at build time: text is the answer cache's exact-match key and
+	// the query fingerprint's basis, needed per query.
+	text  string
+	nodes int
 }
 
-// optText returns the printed optimized plan, tolerating Prepared
-// values constructed outside the engine (tests) that skipped the field.
-func (q *Prepared) optText() string {
-	if q.optimizedText != "" {
-		return q.optimizedText
-	}
-	return xpath.String(q.Optimized)
+func newPrepared(shape, pt, po xpath.Path) *Prepared {
+	return &Prepared{Source: shape, Rewritten: pt, Optimized: po, text: xpath.String(po), nodes: xpath.Size(po)}
 }
 
 // Prepare rewrites and optimizes a view query once, so frontends can
-// amortize translation across many documents and evaluations.
+// amortize translation across many documents and evaluations. It shares
+// the plan cache with QueryCtx, under the same query shapes. A query
+// with no literals, through an engine with no parameters, gets the
+// cached plan itself; otherwise a copy carrying its environment.
 func (e *Engine) Prepare(p xpath.Path) (*Prepared, error) {
-	return e.prepared(context.Background(), p)
+	prep, lits, err := e.prepared(context.Background(), p)
+	if err != nil {
+		return nil, err
+	}
+	if len(lits) == 0 && len(e.s.vars) == 0 {
+		return prep, nil
+	}
+	out := *prep
+	out.Source = p
+	out.Env = e.env(lits)
+	return &out, nil
 }
 
 // PrepareString parses and prepares in one step.
@@ -601,32 +734,63 @@ func (e *Engine) PrepareString(query string) (*Prepared, error) {
 	return e.Prepare(p)
 }
 
-// Eval runs a prepared query over a document. It panics on unbound
-// $variables; use EvalErr for untrusted queries.
+// Eval runs a prepared query over a document. It panics on evaluation
+// errors; use EvalErr for untrusted queries.
 func (q *Prepared) Eval(doc *xmltree.Document) []*xmltree.Node {
-	return xpath.EvalDoc(q.Optimized, doc)
+	out, err := q.EvalErr(doc)
+	if err != nil {
+		panic("core: " + err.Error())
+	}
+	return out
 }
 
 // EvalErr is Eval returning an error instead of panicking.
 func (q *Prepared) EvalErr(doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return xpath.EvalDocErr(q.Optimized, doc)
+	return q.EvalCtx(nil, doc)
 }
 
 // EvalCtx is EvalErr honoring a context deadline or cancellation.
 func (q *Prepared) EvalCtx(ctx context.Context, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	out, _, err := xpath.EvalDocCtx(ctx, q.Optimized, doc)
+	out, _, err := xpath.EvalDocEnvCtx(ctx, q.Optimized, doc, q.Env)
 	return out, err
 }
 
-// Materialize builds the view instance T_v of a document — the view's
-// semantics, used for auditing and testing, never on the query path.
+// boundView returns the security view under the handle's binding:
+// the shared view itself when the policy has no parameters, else one
+// derived from the bound specification. Auditing only — the query path
+// never materializes or derives per binding.
+func (e *Engine) boundView() (*secview.View, error) {
+	if len(e.s.vars) == 0 {
+		return e.s.view, nil
+	}
+	if !e.bound {
+		return nil, fmt.Errorf("core: %w: specification parameters %v; call Engine.Bind first", ErrUnboundVars, e.s.vars)
+	}
+	spec, err := e.s.spec.Bind(e.params)
+	if err != nil {
+		return nil, err
+	}
+	return secview.Derive(spec)
+}
+
+// Materialize builds the view instance T_v of a document under the
+// handle's binding — the view's semantics, used for auditing and
+// testing, never on the query path.
 func (e *Engine) Materialize(doc *xmltree.Document) (*secview.Materialized, error) {
-	return secview.Materialize(e.view, doc)
+	v, err := e.boundView()
+	if err != nil {
+		return nil, err
+	}
+	return secview.Materialize(v, doc)
 }
 
 // Audit checks that the derived view is sound and complete on a concrete
 // document (Theorem 3.2's property, verified dynamically).
 func (e *Engine) Audit(doc *xmltree.Document) error {
-	_, err := secview.CheckSoundComplete(e.view, doc)
+	v, err := e.boundView()
+	if err != nil {
+		return err
+	}
+	_, err = secview.CheckSoundComplete(v, doc)
 	return err
 }

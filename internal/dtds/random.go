@@ -35,6 +35,12 @@ type RecursiveGen struct {
 	// items carry the recursive structure, which keeps the policies
 	// interesting for deep documents. Default false (annotate anything).
 	StarredOnly bool
+	// Params, when positive, makes the policy parameterized: each
+	// value-based annotation compares against one of the parameters
+	// $p0 … $p{Params-1} instead of its constant with probability 1/2.
+	// Bind them to values of xmlgen's pool ("v0" … "v9"). Default 0
+	// (constants only; the random stream is then unchanged).
+	Params int
 }
 
 func (c RecursiveGen) withDefaults() RecursiveGen {
@@ -120,7 +126,7 @@ func RandomRecursivePolicySource(r *rand.Rand, d *dtd.DTD, cfg RecursiveGen) str
 			if r.Float64() >= cfg.Density {
 				continue
 			}
-			ann := randomAnnotation(r, d, it.Name)
+			ann := randomAnnotation(r, d, it.Name, cfg.Params)
 			if cfg.StarredOnly && !it.Starred && ann != "Y" {
 				ann = "Y"
 			}
@@ -130,8 +136,10 @@ func RandomRecursivePolicySource(r *rand.Rand, d *dtd.DTD, cfg RecursiveGen) str
 	return b.String()
 }
 
-// randomAnnotation picks one annotation value for an edge into child y.
-func randomAnnotation(r *rand.Rand, d *dtd.DTD, y string) string {
+// randomAnnotation picks one annotation value for an edge into child y;
+// with params > 0 a value comparison may name a parameter instead of a
+// constant.
+func randomAnnotation(r *rand.Rand, d *dtd.DTD, y string, params int) string {
 	switch r.Intn(10) {
 	case 0, 1, 2: // hide
 		return "N"
@@ -142,14 +150,18 @@ func randomAnnotation(r *rand.Rand, d *dtd.DTD, y string) string {
 		if leaf == "" {
 			return "Y"
 		}
-		switch r.Intn(3) {
-		case 0:
+		shape := r.Intn(3)
+		if shape == 0 {
 			return fmt.Sprintf("[%s]", leaf)
-		case 1:
-			return fmt.Sprintf("[%s = %q]", leaf, fmt.Sprintf("v%d", r.Intn(10)))
-		default:
-			return fmt.Sprintf("[//%s = %q]", leaf, fmt.Sprintf("v%d", r.Intn(10)))
 		}
+		value := fmt.Sprintf("%q", fmt.Sprintf("v%d", r.Intn(10)))
+		if params > 0 && r.Intn(2) == 0 {
+			value = fmt.Sprintf("$p%d", r.Intn(params))
+		}
+		if shape == 1 {
+			return fmt.Sprintf("[%s = %s]", leaf, value)
+		}
+		return fmt.Sprintf("[//%s = %s]", leaf, value)
 	}
 }
 

@@ -56,8 +56,7 @@ func (e Entry) weight() int {
 // HospitalMix is the default mix over the hospital scenario's nurse
 // class (svserve -builtin hospital): mostly cheap label paths, a
 // descendant-heavy slice, and a qualifier-heavy slice, with the ward
-// parameter spread over three wards so the per-binding engine cache is
-// exercised.
+// parameter spread over three wards, which share the class's plans.
 func HospitalMix() Mix {
 	var m Mix
 	for _, ward := range []string{"1", "2", "3"} {

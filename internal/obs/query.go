@@ -33,9 +33,10 @@ type QueryMetrics struct {
 	Optimize time.Duration
 	Eval     time.Duration
 
-	// PlanCacheHit reports whether the query's plan was
-	// served from the engine's cache; EngineCacheHit whether the policy
-	// layer found the class's engine already derived for the binding.
+	// PlanCacheHit reports whether the query's plan was served from the
+	// engine's cache; EngineCacheHit that the policy layer ran no
+	// derivation for the request (a class's engine is derived once, at
+	// definition, so every bound request sets it).
 	PlanCacheHit   bool
 	EngineCacheHit bool
 	// AnswerCacheHit is the answer-cache outcome when the engine has one

@@ -200,8 +200,8 @@ func (c *Cache[V]) Purge() {
 // The snapshot is taken shard by shard under the shard locks, so fn must
 // not touch the cache; entries added or evicted while Each runs may or
 // may not be seen. Recency is not updated. It exists so observability
-// endpoints can roll cached artifacts' own counters (e.g. per-binding
-// engine stats) up into one report.
+// endpoints can roll cached artifacts' own figures (e.g. the node
+// counts of cached plans) up into one report.
 func (c *Cache[V]) Each(fn func(key string, v V)) {
 	for i := range c.shards {
 		s := &c.shards[i]

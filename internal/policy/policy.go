@@ -1,25 +1,22 @@
 // Package policy manages the set of access-control policies declared
 // over one document DTD — the administrator side of the paper's Fig. 3.
 // Each user class has an access specification (possibly with $parameters
-// such as the nurse policy's $wardNo); the registry derives and caches
-// one enforcement engine per (class, parameter binding), so a ward-6
-// nurse and a ward-7 nurse share the class definition but get different
-// security views.
+// such as the nurse policy's $wardNo). The registry derives one
+// enforcement engine per class when the class is defined, with its
+// $parameters left unbound; a request binds them on a cheap handle, so
+// a ward-6 nurse and a ward-7 nurse share the class's view and plans
+// while evaluation reads each one's own $wardNo.
 package policy
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/access"
-	"repro/internal/anscache"
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/obs"
-	"repro/internal/plancache"
 	"repro/internal/xmltree"
 )
 
@@ -37,10 +34,9 @@ type BindingError struct{ Err error }
 func (e *BindingError) Error() string { return e.Err.Error() }
 func (e *BindingError) Unwrap() error { return e.Err }
 
-// DefaultEngineCacheCapacity bounds the per-class engine cache: each
-// distinct parameter binding ($wardNo=6 vs $wardNo=7) derives its own
-// security view, and untrusted binding values must not grow memory
-// without limit.
+// Deprecated: no effect. Each class keeps one engine for every
+// binding, so there is no per-binding engine cache to bound; the
+// constant stays for callers that pass it to NewRegistryWithConfig.
 const DefaultEngineCacheCapacity = 128
 
 // Registry holds the user classes defined over one document DTD.
@@ -48,19 +44,17 @@ type Registry struct {
 	d         *dtd.DTD
 	classes   map[string]*Class
 	order     []string
-	engineCap int
 	engineCfg core.Config
 }
 
 // Class is one user class: a named, possibly parameterized access
-// specification plus the bounded cache of derived engines (a Class is
-// safe for concurrent use).
+// specification plus its engine, derived once with the $parameters
+// unbound (a Class is safe for concurrent use).
 type Class struct {
 	Name string
 	Spec *access.Spec
 
-	engineCfg core.Config
-	engines   *plancache.Cache[*core.Engine]
+	engine *core.Engine
 }
 
 // NewRegistry returns an empty registry over the document DTD.
@@ -69,17 +63,12 @@ func NewRegistry(d *dtd.DTD) *Registry {
 }
 
 // NewRegistryWithConfig is NewRegistry with serving-layer tuning:
-// engineCap bounds each class's engine cache (0 means
-// DefaultEngineCacheCapacity) and engineCfg is handed to every derived
-// engine (plan-cache size, answer cache).
+// engineCfg is handed to every class's engine (plan-cache size, answer
+// cache). engineCap has no effect (see DefaultEngineCacheCapacity).
 func NewRegistryWithConfig(d *dtd.DTD, engineCap int, engineCfg core.Config) *Registry {
-	if engineCap <= 0 {
-		engineCap = DefaultEngineCacheCapacity
-	}
 	return &Registry{
 		d:         d,
 		classes:   make(map[string]*Class),
-		engineCap: engineCap,
 		engineCfg: engineCfg,
 	}
 }
@@ -96,8 +85,9 @@ func (r *Registry) Define(name, annotations string) (*Class, error) {
 	return r.DefineSpec(name, spec)
 }
 
-// DefineSpec registers a pre-built specification as a user class. The
-// specification must be over the registry's DTD.
+// DefineSpec registers a pre-built specification as a user class and
+// derives its engine, $parameters unbound. The specification must be
+// over the registry's DTD.
 func (r *Registry) DefineSpec(name string, spec *access.Spec) (*Class, error) {
 	if name == "" {
 		return nil, fmt.Errorf("policy: empty class name")
@@ -108,12 +98,11 @@ func (r *Registry) DefineSpec(name string, spec *access.Spec) (*Class, error) {
 	if spec.D != r.d {
 		return nil, fmt.Errorf("policy: class %q: specification is over a different DTD", name)
 	}
-	c := &Class{
-		Name:      name,
-		Spec:      spec,
-		engineCfg: r.engineCfg,
-		engines:   plancache.New[*core.Engine](r.engineCap),
+	e, err := core.NewClass(spec, r.engineCfg)
+	if err != nil {
+		return nil, fmt.Errorf("policy: class %s: %v", name, err)
 	}
+	c := &Class{Name: name, Spec: spec, engine: e}
 	r.classes[name] = c
 	r.order = append(r.order, name)
 	return c, nil
@@ -133,116 +122,69 @@ func (r *Registry) Names() []string {
 // Params returns the class's specification parameters, sorted.
 func (c *Class) Params() []string { return c.Spec.Vars() }
 
-// Engine returns the enforcement engine for one parameter binding,
-// deriving the security view on first use and caching it with LRU
-// eviction (an evicted binding is re-derived on its next use). Classes
-// without parameters accept a nil binding.
+// Engine returns the enforcement engine for one parameter binding: a
+// handle on the class's engine carrying the binding. Classes without
+// parameters accept a nil binding.
 func (c *Class) Engine(params map[string]string) (*core.Engine, error) {
 	return c.EngineCtx(context.Background(), params)
 }
 
 // EngineCtx is Engine with observability: a context carrying a
-// QueryMetrics carrier learns whether the engine came from the cache,
-// and a context carrying a trace span gets a "derive_engine" child span
-// on a miss (view derivation is the expensive path). Concurrent misses
-// may derive more than once and the last Put wins (GetOrCompute
-// singleflights, but this path wants per-request metrics attribution,
-// and a duplicate derivation is harmless).
+// QueryMetrics carrier learns that no derivation ran (EngineCacheHit;
+// the class's view was derived at Define). It derives nothing: it
+// checks that every specification parameter is bound — a missing one
+// is a BindingError, the client's fault — and returns the handle.
 func (c *Class) EngineCtx(ctx context.Context, params map[string]string) (*core.Engine, error) {
-	key := bindingKey(params)
-	if e, ok := c.engines.Get(key); ok {
-		if qm := obs.QueryMetricsFromContext(ctx); qm != nil {
-			qm.EngineCacheHit = true
-		}
-		obs.SpanFromContext(ctx).SetAttr("engine_cache", "hit")
-		return e, nil
-	}
-	obs.SpanFromContext(ctx).SetAttr("engine_cache", "miss")
-	_, sp := obs.StartSpan(ctx, "derive_engine")
-	spec := c.Spec
-	if len(c.Params()) > 0 || len(params) > 0 {
-		bound, err := c.Spec.Bind(params)
-		if err != nil {
-			sp.Finish()
-			return nil, fmt.Errorf("policy: class %s: %w", c.Name, &BindingError{Err: err})
-		}
-		spec = bound
-	}
-	e, err := core.NewWithConfig(spec, c.engineCfg)
-	sp.Finish()
+	e, err := c.engine.Bind(params)
 	if err != nil {
-		return nil, fmt.Errorf("policy: class %s: %v", c.Name, err)
+		return nil, fmt.Errorf("policy: class %s: %w", c.Name, &BindingError{Err: err})
 	}
-	c.engines.Put(key, e)
+	if qm := obs.QueryMetricsFromContext(ctx); qm != nil {
+		qm.EngineCacheHit = true
+	}
 	return e, nil
 }
 
-// EngineCacheStats reports the class's engine-cache counters.
-func (c *Class) EngineCacheStats() plancache.Stats { return c.engines.Stats() }
+// BumpEpoch advances the epoch of the class's engine (see
+// core.Engine.BumpEpoch): every cached answer, under any binding,
+// becomes unreachable.
+func (c *Class) BumpEpoch() { c.engine.BumpEpoch() }
 
-// BumpEpoch advances the epoch of every engine currently cached for the
-// class (see core.Engine.BumpEpoch): their cached answers become
-// unreachable. Engines derived afterward start at epoch 0 with empty
-// caches, which is equally safe.
-func (c *Class) BumpEpoch() {
-	c.engines.Each(func(_ string, e *core.Engine) { e.BumpEpoch() })
-}
-
-// BumpEpoch advances the epoch of every cached engine in every class.
-// Servers call it when a document is rebound (swapped, reloaded) so no
-// answer derived against the old tree can be served against the new
-// one — even when the tree was mutated in place.
+// BumpEpoch advances the epoch of every class's engine. Servers call it
+// when a document is rebound (swapped, reloaded) so no answer derived
+// against the old tree can be served against the new one — even when
+// the tree was mutated in place.
 func (r *Registry) BumpEpoch() {
 	for _, name := range r.order {
 		r.classes[name].BumpEpoch()
 	}
 }
 
-// BindingStats is the serving counters of one cached engine (one
-// parameter binding of a class).
-type BindingStats struct {
-	// Binding is the canonical parameter binding ("" for parameterless
-	// classes, "wardNo=6;" style otherwise).
-	Binding string `json:"binding"`
+// ClassStats is the serving counters of one user class: its one
+// engine's, shared by every binding.
+type ClassStats struct {
+	Class string `json:"class"`
+	// Params are the class's specification parameters, bound per
+	// request.
+	Params []string `json:"params,omitempty"`
 	// RewriteMode is the engine's rewriting strategy ("flat" or
 	// "height-free"; see core.Engine.RewriteMode).
-	RewriteMode string     `json:"rewrite_mode"`
-	Engine      core.Stats `json:"engine"`
+	RewriteMode string `json:"rewrite_mode"`
+	// Engine holds the plan-cache, answer-cache and evaluation counters.
+	Engine core.Stats `json:"engine"`
 }
 
-// ClassStats is a registry-level rollup for one user class.
-type ClassStats struct {
-	Class   string          `json:"class"`
-	Engines plancache.Stats `json:"engine_cache"`
-	// AnswerCache sums the answer-cache counters over the class's cached
-	// engines, so /statsz attributes hits and misses to the class that
-	// earned them (the Prometheus sv_anscache_* counters stay aggregated
-	// across classes). All zero when the answer cache is off.
-	AnswerCache anscache.Stats `json:"answer_cache"`
-	// Bindings holds the per-binding engine counters (plan cache,
-	// evaluation path, cancellations) for every engine currently cached,
-	// sorted by binding key.
-	Bindings []BindingStats `json:"bindings"`
-}
-
-// Stats reports the engine-cache counters and the cached engines' own
-// serving counters for every class in definition order.
+// Stats reports every class's engine counters in definition order.
 func (r *Registry) Stats() []ClassStats {
 	out := make([]ClassStats, 0, len(r.order))
 	for _, name := range r.order {
 		c := r.classes[name]
-		cs := ClassStats{Class: name, Engines: c.EngineCacheStats()}
-		c.engines.Each(func(key string, e *core.Engine) {
-			es := e.Stats()
-			cs.AnswerCache.Add(es.AnswerCache)
-			cs.Bindings = append(cs.Bindings, BindingStats{
-				Binding:     key,
-				RewriteMode: e.RewriteMode(),
-				Engine:      es,
-			})
+		out = append(out, ClassStats{
+			Class:       name,
+			Params:      c.Params(),
+			RewriteMode: c.engine.RewriteMode(),
+			Engine:      c.engine.Stats(),
 		})
-		sort.Slice(cs.Bindings, func(i, j int) bool { return cs.Bindings[i].Binding < cs.Bindings[j].Binding })
-		out = append(out, cs)
 	}
 	return out
 }
@@ -285,7 +227,8 @@ func (r *Registry) ExplainCtx(ctx context.Context, class string, params map[stri
 }
 
 // ViewDTD returns the schema published to one user class under a
-// parameter binding.
+// parameter binding. The schema is the same for every binding; the
+// binding is still checked.
 func (r *Registry) ViewDTD(class string, params map[string]string) (*dtd.DTD, error) {
 	c, ok := r.classes[class]
 	if !ok {
@@ -296,21 +239,4 @@ func (r *Registry) ViewDTD(class string, params map[string]string) (*dtd.DTD, er
 		return nil, err
 	}
 	return e.ViewDTD(), nil
-}
-
-// bindingKey canonicalizes a parameter binding for the engine cache.
-func bindingKey(params map[string]string) string {
-	if len(params) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s;", k, params[k])
-	}
-	return b.String()
 }

@@ -155,29 +155,42 @@ func TestRegistryViewDTDsDiffer(t *testing.T) {
 	}
 }
 
+// TestRegistryEngineCaching: every binding of a class gets a handle on
+// the class's one engine, derived at Define — the ward-6 and ward-7
+// nurses share one plan per query shape, yet each handle answers for
+// its own ward.
 func TestRegistryEngineCaching(t *testing.T) {
 	r := hospitalRegistry(t)
 	c, ok := r.Class("nurse")
 	if !ok {
 		t.Fatalf("nurse class missing")
 	}
-	e1, err := c.Engine(map[string]string{"wardNo": "6"})
+	doc := ward()
+	e6, err := c.Engine(map[string]string{"wardNo": "6"})
 	if err != nil {
 		t.Fatalf("Engine: %v", err)
 	}
-	e2, err := c.Engine(map[string]string{"wardNo": "6"})
+	e7, err := c.Engine(map[string]string{"wardNo": "7"})
 	if err != nil {
 		t.Fatalf("Engine: %v", err)
 	}
-	if e1 != e2 {
-		t.Errorf("same binding not cached")
-	}
-	e3, err := c.Engine(map[string]string{"wardNo": "7"})
+	got6, err := e6.QueryString(doc, "//patient/name")
 	if err != nil {
-		t.Fatalf("Engine: %v", err)
+		t.Fatal(err)
 	}
-	if e1 == e3 {
-		t.Errorf("different bindings share an engine")
+	got7, err := e7.QueryString(doc, "//patient/name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(texts(got6), []string{"Carol", "Alice"}) || !reflect.DeepEqual(texts(got7), []string{"Bob"}) {
+		t.Errorf("ward 6 sees %v, ward 7 sees %v", texts(got6), texts(got7))
+	}
+	pc := e6.Stats().PlanCache
+	if pc.Misses != 1 || pc.Hits != 1 || pc.Entries != 1 {
+		t.Errorf("two bindings, one query: plan cache = %+v, want 1 miss, 1 hit, 1 entry", pc)
+	}
+	if e7.Stats() != e6.Stats() {
+		t.Errorf("handles of one class report different engines: %+v vs %+v", e6.Stats(), e7.Stats())
 	}
 }
 

@@ -3,53 +3,58 @@ package policy
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dtds"
+	"repro/internal/obs"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
 // TestEngineCacheBounded: adversarial parameter bindings (a fresh
-// $wardNo per request) must not grow the per-class engine cache past
-// its cap.
+// $wardNo per request) must not grow memory: no binding derives an
+// engine, and the class keeps one plan per query shape, however many
+// bindings ask.
 func TestEngineCacheBounded(t *testing.T) {
 	r := NewRegistryWithConfig(dtds.Hospital(), 4, core.Config{})
 	c, err := r.Define("nurse", dtds.NurseSpecSource)
 	if err != nil {
 		t.Fatalf("Define: %v", err)
 	}
+	doc := dtds.GenerateHospital(3, 3)
 	for i := 0; i < 30; i++ {
-		if _, err := c.Engine(map[string]string{"wardNo": fmt.Sprintf("%d", i)}); err != nil {
+		qm := &obs.QueryMetrics{}
+		e, err := c.EngineCtx(obs.WithQueryMetrics(context.Background(), qm), map[string]string{"wardNo": fmt.Sprintf("%d", i)})
+		if err != nil {
 			t.Fatalf("Engine(%d): %v", i, err)
 		}
+		if !qm.EngineCacheHit {
+			t.Fatalf("binding %d ran a derivation", i)
+		}
+		if _, err := e.QueryString(doc, "//patient/name"); err != nil {
+			t.Fatalf("query for ward %d: %v", i, err)
+		}
 	}
-	s := c.EngineCacheStats()
-	if s.Entries > 4 {
-		t.Errorf("engine cache grew to %d entries, cap 4", s.Entries)
+	st := r.Stats()
+	if len(st) != 1 {
+		t.Fatalf("registry stats = %+v, want one class", st)
 	}
-	if s.Evictions == 0 {
-		t.Errorf("no evictions after 30 distinct bindings")
-	}
-	// Evicted bindings still work — they are just re-derived.
-	e, err := c.Engine(map[string]string{"wardNo": "0"})
-	if err != nil {
-		t.Fatalf("Engine after eviction: %v", err)
-	}
-	if e == nil {
-		t.Fatalf("nil engine")
+	if pc := st[0].Engine.PlanCache; pc.Entries != 1 || pc.Misses != 1 || pc.Hits != 29 {
+		t.Errorf("30 bindings, one query: plan cache = %+v, want 1 entry, 1 miss, 29 hits", pc)
 	}
 }
 
-// TestRegistryStats: per-class rollup reports hits and misses.
+// TestRegistryStats: the per-class rollup reports the class's one
+// engine, whichever bindings used it.
 func TestRegistryStats(t *testing.T) {
 	r := hospitalRegistry(t)
-	c, _ := r.Class("nurse")
-	for i := 0; i < 3; i++ {
-		if _, err := c.Engine(map[string]string{"wardNo": "6"}); err != nil {
-			t.Fatalf("Engine: %v", err)
+	doc := dtds.GenerateHospital(3, 3)
+	for i, ward := range []string{"1", "1", "1", "2"} {
+		if _, err := r.Query("nurse", map[string]string{"wardNo": ward}, doc, "//patient/name"); err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
 	}
 	stats := r.Stats()
@@ -65,8 +70,11 @@ func TestRegistryStats(t *testing.T) {
 	if nurse == nil {
 		t.Fatalf("nurse class missing from stats: %+v", stats)
 	}
-	if nurse.Engines.Hits != 2 || nurse.Engines.Misses != 1 {
-		t.Errorf("nurse engine cache = %+v, want 2 hits / 1 miss", nurse.Engines)
+	if !reflect.DeepEqual(nurse.Params, []string{"wardNo"}) || nurse.RewriteMode != "flat" {
+		t.Errorf("nurse class = %+v", nurse)
+	}
+	if e := nurse.Engine; e.Queries != 4 || e.Evals != 4 || e.PlanCache.Hits != 3 || e.PlanCache.Misses != 1 {
+		t.Errorf("nurse engine = %+v, want 4 queries and evals, 3 plan hits / 1 miss", e)
 	}
 }
 
@@ -92,8 +100,12 @@ func TestRegistryConcurrentQueries(t *testing.T) {
 	}
 	wg.Wait()
 	c, _ := r.Class("nurse")
-	if s := c.EngineCacheStats(); s.Hits == 0 {
-		t.Errorf("no engine-cache hits under concurrency: %+v", s)
+	e, err := c.Engine(map[string]string{"wardNo": "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats().PlanCache; s.Hits == 0 || s.Entries != 1 {
+		t.Errorf("three bindings, one query shape: plan cache = %+v, want hits and one entry", s)
 	}
 }
 
@@ -136,7 +148,11 @@ func TestRegistryEnginesShareLabelIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PrepareString(%q): %v", q, err)
 		}
-		want, err := xpath.EvalRef(prep.Optimized, []*xmltree.Node{doc.Root})
+		bound, err := xpath.BindVars(prep.Optimized, prep.Env.Map())
+		if err != nil {
+			t.Fatalf("binding the plan of %q: %v", q, err)
+		}
+		want, err := xpath.EvalRef(bound, []*xmltree.Node{doc.Root})
 		if err != nil {
 			t.Fatalf("reference %q: %v", q, err)
 		}

@@ -3,8 +3,10 @@
 // security-view serving stack. A fingerprint identifies one query shape
 // as the answer cache sees it: the (user class, optimized-plan text)
 // pair, so two surface queries that rewrite and optimize to the same
-// plan share one row, while the same query under two parameter bindings
-// (whose views differ, hence whose plans differ) get separate rows.
+// plan share one row. A class's plans keep its $parameters and the
+// query's literals symbolic, so the same query under two parameter
+// bindings, or with two different literals, is one row too: a row is a
+// plan shape, not a binding.
 //
 // Per fingerprint the registry keeps request counts, per-phase latency
 // digests (reusing internal/latency, so /queryz percentiles are honest

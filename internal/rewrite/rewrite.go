@@ -38,8 +38,10 @@ import (
 
 // Rewriter holds the per-view precomputation shared by all queries: the
 // effective (possibly unfolded) DAG view DTD and the recProc tables. A
-// Rewriter is safe for concurrent use; the DP memo is shared across
-// queries under a mutex.
+// Rewriter is safe for concurrent use: calls serialize on a mutex. The
+// DP memo lives for one Rewrite call — plans are cached by the caller,
+// so a memo kept across calls would grow with every distinct query the
+// rewriter has seen and never be read again.
 type Rewriter struct {
 	mu   sync.Mutex
 	view *secview.View
@@ -60,7 +62,8 @@ type Rewriter struct {
 	// shared by pointer across all Rec nodes the rewriter emits.
 	recGraph *xpath.RecGraph
 
-	memo map[memoKey]result
+	memo     map[memoKey]result // nil between calls
+	lastMemo int                // cells the last call memoized
 
 	// unfolded/height record whether this rewriter's view DTD was
 	// unfolded (recursive view) and to what document height — pure
@@ -166,12 +169,14 @@ func (r *Rewriter) Mode() string {
 	}
 }
 
-// MemoLen returns the number of DP cells currently memoized — a proxy
-// for the rewriter's working-set size, exposed for observability.
+// MemoLen returns the number of DP cells the last Rewrite call
+// memoized — that call's working-set size, exposed for observability.
+// The memo is dropped when the call returns, so this is bounded by one
+// query's cells however many queries came before.
 func (r *Rewriter) MemoLen() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.memo)
+	return r.lastMemo
 }
 
 func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter {
@@ -182,7 +187,6 @@ func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter
 		sigma:    make(map[[2]string]xpath.Path),
 		recReach: make(map[string][]string),
 		recPaths: make(map[string]map[string]xpath.Path),
-		memo:     make(map[memoKey]result),
 	}
 	for _, a := range dv.Types() {
 		c := dv.MustProduction(a)
@@ -215,7 +219,9 @@ func identityOrig(d *dtd.DTD) map[string]string {
 func (r *Rewriter) Rewrite(p xpath.Path) (xpath.Path, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.memo = make(map[memoKey]result)
 	res := r.rw(p, r.dv.Root())
+	r.lastMemo, r.memo = len(r.memo), nil
 	return xpath.Simplify(res.total()), nil
 }
 

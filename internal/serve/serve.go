@@ -179,12 +179,10 @@ type Server struct {
 	// exceed it (see recordQuery).
 	qstats *qstats.Registry
 
-	phases       [numPhases]latency.Digest
-	pipeline     atomic.Uint64
-	planHits     atomic.Uint64
-	planMisses   atomic.Uint64
-	engineHits   atomic.Uint64
-	engineMisses atomic.Uint64
+	phases     [numPhases]latency.Digest
+	pipeline   atomic.Uint64
+	planHits   atomic.Uint64
+	planMisses atomic.Uint64
 	// evals and cachedEvals split completed pipelines by whether the
 	// evaluator ran or the answer cache served them: sv_eval_total's
 	// two modes and the /statsz evals/cached_evals counters.
@@ -271,22 +269,17 @@ func (s *Server) registerMetrics() {
 	const planHelp = "Plan-cache outcomes for completed pipelines."
 	m.CounterFunc("sv_plan_cache_total", planHelp, s.planHits.Load, obs.L("result", "hit"))
 	m.CounterFunc("sv_plan_cache_total", planHelp, s.planMisses.Load, obs.L("result", "miss"))
-	const engineHelp = "Per-binding engine-cache outcomes for completed pipelines."
-	m.CounterFunc("sv_engine_cache_total", engineHelp, s.engineHits.Load, obs.L("result", "hit"))
-	m.CounterFunc("sv_engine_cache_total", engineHelp, s.engineMisses.Load, obs.L("result", "miss"))
 	const modeHelp = "Completed pipelines by whether the evaluator ran (eval) or the answer cache served them (cached)."
 	m.CounterFunc("sv_eval_total", modeHelp, s.evals.Load, obs.L("mode", obs.ModeEval))
 	m.CounterFunc("sv_eval_total", modeHelp, s.cachedEvals.Load, obs.L("mode", obs.ModeCached))
-	// Semantic answer-cache counters, rolled up over every cached engine
+	// Semantic answer-cache counters, rolled up over every class's engine
 	// like the plan-cache gauges below. All four stay 0 with -anscache
 	// off, which promcheck accepts (a counter may be zero, not absent).
 	ansSum := func(pick func(anscache.Stats) uint64) func() uint64 {
 		return func() uint64 {
 			var n uint64
 			for _, cs := range s.reg.Stats() {
-				for _, b := range cs.Bindings {
-					n += pick(b.Engine.AnswerCache)
-				}
+				n += pick(cs.Engine.AnswerCache)
 			}
 			return n
 		}
@@ -299,27 +292,23 @@ func (s *Server) registerMetrics() {
 		ansSum(func(a anscache.Stats) uint64 { return a.Misses }))
 	m.CounterFunc("sv_anscache_evictions_total", "Answer-cache entries evicted by the LRU bound.",
 		ansSum(func(a anscache.Stats) uint64 { return a.Evictions }))
-	const rwHelp = "Cached policy engines by rewriting strategy (flat, height-free)."
+	const rwHelp = "Policy engines (one per user class) by rewriting strategy (flat, height-free)."
 	for _, mode := range []string{"flat", "height-free"} {
 		mode := mode
 		m.GaugeFunc("sv_engines_by_rewrite_mode", rwHelp, func() float64 {
 			n := 0
 			for _, cs := range s.reg.Stats() {
-				for _, b := range cs.Bindings {
-					if b.RewriteMode == mode {
-						n++
-					}
+				if cs.RewriteMode == mode {
+					n++
 				}
 			}
 			return float64(n)
 		}, obs.L("mode", mode))
 	}
-	m.GaugeFunc("sv_plan_cache_nodes", "Total AST nodes across all cached optimized plans (all classes and bindings).", func() float64 {
+	m.GaugeFunc("sv_plan_cache_nodes", "Total AST nodes across all cached optimized plans (all classes).", func() float64 {
 		n := 0
 		for _, cs := range s.reg.Stats() {
-			for _, b := range cs.Bindings {
-				n += b.Engine.PlanCacheNodes
-			}
+			n += cs.Engine.PlanCacheNodes
 		}
 		return float64(n)
 	})
@@ -554,11 +543,6 @@ func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 	} else {
 		s.planMisses.Add(1)
 	}
-	if qm.EngineCacheHit {
-		s.engineHits.Add(1)
-	} else {
-		s.engineMisses.Add(1)
-	}
 	switch qm.EvalMode {
 	case obs.ModeEval:
 		s.evals.Add(1)
@@ -601,7 +585,11 @@ type queryEvent struct {
 	Kind      string `json:"kind"`
 	RequestID uint64 `json:"request_id"`
 	Class     string `json:"class"`
-	Status    int    `json:"status"`
+	// Params is the request's binding of its class's parameters: one
+	// plan serves every binding of a class, so the fingerprint alone
+	// does not say whose answer this was (see loggedBinding).
+	Params map[string]string `json:"params,omitempty"`
+	Status int               `json:"status"`
 	// Query is the surface query, truncated to maxLoggedQueryBytes;
 	// Fingerprint joins the event to its /queryz row.
 	Query       string `json:"query"`
@@ -612,10 +600,9 @@ type queryEvent struct {
 	OptimizeUs int64 `json:"optimize_us"`
 	EvalUs     int64 `json:"eval_us"`
 
-	PlanCacheHit   bool   `json:"plan_cache_hit"`
-	EngineCacheHit bool   `json:"engine_cache_hit"`
-	AnswerCache    string `json:"answer_cache,omitempty"`
-	EvalMode       string `json:"eval_mode,omitempty"`
+	PlanCacheHit bool   `json:"plan_cache_hit"`
+	AnswerCache  string `json:"answer_cache,omitempty"`
+	EvalMode     string `json:"eval_mode,omitempty"`
 
 	NodesVisited uint64 `json:"nodes_visited"`
 	ResultCount  int    `json:"result_count"`
@@ -676,27 +663,47 @@ func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration
 		plan = req.query
 	}
 	ev := queryEvent{
-		TimeUnixUs:     time.Now().UnixMicro(),
-		Kind:           kind,
-		RequestID:      id,
-		Class:          req.class,
-		Status:         status,
-		Query:          truncateForLog(req.query),
-		Fingerprint:    qstats.Fingerprint(req.class, plan),
-		TotalUs:        elapsed.Microseconds(),
-		RewriteUs:      qm.Rewrite.Microseconds(),
-		OptimizeUs:     qm.Optimize.Microseconds(),
-		EvalUs:         qm.Eval.Microseconds(),
-		PlanCacheHit:   qm.PlanCacheHit,
-		EngineCacheHit: qm.EngineCacheHit,
-		AnswerCache:    qm.AnswerCacheHit,
-		EvalMode:       qm.EvalMode,
-		NodesVisited:   qm.NodesVisited,
-		ResultCount:    results,
+		TimeUnixUs:   time.Now().UnixMicro(),
+		Kind:         kind,
+		RequestID:    id,
+		Class:        req.class,
+		Params:       s.loggedBinding(req),
+		Status:       status,
+		Query:        truncateForLog(req.query),
+		Fingerprint:  qstats.Fingerprint(req.class, plan),
+		TotalUs:      elapsed.Microseconds(),
+		RewriteUs:    qm.Rewrite.Microseconds(),
+		OptimizeUs:   qm.Optimize.Microseconds(),
+		EvalUs:       qm.Eval.Microseconds(),
+		PlanCacheHit: qm.PlanCacheHit,
+		AnswerCache:  qm.AnswerCacheHit,
+		EvalMode:     qm.EvalMode,
+		NodesVisited: qm.NodesVisited,
+		ResultCount:  results,
 	}
 	if err := s.cfg.EventLog.Emit(ev); err != nil {
 		s.logf("svserve: event log write failed: %v", err)
 	}
+}
+
+// loggedBinding returns the request's values for its class's
+// parameters, each truncated like query text: other request parameters
+// and long values must not bloat the log.
+func (s *Server) loggedBinding(req *queryRequest) map[string]string {
+	c, ok := s.reg.Class(req.class)
+	if !ok {
+		return nil
+	}
+	var out map[string]string
+	for _, name := range c.Params() {
+		if v, ok := req.params[name]; ok {
+			if out == nil {
+				out = make(map[string]string)
+			}
+			out[name] = truncateForLog(v)
+		}
+	}
+	return out
 }
 
 // explainzResponse is the /explainz JSON document: the engine's
@@ -963,16 +970,15 @@ type PipelineStats struct {
 	Count           uint64                  `json:"count"`
 	PlanCacheHits   uint64                  `json:"plan_cache_hits"`
 	PlanCacheMisses uint64                  `json:"plan_cache_misses"`
-	EngineHits      uint64                  `json:"engine_cache_hits"`
-	EngineMisses    uint64                  `json:"engine_cache_misses"`
 	Evals           uint64                  `json:"evals"`
 	CachedEvals     uint64                  `json:"cached_evals"`
 	Phases          map[string]LatencyStats `json:"phases"`
 }
 
 // Statsz is the full /statsz document: the server's own counters plus
-// the per-class rollup from the policy registry (engine caches, and for
-// every cached engine its plan-cache and evaluation counters).
+// the policy registry's per-class counters (each class has one engine,
+// shared by every binding: its plan-cache, answer-cache and evaluation
+// counters).
 type Statsz struct {
 	Server  ServerStats         `json:"server"`
 	Classes []policy.ClassStats `json:"classes"`
@@ -1020,8 +1026,6 @@ func (s *Server) Stats() Statsz {
 				Count:           pipeline,
 				PlanCacheHits:   s.planHits.Load(),
 				PlanCacheMisses: s.planMisses.Load(),
-				EngineHits:      s.engineHits.Load(),
-				EngineMisses:    s.engineMisses.Load(),
 				Evals:           s.evals.Load(),
 				CachedEvals:     s.cachedEvals.Load(),
 				Phases:          phases,

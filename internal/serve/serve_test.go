@@ -238,10 +238,10 @@ func TestStatszShape(t *testing.T) {
 		t.Fatalf("classes = %+v", got.Classes)
 	}
 	cl := got.Classes[0]
-	if len(cl.Bindings) != 1 {
-		t.Fatalf("bindings = %+v", cl.Bindings)
+	if len(cl.Params) != 1 || cl.Params[0] != "wardNo" {
+		t.Fatalf("class params = %v", cl.Params)
 	}
-	eng := cl.Bindings[0].Engine
+	eng := cl.Engine
 	if eng.Queries != 3 || eng.PlanCache.Misses != 1 || eng.PlanCache.Hits != 2 {
 		t.Errorf("engine stats: %+v", eng)
 	}

@@ -49,8 +49,8 @@ func ordinalDoc(nodes []*xmltree.Node) *xmltree.Document {
 
 // evalOrdinal runs one bitset evaluation end to end: context slice in,
 // result slice out, every intermediate set pooled.
-func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	b := &bitEval{se: t, doc: d}
+func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, error) {
+	b := &bitEval{se: t, doc: d, env: env}
 	defer b.release()
 	ctx := b.get()
 	for _, n := range nodes {
@@ -71,6 +71,7 @@ func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node) 
 type bitEval struct {
 	se    *ticker
 	doc   *xmltree.Document
+	env   Env // binds the plan's variables; see env.go
 	owned []*nodeset.Set
 	free  []*nodeset.Set
 	// backward is set while a pre-image runs; see semiJoin for why an
@@ -407,13 +408,18 @@ func (b *bitEval) sat(q Qual, cand *nodeset.Set) (*nodeset.Set, error) {
 	case QPath:
 		return b.semiJoin(q.Path, cand, nil)
 	case QEq:
+		val := q.Value
 		if q.Var != "" {
-			if b.backward {
-				return b.get(), nil
+			bound, ok := b.env.Lookup(q.Var)
+			if !ok {
+				if b.backward {
+					return b.get(), nil
+				}
+				return nil, fmt.Errorf("unbound variable $%s in qualifier", q.Var)
 			}
-			return nil, fmt.Errorf("unbound variable $%s in qualifier", q.Var)
+			val = bound
 		}
-		return b.semiJoin(q.Path, cand, func(v *xmltree.Node) bool { return v.Text() == q.Value })
+		return b.semiJoin(q.Path, cand, func(v *xmltree.Node) bool { return v.Text() == val })
 	case QAttrEq:
 		return b.filter(cand, func(v *xmltree.Node) bool {
 			val, ok := v.Attr(q.Name)

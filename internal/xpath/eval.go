@@ -76,18 +76,30 @@ func EvalDocErr(p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
 // only when ctx is non-nil (the counter rides the cancellation
 // machinery).
 func EvalDocCtx(ctx context.Context, p Path, doc *xmltree.Document) (nodes []*xmltree.Node, visited uint64, err error) {
-	return evalCtx(ctx, p, []*xmltree.Node{doc.Root})
+	return evalCtx(ctx, p, []*xmltree.Node{doc.Root}, Env{})
+}
+
+// EvalDocEnvCtx is EvalDocCtx for a plan that still carries variables
+// ($parameters and literal placeholders): env binds them, so one plan
+// serves every binding without being copied per request.
+func EvalDocEnvCtx(ctx context.Context, p Path, doc *xmltree.Document, env Env) (nodes []*xmltree.Node, visited uint64, err error) {
+	return evalCtx(ctx, p, []*xmltree.Node{doc.Root}, env)
 }
 
 // EvalAtCtx is EvalAtErr honoring a context; see EvalDocCtx.
 func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	out, _, err := evalCtx(ctx, p, nodes)
+	return EvalAtEnvCtx(ctx, p, nodes, Env{})
+}
+
+// EvalAtEnvCtx is EvalAtCtx with the plan's variables bound by env.
+func EvalAtEnvCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, error) {
+	out, _, err := evalCtx(ctx, p, nodes, env)
 	return out, err
 }
 
 // evalCtx is the single evaluation entry point: it gates the context on
 // its numbering and runs the bitset evaluator.
-func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, uint64, error) {
+func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, uint64, error) {
 	t := newTicker(ctx)
 	if err := t.cancelled(); err != nil {
 		return nil, 0, err
@@ -99,7 +111,7 @@ func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Nod
 	if d == nil {
 		return nil, 0, ErrUnnumbered
 	}
-	out, err := evalOrdinal(t, d, p, nodes)
+	out, err := evalOrdinal(t, d, p, nodes, env)
 	return out, uint64(t.ticks), err
 }
 

@@ -1,23 +1,47 @@
 package xpath
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // String renders a path in the concrete syntax accepted by Parse, so that
-// Parse(String(p)) is structurally equal to p up to associativity.
+// Parse(String(p)) is structurally equal to p up to associativity. The
+// text is rendered into a pooled buffer and copied out at its exact
+// length: plan caches keep these strings, and the spare capacity of a
+// buffer grown by doubling would stay attached to every one of them.
 func String(p Path) string {
-	var b strings.Builder
-	writePath(&b, p, precUnion)
-	return b.String()
+	b := getBuf()
+	writePath(b, p, precUnion)
+	return putBuf(b)
 }
 
 // QualString renders a qualifier (without the surrounding brackets).
 func QualString(q Qual) string {
-	var b strings.Builder
-	writeQual(&b, q, qprecOr)
-	return b.String()
+	b := getBuf()
+	writeQual(b, q, qprecOr)
+	return putBuf(b)
+}
+
+// maxPooledBuf bounds the buffers kept for reuse, so one huge plan does
+// not pin its buffer in the pool.
+const maxPooledBuf = 64 << 10
+
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+
+// putBuf returns the buffer's text as an exactly sized string and the
+// buffer to the pool.
+func putBuf(b *bytes.Buffer) string {
+	s := b.String()
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		bufPool.Put(b)
+	}
+	return s
 }
 
 // Operator precedence levels for paths: union < seq < step.
@@ -27,7 +51,7 @@ const (
 	precStep
 )
 
-func writePath(b *strings.Builder, p Path, ctx int) {
+func writePath(b *bytes.Buffer, p Path, ctx int) {
 	switch p := p.(type) {
 	case Empty:
 		b.WriteString("∅")
@@ -109,7 +133,7 @@ const (
 // writeLiteral writes v as a double-quoted string literal: its bytes go
 // out as they are, with each '"' doubled (the XPath 2.0 escape), which is
 // exactly what Parse reads back.
-func writeLiteral(b *strings.Builder, v string) {
+func writeLiteral(b *bytes.Buffer, v string) {
 	b.WriteByte('"')
 	b.WriteString(strings.ReplaceAll(v, `"`, `""`))
 	b.WriteByte('"')
@@ -118,7 +142,7 @@ func writeLiteral(b *strings.Builder, v string) {
 // writeQualPath writes the path of a qualifier atom. A path that starts
 // with a label named not, true or false is parenthesized, or it would
 // reparse as that keyword.
-func writeQualPath(b *strings.Builder, p Path, ctx int) {
+func writeQualPath(b *bytes.Buffer, p Path, ctx int) {
 	switch leadingLabel(p) {
 	case "not", "true", "false":
 		b.WriteString("(")
@@ -147,7 +171,7 @@ func leadingLabel(p Path) string {
 	}
 }
 
-func writeQual(b *strings.Builder, q Qual, ctx int) {
+func writeQual(b *bytes.Buffer, q Qual, ctx int) {
 	switch q := q.(type) {
 	case QTrue:
 		b.WriteString("true()")

@@ -134,7 +134,7 @@ done
 awk '$1 == "sv_eventlog_events_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
     fail "/metricsz sv_eventlog_events_total not > 0 with -eventlog-sample 1"
 
-echo "netsmoke: /statsz eval count"
+echo "netsmoke: /statsz eval count, one engine per class"
 curl -fsS "$BASE/statsz" >"$WORK/statsz.json" || fail "/statsz request failed"
 python3 - "$WORK/statsz.json" <<'EOF' || fail "/statsz eval accounting broken"
 import json, sys
@@ -142,10 +142,18 @@ s = json.load(open(sys.argv[1]))
 p = s["server"]["pipeline"]
 assert p["evals"] > 0, p
 assert p["evals"] + p["cached_evals"] == p["count"], p
-engines = [b["engine"] for c in s["classes"] for b in c["bindings"]]
-assert engines and sum(e["evals"] for e in engines) > 0, engines
+# One engine per class, shared by every binding: each class reports its
+# engine directly, every class served queries, and the per-binding list
+# and engine-cache counters are gone.
+classes = s["classes"]
+assert classes, s
+for c in classes:
+    assert "bindings" not in c and "engine_cache" not in c, c
+    assert c["engine"]["evals"] > 0, c
+assert sum(c["engine"]["evals"] for c in classes) >= p["evals"], (classes, p)
 text = json.dumps(s)
-for gone in ("set_repr", "parallel_evals", "indexed_evals", "height_cache", "unfold"):
+for gone in ("set_repr", "parallel_evals", "indexed_evals", "height_cache", "unfold",
+             "engine_cache_hits", "engine_cache_misses"):
     assert gone not in text, gone
 EOF
 

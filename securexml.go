@@ -72,8 +72,8 @@ type (
 	// evaluation counters.
 	EngineStats = core.Stats
 	// Registry manages the policies of multiple user classes over one
-	// document DTD, caching derived engines per parameter binding with
-	// LRU eviction.
+	// document DTD: one engine per class, derived once and shared by
+	// every parameter binding.
 	Registry = policy.Registry
 	// LintIssue is one finding of the specification linter.
 	LintIssue = lint.Issue
@@ -151,9 +151,9 @@ func Eval(p Path, doc *Document) []*Node { return xpath.EvalDoc(p, doc) }
 // managing multiple user classes at once.
 func NewRegistry(d *DTD) *Registry { return policy.NewRegistry(d) }
 
-// NewRegistryWithConfig is NewRegistry with serving-layer tuning:
-// engineCap bounds each class's per-binding engine cache (0 keeps the
-// default) and cfg is applied to every derived engine.
+// NewRegistryWithConfig is NewRegistry with serving-layer tuning: cfg
+// is applied to every class's engine. engineCap has no effect: each
+// class derives one engine, shared by every parameter binding.
 func NewRegistryWithConfig(d *DTD, engineCap int, cfg EngineConfig) *Registry {
 	return policy.NewRegistryWithConfig(d, engineCap, cfg)
 }
