@@ -18,9 +18,8 @@
 //	                in Prometheus text exposition format
 //	GET /queryz   — per-fingerprint query statistics (top-K by eval
 //	                time, count, total time, or answer-cache miss rate)
-//	GET /explainz — one query with fresh per-phase timings, the
-//	                intermediate query strings, and its span tree
-//	GET /tracez   — recent sampled request traces
+//	GET /explainz — one query with fresh per-phase timings and the
+//	                intermediate query strings, plus the request's record
 //	GET /healthz  — 200 while serving, 503 once drain has begun
 //	GET /debug/pprof/* — the runtime profiler
 //
@@ -28,12 +27,11 @@
 // deadline; -max-inflight caps concurrent evaluations; -anscache lets
 // engines answer repeated or provably-contained
 // queries from a bounded semantic answer cache (-anscache-cap bounds
-// it); -trace-sample/-trace-ring tune request-trace sampling and
-// -slow-query the slow-query log threshold. -qstats-cap bounds the
-// /queryz fingerprint registry. -eventlog FILE switches the slow-query
-// log to a structured JSONL wide-event log (errors and slow queries
-// always; -eventlog-sample N additionally samples one request in N),
-// size-rotated at -eventlog-max-bytes.
+// it); -slow-query sets the slow-query threshold. -qstats-cap bounds the
+// /queryz fingerprint registry. -eventlog FILE writes each error and
+// slow query's record as one JSONL wide event (-eventlog-sample N
+// additionally samples one request in N), size-rotated at
+// -eventlog-max-bytes; without it slow queries are only counted.
 package main
 
 import (
@@ -78,11 +76,9 @@ func main() {
 		anscacheCap = flag.Int("anscache-cap", 0, "answer-cache entries per engine (0 = default)")
 		headerWait  = flag.Duration("read-header-timeout", 5*time.Second, "how long a connection may take to send its request headers")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries on SIGINT/SIGTERM")
-		traceSample = flag.Int("trace-sample", 0, "keep a span tree for one request in N (0 = tracing off, 1 = every request)")
-		traceRing   = flag.Int("trace-ring", 0, "recent traces kept for /tracez (0 = default)")
-		slowQuery   = flag.Duration("slow-query", serve.DefaultSlowQuery, "log queries slower than this with per-phase timings (negative disables)")
+		slowQuery   = flag.Duration("slow-query", serve.DefaultSlowQuery, "count queries slower than this, and log them as slow events with -eventlog (negative disables)")
 		qstatsCap   = flag.Int("qstats-cap", 0, "query fingerprints tracked for /queryz (0 = default)")
-		eventLog    = flag.String("eventlog", "", "write a structured JSONL wide-event log to this file (replaces the plain slow-query log line)")
+		eventLog    = flag.String("eventlog", "", "write a structured JSONL wide-event log of errors and slow queries to this file")
 		eventMax    = flag.Int64("eventlog-max-bytes", 0, "rotate the event log when it would exceed this size (0 = default; one predecessor file is kept)")
 		eventSample = flag.Int("eventlog-sample", 0, "also log one successful request in N (0 = errors and slow queries only)")
 		classes     classFlags
@@ -127,8 +123,6 @@ func main() {
 		DefaultTimeout:      *timeout,
 		MaxTimeout:          *maxTimeout,
 		MaxInFlight:         *maxInFlight,
-		TraceSampleEvery:    *traceSample,
-		TraceRingSize:       *traceRing,
 		SlowQueryThreshold:  *slowQuery,
 		QueryStatsCapacity:  *qstatsCap,
 		EventLog:            events,

@@ -302,10 +302,9 @@ func (e *Engine) env(lits []string) xpath.Env {
 // on the document they would either error mid-evaluation or silently
 // match nothing, and neither belongs in the cache. So are queries
 // through a handle whose specification parameters are unbound. A
-// context carrying a QueryMetrics carrier gets the cache outcome and,
-// on a miss, the per-phase durations and plan shape; a context carrying
-// a span gets "rewrite"/"optimize" child spans. Concurrent misses on
-// one key may build the plan more than once and the last Put wins
+// context carrying a QueryMetrics record gets the cache outcome and, on
+// a miss, the rewrite and optimize durations. Concurrent misses on one
+// key may build the plan more than once and the last Put wins
 // (GetOrCompute singleflights, but this path wants per-request metrics
 // attribution, and a duplicate plan build is harmless).
 func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []string, error) {
@@ -318,32 +317,19 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []strin
 	if prep, ok := e.s.plans.Get(key); ok {
 		if qm != nil {
 			qm.PlanCacheHit = true
-			if qm.CaptureQueries {
-				qm.Rewritten = xpath.String(prep.Rewritten)
-				qm.Optimized = prep.text
-			}
 		}
-		obs.SpanFromContext(ctx).SetAttr("plan_cache", "hit")
 		return prep, lits, nil
 	}
-	obs.SpanFromContext(ctx).SetAttr("plan_cache", "miss")
 	start := time.Now()
-	pt, err := e.s.rw.RewriteCtx(ctx, shape)
+	pt, err := e.s.rw.Rewrite(shape)
 	if err != nil {
 		return nil, nil, err
 	}
 	rewriteDone := time.Now()
-	po := e.s.opt.OptimizeCtx(ctx, pt)
-	prep := newPrepared(shape, pt, po)
+	prep := newPrepared(shape, pt, e.s.opt.Optimize(pt))
 	if qm != nil {
 		qm.Rewrite = rewriteDone.Sub(start)
 		qm.Optimize = time.Since(rewriteDone)
-		qm.RewrittenSize = xpath.Size(pt)
-		qm.OptimizedSize = prep.nodes
-		if qm.CaptureQueries {
-			qm.Rewritten = xpath.String(pt)
-			qm.Optimized = prep.text
-		}
 	}
 	e.s.plans.Put(key, prep)
 	return prep, lits, nil
@@ -410,7 +396,6 @@ func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Pa
 		if qm != nil {
 			qm.AnswerCacheHit = kind.String()
 		}
-		obs.SpanFromContext(ctx).SetAttr("answer_cache", kind.String())
 		if kind != anscache.KindMiss {
 			if qm != nil {
 				qm.EvalMode = obs.ModeCached
@@ -467,23 +452,17 @@ func appendValue(b []byte, v string) []byte {
 }
 
 // evalPrepared runs the evaluation phase. When the context carries a
-// QueryMetrics carrier or a trace span it additionally reports the
-// nodes-visited count and the phase duration.
+// QueryMetrics record it additionally reports the nodes-visited count
+// and the phase duration.
 func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.Document, env xpath.Env) ([]*xmltree.Node, error) {
 	e.s.evals.Add(1)
 	qm := obs.QueryMetricsFromContext(ctx)
-	_, sp := obs.StartSpan(ctx, "eval")
 	start := time.Now()
 	out, visited, err := xpath.EvalDocEnvCtx(ctx, prep.Optimized, doc, env)
 	if qm != nil {
 		qm.Eval = time.Since(start)
 		qm.EvalMode = obs.ModeEval
 		qm.NodesVisited = visited
-	}
-	if sp != nil {
-		sp.SetAttr("nodes_visited", visited)
-		sp.SetAttr("result_count", len(out))
-		sp.Finish()
 	}
 	return out, err
 }
@@ -525,6 +504,13 @@ type Explain struct {
 	// RewrittenSize and OptimizedSize are AST sizes (xpath.Size).
 	RewrittenSize int `json:"rewritten_size"`
 	OptimizedSize int `json:"optimized_size"`
+	// MemoCells is the number of DP cells this rewrite memoized (see
+	// rewrite.Rewriter.RewriteCounted); RulesFired and PrunedBranches are
+	// the DTD-driven rules this optimize call fired and the subtrees
+	// they removed (optimize.Optimizer.OptimizeCounted).
+	MemoCells      int    `json:"memo_cells"`
+	RulesFired     uint64 `json:"rules_fired"`
+	PrunedBranches uint64 `json:"pruned_branches"`
 	// EvalMode is obs.ModeEval: explain always evaluates. NodesVisited
 	// is the evaluator's work counter for this run (see
 	// obs.QueryMetrics).
@@ -553,12 +539,18 @@ type Explain struct {
 // phase fresh: rewrite and optimize run even when the plan cache holds
 // the query's shape (the cache outcome is still reported), and the
 // built plan is cached for subsequent requests. A context carrying a
-// trace span gets the usual phase child spans.
+// QueryMetrics record gets the same phase durations, plan text and
+// cache outcomes the Explain reports.
 func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) (*Explain, error) {
 	if err := e.checkVars(p); err != nil {
 		return nil, err
 	}
 	e.s.queries.Add(1)
+	qm := obs.QueryMetricsFromContext(ctx)
+	if qm == nil {
+		qm = &obs.QueryMetrics{}
+		ctx = obs.WithQueryMetrics(ctx, qm)
+	}
 	shape, lits := xpath.Parameterize(p)
 	key := xpath.String(shape)
 	env := e.env(lits)
@@ -573,44 +565,45 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	}
 	_, ex.PlanWasCached = e.s.plans.Get(key)
 	start := time.Now()
-	pt, err := e.s.rw.RewriteCtx(ctx, shape)
+	pt, cells, err := e.s.rw.RewriteCounted(shape)
 	if err != nil {
 		return nil, err
 	}
-	ex.RewriteNs = time.Since(start).Nanoseconds()
-	ex.Rewritten = xpath.String(pt)
-	ex.RewrittenSize = xpath.Size(pt)
+	qm.Rewrite = time.Since(start)
 	start = time.Now()
-	po := e.s.opt.OptimizeCtx(ctx, pt)
-	ex.OptimizeNs = time.Since(start).Nanoseconds()
+	po, rules, pruned := e.s.opt.OptimizeCounted(pt)
+	qm.Optimize = time.Since(start)
 	prep := newPrepared(shape, pt, po)
-	ex.Optimized = prep.text
-	ex.OptimizedSize = prep.nodes
 	e.s.plans.Put(key, prep)
+	qm.PlanText = prep.text
 	var group string
 	if e.s.answers != nil {
 		// Probe the answer cache for the report, then evaluate fresh
 		// anyway: explain's contract is measured phases.
 		group = e.docGroup(doc, env)
 		if _, kind, lerr := e.s.answers.Lookup(ctx, group, prep.text, prep.Optimized, env, e.s.opt); lerr == nil {
-			ex.AnswerCacheHit = kind.String()
+			qm.AnswerCacheHit = kind.String()
 		}
 	}
-	// Evaluate with a private carrier so the work counter for this run
-	// is readable even when the caller installed none.
-	qm := &obs.QueryMetrics{}
-	start = time.Now()
-	out, err := e.evalPrepared(obs.WithQueryMetrics(ctx, qm), prep, doc, env)
+	out, err := e.evalPrepared(ctx, prep, doc, env)
 	if err != nil {
 		e.noteCancel(err)
 		return nil, err
 	}
-	ex.EvalNs = time.Since(start).Nanoseconds()
 	if e.s.answers != nil {
 		e.s.answers.Put(group, prep.text, prep.Optimized, out)
 	}
+	ex.Rewritten = xpath.String(pt)
+	ex.Optimized = prep.text
+	ex.RewrittenSize = xpath.Size(pt)
+	ex.OptimizedSize = prep.nodes
+	ex.MemoCells, ex.RulesFired, ex.PrunedBranches = cells, rules, pruned
+	ex.RewriteNs = qm.Rewrite.Nanoseconds()
+	ex.OptimizeNs = qm.Optimize.Nanoseconds()
+	ex.EvalNs = qm.Eval.Nanoseconds()
 	ex.EvalMode = qm.EvalMode
 	ex.NodesVisited = qm.NodesVisited
+	ex.AnswerCacheHit = qm.AnswerCacheHit
 	ex.ResultCount = len(out)
 	return ex, nil
 }

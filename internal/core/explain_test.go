@@ -94,15 +94,15 @@ func TestExplainRecursive(t *testing.T) {
 	}
 }
 
-// TestQueryMetricsCarrier: a QueryCtx with an obs.QueryMetrics carrier
-// on the context gets the per-phase accounting filled in, and a repeat
-// of the same query reports a plan-cache hit with zero rewrite/optimize
-// time instead of re-timed phases.
+// TestQueryMetricsCarrier: a QueryCtx with an obs.QueryMetrics record
+// on the context gets the per-phase accounting and the plan text filled
+// in, and a repeat of the same query reports a plan-cache hit with zero
+// rewrite/optimize time instead of re-timed phases.
 func TestQueryMetricsCarrier(t *testing.T) {
 	e, doc := fig7Engine(t)
 	const q = "//a/b"
 
-	qm := &obs.QueryMetrics{CaptureQueries: true}
+	qm := &obs.QueryMetrics{}
 	ctx := obs.WithQueryMetrics(context.Background(), qm)
 	if _, err := e.QueryStringCtx(ctx, doc, q); err != nil {
 		t.Fatalf("QueryStringCtx: %v", err)
@@ -116,11 +116,11 @@ func TestQueryMetricsCarrier(t *testing.T) {
 	if qm.EvalMode != obs.ModeEval || qm.NodesVisited == 0 {
 		t.Errorf("eval accounting: mode=%q nodes=%d", qm.EvalMode, qm.NodesVisited)
 	}
-	if qm.Rewritten == "" || qm.Optimized == "" {
-		t.Errorf("capture requested but queries missing: %q / %q", qm.Rewritten, qm.Optimized)
+	if qm.PlanText == "" {
+		t.Error("cold query surfaced no plan text")
 	}
 
-	qm2 := &obs.QueryMetrics{CaptureQueries: true}
+	qm2 := &obs.QueryMetrics{}
 	if _, err := e.QueryStringCtx(obs.WithQueryMetrics(context.Background(), qm2), doc, q); err != nil {
 		t.Fatalf("warm QueryStringCtx: %v", err)
 	}
@@ -130,10 +130,55 @@ func TestQueryMetricsCarrier(t *testing.T) {
 	if qm2.Rewrite != 0 || qm2.Optimize != 0 {
 		t.Errorf("plan-cache hit re-timed phases: rewrite=%v optimize=%v", qm2.Rewrite, qm2.Optimize)
 	}
-	if qm2.Rewritten != qm.Rewritten || qm2.Optimized != qm.Optimized {
-		t.Errorf("cached plan strings differ: %q vs %q", qm2.Rewritten, qm.Rewritten)
+	if qm2.PlanText != qm.PlanText {
+		t.Errorf("cached plan text differs: %q vs %q", qm2.PlanText, qm.PlanText)
 	}
 	if qm2.Eval <= 0 {
 		t.Errorf("warm eval duration = %v", qm2.Eval)
+	}
+}
+
+// TestExplainFillsRecord: an explain with a record on the context writes
+// the same phase times, plan and work counters into the record as it
+// reports, and reports the rewriter's memo cells and the optimizer's
+// rules for this call alone: a second explain of the same query, after
+// other queries ran, reports the same counts.
+func TestExplainFillsRecord(t *testing.T) {
+	spec, err := dtds.NurseSpec().Bind(map[string]string{"wardNo": "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := dtds.GenerateHospital(3, 3)
+	const q = "//patient[name and wardNo]/treatment//bill"
+	qm := &obs.QueryMetrics{}
+	ex, err := e.ExplainStringCtx(obs.WithQueryMetrics(context.Background(), qm), doc, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.RewriteNs != qm.Rewrite.Nanoseconds() || ex.OptimizeNs != qm.Optimize.Nanoseconds() || ex.EvalNs != qm.Eval.Nanoseconds() {
+		t.Errorf("explain phases %d/%d/%d ns, record %v/%v/%v", ex.RewriteNs, ex.OptimizeNs, ex.EvalNs, qm.Rewrite, qm.Optimize, qm.Eval)
+	}
+	if qm.PlanText != ex.Optimized || qm.NodesVisited != ex.NodesVisited || qm.EvalMode != obs.ModeEval || qm.PlanCacheHit {
+		t.Errorf("record %+v does not match explain %+v", qm, ex)
+	}
+	if ex.MemoCells == 0 || ex.RulesFired == 0 || ex.PrunedBranches == 0 {
+		t.Fatalf("explain reports memo %d, rules %d, pruned %d; want all positive", ex.MemoCells, ex.RulesFired, ex.PrunedBranches)
+	}
+	for _, other := range []string{"//name", "//dept[.//bill]", "//staff | //patient"} {
+		if _, err := e.QueryString(doc, other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex2, err := e.ExplainStringCtx(context.Background(), doc, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex2.MemoCells != ex.MemoCells || ex2.RulesFired != ex.RulesFired || ex2.PrunedBranches != ex.PrunedBranches {
+		t.Errorf("second explain: memo %d rules %d pruned %d, first %d %d %d",
+			ex2.MemoCells, ex2.RulesFired, ex2.PrunedBranches, ex.MemoCells, ex.RulesFired, ex.PrunedBranches)
 	}
 }

@@ -147,3 +147,25 @@ func TestContainsSoundOnDocuments(t *testing.T) {
 		}
 	}
 }
+
+// TestContainsGuardedUnion: a union is contained only if every branch
+// is. The answer cache serves containment hits through Contains, so a
+// guard on one branch must not be credited to the others, at the root
+// or below it.
+func TestContainsGuardedUnion(t *testing.T) {
+	o := New(dtd.MustParse("root r\nr -> a*\na -> b*, c*, d*\nb -> #PCDATA\nc -> #PCDATA\nd -> #PCDATA\n"))
+	cases := []struct {
+		p1, p2 string
+		want   bool
+	}{
+		{".[a/d]/a/b | a/c", ".[a/d]/a/(b | c)", false},
+		{".[a/d]/a/b | .[a/d]/a/c", ".[a/d]/a/(b | c)", true},
+		{"a/(.[d]/b | c)", "a[d]/(b | c)", false},
+		{"a/(.[d]/b | .[d]/c)", "a[d]/(b | c)", true},
+	}
+	for _, c := range cases {
+		if got := o.Contains(xpath.MustParse(c.p1), xpath.MustParse(c.p2)); got != c.want {
+			t.Errorf("Contains(%s, %s) = %v, want %v", c.p1, c.p2, got, c.want)
+		}
+	}
+}

@@ -34,11 +34,26 @@ import (
 // '//' steps are shared per label inside their spine (the descendant
 // closure is exactly "any path", so merging is lossless there); all other
 // composition keeps occurrences separate.
+//
+// An occurrence's qualifiers play two roles in the simulation. In a
+// containing image they are demands, and quals lists them all. In a
+// contained image they are guarantees, and held lists only those that
+// hold at every node the query selects through the occurrence. The two
+// differ only where union branches merge (mergeRoots): each branch's
+// qualifiers are demands of the union, but a branch's qualifier is no
+// guarantee for the nodes the other branches select.
 type inode struct {
 	label    string
 	kids     []*inode
 	quals    []qualAt
+	held     []qualAt
 	frontier bool
+}
+
+// addQuals gives n the qualifiers of m, in both roles.
+func (n *inode) addQuals(m *inode) {
+	n.quals = append(n.quals, m.quals...)
+	n.held = append(n.held, m.held...)
 }
 
 // qualAt is a qualifier attached to an occurrence, kept as AST so that
@@ -164,7 +179,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 			}
 			// g2's root is the same occurrence as n: splice its content.
 			n.kids = append(n.kids, g2.kids...)
-			n.quals = append(n.quals, g2.quals...)
+			n.addQuals(g2)
 			n.frontier = g2.frontier
 		}
 		attach(g1)
@@ -210,7 +225,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 			}
 			nt := spine[t]
 			nt.kids = append(nt.kids, sub.kids...)
-			nt.quals = append(nt.quals, sub.quals...)
+			nt.addQuals(sub)
 			if sub.frontier {
 				nt.frontier = true
 			}
@@ -244,7 +259,8 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		}
 		n := b.node(a)
 		n.frontier = true
-		n.quals = append(n.quals, qualAt{q: simplified, at: a})
+		n.quals = []qualAt{{q: simplified, at: a}}
+		n.held = []qualAt{{q: simplified, at: a}}
 		return n
 	case xpath.Rec:
 		// A nil return means "provably empty", which simulate treats as
@@ -264,14 +280,38 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 // recursive DTD, and that edge must not reach the other branches'
 // content (merging in place would let the image claim paths such as
 // a/b/a/c for //b ∪ c, proving //c ⊑ //b ∪ c).
+//
+// The merged root demands every branch's qualifiers but holds only
+// those all branches hold: in .[a/d]/a/b ∪ a/c, the a/c nodes need no
+// a/d, so the union must not prove itself contained in .[a/d]/a/(b ∪ c).
 func mergeRoots(a string, roots ...*inode) *inode {
 	n := &inode{label: a}
-	for _, r := range roots {
+	for i, r := range roots {
 		n.kids = append(n.kids, r.kids...)
 		n.quals = append(n.quals, r.quals...)
 		n.frontier = n.frontier || r.frontier
+		if i == 0 {
+			n.held = append([]qualAt(nil), r.held...)
+		} else {
+			n.held = commonQuals(n.held, r.held)
+		}
 	}
 	return n
+}
+
+// commonQuals keeps the qualifiers of held that other holds as well,
+// reusing held's array.
+func commonQuals(held, other []qualAt) []qualAt {
+	kept := held[:0]
+	for _, x := range held {
+		for _, y := range other {
+			if x.at == y.at && xpath.QualEqual(x.q, y.q) {
+				kept = append(kept, x)
+				break
+			}
+		}
+	}
+	return kept
 }
 
 func hasKid(n, k *inode) bool {

@@ -1,12 +1,10 @@
 package optimize
 
 import (
-	"context"
 	"sort"
 	"sync"
 
 	"repro/internal/dtd"
-	"repro/internal/obs"
 	"repro/internal/xpath"
 )
 
@@ -15,7 +13,7 @@ import (
 // stateful only as a cache of DTD facts: reach sets, recProc tables for
 // '//' and reaching sets are shared across queries under a mutex, so an
 // Optimizer is safe for concurrent use. The DP memo lives for one public
-// call (OptimizeAt, OptimizeCtx, Reach, Contains, Equivalent): plans are
+// call (OptimizeAt, OptimizeCounted, Reach, Contains, Equivalent): plans are
 // cached by the caller, so a memo kept across calls would only hold
 // heap, and a plan never depends on the calls made before it.
 type Optimizer struct {
@@ -110,25 +108,15 @@ func (o *Optimizer) optimizeAtLocked(p xpath.Path, a string) xpath.Path {
 	return xpath.Simplify(o.opt(p, a).total())
 }
 
-// OptimizeCtx is Optimize with observability: when the context carries
-// a trace span, the pass is recorded as a child span carrying the
-// output size and the per-call delta of rules fired and branches
-// pruned. Without a span it is exactly Optimize plus one nil check.
-func (o *Optimizer) OptimizeCtx(ctx context.Context, p xpath.Path) xpath.Path {
-	_, sp := obs.StartSpan(ctx, "optimize")
+// OptimizeCounted is Optimize that also reports what this call alone
+// decided: the DTD-driven rules it fired and the subtrees they pruned
+// (the per-call share of Stats), which explain reports.
+func (o *Optimizer) OptimizeCounted(p xpath.Path) (out xpath.Path, rulesFired, pruned uint64) {
 	o.mu.Lock()
+	defer o.unlock()
 	r0, p0 := o.rules, o.pruned
-	out := o.optimizeAtLocked(p, o.d.Root())
-	dr, dp := o.rules-r0, o.pruned-p0
-	o.unlock()
-	if sp != nil {
-		sp.SetAttr("input_size", xpath.Size(p))
-		sp.SetAttr("output_size", xpath.Size(out))
-		sp.SetAttr("rules_fired", dr)
-		sp.SetAttr("pruned_branches", dp)
-		sp.Finish()
-	}
-	return out
+	out = o.optimizeAtLocked(p, o.d.Root())
+	return out, o.rules - r0, o.pruned - p0
 }
 
 // Stats reports the optimizer's cumulative counters: DTD-driven

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dtd"
+	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -280,13 +281,21 @@ func randDocPath(r *rand.Rand, depth int) xpath.Path {
 		return xpath.Seq{Left: randDocPath(r, depth-1), Right: randDocPath(r, depth-1)}
 	case 2:
 		return xpath.Descend{Sub: randDocPath(r, depth-1)}
-	case 3, 4:
+	case 3:
 		return xpath.Union{Left: randDocPath(r, depth-1), Right: randDocPath(r, depth-1)}
+	case 4:
+		return xpath.Union{Left: guarded(randDocQual(r, depth-1), randDocPath(r, depth-1)), Right: randDocPath(r, depth-1)}
 	case 5:
 		return xpath.Qualified{Sub: randDocPath(r, depth-1), Cond: randDocQual(r, depth-1)}
 	default:
 		return randDocPath(r, 0)
 	}
+}
+
+// guarded is the qualifier-guarded union branch .[q]/p: the guard holds
+// at the branch's context only, not for the union's other branches.
+func guarded(q xpath.Qual, p xpath.Path) xpath.Path {
+	return xpath.Seq{Left: xpath.Qualified{Sub: xpath.Self{}, Cond: q}, Right: p}
 }
 
 func randDocQual(r *rand.Rand, depth int) xpath.Qual {
@@ -457,5 +466,71 @@ medication -> #PCDATA
 	after := xpath.EvalDoc(po, doc)
 	if len(before) != len(after) {
 		t.Fatalf("union branch dropped: %d vs %d (%s)", len(before), len(after), xpath.String(po))
+	}
+}
+
+// TestUnionRootQualifiersNotPooled: a qualifier guarding one union
+// branch holds for that branch's nodes only. Pooled at the merged root
+// of the union's image, it let .[a/d]/a/b | a/c prove itself contained
+// in .[a/d]/a/(b | c), and the optimizer then dropped the unguarded a/c.
+func TestUnionRootQualifiersNotPooled(t *testing.T) {
+	d := dtd.MustParse("root r\nr -> a*\na -> b*, c*, d*\nb -> #PCDATA\nc -> #PCDATA\nd -> #PCDATA\n")
+	doc, err := xmltree.ParseString("<r><a><b>x</b><c>y</c><c>z</c></a></r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := xpath.MustParse("(.[a/d]/a/b | a/c) | .[a/d]/a/(b | c)")
+	po := New(d).Optimize(p)
+	want, err := xpath.EvalRef(p, []*xmltree.Node{doc.Root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := xpath.EvalRef(po, []*xmltree.Node{doc.Root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || len(got) != len(want) {
+		t.Errorf("%s selects %d nodes, optimized %s selects %d", xpath.String(p), len(want), xpath.String(po), len(got))
+	}
+}
+
+// TestGuardedUnionSemantics: unions in which a guarded branch sits next
+// to an unguarded one, and next to a guarded branch that covers both,
+// optimize to equivalent queries. The reference evaluator checks them on
+// generated documents where the guards sometimes fail.
+func TestGuardedUnionSemantics(t *testing.T) {
+	d := dtd.MustParse("root r\nr -> a*\na -> b*, c*, d*\nb -> #PCDATA\nc -> #PCDATA\nd -> #PCDATA\n")
+	o := New(d)
+	var docs []*xmltree.Document
+	for seed := int64(0); seed < 6; seed++ {
+		docs = append(docs, xmlgen.Generate(d, xmlgen.Config{Seed: seed, MaxRepeat: 2}))
+	}
+	labels := []string{"a", "b", "c", "d"}
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 400; i++ {
+		g := xpath.QPath{Path: randAdexPath(r, labels, 1)}
+		y, z := randAdexPath(r, labels, 2), randAdexPath(r, labels, 2)
+		var w xpath.Path = xpath.Union{Left: y, Right: z}
+		if r.Intn(3) == 0 {
+			w = randAdexPath(r, labels, 2)
+		}
+		var p xpath.Path = xpath.Union{Left: xpath.Union{Left: guarded(g, y), Right: z}, Right: guarded(g, w)}
+		if r.Intn(2) == 0 {
+			p = xpath.Union{Left: guarded(g, w), Right: xpath.Union{Left: z, Right: guarded(g, y)}}
+		}
+		po := o.Optimize(p)
+		for j, doc := range docs {
+			want, err1 := xpath.EvalRef(p, []*xmltree.Node{doc.Root})
+			got, err2 := xpath.EvalRef(po, []*xmltree.Node{doc.Root})
+			if err1 != nil || err2 != nil || len(want) != len(got) {
+				t.Fatalf("doc %d: %s selects %d nodes, optimized %s selects %d (%v, %v)",
+					j, xpath.String(p), len(want), xpath.String(po), len(got), err1, err2)
+			}
+			for k := range want {
+				if want[k] != got[k] {
+					t.Fatalf("doc %d: %s and optimized %s differ at node %d", j, xpath.String(p), xpath.String(po), k)
+				}
+			}
+		}
 	}
 }

@@ -12,9 +12,9 @@ import "repro/internal/xpath"
 //  3. every path child of the g1 occurrence is simulated by some child of
 //     the g2 occurrence; and
 //  4. every qualifier attached to the g2 occurrence must be implied by
-//     some qualifier attached to the g1 occurrence (the direction flip of
+//     some qualifier the g1 occurrence holds (the direction flip of
 //     Section 5.1): the container may only demand conditions the
-//     containee already guarantees.
+//     containee already guarantees (see inode for quals versus held).
 //
 // Spine sharing can make image graphs cyclic for recursive DTDs; the
 // recursion assumes in-progress pairs hold (coinductive, greatest
@@ -67,7 +67,7 @@ func (s *simState) check(v1, v2 *inode) bool {
 	}
 	for _, y := range v2.quals {
 		matched := false
-		for _, x := range v1.quals {
+		for _, x := range v1.held {
 			if x.at == y.at && s.o.qualImplies(x.q, y.q, x.at) {
 				matched = true
 				break

@@ -229,8 +229,11 @@ func randAdexPath(r *rand.Rand, labels []string, depth int) xpath.Path {
 		return xpath.Seq{Left: randAdexPath(r, labels, depth-1), Right: randAdexPath(r, labels, depth-1)}
 	case 2:
 		return xpath.Descend{Sub: randAdexPath(r, labels, depth-1)}
-	case 3, 4:
+	case 3:
 		return xpath.Union{Left: randAdexPath(r, labels, depth-1), Right: randAdexPath(r, labels, depth-1)}
+	case 4:
+		guard := xpath.QPath{Path: randAdexPath(r, labels, depth-1)}
+		return xpath.Union{Left: guarded(guard, randAdexPath(r, labels, depth-1)), Right: randAdexPath(r, labels, depth-1)}
 	case 5:
 		var q xpath.Qual = xpath.QPath{Path: randAdexPath(r, labels, depth-1)}
 		switch r.Intn(3) {

@@ -130,7 +130,7 @@ func (c *Class) Engine(params map[string]string) (*core.Engine, error) {
 }
 
 // EngineCtx is Engine with observability: a context carrying a
-// QueryMetrics carrier learns that no derivation ran (EngineCacheHit;
+// QueryMetrics record learns that no derivation ran (EngineCacheHit;
 // the class's view was derived at Define). It derives nothing: it
 // checks that every specification parameter is bound — a missing one
 // is a BindingError, the client's fault — and returns the handle.

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/latency"
+	"repro/internal/obs"
 )
 
 // DefaultCapacity bounds the tracked fingerprints across all shards.
@@ -64,29 +65,6 @@ const (
 	SortCount     = "count"      // request count
 	SortMissRate  = "miss_rate"  // answer-cache miss rate, count-weighted
 )
-
-// Observation is one completed request's accounting, as read back from
-// the request's obs.QueryMetrics carrier plus the serving layer's own
-// end-to-end measurements. Durations are what the request actually
-// spent (a plan-cache hit contributes zero rewrite/optimize, mirroring
-// the per-phase histograms).
-type Observation struct {
-	Total    time.Duration
-	Rewrite  time.Duration
-	Optimize time.Duration
-	Eval     time.Duration
-
-	PlanCacheHit bool
-	// AnswerCacheOutcome is the anscache outcome string ("equal",
-	// "containment", "miss") or empty when the cache is off.
-	AnswerCacheOutcome string
-	// EvalMode labels whether the evaluator ran (obs.Mode* values);
-	// empty strings are not tallied.
-	EvalMode string
-
-	NodesVisited uint64
-	ResultCount  int
-}
 
 // entry is one tracked fingerprint. Entries live behind their shard's
 // mutex; the latency digests are internally atomic but are only ever
@@ -185,18 +163,20 @@ func clip(s string) string {
 	return s[:MaxTextLen]
 }
 
-// Observe folds one completed request into the fingerprint's row,
-// admitting the fingerprint (evicting the shard's minimum-count row if
-// full) when it is new. plan should be the optimized-plan text surfaced
-// by the pipeline; a request that never reported one (a pipeline path
-// predating plan surfacing) falls back to the surface query text so the
-// row still exists.
-func (r *Registry) Observe(class, plan, query string, o Observation) {
+// Observe folds one completed request's record into the row of its
+// (Class, PlanText) fingerprint, admitting the fingerprint (evicting the
+// shard's minimum-count row if full) when it is new. Durations are what
+// the request actually spent: a plan-cache hit contributes zero rewrite
+// and optimize, mirroring the per-phase histograms. A record that never
+// reported a plan falls back to its surface query text so the row still
+// exists.
+func (r *Registry) Observe(m *obs.QueryMetrics) {
 	if r == nil {
 		return
 	}
+	class, plan := m.Class, m.PlanText
 	if plan == "" {
-		plan = query
+		plan = m.Query
 	}
 	plan = clip(plan)
 	h := hashKey(class, plan)
@@ -210,7 +190,7 @@ func (r *Registry) Observe(class, plan, query string, o Observation) {
 		e = &entry{
 			class: class,
 			plan:  plan,
-			query: clip(query),
+			query: clip(m.Query),
 			hash:  h,
 			modes: make(map[string]uint64, 2),
 		}
@@ -232,10 +212,10 @@ func (r *Registry) Observe(class, plan, query string, o Observation) {
 		sh.entries[key] = e
 	}
 	e.count++
-	if o.PlanCacheHit {
+	if m.PlanCacheHit {
 		e.planHits++
 	}
-	switch o.AnswerCacheOutcome {
+	switch m.AnswerCacheHit {
 	case "equal":
 		e.ansEqual++
 	case "containment":
@@ -243,18 +223,18 @@ func (r *Registry) Observe(class, plan, query string, o Observation) {
 	case "miss":
 		e.ansMiss++
 	}
-	if o.EvalMode != "" {
-		e.modes[o.EvalMode]++
+	if m.EvalMode != "" {
+		e.modes[m.EvalMode]++
 	}
-	e.nodes += o.NodesVisited
-	if o.ResultCount > 0 {
-		e.resultNodes += uint64(o.ResultCount)
+	e.nodes += m.NodesVisited
+	if m.ResultCount > 0 {
+		e.resultNodes += uint64(m.ResultCount)
 	}
 	e.lastSeenNs = time.Now().UnixNano()
-	e.total.Observe(o.Total)
-	e.rewrite.Observe(o.Rewrite)
-	e.optimize.Observe(o.Optimize)
-	e.eval.Observe(o.Eval)
+	e.total.Observe(m.Total)
+	e.rewrite.Observe(m.Rewrite)
+	e.optimize.Observe(m.Optimize)
+	e.eval.Observe(m.Eval)
 	sh.mu.Unlock()
 }
 

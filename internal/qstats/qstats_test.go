@@ -5,10 +5,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-func obsWith(eval time.Duration) Observation {
-	return Observation{
+func obsWith(class, plan, query string, eval time.Duration) *obs.QueryMetrics {
+	return &obs.QueryMetrics{
+		Class:        class,
+		PlanText:     plan,
+		Query:        query,
 		Total:        eval + time.Millisecond,
 		Eval:         eval,
 		EvalMode:     "eval",
@@ -20,10 +25,10 @@ func obsWith(eval time.Duration) Observation {
 func TestObserveAccumulates(t *testing.T) {
 	r := New(0)
 	for i := 0; i < 5; i++ {
-		o := obsWith(time.Duration(i+1) * time.Millisecond)
+		o := obsWith("nurse", "/hospital/ward/patient", "//patient", time.Duration(i+1)*time.Millisecond)
 		o.PlanCacheHit = i > 0
-		o.AnswerCacheOutcome = "miss"
-		r.Observe("nurse", "/hospital/ward/patient", "//patient", o)
+		o.AnswerCacheHit = "miss"
+		r.Observe(o)
 	}
 	top := r.Top(0, SortEvalTime)
 	if len(top) != 1 {
@@ -67,9 +72,9 @@ func TestObserveAccumulates(t *testing.T) {
 // two plans under one class, never share a row.
 func TestFingerprintIdentity(t *testing.T) {
 	r := New(0)
-	r.Observe("nurse", "/a/b", "//b", obsWith(time.Millisecond))
-	r.Observe("doctor", "/a/b", "//b", obsWith(time.Millisecond))
-	r.Observe("nurse", "/a/c", "//c", obsWith(time.Millisecond))
+	r.Observe(obsWith("nurse", "/a/b", "//b", time.Millisecond))
+	r.Observe(obsWith("doctor", "/a/b", "//b", time.Millisecond))
+	r.Observe(obsWith("nurse", "/a/c", "//c", time.Millisecond))
 	if got := r.Stats().Fingerprints; got != 3 {
 		t.Fatalf("tracked %d fingerprints, want 3", got)
 	}
@@ -88,9 +93,9 @@ func TestSpaceSavingBound(t *testing.T) {
 	const distinct = 1000
 	heavy := "/hot/query"
 	for i := 0; i < distinct; i++ {
-		r.Observe("c", heavy, heavy, obsWith(time.Millisecond))
+		r.Observe(obsWith("c", heavy, heavy, time.Millisecond))
 		plan := "/cold/" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + itoa(i)
-		r.Observe("c", plan, plan, obsWith(time.Microsecond))
+		r.Observe(obsWith("c", plan, plan, time.Microsecond))
 	}
 	st := r.Stats()
 	if st.Fingerprints > cap {
@@ -128,12 +133,12 @@ func TestSpaceSavingBound(t *testing.T) {
 func TestTopSortAndLimit(t *testing.T) {
 	r := New(0)
 	for i := 0; i < 3; i++ {
-		r.Observe("c", "/cheap", "/cheap", obsWith(time.Microsecond))
+		r.Observe(obsWith("c", "/cheap", "/cheap", time.Microsecond))
 	}
-	r.Observe("c", "/slow", "/slow", obsWith(50*time.Millisecond))
-	o := obsWith(time.Millisecond)
-	o.AnswerCacheOutcome = "miss"
-	r.Observe("c", "/missy", "/missy", o)
+	r.Observe(obsWith("c", "/slow", "/slow", 50*time.Millisecond))
+	o := obsWith("c", "/missy", "/missy", time.Millisecond)
+	o.AnswerCacheHit = "miss"
+	r.Observe(o)
 
 	if top := r.Top(1, SortEvalTime); len(top) != 1 || top[0].Plan != "/slow" {
 		t.Errorf("top by eval_time = %+v, want /slow", top)
@@ -157,8 +162,8 @@ func TestTopSortAndLimit(t *testing.T) {
 func TestTextClipping(t *testing.T) {
 	r := New(0)
 	long := strings.Repeat("/x", 10000)
-	r.Observe("c", long+"/a", long, obsWith(time.Millisecond))
-	r.Observe("c", long+"/b", long, obsWith(time.Millisecond))
+	r.Observe(obsWith("c", long+"/a", long, time.Millisecond))
+	r.Observe(obsWith("c", long+"/b", long, time.Millisecond))
 	all := r.Top(0, SortCount)
 	// The fingerprint normalizes on the clipped text, so these two
 	// collapse into one row — the documented memory/bounded-text
@@ -176,7 +181,7 @@ func TestTextClipping(t *testing.T) {
 // A nil registry is a no-op sink, so callers need no guard.
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	r.Observe("c", "/p", "/q", obsWith(time.Millisecond))
+	r.Observe(obsWith("c", "/p", "/q", time.Millisecond))
 	if got := r.Top(5, SortCount); got != nil {
 		t.Errorf("nil Top = %v", got)
 	}
@@ -198,7 +203,7 @@ func TestConcurrentObserve(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
 				plan := "/w" + itoa(w) + "/q" + itoa(i%100)
-				r.Observe("c", plan, plan, obsWith(time.Microsecond))
+				r.Observe(obsWith("c", plan, plan, time.Microsecond))
 			}
 		}(w)
 	}

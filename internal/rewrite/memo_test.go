@@ -26,10 +26,10 @@ func TestMemoScopedToOneCall(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		k := i % len(shapes)
 		q := xpath.MustParse(fmt.Sprintf(shapes[k], i, i+1))
-		if _, err := r.Rewrite(q); err != nil {
+		_, cells, err := r.RewriteCounted(q)
+		if err != nil {
 			t.Fatalf("Rewrite(%s): %v", xpath.String(q), err)
 		}
-		cells := r.MemoLen()
 		if cells == 0 {
 			t.Fatalf("%s memoized no cells", xpath.String(q))
 		}

@@ -25,13 +25,11 @@
 package rewrite
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/dtd"
-	"repro/internal/obs"
 	"repro/internal/secview"
 	"repro/internal/xpath"
 )
@@ -62,8 +60,7 @@ type Rewriter struct {
 	// shared by pointer across all Rec nodes the rewriter emits.
 	recGraph *xpath.RecGraph
 
-	memo     map[memoKey]result // nil between calls
-	lastMemo int                // cells the last call memoized
+	memo map[memoKey]result // nil between calls
 
 	// unfolded/height record whether this rewriter's view DTD was
 	// unfolded (recursive view) and to what document height — pure
@@ -169,16 +166,6 @@ func (r *Rewriter) Mode() string {
 	}
 }
 
-// MemoLen returns the number of DP cells the last Rewrite call
-// memoized — that call's working-set size, exposed for observability.
-// The memo is dropped when the call returns, so this is bounded by one
-// query's cells however many queries came before.
-func (r *Rewriter) MemoLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastMemo
-}
-
 func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter {
 	r := &Rewriter{
 		view:     v,
@@ -217,34 +204,22 @@ func identityOrig(d *dtd.DTD) map[string]string {
 // p_t = rw(p, r) and simplifies it. A query that can select nothing on
 // any view instance rewrites to ∅.
 func (r *Rewriter) Rewrite(p xpath.Path) (xpath.Path, error) {
+	pt, _, err := r.RewriteCounted(p)
+	return pt, err
+}
+
+// RewriteCounted is Rewrite that also reports the number of DP cells
+// the call memoized — its working-set size, which explain reports. The
+// memo is dropped when the call returns, so this is bounded by one
+// query's cells however many queries came before.
+func (r *Rewriter) RewriteCounted(p xpath.Path) (xpath.Path, int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.memo = make(map[memoKey]result)
 	res := r.rw(p, r.dv.Root())
-	r.lastMemo, r.memo = len(r.memo), nil
-	return xpath.Simplify(res.total()), nil
-}
-
-// RewriteCtx is Rewrite with observability: when the context carries a
-// trace span, the rewrite is recorded as a child span carrying the
-// input and output query sizes, the memo working set, and (for unfolded
-// recursive views) the unfolding height. Without a span it is exactly
-// Rewrite plus one nil check.
-func (r *Rewriter) RewriteCtx(ctx context.Context, p xpath.Path) (xpath.Path, error) {
-	_, sp := obs.StartSpan(ctx, "rewrite")
-	pt, err := r.Rewrite(p)
-	if sp != nil {
-		sp.SetAttr("input_size", xpath.Size(p))
-		if err == nil {
-			sp.SetAttr("output_size", xpath.Size(pt))
-		}
-		if r.unfolded {
-			sp.SetAttr("unfold_height", r.height)
-		}
-		sp.SetAttr("memo_cells", r.MemoLen())
-		sp.Finish()
-	}
-	return pt, err
+	cells := len(r.memo)
+	r.memo = nil
+	return xpath.Simplify(res.total()), cells, nil
 }
 
 // RewriteString parses, rewrites, and prints in one step.

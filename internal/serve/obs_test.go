@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -68,7 +69,7 @@ func TestMetricszExposition(t *testing.T) {
 	if pipeline != n {
 		t.Errorf("sv_pipeline_total = %d, want %d", pipeline, n)
 	}
-	for _, phase := range []string{"rewrite", "optimize", "eval"} {
+	for _, phase := range []string{"rewrite", "optimize", "eval", "serialize"} {
 		sample := fmt.Sprintf(`sv_phase_duration_seconds_count{phase=%q}`, phase)
 		if got := metricValue(t, body, sample); got != pipeline {
 			t.Errorf("%s = %d, want pipeline count %d", sample, got, pipeline)
@@ -114,20 +115,21 @@ func TestStatszPipelineSection(t *testing.T) {
 	if p.Evals != 3 || p.CachedEvals != 0 {
 		t.Errorf("evals = %d, cached = %d, want 3/0", p.Evals, p.CachedEvals)
 	}
-	for _, phase := range []string{"rewrite", "optimize", "eval"} {
+	for _, phase := range []string{"rewrite", "optimize", "eval", "serialize"} {
 		lat, ok := p.Phases[phase]
 		if !ok || lat.Count != p.Count {
 			t.Errorf("phase %q: %+v (want count %d)", phase, lat, p.Count)
 		}
 	}
-	if p.Phases["eval"].SumMicros == 0 {
-		t.Error("eval phase sum is zero across 3 queries")
+	if p.Phases["eval"].SumMicros == 0 || p.Phases["serialize"].SumMicros == 0 {
+		t.Error("eval or serialize phase sum is zero across 3 queries")
 	}
 }
 
 // TestExplainzEndpoint: the JSON document carries the engine explain
-// (fresh nonzero phase timings, intermediate queries) plus the span
-// tree of this exact request; malformed requests map to 400.
+// (fresh nonzero phase timings, intermediate queries) plus the record of
+// this exact request, with the same phase times; malformed requests map
+// to 400.
 func TestExplainzEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
@@ -138,7 +140,10 @@ func TestExplainzEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("explainz status = %d, body %q", w.Code, w.Body.String())
 	}
-	var resp explainzResponse
+	var resp struct {
+		Explain *core.Explain `json:"explain"`
+		Record  event         `json:"record"`
+	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("explainz does not decode: %v\n%s", err, w.Body.String())
 	}
@@ -155,22 +160,22 @@ func TestExplainzEndpoint(t *testing.T) {
 	if !ex.PlanWasCached {
 		t.Error("explain after a warm /query does not report the cached plan")
 	}
-	if resp.TotalNs <= 0 || resp.RequestID == 0 {
-		t.Errorf("envelope: total_ns=%d request_id=%d", resp.TotalNs, resp.RequestID)
+	rec := resp.Record
+	if rec.Kind != "explain" || rec.Status != http.StatusOK || rec.RequestID == 0 || rec.Class != "nurse" || rec.TimeUnixUs == 0 {
+		t.Errorf("record identity: %+v", rec)
 	}
-	if resp.Trace.Root.Name != "explain" || resp.Trace.Root.DurationNs <= 0 {
-		t.Errorf("trace root: %+v", resp.Trace.Root)
+	if rec.Params["wardNo"] != "1" || rec.Query != "//patient/name" || rec.Fingerprint == "" {
+		t.Errorf("record request: %+v", rec)
 	}
-	// The pipeline spans hang off the explain root.
-	var names []string
-	for _, c := range resp.Trace.Root.Children {
-		names = append(names, c.Name)
+	if rec.RewriteUs != ex.RewriteNs/1e3 || rec.OptimizeUs != ex.OptimizeNs/1e3 || rec.EvalUs != ex.EvalNs/1e3 {
+		t.Errorf("record phases %d/%d/%d µs, explain %d/%d/%d ns",
+			rec.RewriteUs, rec.OptimizeUs, rec.EvalUs, ex.RewriteNs, ex.OptimizeNs, ex.EvalNs)
 	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"rewrite", "optimize"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("trace children %v missing %q span", names, want)
-		}
+	if rec.TotalUs < rec.RewriteUs+rec.OptimizeUs+rec.EvalUs || rec.PlanCacheHit || rec.EvalMode != obs.ModeEval || rec.ResultCount != ex.ResultCount {
+		t.Errorf("record outcome: %+v", rec)
+	}
+	if ex.MemoCells == 0 {
+		t.Error("explain reports no rewriter memo cells")
 	}
 
 	if w := get(t, h, "/explainz?class=nurse"); w.Code != http.StatusBadRequest {
@@ -227,7 +232,7 @@ func TestHealthzDrainTransition(t *testing.T) {
 // exceed requests) and totals must be exact once the load stops. The
 // race detector covers the memory model; this covers the accounting.
 func TestStatsUnderConcurrentLoad(t *testing.T) {
-	s := newTestServer(t, Config{TraceSampleEvery: 3}, 4)
+	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
 	targets := []string{
 		"/query?class=nurse&param=wardNo=1&q=" + url.QueryEscape("//patient/name"),
@@ -322,114 +327,48 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	if st.InFlight != 0 {
 		t.Errorf("in-flight = %d after load", st.InFlight)
 	}
-	if started, kept := s.Tracer().Stats(); started != kept || started == 0 {
-		t.Errorf("tracer stats: %d started, %d kept", started, kept)
-	}
 }
 
-// TestSlowQueryLog: queries above the threshold are logged through the
-// injected sink with their per-phase breakdown; fast queries are not.
+// TestSlowQueryLog: queries at or above the threshold are counted and
+// written to the event log as "slow" records with their per-phase
+// breakdown; without an event log they are only counted, and a negative
+// threshold disables the classification.
 func TestSlowQueryLog(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-
 	// Threshold 1ns: everything is slow.
-	s := newTestServer(t, Config{SlowQueryThreshold: time.Nanosecond, Logf: logf}, 4)
-	w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name"))
-	if w.Code != http.StatusOK {
+	s, events := eventLogServer(t, Config{SlowQueryThreshold: time.Nanosecond}, 4)
+	if w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name")); w.Code != http.StatusOK {
 		t.Fatalf("query status = %d", w.Code)
 	}
-	mu.Lock()
-	got := append([]string(nil), lines...)
-	mu.Unlock()
+	got := events()
 	if len(got) != 1 {
-		t.Fatalf("slow-query lines = %d, want 1: %q", len(got), got)
+		t.Fatalf("events = %d, want 1: %+v", len(got), got)
 	}
-	for _, want := range []string{"slow query", "class=nurse", "rewrite=", "optimize=", "eval=", "mode=eval", "status=200"} {
-		if !strings.Contains(got[0], want) {
-			t.Errorf("slow-query line missing %q: %s", want, got[0])
-		}
+	ev := got[0]
+	if ev.Kind != "slow" || ev.Status != http.StatusOK || ev.Class != "nurse" || ev.EvalMode != obs.ModeEval {
+		t.Errorf("slow event: %+v", ev)
+	}
+	if ev.ResultCount == 0 || ev.TotalUs < ev.RewriteUs+ev.OptimizeUs+ev.EvalUs+ev.SerializeUs {
+		t.Errorf("slow event phases: %+v", ev)
 	}
 	if s.Stats().Server.SlowQueries != 1 {
 		t.Errorf("SlowQueries = %d, want 1", s.Stats().Server.SlowQueries)
 	}
 
-	// Negative threshold disables the log entirely.
-	lines = nil
-	s2 := newTestServer(t, Config{SlowQueryThreshold: -1, Logf: logf}, 4)
+	// Without an event log a slow query is only counted.
+	quiet := newTestServer(t, Config{SlowQueryThreshold: time.Nanosecond}, 4)
+	get(t, quiet.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name"))
+	if quiet.Stats().Server.SlowQueries != 1 {
+		t.Errorf("SlowQueries without an event log = %d, want 1", quiet.Stats().Server.SlowQueries)
+	}
+
+	// Negative threshold disables slow classification entirely.
+	s2, events2 := eventLogServer(t, Config{SlowQueryThreshold: -1}, 4)
 	get(t, s2.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name"))
-	mu.Lock()
-	quietLines := len(lines)
-	mu.Unlock()
-	if quietLines != 0 {
-		t.Errorf("disabled slow-query log wrote %d lines", quietLines)
+	if got := events2(); len(got) != 0 {
+		t.Errorf("disabled threshold wrote %d events", len(got))
 	}
 	if s2.Stats().Server.SlowQueries != 0 {
 		t.Errorf("disabled threshold counted %d slow queries", s2.Stats().Server.SlowQueries)
-	}
-}
-
-// TestTracezRing: with sampling=1 every request is traced; /tracez
-// returns them newest first with request attributes, bounded by the
-// configured ring size.
-func TestTracezRing(t *testing.T) {
-	s := newTestServer(t, Config{TraceSampleEvery: 1, TraceRingSize: 3}, 4)
-	h := s.Handler()
-	const n = 5
-	for i := 0; i < n; i++ {
-		if w := get(t, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name")); w.Code != http.StatusOK {
-			t.Fatalf("query %d: status %d", i, w.Code)
-		}
-	}
-	w := get(t, h, "/tracez")
-	if w.Code != http.StatusOK {
-		t.Fatalf("tracez status = %d", w.Code)
-	}
-	var resp struct {
-		SampleEvery int                 `json:"sample_every"`
-		Started     uint64              `json:"started"`
-		Kept        uint64              `json:"kept"`
-		Traces      []obs.TraceSnapshot `json:"traces"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("tracez does not decode: %v\n%s", err, w.Body.String())
-	}
-	if resp.SampleEvery != 1 || resp.Started != n || resp.Kept != n {
-		t.Errorf("tracez header: %+v", resp)
-	}
-	if len(resp.Traces) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(resp.Traces))
-	}
-	for i := 1; i < len(resp.Traces); i++ {
-		if resp.Traces[i-1].ID <= resp.Traces[i].ID {
-			t.Errorf("traces not newest-first: %d then %d", resp.Traces[i-1].ID, resp.Traces[i].ID)
-		}
-	}
-	root := resp.Traces[0].Root
-	if root.Name != "request" || root.DurationNs <= 0 {
-		t.Errorf("trace root: %+v", root)
-	}
-	keys := map[string]bool{}
-	for _, a := range root.Attrs {
-		keys[a.Key] = true
-	}
-	for _, want := range []string{"request_id", "class", "query", "status"} {
-		if !keys[want] {
-			t.Errorf("trace root missing attr %q (have %v)", want, root.Attrs)
-		}
-	}
-	if w := get(t, h, "/tracez?n=1"); w.Code == http.StatusOK {
-		var one struct {
-			Traces []obs.TraceSnapshot `json:"traces"`
-		}
-		if err := json.Unmarshal(w.Body.Bytes(), &one); err != nil || len(one.Traces) != 1 {
-			t.Errorf("tracez?n=1: err=%v traces=%d", err, len(one.Traces))
-		}
 	}
 }
 

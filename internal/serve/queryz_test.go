@@ -3,7 +3,7 @@ package serve
 // /queryz and wide-event-log suite: the fingerprint registry's
 // accounting invariant against sv_pipeline_total (sequential and under
 // concurrent load), sort/limit parameter handling, query-text
-// truncation in both log sinks, per-class answer-cache splitting in
+// truncation in the event log, per-class answer-cache splitting in
 // /statsz, and the structured event log end to end.
 
 import (
@@ -19,10 +19,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/dtds"
 	"repro/internal/eventlog"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/xmlgen"
 )
@@ -187,50 +189,154 @@ func TestQueryzConcurrentInvariant(t *testing.T) {
 	}
 }
 
-// TestSlowQueryTruncation pins the log-bloat bound: a pathologically
-// long query yields a slow-query line whose length is bounded, with a
-// truncation marker, on the plain-log path.
-func TestSlowQueryTruncation(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	s := newTestServer(t, Config{SlowQueryThreshold: time.Nanosecond, Logf: logf}, 4)
-	h := s.Handler()
-	// A valid query padded far past the log bound with a fat predicate.
-	long := "//patient[name = \"" + strings.Repeat("x", 100_000) + "\"]/name"
-	if w := get(t, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape(long)); w.Code != http.StatusOK {
-		t.Fatalf("long query status = %d: %s", w.Code, w.Body.String())
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) == 0 {
-		t.Fatal("no slow-query line logged at a 1ns threshold")
-	}
-	line := lines[len(lines)-1]
-	if len(line) > maxLoggedQueryBytes+512 {
-		t.Errorf("slow-query line is %d bytes — truncation failed", len(line))
-	}
-	if !strings.Contains(line, "...[truncated]") {
-		t.Errorf("slow-query line lacks the truncation marker: %q", line)
-	}
+// event is one decoded event-log line: the JSON form of an
+// obs.QueryMetrics record.
+type event struct {
+	TimeUnixUs   int64             `json:"time_unix_us"`
+	Kind         string            `json:"kind"`
+	RequestID    uint64            `json:"request_id"`
+	Class        string            `json:"class"`
+	Params       map[string]string `json:"params"`
+	Status       int               `json:"status"`
+	Query        string            `json:"query"`
+	Fingerprint  string            `json:"fingerprint"`
+	TotalUs      int64             `json:"total_us"`
+	RewriteUs    int64             `json:"rewrite_us"`
+	OptimizeUs   int64             `json:"optimize_us"`
+	EvalUs       int64             `json:"eval_us"`
+	SerializeUs  int64             `json:"serialize_us"`
+	PlanCacheHit bool              `json:"plan_cache_hit"`
+	AnswerCache  string            `json:"answer_cache"`
+	EvalMode     string            `json:"eval_mode"`
+	NodesVisited uint64            `json:"nodes_visited"`
+	ResultCount  int               `json:"result_count"`
 }
 
-// TestEventLog drives the structured log end to end: sampled, slow, and
-// error events land as parseable JSONL with bounded query text, correct
-// kinds, and fingerprints that join the /queryz rows.
-func TestEventLog(t *testing.T) {
+// eventLogServer is newTestServer writing its events to a fresh log. The
+// returned function closes the log and decodes every line; each line
+// must hold exactly the record's keys (params, answer_cache and
+// eval_mode may be omitted).
+func eventLogServer(t *testing.T, cfg Config, maxRepeat int) (*Server, func() []event) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	ew, err := eventlog.New(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{
+	cfg.EventLog = ew
+	s := newTestServer(t, cfg, maxRepeat)
+	return s, func() []event {
+		t.Helper()
+		if err := ew.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []event
+		sc := bufio.NewScanner(strings.NewReader(string(data)))
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var ev event
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("event line %q: %v", sc.Text(), err)
+			}
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal(sc.Bytes(), &keys); err != nil {
+				t.Fatal(err)
+			}
+			for _, optional := range []string{"params", "answer_cache", "eval_mode"} {
+				delete(keys, optional)
+			}
+			if len(keys) != 15 {
+				t.Errorf("event line has %d required keys, want 15: %s", len(keys), sc.Text())
+			}
+			events = append(events, ev)
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return events
+	}
+}
+
+// TestSlowQueryTruncation pins the log-bloat bound: a pathologically
+// long query yields a slow event whose query text is bounded, with a
+// truncation marker.
+func TestSlowQueryTruncation(t *testing.T) {
+	s, events := eventLogServer(t, Config{SlowQueryThreshold: time.Nanosecond}, 4)
+	// A valid query padded far past the log bound with a fat predicate.
+	long := "//patient[name = \"" + strings.Repeat("x", 100_000) + "\"]/name"
+	if w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape(long)); w.Code != http.StatusOK {
+		t.Fatalf("long query status = %d: %s", w.Code, w.Body.String())
+	}
+	got := events()
+	if len(got) != 1 || got[0].Kind != "slow" {
+		t.Fatalf("events = %+v, want one slow event", got)
+	}
+	q := got[0].Query
+	if len(q) > obs.MaxLoggedBytes+32 {
+		t.Errorf("slow event query is %d bytes — truncation failed", len(q))
+	}
+	if !strings.HasSuffix(q, "...[truncated]") {
+		t.Errorf("slow event query lacks the truncation marker: %q", q)
+	}
+}
+
+// TestEventTruncatesOnRuneBoundary: a two-byte character straddling the
+// truncation bound is dropped whole, so the logged query is a prefix of
+// the original plus the marker, never a replacement character.
+func TestEventTruncatesOnRuneBoundary(t *testing.T) {
+	s, events := eventLogServer(t, Config{SlowQueryThreshold: -1, EventLogSampleEvery: 1}, 4)
+	head := `//patient[name = "`
+	ascii := head + strings.Repeat("x", 511-len(head))
+	q := ascii + "é" + strings.Repeat("y", 100) + `"]/name`
+	if w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape(q)); w.Code != http.StatusOK {
+		t.Fatalf("query status = %d: %s", w.Code, w.Body.String())
+	}
+	got := events()
+	if len(got) != 1 {
+		t.Fatalf("events = %d, want 1", len(got))
+	}
+	logged := got[0].Query
+	kept, ok := strings.CutSuffix(logged, "...[truncated]")
+	if !ok || !strings.HasPrefix(q, kept) || !utf8.ValidString(logged) {
+		t.Errorf("logged query %q is not a prefix of the original plus the marker", logged)
+	}
+	if kept != ascii {
+		t.Errorf("logged query kept %d bytes, want the %d ASCII bytes before the cut character", len(kept), len(ascii))
+	}
+}
+
+// TestEventCountsSerialization: a request's total time includes writing
+// its response, and the event reports the serialization time on its
+// own, for an answer large enough that writing it takes measurable time.
+func TestEventCountsSerialization(t *testing.T) {
+	s, events := eventLogServer(t, Config{SlowQueryThreshold: -1, EventLogSampleEvery: 1}, 6)
+	w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//*"))
+	if w.Code != http.StatusOK || w.Body.Len() < 10_000 {
+		t.Fatalf("query status = %d with %d body bytes; want a large answer", w.Code, w.Body.Len())
+	}
+	got := events()
+	if len(got) != 1 {
+		t.Fatalf("events = %d, want 1", len(got))
+	}
+	ev := got[0]
+	if ev.SerializeUs <= 0 || ev.TotalUs < ev.SerializeUs {
+		t.Errorf("total_us %d, serialize_us %d: want total ≥ serialize > 0", ev.TotalUs, ev.SerializeUs)
+	}
+	if ev.TotalUs < ev.RewriteUs+ev.OptimizeUs+ev.EvalUs+ev.SerializeUs {
+		t.Errorf("total_us %d below the sum of its phases: %+v", ev.TotalUs, ev)
+	}
+}
+
+// TestEventLog drives the structured log end to end: sampled and error
+// events land as parseable JSONL with bounded query text, correct
+// kinds, and fingerprints that join the /queryz rows.
+func TestEventLog(t *testing.T) {
+	s, events := eventLogServer(t, Config{
 		SlowQueryThreshold:  -1, // no slow events; kinds are sampled/error only
-		EventLog:            ew,
 		EventLogSampleEvery: 1,
 	}, 4)
 	h := s.Handler()
@@ -246,32 +352,12 @@ func TestEventLog(t *testing.T) {
 		t.Fatalf("broken query status = %d, want 400", w.Code)
 	}
 	qz := getQueryz(t, h, "/queryz?n=0")
-	if err := ew.Close(); err != nil {
-		t.Fatal(err)
+	ew := s.cfg.EventLog
+	got := events()
+	if len(got) != 4 {
+		t.Fatalf("got %d events, want 4 (3 sampled + 1 error): %+v", len(got), got)
 	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var events []queryEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev queryEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("event line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4 (3 sampled + 1 error): %+v", len(events), events)
-	}
-	for i, ev := range events[:3] {
+	for i, ev := range got[:3] {
 		if ev.Kind != "sampled" || ev.Status != http.StatusOK {
 			t.Errorf("event %d: kind=%q status=%d, want sampled/200", i, ev.Kind, ev.Status)
 		}
@@ -286,11 +372,11 @@ func TestEventLog(t *testing.T) {
 			t.Errorf("event %d missing pipeline fields: %+v", i, ev)
 		}
 	}
-	errEv := events[3]
+	errEv := got[3]
 	if errEv.Kind != "error" || errEv.Status != http.StatusBadRequest {
 		t.Errorf("error event: kind=%q status=%d, want error/400", errEv.Kind, errEv.Status)
 	}
-	if len(errEv.Query) > maxLoggedQueryBytes+32 || !strings.HasSuffix(errEv.Query, "...[truncated]") {
+	if len(errEv.Query) > obs.MaxLoggedBytes+32 || !strings.HasSuffix(errEv.Query, "...[truncated]") {
 		t.Errorf("error event query not truncated: %d bytes", len(errEv.Query))
 	}
 
@@ -298,8 +384,8 @@ func TestEventLog(t *testing.T) {
 	if len(qz.Top) != 1 {
 		t.Fatalf("queryz rows = %d, want 1", len(qz.Top))
 	}
-	if events[0].Fingerprint != qz.Top[0].Fingerprint {
-		t.Errorf("event fingerprint %s != /queryz fingerprint %s", events[0].Fingerprint, qz.Top[0].Fingerprint)
+	if got[0].Fingerprint != qz.Top[0].Fingerprint {
+		t.Errorf("event fingerprint %s != /queryz fingerprint %s", got[0].Fingerprint, qz.Top[0].Fingerprint)
 	}
 	ev, rot := ew.Stats()
 	if ev != 4 || rot != 0 {

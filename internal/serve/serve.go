@@ -9,23 +9,24 @@
 //	/query    answer one view query
 //	/statsz   JSON counters (server + per-class engine/plan caches)
 //	/metricsz Prometheus text exposition of the same counters plus
-//	          per-phase (rewrite/optimize/eval) latency histograms
+//	          per-phase (rewrite/optimize/eval/serialize) latency
+//	          histograms
 //	/queryz   per-fingerprint query statistics (internal/qstats): the
 //	          top-K query shapes by cumulative eval time, count, or
 //	          answer-cache miss rate
-//	/explainz one query, freshly measured per phase, with its trace
-//	/tracez   recent sampled request traces (span trees)
+//	/explainz one query, freshly measured per phase: core.Explain plus
+//	          the request's record
 //	/healthz  liveness; 503 once graceful drain has begun
 //	/debug/pprof/*  the runtime profiler
 //
-// Every admitted query carries a request ID and an obs.QueryMetrics
-// carrier; one request in Config.TraceSampleEvery additionally records
-// a span tree into a bounded ring. Requests slower than
-// Config.SlowQueryThreshold are logged with their per-phase breakdown —
-// as a structured JSONL wide event when Config.EventLog is set (errors
-// always, plus one sampled request in Config.EventLogSampleEvery), as a
-// plain log line otherwise. Query text in either log is truncated to
-// maxLoggedQueryBytes so a pathological query cannot bloat the log.
+// Every admitted query has one record, an obs.QueryMetrics: the
+// pipeline fills in its phases and cache outcomes, the server its
+// identity, outcome and serialization time. That record feeds the
+// /metricsz phase histograms, the /queryz registry and the event log.
+// With Config.EventLog set, errors, queries slower than
+// Config.SlowQueryThreshold and one request in
+// Config.EventLogSampleEvery are written as the record's JSON form;
+// without it slow queries are only counted (sv_slow_queries_total).
 package serve
 
 import (
@@ -54,11 +55,12 @@ import (
 
 // Defaults for the zero Config.
 const (
-	DefaultTimeout       = 5 * time.Second
-	DefaultMaxTimeout    = 30 * time.Second
-	DefaultMaxInFlight   = 64
-	DefaultSlowQuery     = time.Second
-	DefaultTraceSampling = 0 // tracing off unless asked for
+	DefaultTimeout     = 5 * time.Second
+	DefaultMaxTimeout  = 30 * time.Second
+	DefaultMaxInFlight = 64
+	DefaultSlowQuery   = time.Second
+	// Deprecated: no effect; see Config.TraceSampleEvery.
+	DefaultTraceSampling = 0
 )
 
 // Config tunes the server. The zero value gives the defaults above.
@@ -73,17 +75,14 @@ type Config struct {
 	// MaxInFlight bounds concurrently evaluating queries; requests
 	// beyond it are refused with 429 Too Many Requests.
 	MaxInFlight int
-	// SlowQueryThreshold is the elapsed time above which an admitted
-	// query is logged with its per-phase breakdown. 0 means
-	// DefaultSlowQuery; negative disables the slow-query log.
+	// SlowQueryThreshold is the elapsed time, response written, above
+	// which an admitted query counts as slow: it is counted in
+	// sv_slow_queries_total and logged as a "slow" event. 0 means
+	// DefaultSlowQuery; negative disables slow-query classification.
 	SlowQueryThreshold time.Duration
-	// TraceSampleEvery keeps a full span tree for one admitted request
-	// in N (0 = tracing off; 1 = trace everything). /explainz always
-	// traces regardless.
+	// Deprecated: no effect. Requests carry no span trees; every
+	// admitted request has its obs.QueryMetrics record instead.
 	TraceSampleEvery int
-	// TraceRingSize bounds the ring of recent traces served by /tracez
-	// (0 = obs.DefaultTraceRing).
-	TraceRingSize int
 	// QueryStatsCapacity bounds the per-fingerprint statistics registry
 	// behind /queryz (0 = qstats.DefaultCapacity). The registry is
 	// always on: its cost is one sharded-map update per answered query.
@@ -97,9 +96,6 @@ type Config struct {
 	// event log: one in N (1 = every request; 0 = errors and slow
 	// queries only, which always emit).
 	EventLogSampleEvery int
-	// Logf is the slow-query log sink used when EventLog is nil; nil
-	// means log.Printf.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) defaultTimeout() time.Duration {
@@ -141,10 +137,11 @@ const (
 	phaseRewrite = iota
 	phaseOptimize
 	phaseEval
+	phaseSerialize
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"rewrite", "optimize", "eval"}
+var phaseNames = [numPhases]string{"rewrite", "optimize", "eval", "serialize"}
 
 // Server serves rewritten-query requests for one document and one
 // policy registry. It is safe for concurrent use.
@@ -165,13 +162,12 @@ type Server struct {
 	lat            latency.Digest
 	started        time.Time
 
-	// Observability: the request-ID sequence, drain flag, sampled-trace
-	// ring, Prometheus registry, and the always-on per-request rollups —
-	// per-phase latency digests plus the pipeline/cache/mode counters
-	// they are keyed against (see observePipeline for the invariant).
+	// Observability: the request-ID sequence, drain flag, Prometheus
+	// registry, and the always-on per-request rollups — per-phase
+	// latency digests plus the pipeline/cache/mode counters they are
+	// keyed against (see observePipeline for the invariant).
 	reqID    atomic.Uint64
 	draining atomic.Bool
-	tracer   *obs.Tracer
 	metrics  *obs.Registry
 	// qstats is the per-fingerprint registry behind /queryz. Every
 	// answered query is observed strictly after s.pipeline increments,
@@ -215,7 +211,6 @@ func New(reg *policy.Registry, doc *xmltree.Document, cfg Config) *Server {
 		started: time.Now(),
 		query:   reg.QueryCtx,
 		explain: reg.ExplainCtx,
-		tracer:  obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceRingSize),
 		metrics: obs.NewRegistry(),
 		qstats:  qstats.New(cfg.QueryStatsCapacity),
 	}
@@ -261,7 +256,7 @@ func (s *Server) registerMetrics() {
 		return float64(s.doc.Height())
 	})
 	m.HistogramFunc("sv_request_duration_seconds", "End-to-end /query latency (admitted requests).", s.lat.Snapshot)
-	const phaseHelp = "Per-phase pipeline latency; a plan-cache hit observes 0 for rewrite and optimize, so every phase's count equals sv_pipeline_total."
+	const phaseHelp = "Per-phase request latency (serialize is writing the response); a plan-cache hit observes 0 for rewrite and optimize, so every phase's count equals sv_pipeline_total."
 	for i := range s.phases {
 		m.HistogramFunc("sv_phase_duration_seconds", phaseHelp, s.phases[i].Snapshot, obs.L("phase", phaseNames[i]))
 	}
@@ -312,9 +307,6 @@ func (s *Server) registerMetrics() {
 		}
 		return float64(n)
 	})
-	const traceHelp = "Traces started and kept by the sampler (explain traces included)."
-	m.CounterFunc("sv_traces_total", traceHelp, func() uint64 { st, _ := s.tracer.Stats(); return st }, obs.L("state", "started"))
-	m.CounterFunc("sv_traces_total", traceHelp, func() uint64 { _, k := s.tracer.Stats(); return k }, obs.L("state", "kept"))
 	// Fingerprint-registry health (/queryz): row occupancy against its
 	// bound, plus the observation/eviction counters that say whether the
 	// top-K is exact (zero evictions) or carries space-saving slack.
@@ -351,10 +343,6 @@ func (s *Server) registerMetrics() {
 // content), so embedders can add their own series.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// Tracer returns the server's trace sampler, so embedders and tests can
-// adjust the sampling knob at runtime.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // BeginDrain flips /healthz to 503 so load balancers stop routing new
 // work here while in-flight queries finish. The HTTP listener shutdown
 // itself is the caller's job (http.Server.Shutdown); this only
@@ -373,7 +361,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metricsz", s.handleMetricsz)
 	mux.HandleFunc("/queryz", s.handleQueryz)
 	mux.HandleFunc("/explainz", s.handleExplainz)
-	mux.HandleFunc("/tracez", s.handleTracez)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -383,45 +370,38 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// queryRequest is one parsed /query or /explainz request.
-type queryRequest struct {
-	class   string
-	query   string
-	params  map[string]string
-	timeout time.Duration
-}
-
 // parseQueryRequest validates the shared request parameters: class
 // (required), q (required), param=name=value (repeatable), timeout (Go
-// duration, clamped to Config.MaxTimeout).
-func (s *Server) parseQueryRequest(r *http.Request) (*queryRequest, error) {
+// duration, clamped to Config.MaxTimeout). It returns the request's
+// record with its identity filled in, and the request's deadline.
+func (s *Server) parseQueryRequest(r *http.Request) (*obs.QueryMetrics, time.Duration, error) {
 	if err := r.ParseForm(); err != nil {
-		return nil, fmt.Errorf("malformed form: %v", err)
+		return nil, 0, fmt.Errorf("malformed form: %v", err)
 	}
-	req := &queryRequest{
-		class: r.Form.Get("class"),
-		query: r.Form.Get("q"),
+	qm := &obs.QueryMetrics{
+		Class: r.Form.Get("class"),
+		Query: r.Form.Get("q"),
 	}
-	if req.class == "" || req.query == "" {
-		return nil, errors.New("need class= and q= parameters")
+	if qm.Class == "" || qm.Query == "" {
+		return nil, 0, errors.New("need class= and q= parameters")
 	}
 	params, err := parseParams(r.Form["param"])
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	req.params = params
-	req.timeout = s.cfg.defaultTimeout()
+	qm.Params = params
+	timeout := s.cfg.defaultTimeout()
 	if v := r.Form.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("bad timeout %q (want a positive Go duration like 250ms)", v)
+			return nil, 0, fmt.Errorf("bad timeout %q (want a positive Go duration like 250ms)", v)
 		}
-		req.timeout = d
+		timeout = d
 	}
-	if max := s.cfg.maxTimeout(); req.timeout == 0 || req.timeout > max {
-		req.timeout = max
+	if max := s.cfg.maxTimeout(); timeout == 0 || timeout > max {
+		timeout = max
 	}
-	return req, nil
+	return qm, timeout, nil
 }
 
 // admit claims an admission slot or answers 429. Callers that get true
@@ -458,7 +438,7 @@ func requestCtx(r *http.Request, timeout time.Duration) (context.Context, contex
 // handleQuery answers one view query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	req, err := s.parseQueryRequest(r)
+	qm, timeout, err := s.parseQueryRequest(r)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -471,65 +451,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.testHook()
 	}
 
-	id := s.reqID.Add(1)
-	ctx, cancel := requestCtx(r, req.timeout)
+	qm.RequestID = s.reqID.Add(1)
+	ctx, cancel := requestCtx(r, timeout)
 	defer cancel()
 
-	// Always-on per-request accounting; additionally a span tree for
-	// one request in TraceSampleEvery.
-	qm := &obs.QueryMetrics{}
-	ctx = obs.WithQueryMetrics(ctx, qm)
-	tr := s.tracer.Sample("request")
-	if tr != nil {
-		tr.Root.SetAttr("request_id", id)
-		tr.Root.SetAttr("class", req.class)
-		tr.Root.SetAttr("query", req.query)
-		ctx = obs.ContextWithSpan(ctx, tr.Root)
-	}
-
 	start := time.Now()
-	nodes, err := s.query(ctx, req.class, req.params, s.doc, req.query)
-	elapsed := time.Since(start)
-	s.lat.Observe(elapsed)
-	status := http.StatusOK
+	nodes, err := s.query(obs.WithQueryMetrics(ctx, qm), qm.Class, qm.Params, s.doc, qm.Query)
+	qm.Status = http.StatusOK
+	qm.ResultCount = len(nodes)
 	switch {
 	case err == nil:
-		s.ok.Add(1)
-		s.observePipeline(qm)
+		serialize := time.Now()
 		writeResult(w, nodes)
+		qm.Serialize = time.Since(serialize)
 	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
+		qm.Status = http.StatusGatewayTimeout
 		s.timeouts.Add(1)
-		http.Error(w, fmt.Sprintf("query exceeded its %v deadline", req.timeout), status)
+		http.Error(w, fmt.Sprintf("query exceeded its %v deadline", timeout), qm.Status)
 	case errors.Is(err, context.Canceled):
 		// The client went away; nothing useful can be written, but the
 		// status keeps the access log honest (499 is the de-facto
 		// client-closed-request code).
-		status = 499
+		qm.Status = 499
 		s.clientCancels.Add(1)
-		w.WriteHeader(status)
+		w.WriteHeader(qm.Status)
 	case clientFault(err):
-		status = http.StatusBadRequest
+		qm.Status = http.StatusBadRequest
 		s.badRequest(w, err)
 	default:
 		// The request was well-formed; the failure is the server's
 		// (derivation, rewriting, or evaluation broke). Reporting it as
 		// 400 would tell the client to stop retrying a query that is
 		// fine, and would hide server bugs from the error budget.
-		status = http.StatusInternalServerError
+		qm.Status = http.StatusInternalServerError
 		s.internalErrors.Add(1)
-		http.Error(w, fmt.Sprintf("internal error answering query: %v", err), status)
+		http.Error(w, fmt.Sprintf("internal error answering query: %v", err), qm.Status)
 	}
-	if tr != nil {
-		tr.Root.SetAttr("status", status)
-		s.tracer.Keep(tr)
+	qm.Time = time.Now()
+	qm.Total = qm.Time.Sub(start)
+	s.lat.Observe(qm.Total)
+	if qm.Status == http.StatusOK {
+		s.ok.Add(1)
+		s.observePipeline(qm)
 	}
-	s.recordQuery(id, req, elapsed, status, qm, len(nodes))
+	s.recordQuery(qm)
 }
 
 // observePipeline feeds one successfully answered request's per-phase
-// accounting into the always-on metrics. All three phase digests are
-// observed exactly once per call — a plan-cache hit contributes a zero
+// accounting into the always-on metrics. Every phase digest is observed
+// exactly once per call — a plan-cache hit contributes a zero
 // rewrite/optimize duration rather than no sample — so each phase
 // histogram's count equals sv_pipeline_total by construction, and the
 // per-phase sums show where wall time actually went, cache and all.
@@ -538,6 +508,7 @@ func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 	s.phases[phaseRewrite].Observe(qm.Rewrite)
 	s.phases[phaseOptimize].Observe(qm.Optimize)
 	s.phases[phaseEval].Observe(qm.Eval)
+	s.phases[phaseSerialize].Observe(qm.Serialize)
 	if qm.PlanCacheHit {
 		s.planHits.Add(1)
 	} else {
@@ -551,178 +522,84 @@ func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 	}
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-// maxLoggedQueryBytes bounds query text in the slow-query line and in
-// event-log records: a 100KB query must not become a 100KB log line.
-// The fingerprint still identifies the full query via /queryz.
-const maxLoggedQueryBytes = 512
-
-// truncateForLog clips q to maxLoggedQueryBytes, marking the cut.
-func truncateForLog(q string) string {
-	if len(q) <= maxLoggedQueryBytes {
-		return q
-	}
-	return q[:maxLoggedQueryBytes] + "...[truncated]"
-}
-
-// queryEvent is one wide event in the structured request log: every
-// field of the request's QueryMetrics carrier plus identity (request
-// id, class, fingerprint) and outcome (status, kind). Durations are
-// microseconds at this JSON edge, per the repo-wide unit discipline.
-type queryEvent struct {
-	TimeUnixUs int64 `json:"time_unix_us"`
-	// Kind says why the event was emitted: "error" (non-200 status),
-	// "slow" (over the slow-query threshold), or "sampled" (one in
-	// EventLogSampleEvery). Precedence in that order; each request emits
-	// at most one event.
-	Kind      string `json:"kind"`
-	RequestID uint64 `json:"request_id"`
-	Class     string `json:"class"`
-	// Params is the request's binding of its class's parameters: one
-	// plan serves every binding of a class, so the fingerprint alone
-	// does not say whose answer this was (see loggedBinding).
-	Params map[string]string `json:"params,omitempty"`
-	Status int               `json:"status"`
-	// Query is the surface query, truncated to maxLoggedQueryBytes;
-	// Fingerprint joins the event to its /queryz row.
-	Query       string `json:"query"`
-	Fingerprint string `json:"fingerprint"`
-
-	TotalUs    int64 `json:"total_us"`
-	RewriteUs  int64 `json:"rewrite_us"`
-	OptimizeUs int64 `json:"optimize_us"`
-	EvalUs     int64 `json:"eval_us"`
-
-	PlanCacheHit bool   `json:"plan_cache_hit"`
-	AnswerCache  string `json:"answer_cache,omitempty"`
-	EvalMode     string `json:"eval_mode,omitempty"`
-
-	NodesVisited uint64 `json:"nodes_visited"`
-	ResultCount  int    `json:"result_count"`
-}
-
 // recordQuery is the post-response accounting for one admitted query:
 // it folds answered requests into the fingerprint registry, counts slow
-// queries, and emits at most one wide event (or the legacy slow-query
-// log line when no event log is configured).
+// queries, and writes at most one event, the record itself.
 //
 // Ordering invariant: for answered requests observePipeline has already
 // incremented s.pipeline in this goroutine, so the qstats observation
 // lands strictly after it. A reader that sums /queryz counts before
 // loading sv_pipeline_total therefore never sees the sum exceed the
 // pipeline total; at quiescence the two are equal.
-func (s *Server) recordQuery(id uint64, req *queryRequest, elapsed time.Duration, status int, qm *obs.QueryMetrics, results int) {
-	if status == http.StatusOK {
-		s.qstats.Observe(req.class, qm.PlanText, req.query, qstats.Observation{
-			Total:              elapsed,
-			Rewrite:            qm.Rewrite,
-			Optimize:           qm.Optimize,
-			Eval:               qm.Eval,
-			PlanCacheHit:       qm.PlanCacheHit,
-			AnswerCacheOutcome: qm.AnswerCacheHit,
-			EvalMode:           qm.EvalMode,
-			NodesVisited:       qm.NodesVisited,
-			ResultCount:        results,
-		})
+func (s *Server) recordQuery(qm *obs.QueryMetrics) {
+	if qm.Status == http.StatusOK {
+		s.qstats.Observe(qm)
 	}
 	thr := s.cfg.slowThreshold()
-	slow := thr > 0 && elapsed >= thr
+	slow := thr > 0 && qm.Total >= thr
 	if slow {
 		s.slowQueries.Add(1)
 	}
 	if s.cfg.EventLog == nil {
-		if slow {
-			s.logf("svserve: slow query id=%d class=%s q=%q status=%d total=%v rewrite=%v optimize=%v eval=%v plan_cache_hit=%t mode=%s",
-				id, req.class, truncateForLog(req.query), status, elapsed, qm.Rewrite, qm.Optimize, qm.Eval, qm.PlanCacheHit, qm.EvalMode)
-		}
 		return
 	}
-	var kind string
+	// Kind says why the event is written, in this order of precedence;
+	// each request writes at most one event.
 	switch {
-	case status != http.StatusOK:
-		kind = "error"
+	case qm.Status != http.StatusOK:
+		qm.Kind = "error"
 	case slow:
-		kind = "slow"
-	case s.cfg.EventLogSampleEvery > 0 && id%uint64(s.cfg.EventLogSampleEvery) == 0:
-		kind = "sampled"
+		qm.Kind = "slow"
+	case s.cfg.EventLogSampleEvery > 0 && qm.RequestID%uint64(s.cfg.EventLogSampleEvery) == 0:
+		qm.Kind = "sampled"
 	default:
 		return
 	}
-	// The fingerprint falls back to the surface query exactly like
-	// qstats.Observe does, so error events (which may predate plan
-	// surfacing) still join /queryz rows when one exists.
-	plan := qm.PlanText
-	if plan == "" {
-		plan = req.query
-	}
-	ev := queryEvent{
-		TimeUnixUs:   time.Now().UnixMicro(),
-		Kind:         kind,
-		RequestID:    id,
-		Class:        req.class,
-		Params:       s.loggedBinding(req),
-		Status:       status,
-		Query:        truncateForLog(req.query),
-		Fingerprint:  qstats.Fingerprint(req.class, plan),
-		TotalUs:      elapsed.Microseconds(),
-		RewriteUs:    qm.Rewrite.Microseconds(),
-		OptimizeUs:   qm.Optimize.Microseconds(),
-		EvalUs:       qm.Eval.Microseconds(),
-		PlanCacheHit: qm.PlanCacheHit,
-		AnswerCache:  qm.AnswerCacheHit,
-		EvalMode:     qm.EvalMode,
-		NodesVisited: qm.NodesVisited,
-		ResultCount:  results,
-	}
-	if err := s.cfg.EventLog.Emit(ev); err != nil {
-		s.logf("svserve: event log write failed: %v", err)
+	s.seal(qm)
+	if err := s.cfg.EventLog.Emit(qm); err != nil {
+		log.Printf("svserve: event log write failed: %v", err)
 	}
 }
 
-// loggedBinding returns the request's values for its class's
-// parameters, each truncated like query text: other request parameters
-// and long values must not bloat the log.
-func (s *Server) loggedBinding(req *queryRequest) map[string]string {
-	c, ok := s.reg.Class(req.class)
-	if !ok {
-		return nil
-	}
-	var out map[string]string
-	for _, name := range c.Params() {
-		if v, ok := req.params[name]; ok {
-			if out == nil {
-				out = make(map[string]string)
+// seal readies a record to leave the server. It narrows the parameters
+// to the class's own: one plan serves every binding of a class, so the
+// binding says whose answer this was, while other request parameters
+// must not reach the log. It sets the fingerprint, which joins the
+// record to its /queryz row; it falls back to the surface query exactly
+// like qstats.Observe does, so error records (which may carry no plan)
+// still join a row when one exists.
+func (s *Server) seal(qm *obs.QueryMetrics) {
+	var binding map[string]string
+	if c, ok := s.reg.Class(qm.Class); ok {
+		for _, name := range c.Params() {
+			if v, ok := qm.Params[name]; ok {
+				if binding == nil {
+					binding = make(map[string]string)
+				}
+				binding[name] = v
 			}
-			out[name] = truncateForLog(v)
 		}
 	}
-	return out
+	qm.Params = binding
+	plan := qm.PlanText
+	if plan == "" {
+		plan = qm.Query
+	}
+	qm.Fingerprint = qstats.Fingerprint(qm.Class, plan)
 }
 
 // explainzResponse is the /explainz JSON document: the engine's
-// per-phase explain plus the span tree of this exact request.
+// per-phase explain plus the request's record (kind "explain").
 type explainzResponse struct {
-	RequestID uint64            `json:"request_id"`
-	Class     string            `json:"class"`
-	Params    map[string]string `json:"params,omitempty"`
-	TotalNs   int64             `json:"total_ns"`
-	Explain   *core.Explain     `json:"explain"`
-	Trace     obs.TraceSnapshot `json:"trace"`
+	Explain *core.Explain     `json:"explain"`
+	Record  *obs.QueryMetrics `json:"record"`
 }
 
 // handleExplainz answers one query through the explain path: rewrite
 // and optimize run fresh (bypassing the plan cache) so every phase has
-// a real measured duration, and the request is always traced regardless
-// of the sampling knob. Parameters are the same as /query.
+// a real measured duration. Parameters are the same as /query.
 func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
-	req, err := s.parseQueryRequest(r)
+	qm, timeout, err := s.parseQueryRequest(r)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -733,26 +610,17 @@ func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	s.explains.Add(1)
 
-	id := s.reqID.Add(1)
-	ctx, cancel := requestCtx(r, req.timeout)
+	qm.RequestID = s.reqID.Add(1)
+	ctx, cancel := requestCtx(r, timeout)
 	defer cancel()
 
-	tr := s.tracer.Start("explain")
-	tr.Root.SetAttr("request_id", id)
-	tr.Root.SetAttr("class", req.class)
-	tr.Root.SetAttr("query", req.query)
-	ctx = obs.ContextWithSpan(ctx, tr.Root)
-
 	start := time.Now()
-	ex, err := s.explain(ctx, req.class, req.params, s.doc, req.query)
-	elapsed := time.Since(start)
+	ex, err := s.explain(obs.WithQueryMetrics(ctx, qm), qm.Class, qm.Params, s.doc, qm.Query)
 	if err != nil {
-		tr.Root.SetAttr("error", err.Error())
-		s.tracer.Keep(tr)
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timeouts.Add(1)
-			http.Error(w, fmt.Sprintf("explain exceeded its %v deadline", req.timeout), http.StatusGatewayTimeout)
+			http.Error(w, fmt.Sprintf("explain exceeded its %v deadline", timeout), http.StatusGatewayTimeout)
 		case errors.Is(err, context.Canceled):
 			s.clientCancels.Add(1)
 			w.WriteHeader(499)
@@ -764,15 +632,11 @@ func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.tracer.Keep(tr)
-	writeJSON(w, explainzResponse{
-		RequestID: id,
-		Class:     req.class,
-		Params:    req.params,
-		TotalNs:   elapsed.Nanoseconds(),
-		Explain:   ex,
-		Trace:     obs.TraceSnapshot{ID: tr.ID, Root: tr.Root.Snapshot()},
-	})
+	qm.Time = time.Now()
+	qm.Total = qm.Time.Sub(start)
+	qm.Status, qm.Kind, qm.ResultCount = http.StatusOK, "explain", ex.ResultCount
+	s.seal(qm)
+	writeJSON(w, explainzResponse{Explain: ex, Record: qm})
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
@@ -826,22 +690,6 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 		N:        n,
 		Registry: s.qstats.Stats(),
 		Top:      s.qstats.Top(n, by),
-	})
-}
-
-// handleTracez dumps the most recent sampled traces, newest first
-// (?n= bounds the count).
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if v := r.FormValue("n"); v != "" {
-		n, _ = strconv.Atoi(v)
-	}
-	started, kept := s.tracer.Stats()
-	writeJSON(w, map[string]any{
-		"sample_every": s.tracer.SampleEvery(),
-		"started":      started,
-		"kept":         kept,
-		"traces":       s.tracer.Recent(n),
 	})
 }
 

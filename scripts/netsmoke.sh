@@ -48,7 +48,7 @@ echo "netsmoke: generating recursive fig7 document"
 echo "netsmoke: starting svserve on $BASE"
 "$WORK/bin/svserve" -builtin fig7 -doc "$WORK/fig7.xml" -addr "127.0.0.1:${PORT}" \
     -max-inflight 8 -timeout 250ms -read-header-timeout 2s -drain 10s \
-    -anscache -trace-sample 1 -slow-query 5s \
+    -anscache -slow-query 5s \
     -eventlog "$WORK/events.jsonl" -eventlog-sample 1 >"$WORK/svserve.log" 2>&1 &
 SRV_PID=$!
 
@@ -95,15 +95,19 @@ curl -fsS --get "$BASE/explainz" \
     --data-urlencode "class=user" \
     --data-urlencode "q=//a//a/b" >"$WORK/explain.json" ||
     fail "/explainz request failed"
-for field in '"rewrite_ns"' '"optimize_ns"' '"eval_ns"' '"rewritten"' '"optimized"' '"eval_mode"' '"trace"'; do
+for field in '"rewrite_ns"' '"optimize_ns"' '"eval_ns"' '"rewritten"' '"optimized"' '"eval_mode"' '"record"'; do
     grep -q "$field" "$WORK/explain.json" || fail "/explainz response missing $field"
 done
 # The explain path bypasses the plan cache, so all three phases must
-# report nonzero durations even on a warm server.
+# report nonzero durations even on a warm server, in the explain and in
+# the request's record alike.
 python3 - "$WORK/explain.json" <<'EOF' || fail "/explainz phase timings not all positive"
 import json, sys
-e = json.load(open(sys.argv[1]))["explain"]
+doc = json.load(open(sys.argv[1]))
+e, r = doc["explain"], doc["record"]
 assert e["rewrite_ns"] > 0 and e["optimize_ns"] > 0 and e["eval_ns"] > 0, e
+assert r["kind"] == "explain" and r["status"] == 200 and r["request_id"] > 0, r
+assert r["rewrite_us"] > 0 and r["optimize_us"] > 0 and r["eval_us"] > 0, r
 EOF
 
 echo "netsmoke: /metricsz validates as Prometheus text exposition"
@@ -182,7 +186,7 @@ python3 - "$WORK/events.jsonl" <<'EOF' || fail "event log record malformed"
 import json, sys
 ev = json.loads(open(sys.argv[1]).readline())
 for field in ("time_unix_us", "kind", "request_id", "class", "status",
-              "query", "fingerprint", "total_us", "eval_us"):
+              "query", "fingerprint", "total_us", "eval_us", "serialize_us"):
     assert field in ev, f"missing {field}: {ev}"
 assert ev["kind"] in ("sampled", "slow", "error"), ev
 EOF
