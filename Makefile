@@ -33,6 +33,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkFreshEngineIndexed' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion' -benchmem -benchtime 1x ./internal/optimize
+	$(GO) test -run xxx -bench 'BenchmarkParseDocument|BenchmarkValidate' -benchmem -benchtime 1x ./internal/xmltree
 
 # perfbench-check vets and tests the serving benchmark. perfbench is a
 # nested module, so the root `go build ./...` and `go test ./...` skip
@@ -90,3 +91,4 @@ fuzz-smoke:
 	$(GO) test ./internal/dtd -fuzz 'FuzzParseElementSyntax$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dtd -fuzz 'FuzzMatchLabels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -fuzz 'FuzzRewriteRecursive$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/xmltree -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)

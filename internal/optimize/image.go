@@ -189,16 +189,9 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		fromA := o.d.Reachable(a)
 		spine := make(map[string]*inode) // per-label sharing inside the spine
 		spine[a] = n
-		for _, t := range o.reachDescend(a) {
-			if t == textNode {
-				continue
-			}
-			sub := b.build(p.Sub, t)
-			if sub == nil {
-				continue
-			}
-			// Ensure the spine covers every DTD edge on paths a→t, then
-			// splice sub at the spine node for t.
+		// cover extends the spine over every DTD edge on paths a→t and
+		// returns the spine node for t.
+		cover := func(t string) *inode {
 			toT := o.reachingSet(t)
 			for x := range fromA {
 				if !toT[x] {
@@ -223,7 +216,29 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 					}
 				}
 			}
-			nt := spine[t]
+			return spine[t]
+		}
+		for _, t := range o.reachDescend(a) {
+			sub := b.build(p.Sub, t)
+			if sub == nil {
+				continue
+			}
+			var nt *inode
+			if t == textNode && a != textNode {
+				// Text has no DTD type to reach: one text leaf, shared
+				// like any spine node, hangs under every text-typed type.
+				// Types in sorted order keep the kid order reproducible.
+				nt = b.node(textNode)
+				for _, x := range o.reachDescend(a) {
+					if c, ok := o.d.Production(x); ok && c.Kind == dtd.Text {
+						nx := cover(x)
+						nx.kids = append(nx.kids, nt)
+					}
+				}
+			} else {
+				nt = cover(t)
+			}
+			// Splice sub at the spine node for t.
 			nt.kids = append(nt.kids, sub.kids...)
 			nt.addQuals(sub)
 			if sub.frontier {

@@ -2,10 +2,12 @@ package optimize
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dtd"
+	"repro/internal/dtds"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -267,11 +269,13 @@ var hospitalLabels = []string{"hospital", "dept", "clinicalTrial", "patientInfo"
 
 func randDocPath(r *rand.Rand, depth int) xpath.Path {
 	if depth <= 0 {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0:
 			return xpath.Self{}
 		case 1:
 			return xpath.Wildcard{}
+		case 2:
+			return anyDescendant
 		default:
 			return xpath.Label{Name: hospitalLabels[r.Intn(len(hospitalLabels))]}
 		}
@@ -291,6 +295,9 @@ func randDocPath(r *rand.Rand, depth int) xpath.Path {
 		return randDocPath(r, 0)
 	}
 }
+
+// anyDescendant is //., which selects text nodes as well as elements.
+var anyDescendant = xpath.Descend{Sub: xpath.Self{}}
 
 // guarded is the qualifier-guarded union branch .[q]/p: the guard holds
 // at the branch's context only, not for the union's other branches.
@@ -531,6 +538,33 @@ func TestGuardedUnionSemantics(t *testing.T) {
 					t.Fatalf("doc %d: %s and optimized %s differ at node %d", j, xpath.String(p), xpath.String(po), k)
 				}
 			}
+		}
+	}
+}
+
+// TestDescendSelfKeepsText: //. selects the text nodes below a context
+// as well as its elements, so its image must carry them and //. is not
+// contained in ".". When the image left them out, the union pass
+// dropped the //. branch of //name/(//. | .) and the query returned 12
+// of its 24 nodes on this document.
+func TestDescendSelfKeepsText(t *testing.T) {
+	doc := dtds.GenerateHospital(3, 3)
+	o := New(dtds.Hospital())
+	for _, tc := range []struct {
+		q    string
+		want int
+	}{
+		{"//name/(//. | .)", 24},
+		{"(//(.[clinicalTrial or .]/staffInfo | .))[not(//. | dept[bill])]", -1},
+	} {
+		p := xpath.MustParse(tc.q)
+		po := o.Optimize(p)
+		before, after := xpath.EvalDoc(p, doc), xpath.EvalDoc(po, doc)
+		if tc.want >= 0 && len(before) != tc.want {
+			t.Fatalf("%s selects %d nodes unoptimized, want %d", tc.q, len(before), tc.want)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Errorf("%s -> %s: %d nodes, want %d", tc.q, xpath.String(po), len(after), len(before))
 		}
 	}
 }

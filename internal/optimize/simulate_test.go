@@ -215,11 +215,13 @@ func TestOptimizeAdexSemanticsProperty(t *testing.T) {
 
 func randAdexPath(r *rand.Rand, labels []string, depth int) xpath.Path {
 	if depth <= 0 {
-		switch r.Intn(5) {
+		switch r.Intn(6) {
 		case 0:
 			return xpath.Self{}
 		case 1:
 			return xpath.Wildcard{}
+		case 2:
+			return anyDescendant
 		default:
 			return xpath.Label{Name: labels[r.Intn(len(labels))]}
 		}

@@ -5,9 +5,9 @@ package xmltree
 // Children carved as a contiguous window of a single shared backing
 // slab. Pointer-identity of every node changes (the old tree remains
 // valid but is no longer part of the document), so Compact is meant for
-// document *construction* — the parser and the generator call it once
-// before handing the document out — not for trees whose nodes are
-// already referenced elsewhere.
+// document *construction* — the generator calls it once before handing
+// the document out; the parser writes the same layout directly — not
+// for trees whose nodes are already referenced elsewhere.
 //
 // The payoff is locality: a pre-order scan of a subtree (descendant
 // steps, index posting-list filters) touches one contiguous allocation

@@ -18,6 +18,8 @@ name -> #PCDATA
 wardNo -> #PCDATA
 `
 
+// TestValidateStream: validating an XML stream, by loading it and then
+// calling Validate, gives the expected verdict on each input.
 func TestValidateStream(t *testing.T) {
 	d := dtd.MustParse(streamDTD)
 	cases := []struct {
@@ -39,41 +41,79 @@ func TestValidateStream(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateStreamString(tc.xml, d)
+			doc, err := ParseString(tc.xml)
+			if err == nil {
+				err = Validate(doc, d)
+			}
 			if (err == nil) != tc.ok {
-				t.Errorf("ValidateStream = %v, want ok=%v", err, tc.ok)
+				t.Errorf("ParseString then Validate = %v, want ok=%v", err, tc.ok)
 			}
 		})
 	}
 }
 
-// TestValidateStreamAgreesWithTree: the streaming validator and the
-// tree validator agree on randomly mutated documents.
+// TestValidateStreamAgreesWithTree: on randomly mutated documents,
+// Validate gives the reference validator's verdict and message, both on
+// the mutated tree and on the tree its serialization loads back into.
 func TestValidateStreamAgreesWithTree(t *testing.T) {
 	d := dtd.MustParse(streamDTD)
 	base := MustParseString(`<hospital><dept><patientInfo><patient><name>A</name><wardNo>1</wardNo></patient><patient><name>B</name><wardNo>2</wardNo></patient></patientInfo></dept><dept><patientInfo/></dept></hospital>`)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		doc := NewDocument(base.Root.Clone())
-		mutate(r, doc)
-		xmlStr := doc.XML()
-		// Compare on the serialized form: adjacent text nodes merge during
-		// serialization, so reparse before tree-validating to give both
-		// validators the same input.
-		reparsed, err := ParseString(xmlStr)
-		if err != nil {
-			return ValidateStreamString(xmlStr, d) != nil
-		}
-		treeErr := Validate(reparsed, d) == nil
-		streamErr := ValidateStreamString(xmlStr, d) == nil
-		if treeErr != streamErr {
-			t.Logf("seed %d: tree ok=%v stream ok=%v for\n%s", seed, treeErr, streamErr, xmlStr)
+	agree := func(doc *Document) bool {
+		got, want := Validate(doc, d), ValidateRef(doc, d)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Logf("Validate = %v, reference = %v for\n%s", got, want, doc.XML())
 			return false
 		}
 		return true
 	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := NewDocument(base.Root.Clone())
+		mutate(r, doc)
+		if !agree(doc) {
+			return false
+		}
+		reloaded, err := ParseString(doc.XML())
+		return err == nil && agree(reloaded)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateViewForms: Validate accepts and rejects the compact view
+// forms (starred items in sequences and choices) exactly as the
+// reference validator does.
+func TestValidateViewForms(t *testing.T) {
+	d := dtd.New("r")
+	d.SetProduction("r", dtd.Content{Kind: dtd.Star, Items: []dtd.Item{{Name: "x"}}})
+	d.SetProduction("x", dtd.Content{Kind: dtd.Choice, Items: []dtd.Item{{Name: "s"}, {Name: "c"}, {Name: "a", Starred: true}}})
+	d.SetProduction("s", dtd.Content{Kind: dtd.Seq, Items: []dtd.Item{{Name: "a", Starred: true}, {Name: "a"}, {Name: "b", Starred: true}}})
+	d.SetProduction("c", dtd.Content{Kind: dtd.Choice, Items: []dtd.Item{{Name: "a"}, {Name: "b"}}})
+	d.SetProduction("a", dtd.EmptyContent())
+	d.SetProduction("b", dtd.TextContent())
+	for _, src := range []string{
+		`<r/>`,
+		`<r><x/></r>`,
+		`<r><x><a/><a/></x></r>`,
+		`<r><x><a/><b>t</b></x></r>`,
+		`<r><x><s/></x></r>`,
+		`<r><x><s><a/></s></x></r>`,
+		`<r><x><s><a/><a/><a/><b>t</b><b>u</b></s></x></r>`,
+		`<r><x><s><b>t</b></s></x></r>`,
+		`<r><x><s><a/><b>t</b><a/></s></x></r>`,
+		`<r><x><c/></x></r>`,
+		`<r><x><c><a/></c></x></r>`,
+		`<r><x><c><a/><b>t</b></c></x></r>`,
+		`<r><x><c><b/></c></x></r>`,
+		`<r><x><c><b>t<!---->u</b></c></x></r>`,
+		`<r><x><c><a>t</a></c></x></r>`,
+	} {
+		doc := MustParseString(src)
+		got, want := Validate(doc, d), ValidateRef(doc, d)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Errorf("%s: Validate = %v, reference = %v", src, got, want)
+		}
 	}
 }
 
