@@ -31,7 +31,7 @@ bench:
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkFreshEngineIndexed' -benchmem -benchtime 1x .
-	$(GO) test -run xxx -bench 'BenchmarkRecEval' -benchmem -benchtime 1x ./internal/xpath
+	$(GO) test -run xxx -bench 'BenchmarkRecEval|BenchmarkSigmaGuard' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion' -benchmem -benchtime 1x ./internal/optimize
 	$(GO) test -run xxx -bench 'BenchmarkParseDocument|BenchmarkValidate' -benchmem -benchtime 1x ./internal/xmltree
 

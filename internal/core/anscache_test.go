@@ -294,6 +294,9 @@ func TestAnswerCacheEpochStaleness(t *testing.T) {
 	if changed == 0 {
 		t.Fatalf("document has no ward-1 wardNo nodes to swap")
 	}
+	// In-place edits are followed by Renumber: every index derived from
+	// the tree (label index, value dictionary) is keyed by generation.
+	doc.Renumber()
 
 	if e := on.Epoch(); e != 0 {
 		t.Fatalf("fresh engine epoch = %d", e)

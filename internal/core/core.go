@@ -326,7 +326,7 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []strin
 		return nil, nil, err
 	}
 	rewriteDone := time.Now()
-	prep := newPrepared(shape, pt, e.s.opt.Optimize(pt))
+	prep := newPrepared(e.s.opt.Optimize(pt))
 	if qm != nil {
 		qm.Rewrite = rewriteDone.Sub(start)
 		qm.Optimize = time.Since(rewriteDone)
@@ -573,7 +573,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	start = time.Now()
 	po, rules, pruned := e.s.opt.OptimizeCounted(pt)
 	qm.Optimize = time.Since(start)
-	prep := newPrepared(shape, pt, po)
+	prep := newPrepared(po)
 	e.s.plans.Put(key, prep)
 	qm.PlanText = prep.text
 	var group string
@@ -671,17 +671,18 @@ func (e *Engine) Stats() Stats {
 
 // Prepared is a view query rewritten and optimized once, reusable across
 // every document. Engine.Query keeps one per query shape in its plan
-// cache; Prepare hands one out with the environment of its query and
-// binding attached.
+// cache, holding only what serving reads: the optimized plan, its text
+// and its size (most cached shapes optimize to ∅, so the source and
+// rewritten trees would dominate an entry). Prepare hands out a copy
+// with the query and the environment of its query and binding attached.
 type Prepared struct {
-	// Source is the view query as given to Prepare. In the plan cache
-	// it is the parameterized query (literals renamed to placeholders).
+	// Source is the view query as given to Prepare; nil in the plan
+	// cache.
 	Source xpath.Path
-	// Rewritten is rw(p, r) over the document DTD and Optimized the
-	// DTD-optimized form actually evaluated. Both carry the query's
-	// literals as placeholders and the specification's $parameters
-	// unbound; Env binds them.
-	Rewritten xpath.Path
+	// Optimized is the DTD-optimized rewriting rw(p, r) actually
+	// evaluated. It carries the query's literals as placeholders and
+	// the specification's $parameters unbound; Env binds them.
+	// Engine.Rewrite and Explain re-derive the unoptimized rewriting.
 	Optimized xpath.Path
 	// Env binds the plan's variables: the engine's parameter binding
 	// and the query's literals. Evaluation reads it; xpath.BindVars with
@@ -695,22 +696,19 @@ type Prepared struct {
 	nodes int
 }
 
-func newPrepared(shape, pt, po xpath.Path) *Prepared {
-	return &Prepared{Source: shape, Rewritten: pt, Optimized: po, text: xpath.String(po), nodes: xpath.Size(po)}
+func newPrepared(po xpath.Path) *Prepared {
+	return &Prepared{Optimized: po, text: xpath.String(po), nodes: xpath.Size(po)}
 }
 
 // Prepare rewrites and optimizes a view query once, so frontends can
 // amortize translation across many documents and evaluations. It shares
-// the plan cache with QueryCtx, under the same query shapes. A query
-// with no literals, through an engine with no parameters, gets the
-// cached plan itself; otherwise a copy carrying its environment.
+// the plan cache with QueryCtx, under the same query shapes, and
+// returns a copy of the cached plan carrying the query and its
+// environment.
 func (e *Engine) Prepare(p xpath.Path) (*Prepared, error) {
 	prep, lits, err := e.prepared(context.Background(), p)
 	if err != nil {
 		return nil, err
-	}
-	if len(lits) == 0 && len(e.s.vars) == 0 {
-		return prep, nil
 	}
 	out := *prep
 	out.Source = p

@@ -178,7 +178,11 @@ func TestPreparedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PrepareString: %v", err)
 	}
-	if xpath.IsEmpty(q.Rewritten) || xpath.IsEmpty(q.Optimized) {
+	pt, err := e.Rewrite(q.Source, 0)
+	if err != nil {
+		t.Fatalf("Rewrite: %v", err)
+	}
+	if xpath.IsEmpty(pt) || xpath.IsEmpty(q.Optimized) {
 		t.Fatalf("prepared forms empty")
 	}
 	for seed := int64(0); seed < 3; seed++ {

@@ -232,7 +232,12 @@ func TestPrepareServedFromPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PrepareString: %v", err)
 	}
-	if p1 != p2 {
+	// Prepare hands out copies carrying the query; the second one must
+	// still come from the first one's cache entry.
+	if s := e.Stats().PlanCache; s.Hits != 1 || s.Entries != 1 {
+		t.Errorf("identical prepares did not share one cached plan: %+v", s)
+	}
+	if xpath.String(p1.Optimized) != xpath.String(p2.Optimized) {
 		t.Errorf("identical prepares returned distinct plans")
 	}
 	doc := dtds.GenerateHospital(5, 3)

@@ -274,6 +274,10 @@ func TestRegistryBumpEpochInvalidatesAnswers(t *testing.T) {
 	if !moved {
 		t.Fatal("did not find Bob's wardNo to mutate")
 	}
+	// An in-place edit must be followed by Renumber: every index derived
+	// from the tree (label index, value dictionary) is keyed by the
+	// document's generation.
+	doc.Renumber()
 	r.BumpEpoch()
 	if got := e.Epoch(); got != 1 {
 		t.Errorf("engine epoch after registry bump = %d", got)

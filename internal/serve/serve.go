@@ -63,6 +63,21 @@ const (
 	DefaultTraceSampling = 0
 )
 
+// Request bounds. They are fixed, not Config knobs: served queries are
+// a few hundred bytes and a few dozen AST levels (xpath.MaxQueryDepth
+// bounds the depth); the byte bound still leaves room for a long
+// string constant.
+const (
+	// MaxQueryBytes bounds the q= parameter; longer queries get 413.
+	MaxQueryBytes = 256 << 10
+	// maxBodyBytes bounds a POST /query or /explainz body (the whole
+	// form, parameters included); larger bodies get 413.
+	maxBodyBytes = 1 << 20
+)
+
+// errTooLarge marks a request over MaxQueryBytes or maxBodyBytes.
+var errTooLarge = errors.New("request too large")
+
 // Config tunes the server. The zero value gives the defaults above.
 type Config struct {
 	// DefaultTimeout bounds a request that does not pass ?timeout=.
@@ -158,6 +173,8 @@ type Server struct {
 	rejected       atomic.Uint64
 	timeouts       atomic.Uint64
 	clientCancels  atomic.Uint64
+	tooLarge       atomic.Uint64 // 413s: query or body over its byte bound
+	tooDeep        atomic.Uint64 // 400s for queries over xpath.MaxQueryDepth
 	inFlight       atomic.Int64
 	lat            latency.Digest
 	started        time.Time
@@ -228,11 +245,15 @@ func (s *Server) registerMetrics() {
 	m.CounterFunc("sv_requests_total", "Queries received by /query, admitted or not.", s.requests.Load)
 	m.CounterFunc("sv_responses_total", respHelp, s.ok.Load, obs.L("code", "200"))
 	m.CounterFunc("sv_responses_total", respHelp, s.badRequests.Load, obs.L("code", "400"))
+	m.CounterFunc("sv_responses_total", respHelp, s.tooLarge.Load, obs.L("code", "413"))
 	m.CounterFunc("sv_responses_total", respHelp, s.rejected.Load, obs.L("code", "429"))
 	m.CounterFunc("sv_responses_total", respHelp, s.clientCancels.Load, obs.L("code", "499"))
 	m.CounterFunc("sv_responses_total", respHelp, s.internalErrors.Load, obs.L("code", "500"))
 	m.CounterFunc("sv_responses_total", respHelp, s.timeouts.Load, obs.L("code", "504"))
 	m.CounterFunc("sv_explains_total", "/explainz requests admitted.", s.explains.Load)
+	const limitHelp = "Queries refused for exceeding a fixed request bound: bytes (413) or AST depth (400, also counted under code 400)."
+	m.CounterFunc("sv_query_limit_rejections_total", limitHelp, s.tooLarge.Load, obs.L("limit", "bytes"))
+	m.CounterFunc("sv_query_limit_rejections_total", limitHelp, s.tooDeep.Load, obs.L("limit", "depth"))
 	m.CounterFunc("sv_slow_queries_total", "Admitted queries slower than the slow-query threshold.", s.slowQueries.Load)
 	m.GaugeFunc("sv_in_flight", "Queries currently holding an admission slot.", func() float64 {
 		return float64(s.inFlight.Load())
@@ -371,11 +392,19 @@ func (s *Server) Handler() http.Handler {
 }
 
 // parseQueryRequest validates the shared request parameters: class
-// (required), q (required), param=name=value (repeatable), timeout (Go
-// duration, clamped to Config.MaxTimeout). It returns the request's
-// record with its identity filled in, and the request's deadline.
-func (s *Server) parseQueryRequest(r *http.Request) (*obs.QueryMetrics, time.Duration, error) {
+// (required), q (required, at most MaxQueryBytes), param=name=value
+// (repeatable), timeout (Go duration, clamped to Config.MaxTimeout).
+// It returns the request's record with its identity filled in, and the
+// request's deadline. A body over maxBodyBytes is cut off unread.
+func (s *Server) parseQueryRequest(w http.ResponseWriter, r *http.Request) (*obs.QueryMetrics, time.Duration, error) {
+	if r.Body != nil {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	}
 	if err := r.ParseForm(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, 0, fmt.Errorf("%w: body over %d bytes", errTooLarge, maxBodyBytes)
+		}
 		return nil, 0, fmt.Errorf("malformed form: %v", err)
 	}
 	qm := &obs.QueryMetrics{
@@ -384,6 +413,9 @@ func (s *Server) parseQueryRequest(r *http.Request) (*obs.QueryMetrics, time.Dur
 	}
 	if qm.Class == "" || qm.Query == "" {
 		return nil, 0, errors.New("need class= and q= parameters")
+	}
+	if len(qm.Query) > MaxQueryBytes {
+		return nil, 0, fmt.Errorf("%w: query of %d bytes, over %d", errTooLarge, len(qm.Query), MaxQueryBytes)
 	}
 	params, err := parseParams(r.Form["param"])
 	if err != nil {
@@ -438,7 +470,7 @@ func requestCtx(r *http.Request, timeout time.Duration) (context.Context, contex
 // handleQuery answers one view query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	qm, timeout, err := s.parseQueryRequest(r)
+	qm, timeout, err := s.parseQueryRequest(w, r)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -599,7 +631,7 @@ type explainzResponse struct {
 // and optimize run fresh (bypassing the plan cache) so every phase has
 // a real measured duration. Parameters are the same as /query.
 func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
-	qm, timeout, err := s.parseQueryRequest(r)
+	qm, timeout, err := s.parseQueryRequest(w, r)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -718,7 +750,17 @@ func clientFault(err error) bool {
 		errors.As(err, &bindErr)
 }
 
+// badRequest answers a client fault: 413 for a request over a byte
+// bound, else 400, counting queries over the depth bound apart.
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	if errors.Is(err, errTooLarge) {
+		s.tooLarge.Add(1)
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
+	if errors.Is(err, xpath.ErrQueryTooDeep) {
+		s.tooDeep.Add(1)
+	}
 	s.badRequests.Add(1)
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }

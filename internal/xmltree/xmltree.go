@@ -252,8 +252,8 @@ func (n *Node) Path() string {
 // document-order numbering, and the node table byOrd (all nodes in
 // document order, so byOrd[n.Ord()] == n and a subtree is the
 // contiguous range byOrd[ord : ord+desc+1]). It also owns the label
-// index over that table (see Labeled), so every reader of one document
-// shares one index.
+// index over that table (see Labeled) and the value dictionary (see
+// Values), so every reader of one document shares one of each.
 type Document struct {
 	Root   *Node
 	size   int
@@ -264,6 +264,9 @@ type Document struct {
 
 	labels   atomic.Pointer[labelTable]
 	labelsMu sync.Mutex // serializes label table builds
+
+	values   atomic.Pointer[Values] // see values.go
+	valuesMu sync.Mutex             // serializes value dictionary builds
 }
 
 // labelTable is the label index of a document at one generation: for
@@ -288,14 +291,16 @@ func NewDocument(root *Node) *Document {
 // after tree mutation. A node's subtree occupies the contiguous ord range
 // [ord, ord+desc], which makes descendant tests O(1). The same walk
 // rebuilds the byOrd node table and caches the document height, so both
-// are as fresh as the numbering itself; the label index, keyed by
-// generation, is dropped and rebuilt on its next use.
+// are as fresh as the numbering itself; the label index and the value
+// dictionary, keyed by generation, are dropped and rebuilt on their
+// next use.
 func (d *Document) Renumber() {
 	if d.id == 0 {
 		d.id = docIDs.Add(1)
 	}
 	d.gen++
 	d.labels.Store(nil)
+	d.values.Store(nil)
 	d.byOrd = d.byOrd[:0]
 	d.height = 0
 	var walk func(node *Node, depth int) int

@@ -51,6 +51,7 @@ func ordinalDoc(nodes []*xmltree.Node) *xmltree.Document {
 // result slice out, every intermediate set pooled.
 func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, error) {
 	b := &bitEval{se: t, doc: d, env: env}
+	b.owned, b.free = b.ownedBuf[:0], b.freeBuf[:0]
 	defer b.release()
 	ctx := b.get()
 	for _, n := range nodes {
@@ -67,13 +68,17 @@ func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node, 
 // obtained (owned) so release can return each to the pool exactly once
 // no matter how evaluation unwound; recycle moves a set to the free
 // list for reuse within this evaluation without touching ownership.
-// A bitEval is single-goroutine, like the ticker it wraps.
+// A bitEval is single-goroutine, like the ticker it wraps. Both lists
+// start on inline arrays sized for a typical served plan, so they grow
+// by append only on unusually large ones.
 type bitEval struct {
-	se    *ticker
-	doc   *xmltree.Document
-	env   Env // binds the plan's variables; see env.go
-	owned []*nodeset.Set
-	free  []*nodeset.Set
+	se       *ticker
+	doc      *xmltree.Document
+	env      Env // binds the plan's variables; see env.go
+	owned    []*nodeset.Set
+	free     []*nodeset.Set
+	ownedBuf [16]*nodeset.Set
+	freeBuf  [8]*nodeset.Set
 	// backward is set while a pre-image runs; see semiJoin for why an
 	// unbound variable then selects nothing instead of failing.
 	backward bool
@@ -419,7 +424,8 @@ func (b *bitEval) sat(q Qual, cand *nodeset.Set) (*nodeset.Set, error) {
 			}
 			val = bound
 		}
-		return b.semiJoin(q.Path, cand, func(v *xmltree.Node) bool { return v.Text() == val })
+		col, id := b.valueID(q.Path, val)
+		return b.semiJoin(q.Path, cand, &valueTest{col: col, id: id})
 	case QAttrEq:
 		return b.filter(cand, func(v *xmltree.Node) bool {
 			val, ok := v.Attr(q.Name)
@@ -470,8 +476,8 @@ func (b *bitEval) sat(q Qual, cand *nodeset.Set) (*nodeset.Set, error) {
 }
 
 // filter returns the members of s for which keep holds, one tick per
-// member: the per-node tests (text and attribute comparisons) that no
-// bitset operation can replace.
+// member: the per-node attribute tests that no bitset operation can
+// replace.
 func (b *bitEval) filter(s *nodeset.Set, keep func(*xmltree.Node) bool) (*nodeset.Set, error) {
 	out := b.get()
 	byOrd := b.doc.Nodes()
@@ -491,10 +497,78 @@ func (b *bitEval) filter(s *nodeset.Set, keep func(*xmltree.Node) bool) (*nodese
 	return out, nil
 }
 
+// valueTest selects the nodes whose Text() value has id id in the
+// document's value column col.
+type valueTest struct {
+	col []int32
+	id  int32
+}
+
+// valueID resolves the comparand of a p = c qualifier to its id in the
+// document's value dictionary, first building the dictionaries of the
+// labels p's final step can select (see finalLabels), and returns the
+// dictionary's column with it. A value no such node carries gets
+// xmltree.NoValue, which matches no column entry.
+func (b *bitEval) valueID(p Path, val string) ([]int32, int32) {
+	var buf [4]string
+	labels, all := finalLabels(p, buf[:0])
+	v := b.doc.Values()
+	if !v.Covers(labels, all) {
+		v = b.doc.BuildValues(labels, all)
+	}
+	return v.Column(), v.ID(val)
+}
+
+// finalLabels appends to acc the labels of the nodes p can select, the
+// only column entries a value test over p's image reads; all is set
+// when p's final step can select any node (., *, a Rec).
+func finalLabels(p Path, acc []string) (labels []string, all bool) {
+	switch p := p.(type) {
+	case Empty:
+		return acc, false
+	case Label:
+		return append(acc, p.Name), false
+	case Seq:
+		return finalLabels(p.Right, acc)
+	case Descend:
+		return finalLabels(p.Sub, acc)
+	case Union:
+		acc, all = finalLabels(p.Left, acc)
+		if all {
+			return acc, true
+		}
+		return finalLabels(p.Right, acc)
+	case Qualified:
+		return finalLabels(p.Sub, acc)
+	default:
+		return acc, true
+	}
+}
+
+// matchValue returns the members of s whose value id is t.id, one tick
+// per member like filter.
+func (b *bitEval) matchValue(s *nodeset.Set, t *valueTest) (*nodeset.Set, error) {
+	out := b.get()
+	var err error
+	s.ForEachUntil(func(ord int) bool {
+		if err = b.se.tick(); err != nil {
+			return false
+		}
+		if t.col[ord] == t.id {
+			out.Add(ord)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // semiJoin returns the members of cand from which p reaches a node —
-// one for which keep holds, when keep is non-nil. It is a forward pass
-// then a backward one: F = p(cand), X = F or its members kept, and the
-// answer is pre(p, X) ∩ cand.
+// one whose value passes eq, when eq is non-nil. It is a forward pass
+// then a backward one: F = p(cand), X = F or its members that pass, and
+// the answer is pre(p, X) ∩ cand.
 //
 // The forward pass evaluates every nested qualifier exactly where the
 // per-node evaluator would, so it alone reports unbound variables. The
@@ -502,13 +576,13 @@ func (b *bitEval) filter(s *nodeset.Set, keep func(*xmltree.Node) bool) (*nodese
 // qualifier's value there cannot change the answer, and the forward
 // pass has proven the variable unreachable from the ones that do count,
 // so under b.backward an unbound variable just selects nothing.
-func (b *bitEval) semiJoin(p Path, cand *nodeset.Set, keep func(*xmltree.Node) bool) (*nodeset.Set, error) {
+func (b *bitEval) semiJoin(p Path, cand *nodeset.Set, eq *valueTest) (*nodeset.Set, error) {
 	img, err := b.path(p, cand)
 	if err != nil {
 		return nil, err
 	}
-	if keep != nil {
-		hits, err := b.filter(img, keep)
+	if eq != nil {
+		hits, err := b.matchValue(img, eq)
 		b.recycle(img)
 		if err != nil {
 			return nil, err

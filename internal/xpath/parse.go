@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
@@ -27,6 +28,12 @@ import (
 //
 // A single leading '/' is accepted and ignored: queries are evaluated at a
 // context node (the root for whole-document queries), so /a/b ≡ a/b.
+//
+// A query whose AST would be deeper than MaxQueryDepth is rejected with
+// a ParseError wrapping ErrQueryTooDeep, before the parser recurses
+// that deep: every later stage (rewrite, optimize, print, evaluate)
+// walks the AST recursively, and Go cannot recover from exhausting a
+// goroutine stack.
 func Parse(src string) (Path, error) {
 	p := &parser{src: src}
 	path, err := p.parseUnion()
@@ -72,9 +79,66 @@ func MustParseQual(src string) Qual {
 	return q
 }
 
+// MaxQueryDepth bounds the height of a parsed AST. Chains count: a/b/c,
+// a | b | c, q and q and q build left-deep trees one level per operand,
+// as nested brackets and parentheses do per level. Served queries and
+// view σ paths are a few dozen levels at most.
+const MaxQueryDepth = 1000
+
+// ErrQueryTooDeep is wrapped by the ParseError of a query whose AST
+// would exceed MaxQueryDepth.
+var ErrQueryTooDeep = errors.New("xpath: query nests too deep")
+
 type parser struct {
 	src string
 	pos int
+	// nest counts the open parseUnion and parseQualOr calls, so the
+	// recursion itself stops at MaxQueryDepth; h is the height of the
+	// node the last parse function returned.
+	nest int
+	h    int
+	// paths and quals memoize the parenthesized paths and qualifiers
+	// parsed at each '(' offset. A '(' inside a qualifier is ambiguous
+	// (see parseQualAtom) and is tried both ways; without the memo each
+	// nesting level would parse its contents twice, exponential time in
+	// the nesting depth.
+	paths map[int]paren
+	quals map[int]paren
+}
+
+// paren is the memoized parse of a parenthesized path or qualifier:
+// its result, the offset after it and its height.
+type paren struct {
+	path   Path
+	qual   Qual
+	end, h int
+	err    error
+}
+
+// enter opens one level of parser recursion, failing past
+// MaxQueryDepth; callers defer p.leave().
+func (p *parser) enter() error {
+	p.nest++
+	if p.nest > MaxQueryDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.nest-- }
+
+// grow sets the height of the node just built from children of heights
+// a and b, failing past MaxQueryDepth.
+func (p *parser) grow(a, b int) error {
+	p.h = max(a, b) + 1
+	if p.h > MaxQueryDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) tooDeep() error {
+	return &ParseError{msg: fmt.Sprintf("xpath: query nests deeper than %d levels (offset %d)", MaxQueryDepth, p.pos), err: ErrQueryTooDeep}
 }
 
 func (p *parser) skipSpace() {
@@ -98,9 +162,15 @@ func (p *parser) peek() byte {
 // to tell query-syntax errors (the client's fault) from internal
 // failures; the message is unchanged from the historical fmt.Errorf
 // form.
-type ParseError struct{ msg string }
+type ParseError struct {
+	msg string
+	err error // ErrQueryTooDeep, or nil
+}
 
 func (e *ParseError) Error() string { return e.msg }
+
+// Unwrap exposes ErrQueryTooDeep to errors.Is.
+func (e *ParseError) Unwrap() error { return e.err }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{msg: fmt.Sprintf("xpath: %s (offset %d in %q)", fmt.Sprintf(format, args...), p.pos, p.src)}
@@ -108,11 +178,16 @@ func (p *parser) errf(format string, args ...any) error {
 
 // parseUnion := parseSeq ('|' parseSeq)*
 func (p *parser) parseUnion() (Path, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parseSeq()
 	if err != nil {
 		return nil, err
 	}
 	for {
+		hl := p.h
 		p.skipSpace()
 		if p.peek() != '|' {
 			return left, nil
@@ -120,6 +195,9 @@ func (p *parser) parseUnion() (Path, error) {
 		p.pos++
 		right, err := p.parseSeq()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.grow(hl, p.h); err != nil {
 			return nil, err
 		}
 		left = Union{Left: left, Right: right}
@@ -135,6 +213,9 @@ func (p *parser) parseSeq() (Path, error) {
 		p.pos += 2
 		rest, err := p.parseSeqAfterSlash()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.grow(p.h, 0); err != nil {
 			return nil, err
 		}
 		return Descend{Sub: rest}, nil
@@ -153,6 +234,7 @@ func (p *parser) parseSeqAfterSlash() (Path, error) {
 		return nil, err
 	}
 	for {
+		hl := p.h
 		p.skipSpace()
 		if strings.HasPrefix(p.src[p.pos:], "//") {
 			p.pos += 2
@@ -160,8 +242,10 @@ func (p *parser) parseSeqAfterSlash() (Path, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Build the remainder of the sequence onto the descend target so
-			// a//b/c parses as a/(//(b/c))? No: keep left-assoc a//b then /c.
+			if err := p.grow(hl, p.h+1); err != nil {
+				return nil, err
+			}
+			// Left-associative: a//b/c is (a/(//b))/c.
 			left = Seq{Left: left, Right: Descend{Sub: right}}
 			continue
 		}
@@ -169,6 +253,9 @@ func (p *parser) parseSeqAfterSlash() (Path, error) {
 			p.pos++
 			right, err := p.parseStep()
 			if err != nil {
+				return nil, err
+			}
+			if err := p.grow(hl, p.h); err != nil {
 				return nil, err
 			}
 			left = Seq{Left: left, Right: right}
@@ -185,6 +272,7 @@ func (p *parser) parseStep() (Path, error) {
 		return nil, err
 	}
 	for {
+		hp := p.h
 		p.skipSpace()
 		if p.peek() != '[' {
 			return prim, nil
@@ -199,25 +287,31 @@ func (p *parser) parseStep() (Path, error) {
 			return nil, p.errf("expected ']'")
 		}
 		p.pos++
+		if err := p.grow(hp, p.h); err != nil {
+			return nil, err
+		}
 		prim = Qualified{Sub: prim, Cond: q}
 	}
 }
 
+// parsePrimary parses one step; every form but a parenthesized path
+// is a leaf of height 1.
 func (p *parser) parsePrimary() (Path, error) {
 	p.skipSpace()
+	p.h = 1
 	switch {
 	case p.peek() == '(':
-		p.pos++
-		inner, err := p.parseUnion()
-		if err != nil {
-			return nil, err
+		if m, ok := p.paths[p.pos]; ok {
+			p.pos, p.h = m.end, m.h
+			return m.path, m.err
 		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, p.errf("expected ')'")
+		start := p.pos
+		inner, err := p.parenPath()
+		if p.paths == nil {
+			p.paths = make(map[int]paren)
 		}
-		p.pos++
-		return inner, nil
+		p.paths[start] = paren{path: inner, end: p.pos, h: p.h, err: err}
+		return inner, err
 	case p.peek() == '*':
 		p.pos++
 		return Wildcard{}, nil
@@ -242,13 +336,20 @@ func (p *parser) parsePrimary() (Path, error) {
 
 // parseQualOr := parseQualAnd ('or' parseQualAnd)*
 func (p *parser) parseQualOr() (Qual, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parseQualAnd()
 	if err != nil {
 		return nil, err
 	}
-	for p.eatKeyword("or") {
+	for hl := p.h; p.eatKeyword("or"); hl = p.h {
 		right, err := p.parseQualAnd()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.grow(hl, p.h); err != nil {
 			return nil, err
 		}
 		left = QOr{Left: left, Right: right}
@@ -262,9 +363,12 @@ func (p *parser) parseQualAnd() (Qual, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.eatKeyword("and") {
+	for hl := p.h; p.eatKeyword("and"); hl = p.h {
 		right, err := p.parseQualAtom()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.grow(hl, p.h); err != nil {
 			return nil, err
 		}
 		left = QAnd{Left: left, Right: right}
@@ -289,8 +393,12 @@ func (p *parser) parseQualAtom() (Qual, error) {
 			return nil, p.errf("expected ')' after not(...)")
 		}
 		p.pos++
+		if err := p.grow(p.h, 0); err != nil {
+			return nil, err
+		}
 		return QNot{Sub: inner}, nil
 	}
+	p.h = 1 // true(), false() and attribute tests are leaves
 	if p.eatKeyword("true") {
 		if err := p.expectParens(); err != nil {
 			return nil, err
@@ -324,24 +432,31 @@ func (p *parser) parseQualAtom() (Qual, error) {
 		// Could be a parenthesized qualifier or a parenthesized path.
 		// Try qualifier first; on failure fall back to a path atom.
 		save := p.pos
-		p.pos++
-		inner, err := p.parseQualOr()
-		if err == nil {
+		m, ok := p.quals[save]
+		if !ok {
+			inner, err := p.parenQual()
+			m = paren{qual: inner, end: p.pos, h: p.h, err: err}
+			if p.quals == nil {
+				p.quals = make(map[int]paren)
+			}
+			p.quals[save] = m
+		}
+		if m.err == nil {
+			p.pos, p.h = m.end, m.h
+			// If an '=' or path continuation follows, the parentheses
+			// belonged to a path; re-parse as a path qualifier.
 			p.skipSpace()
-			if p.peek() == ')' {
-				p.pos++
-				// If an '=' or path continuation follows, the parentheses
-				// belonged to a path; re-parse as a path qualifier.
-				p.skipSpace()
-				if p.peek() != '=' && p.peek() != '/' && p.peek() != '[' {
-					return inner, nil
-				}
+			if p.peek() != '=' && p.peek() != '/' && p.peek() != '[' {
+				return m.qual, nil
 			}
 		}
 		p.pos = save
 	}
 	path, err := p.parseUnion()
 	if err != nil {
+		return nil, err
+	}
+	if err := p.grow(p.h, 0); err != nil {
 		return nil, err
 	}
 	p.skipSpace()
@@ -354,6 +469,36 @@ func (p *parser) parseQualAtom() (Qual, error) {
 		return QEq{Path: path, Value: val, Var: varName}, nil
 	}
 	return QPath{Path: path}, nil
+}
+
+// parenPath parses '(' path ')'.
+func (p *parser) parenPath() (Path, error) {
+	p.pos++
+	inner, err := p.parseUnion()
+	if err != nil {
+		return nil, err
+	}
+	p.skipSpace()
+	if p.peek() != ')' {
+		return nil, p.errf("expected ')'")
+	}
+	p.pos++
+	return inner, nil
+}
+
+// parenQual parses '(' qualifier ')'.
+func (p *parser) parenQual() (Qual, error) {
+	p.pos++
+	inner, err := p.parseQualOr()
+	if err != nil {
+		return nil, err
+	}
+	p.skipSpace()
+	if p.peek() != ')' {
+		return nil, p.errf("expected ')'")
+	}
+	p.pos++
+	return inner, nil
 }
 
 func (p *parser) expectParens() error {

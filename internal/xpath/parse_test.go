@@ -1,10 +1,13 @@
 package xpath
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -261,5 +264,70 @@ func TestKeywordNamesAreLabels(t *testing.T) {
 	wantQ := QAnd{Left: QPath{Path: Label{Name: "android"}}, Right: QPath{Path: Label{Name: "order"}}}
 	if !QualEqual(q, wantQ) {
 		t.Errorf("got %s", QualString(q))
+	}
+}
+
+// TestParseDepthBound: Parse refuses an AST deeper than MaxQueryDepth
+// with ErrQueryTooDeep, before recursing that deep, whether the depth
+// comes from nesting or from a left-deep chain; the bound itself is
+// accepted. The nested and chained inputs of 1,150,000 levels once
+// overflowed the goroutine stack.
+func TestParseDepthBound(t *testing.T) {
+	const n = 1150000
+	for name, q := range map[string]string{
+		"nested":  strings.Repeat("a[", n) + "b" + strings.Repeat("]", n),
+		"parens":  strings.Repeat("(", n) + "b" + strings.Repeat(")", n),
+		"chained": strings.Repeat("a/", n) + "b",
+		"descend": strings.Repeat("a//", n) + "b",
+		"union":   strings.Repeat("a|", n) + "b",
+		"or":      "a[" + strings.Repeat("b or ", n) + "c]",
+		"not":     "a[" + strings.Repeat("not(", n) + "b" + strings.Repeat(")", n) + "]",
+	} {
+		_, err := Parse(q)
+		var pe *ParseError
+		if !errors.Is(err, ErrQueryTooDeep) || !errors.As(err, &pe) {
+			t.Errorf("%s: Parse error %v, want a ParseError wrapping ErrQueryTooDeep", name, err)
+		}
+	}
+	chain := func(k int) string { return strings.Repeat("a/", k-1) + "a" }
+	if _, err := Parse(chain(MaxQueryDepth)); err != nil {
+		t.Errorf("chain of height MaxQueryDepth rejected: %v", err)
+	}
+	if _, err := Parse(chain(MaxQueryDepth + 1)); !errors.Is(err, ErrQueryTooDeep) {
+		t.Errorf("chain of height MaxQueryDepth+1: error %v", err)
+	}
+	if _, err := ParseQual(strings.Repeat("not(", n) + "b" + strings.Repeat(")", n)); !errors.Is(err, ErrQueryTooDeep) {
+		t.Errorf("ParseQual: error %v, want ErrQueryTooDeep", err)
+	}
+}
+
+// TestParseParenthesesLinear: a '(' inside a qualifier is parsed as a
+// qualifier and, when a path continues after it, again as a path. The
+// memo keeps that from doubling per nesting level; at 150 levels the
+// unmemoized parser would need about 2^150 steps.
+func TestParseParenthesesLinear(t *testing.T) {
+	const k = 150
+	for _, tc := range []struct {
+		q     string
+		valid bool
+	}{
+		{"x[" + strings.Repeat("(a[", k) + "b" + strings.Repeat("])/b", k) + "]", true},
+		// Each level parses fully as a qualifier, then fails as a path.
+		{"x[" + strings.Repeat("(a[", k) + "b" + strings.Repeat("] or c)/b", k) + "]", false},
+	} {
+		start := time.Now()
+		p, err := Parse(tc.q)
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("Parse of %d nested parentheses took %v", k, elapsed)
+		}
+		if (err == nil) != tc.valid {
+			t.Fatalf("Parse error %v, want valid=%v", err, tc.valid)
+		}
+		if err != nil {
+			continue
+		}
+		if back, err := Parse(String(p)); err != nil || String(back) != String(p) {
+			t.Errorf("round trip changed the query: %v", err)
+		}
 	}
 }

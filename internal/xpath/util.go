@@ -332,8 +332,47 @@ func BindQualVars(q Qual, env map[string]string) (Qual, error) {
 	}
 }
 
-// Vars returns the distinct parameter names occurring in the query.
+// hasVars reports whether a variable occurs in the query, allocating
+// nothing.
+func hasVars(p Path) bool {
+	switch p := p.(type) {
+	case Seq:
+		return hasVars(p.Left) || hasVars(p.Right)
+	case Descend:
+		return hasVars(p.Sub)
+	case Union:
+		return hasVars(p.Left) || hasVars(p.Right)
+	case Qualified:
+		return hasVars(p.Sub) || qualHasVars(p.Cond)
+	case Rec:
+		return p.G != nil && p.G.hasVars()
+	}
+	return false
+}
+
+func qualHasVars(q Qual) bool {
+	switch q := q.(type) {
+	case QPath:
+		return hasVars(q.Path)
+	case QEq:
+		return q.Var != "" || hasVars(q.Path)
+	case QAnd:
+		return qualHasVars(q.Left) || qualHasVars(q.Right)
+	case QOr:
+		return qualHasVars(q.Left) || qualHasVars(q.Right)
+	case QNot:
+		return qualHasVars(q.Sub)
+	}
+	return false
+}
+
+// Vars returns the distinct parameter names occurring in the query. A
+// query without variables, the case the serving path checks on every
+// request, costs one walk and no allocation.
 func Vars(p Path) []string {
+	if !hasVars(p) {
+		return nil
+	}
 	var out []string
 	seen := make(map[string]bool)
 	for _, sub := range Subqueries(p) {

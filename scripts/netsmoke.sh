@@ -6,8 +6,9 @@
 # explain for a recursive query, validates /metricsz with promcheck and
 # requires the answer cache to have served hits, checks /queryz
 # fingerprint accounting against sv_pipeline_total and the structured
-# event log for well-formed wide events, and finally SIGTERMs the
-# server and requires a clean drain.
+# event log for well-formed wide events, requires deep and oversized
+# queries to get a 4xx without harming the server, and finally SIGTERMs
+# the server and requires a clean drain.
 #
 # Unlike `make loadsmoke` (in-process handler), this exercises the
 # network path: ReadHeaderTimeout, real connections, graceful shutdown.
@@ -110,6 +111,24 @@ assert r["kind"] == "explain" and r["status"] == 200 and r["request_id"] > 0, r
 assert r["rewrite_us"] > 0 and r["optimize_us"] > 0 and r["eval_us"] > 0, r
 EOF
 
+echo "netsmoke: deep and oversized queries get a 4xx, then the server still answers"
+# 1,150,000 nested a[...] once overflowed the parser's goroutine stack
+# and killed the server; the body bound now refuses it unread (413).
+python3 -c 'n = 1150000; print("class=user&q=" + "a[" * n + "b" + "]" * n, end="")' >"$WORK/deep.body"
+code="$(curl -s -o /dev/null -w '%{http_code}' -H 'Content-Type: application/x-www-form-urlencoded' \
+    --data-binary @"$WORK/deep.body" "$BASE/query" || true)"
+[ "$code" = "413" ] || fail "3.4 MB nested query answered $code, want 413"
+# Within the byte bounds, queries deeper than xpath.MaxQueryDepth get 400.
+for q in "$(python3 -c 'print("a[" * 1200 + "b" + "]" * 1200, end="")')" \
+    "$(python3 -c 'print("a/" * 1200 + "b", end="")')"; do
+    code="$(curl -s -o /dev/null -w '%{http_code}' --get --data-urlencode "class=user" \
+        --data-urlencode "q=$q" "$BASE/query" || true)"
+    [ "$code" = "400" ] || fail "query deeper than the depth bound answered $code, want 400"
+done
+kill -0 "$SRV_PID" 2>/dev/null || fail "svserve died on a deep query"
+curl -fsS --get --data-urlencode "class=user" --data-urlencode "q=//a//a/b" "$BASE/query" >/dev/null ||
+    fail "svserve stopped answering after the deep queries"
+
 echo "netsmoke: /metricsz validates as Prometheus text exposition"
 curl -fsS "$BASE/metricsz" >"$WORK/metrics.txt" || fail "/metricsz request failed"
 "$WORK/bin/promcheck" "$WORK/metrics.txt" || fail "/metricsz failed promcheck"
@@ -137,6 +156,13 @@ for series in sv_qstats_fingerprints sv_qstats_capacity sv_qstats_observations_t
 done
 awk '$1 == "sv_eventlog_events_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
     fail "/metricsz sv_eventlog_events_total not > 0 with -eventlog-sample 1"
+# The deep-query step above was refused once by bytes and twice by depth.
+awk '$1 == "sv_query_limit_rejections_total{limit=\"bytes\"}" { v = $2 } END { exit !(v == 1) }' "$WORK/metrics.txt" ||
+    fail '/metricsz sv_query_limit_rejections_total{limit="bytes"} != 1'
+awk '$1 == "sv_query_limit_rejections_total{limit=\"depth\"}" { v = $2 } END { exit !(v == 2) }' "$WORK/metrics.txt" ||
+    fail '/metricsz sv_query_limit_rejections_total{limit="depth"} != 2'
+awk '$1 == "sv_responses_total{code=\"413\"}" { v = $2 } END { exit !(v == 1) }' "$WORK/metrics.txt" ||
+    fail '/metricsz sv_responses_total{code="413"} != 1'
 
 echo "netsmoke: /statsz eval count, one engine per class"
 curl -fsS "$BASE/statsz" >"$WORK/statsz.json" || fail "/statsz request failed"
