@@ -52,6 +52,15 @@ BASE ?= HEAD
 netlines:
 	bash scripts/netlines.sh $(BASE)
 
+# abbench-check scores the committed fixture of recorded benchmark
+# pairs with scripts/abbench.sh --score and checks the wins count and
+# the exact sign-test p. Run the A/B itself with
+# `bash scripts/abbench.sh REV [workload seed seconds pairs]`.
+.PHONY: abbench-check
+abbench-check:
+	@out=$$(bash scripts/abbench.sh --score scripts/testdata/abbench_churn_seed1.jsonl) && \
+		echo "$$out" && echo "$$out" | grep -Eq '^  throughput_rps +[0-9.]+ +10/10 +0\.002 '
+
 # loadsmoke drives the in-process hospital server through a short ramp
 # and fails (exit 2) if overload is reached without the admitted-latency
 # bound holding. CI runs this; `make loadbench` is the longer run that

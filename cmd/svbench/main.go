@@ -6,7 +6,7 @@
 //
 //	svbench                 # default data sets (D1-D4)
 //	svbench -quick          # small data sets for a fast sanity run
-//	svbench -repeats 5      # average more evaluations per cell
+//	svbench -repeats 5      # take the median of more evaluations per cell
 //	svbench -queries        # also print per-query rewriting details
 //	svbench -height-sweep   # recursive rewriting: height-free vs unfold
 package main
@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		quick   = flag.Bool("quick", false, "small data sets for a fast run")
-		repeats = flag.Int("repeats", 3, "evaluations averaged per cell")
+		repeats = flag.Int("repeats", 3, "evaluations per cell (the median is reported)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		queries = flag.Bool("queries", false, "print rewritten and optimized query forms")
 		sweep   = flag.Bool("height-sweep", false, "print the recursive-view height sweep (height-free vs unfold) instead of Table 1")

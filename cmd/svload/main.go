@@ -21,11 +21,9 @@
 // recursive-view queries, and qualifier-heavy queries; override it with
 // repeatable -query name:weight:class:query[:param=value,...] flags.
 // -zipf skews the mix's popularity (a few hot queries dominate, as in
-// real query logs) and -anscache turns on the in-process engines'
-// semantic answer cache — together they form the repeated-query
-// scenario that measures the answer cache's effect:
+// real query logs), the repeated-query scenario:
 //
-//	svload -builtin hospital -zipf 1.2 -anscache -levels 16 -duration 2s
+//	svload -builtin hospital -zipf 1.2 -levels 16 -duration 2s
 package main
 
 import (
@@ -42,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/dtds"
 	"repro/internal/loadgen"
 	"repro/internal/policy"
@@ -64,8 +61,7 @@ func main() {
 		duration    = flag.Duration("duration", 2*time.Second, "wall time per level")
 		timeout     = flag.Duration("timeout", 250*time.Millisecond, "per-request evaluation deadline")
 		maxInFlight = flag.Int("max-inflight", 16, "in-process server admission limit (excess gets 429)")
-		anscache    = flag.Bool("anscache", false, "in-process engines answer repeated or provably-contained queries from a semantic answer cache")
-		zipf        = flag.Float64("zipf", 0, "Zipf-skew the mix's popularity with this exponent (0 = keep the mix's own weights); pair with -anscache for the repeated-query scenario")
+		zipf        = flag.Float64("zipf", 0, "Zipf-skew the mix's popularity with this exponent (0 = keep the mix's own weights)")
 		backoff     = flag.Duration("reject-backoff", time.Millisecond, "closed-loop pause after a 429 before retrying (negative = spin)")
 		seed        = flag.Int64("seed", 1, "load-schedule seed")
 		out         = flag.String("out", "BENCH_svload.json", "report file (\"-\" for stdout only)")
@@ -93,7 +89,7 @@ func main() {
 		target = loadgen.URLTarget{BaseURL: strings.TrimRight(*targetURL, "/")}
 		scenarioDoc = *targetURL
 	} else {
-		reg, d, err := buildScenario(*builtin, *docPath, *genSeed, *genRepeat, core.Config{AnswerCache: *anscache})
+		reg, d, err := buildScenario(*builtin, *docPath, *genSeed, *genRepeat)
 		if err != nil {
 			fatal(err)
 		}
@@ -119,7 +115,6 @@ func main() {
 		MaxInFlight: *maxInFlight,
 		Mix:         mix,
 		Zipf:        *zipf,
-		AnswerCache: *anscache,
 	}
 	if doc != nil {
 		rep.DocNodes, rep.DocHeight = doc.Size(), doc.Height()
@@ -201,7 +196,6 @@ type report struct {
 	DurationNs  int64              `json:"duration_per_level_ns"`
 	MaxInFlight int                `json:"max_in_flight"`
 	Zipf        float64            `json:"zipf,omitempty"`
-	AnswerCache bool               `json:"answer_cache,omitempty"`
 	Mix         loadgen.Mix        `json:"mix"`
 	Levels      []loadgen.Result   `json:"levels"`
 	Finding     finding            `json:"finding"`
@@ -313,7 +307,7 @@ func runLevel(ctx context.Context, target loadgen.Target, cfg loadgen.Config, qu
 
 // buildScenario assembles the in-process registry and document for one
 // built-in scenario, generating a document when none is supplied.
-func buildScenario(builtin, docPath string, genSeed int64, genRepeat int, engineCfg core.Config) (*policy.Registry, *xmltree.Document, error) {
+func buildScenario(builtin, docPath string, genSeed int64, genRepeat int) (*policy.Registry, *xmltree.Document, error) {
 	var spec *access.Spec
 	var class string
 	var gen func(repeat int) *xmltree.Document
@@ -343,7 +337,7 @@ func buildScenario(builtin, docPath string, genSeed int64, genRepeat int, engine
 	default:
 		return nil, nil, fmt.Errorf("unknown scenario %q (want hospital, hospital-large, adex, fig7, or forum)", builtin)
 	}
-	reg := policy.NewRegistryWithConfig(spec.D, 0, engineCfg)
+	reg := policy.NewRegistry(spec.D)
 	if _, err := reg.DefineSpec(class, spec); err != nil {
 		return nil, nil, err
 	}

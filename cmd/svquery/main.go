@@ -12,15 +12,12 @@
 //
 // Flags -show-rewrite and -show-optimize print the intermediate queries;
 // -explain prints a JSON explain document instead of the result XML
-// (the intermediate queries plus fresh per-phase timings and the eval
-// mode — the CLI twin of the server's /explainz); -no-optimize skips
-// the optimization pass. -stats prints
-// the engine's plan-cache and evaluation counters to stderr, plus the
-// query's fingerprint (the hash the server's /queryz rows and event-log
-// records key on); -anscache
-// answers repeats (and provably-contained restrictions) from a bounded
-// semantic answer cache; -repeat re-runs the query to exercise the
-// plan and answer caches; -timeout bounds each
+// (the intermediate queries plus fresh per-phase timings — the CLI twin
+// of the server's /explainz); -no-optimize skips the optimization pass.
+// -stats prints the engine's plan-cache and evaluation counters to
+// stderr, plus the query's fingerprint (the hash the server's /queryz
+// rows and event-log records key on); -repeat re-runs the query to
+// exercise the plan cache; -timeout bounds each
 // evaluation with a deadline (a query that exceeds it fails with a
 // context error).
 package main
@@ -52,11 +49,10 @@ func main() {
 		query      = flag.String("q", "", "XPath query over the security view")
 		showRw     = flag.Bool("show-rewrite", false, "print the rewritten document query")
 		showOpt    = flag.Bool("show-optimize", false, "print the optimized document query")
-		explain    = flag.Bool("explain", false, "print a JSON explain (per-phase timings, intermediate queries, eval mode) instead of the result")
+		explain    = flag.Bool("explain", false, "print a JSON explain (per-phase timings, intermediate queries) instead of the result")
 		noOptimize = flag.Bool("no-optimize", false, "skip the DTD-based optimization pass")
-		anscache   = flag.Bool("anscache", false, "answer repeated or provably-contained queries from a bounded answer cache (pair with -repeat)")
 		stats      = flag.Bool("stats", false, "print plan-cache and evaluation counters to stderr")
-		repeat     = flag.Int("repeat", 1, "run the query this many times (repeats hit the plan and answer caches)")
+		repeat     = flag.Int("repeat", 1, "run the query this many times (repeats hit the plan cache)")
 		timeout    = flag.Duration("timeout", 0, "per-evaluation deadline, e.g. 250ms (0 = none)")
 		params     cli.Params
 	)
@@ -69,7 +65,7 @@ func main() {
 	if *repeat < 1 {
 		*repeat = 1
 	}
-	engine, err := buildEngine(*viewPath, *builtin, *dtdPath, *specPath, params, core.Config{AnswerCache: *anscache})
+	engine, err := buildEngine(*viewPath, *builtin, *dtdPath, *specPath, params)
 	if err != nil {
 		fatal(err)
 	}
@@ -185,14 +181,9 @@ func printStats(engine *core.Engine, show bool, qm *obs.QueryMetrics) {
 	fmt.Fprintf(os.Stderr, "plan cache:   %d hits, %d misses, %d evictions, %d/%d entries\n",
 		s.PlanCache.Hits, s.PlanCache.Misses, s.PlanCache.Evictions, s.PlanCache.Entries, s.PlanCache.Capacity)
 	fmt.Fprintf(os.Stderr, "evaluation:   %d evals\n", s.Evals)
-	if s.AnswerCache.Capacity > 0 {
-		fmt.Fprintf(os.Stderr, "answer cache: %d hits, %d containment hits, %d misses, %d evictions, %d/%d entries\n",
-			s.AnswerCache.Hits, s.AnswerCache.ContainmentHits, s.AnswerCache.Misses,
-			s.AnswerCache.Evictions, s.AnswerCache.Entries, s.AnswerCache.Capacity)
-	}
 }
 
-func buildEngine(viewPath, builtin, dtdPath, specPath string, params cli.Params, cfg core.Config) (*core.Engine, error) {
+func buildEngine(viewPath, builtin, dtdPath, specPath string, params cli.Params) (*core.Engine, error) {
 	if viewPath != "" {
 		data, err := os.ReadFile(viewPath)
 		if err != nil {
@@ -202,7 +193,7 @@ func buildEngine(viewPath, builtin, dtdPath, specPath string, params cli.Params,
 		if err != nil {
 			return nil, err
 		}
-		return core.FromViewConfig(view, cfg)
+		return core.FromView(view)
 	}
 	spec, err := cli.LoadSpec(builtin, dtdPath, specPath)
 	if err != nil {
@@ -211,7 +202,7 @@ func buildEngine(viewPath, builtin, dtdPath, specPath string, params cli.Params,
 	if spec, err = cli.BindIfNeeded(spec, params); err != nil {
 		return nil, err
 	}
-	return core.NewWithConfig(spec, cfg)
+	return core.New(spec)
 }
 
 func fatal(err error) {

@@ -17,21 +17,19 @@
 //	GET /metricsz — the same counters plus per-phase latency histograms
 //	                in Prometheus text exposition format
 //	GET /queryz   — per-fingerprint query statistics (top-K by eval
-//	                time, count, total time, or answer-cache miss rate)
+//	                time, total time, or count)
 //	GET /explainz — one query with fresh per-phase timings and the
 //	                intermediate query strings, plus the request's record
 //	GET /healthz  — 200 while serving, 503 once drain has begun
 //	GET /debug/pprof/* — the runtime profiler
 //
 // Flags -timeout and -max-timeout bound each request's evaluation
-// deadline; -max-inflight caps concurrent evaluations; -anscache lets
-// engines answer repeated or provably-contained
-// queries from a bounded semantic answer cache (-anscache-cap bounds
-// it); -slow-query sets the slow-query threshold. -qstats-cap bounds the
-// /queryz fingerprint registry. -eventlog FILE writes each error and
-// slow query's record as one JSONL wide event (-eventlog-sample N
-// additionally samples one request in N), size-rotated at
-// -eventlog-max-bytes; without it slow queries are only counted.
+// deadline; -max-inflight caps concurrent evaluations; -slow-query sets
+// the slow-query threshold. -qstats-cap bounds the /queryz fingerprint
+// registry. -eventlog FILE writes each error and slow query's record as
+// one JSONL wide event (-eventlog-sample N additionally samples one
+// request in N), size-rotated at -eventlog-max-bytes; without it slow
+// queries are only counted.
 package main
 
 import (
@@ -48,7 +46,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/policy"
 	"repro/internal/serve"
@@ -72,8 +69,6 @@ func main() {
 		timeout     = flag.Duration("timeout", serve.DefaultTimeout, "default per-request evaluation deadline")
 		maxTimeout  = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "hard cap on per-request deadlines")
 		maxInFlight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "maximum concurrently evaluating queries (excess gets 429)")
-		anscache    = flag.Bool("anscache", false, "answer repeated or provably-contained queries from a bounded per-engine answer cache")
-		anscacheCap = flag.Int("anscache-cap", 0, "answer-cache entries per engine (0 = default)")
 		headerWait  = flag.Duration("read-header-timeout", 5*time.Second, "how long a connection may take to send its request headers")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries on SIGINT/SIGTERM")
 		slowQuery   = flag.Duration("slow-query", serve.DefaultSlowQuery, "count queries slower than this, and log them as slow events with -eventlog (negative disables)")
@@ -89,11 +84,7 @@ func main() {
 	if *docPath == "" {
 		fatal(fmt.Errorf("need -doc"))
 	}
-	engineCfg := core.Config{
-		AnswerCache:         *anscache,
-		AnswerCacheCapacity: *anscacheCap,
-	}
-	reg, err := buildRegistry(*builtin, *dtdPath, classes, engineCfg)
+	reg, err := buildRegistry(*builtin, *dtdPath, classes)
 	if err != nil {
 		fatal(err)
 	}
@@ -166,13 +157,13 @@ func main() {
 // buildRegistry assembles the user classes: either a built-in scenario
 // (one class under its conventional name) or a DTD file plus one
 // -class name=annfile per user class.
-func buildRegistry(builtin, dtdPath string, classes classFlags, engineCfg core.Config) (*policy.Registry, error) {
+func buildRegistry(builtin, dtdPath string, classes classFlags) (*policy.Registry, error) {
 	if builtin != "" {
 		spec, err := cli.LoadSpec(builtin, "", "")
 		if err != nil {
 			return nil, err
 		}
-		reg := policy.NewRegistryWithConfig(spec.D, 0, engineCfg)
+		reg := policy.NewRegistry(spec.D)
 		if _, err := reg.DefineSpec(builtinClassNames[builtin], spec); err != nil {
 			return nil, err
 		}
@@ -185,7 +176,7 @@ func buildRegistry(builtin, dtdPath string, classes classFlags, engineCfg core.C
 	if err != nil {
 		return nil, err
 	}
-	reg := policy.NewRegistryWithConfig(d, 0, engineCfg)
+	reg := policy.NewRegistry(d)
 	for _, c := range classes {
 		src, err := os.ReadFile(c.path)
 		if err != nil {

@@ -81,7 +81,8 @@ type Report struct {
 // Config controls a run.
 type Config struct {
 	DataSets []DataSet
-	// Repeats averages each timing over this many evaluations (default 3).
+	// Repeats times each cell over this many evaluations and reports
+	// their median (default 3).
 	Repeats int
 	// Seed feeds the generator (data sets use Seed+i).
 	Seed int64
@@ -165,22 +166,33 @@ func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, 
 		cell.Results = len(rv)
 	}
 
-	timeEval := func(p xpath.Path) time.Duration {
-		var total time.Duration
-		for i := 0; i < cfg.Repeats; i++ {
+	// Each repeat evaluates the approaches back to back, so a stretch of
+	// machine load falls on all of them alike, and each cell reports the
+	// median: one evaluation slowed by a GC cycle or a preemption does
+	// not move it, as it would a mean.
+	paths := []xpath.Path{pn, pt}
+	if cell.OptimizeDiffers && !cell.EmptyAfterOptimize {
+		paths = append(paths, po)
+	}
+	times := make([][]time.Duration, len(paths))
+	for i := 0; i < cfg.Repeats; i++ {
+		for j, p := range paths {
 			start := time.Now()
 			xpath.EvalDoc(p, doc)
-			total += time.Since(start)
+			times[j] = append(times[j], time.Since(start))
 		}
-		return total / time.Duration(cfg.Repeats)
+	}
+	median := func(ts []time.Duration) time.Duration {
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		return ts[len(ts)/2]
 	}
 
-	cell.Naive = timeEval(pn)
-	cell.Rewrite = timeEval(pt)
+	cell.Naive = median(times[0])
+	cell.Rewrite = median(times[1])
 	if cell.EmptyAfterOptimize {
 		cell.Optimize = 0
 	} else if cell.OptimizeDiffers {
-		cell.Optimize = timeEval(po)
+		cell.Optimize = median(times[2])
 	} else {
 		cell.Optimize = cell.Rewrite
 	}

@@ -23,12 +23,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/anscache"
 	"repro/internal/dtd"
 	"repro/internal/obs"
 	"repro/internal/optimize"
@@ -42,9 +40,6 @@ import (
 // Default capacities for the engine's caches.
 const (
 	DefaultPlanCacheCapacity = 512
-	// DefaultAnswerCacheCapacity bounds the semantic answer cache
-	// (Config.AnswerCache): each entry pins a result node-set.
-	DefaultAnswerCacheCapacity = 256
 
 	// Deprecated: no effect. Label indexes belong to the document
 	// (xmltree.Document.Labeled), one per document shared by every
@@ -62,24 +57,15 @@ const (
 var ErrUnboundVars = errors.New("query has unbound variables")
 
 // Config tunes an engine's serving layer. The zero value gives the
-// defaults: bounded plan cache, answer cache off.
+// defaults: a bounded plan cache.
 type Config struct {
 	// PlanCacheCapacity bounds the query → Prepared cache. 0 means
 	// DefaultPlanCacheCapacity.
 	PlanCacheCapacity int
-	// AnswerCache turns on the semantic answer cache: evaluated result
-	// node-sets are cached per (engine epoch, document, optimized plan)
-	// and an incoming query is answered from a cached entry the
-	// optimizer's containment test proves equal to it or a
-	// qualifier-filtered restriction of it (see internal/anscache). Off
-	// by default: the cache trades memory (pinned node-sets) and
-	// per-miss containment proofs for skipped evaluations, which pays on
-	// repeated-query workloads.
-	AnswerCache bool
-	// AnswerCacheCapacity bounds the answer cache. 0 means
-	// DefaultAnswerCacheCapacity.
-	AnswerCacheCapacity int
 
+	// Deprecated: no effect. Every query is evaluated; the engine keeps
+	// no answer cache (see DESIGN.md §4.7).
+	AnswerCache bool
 	// Deprecated: no effect. The evaluator always reads the document's
 	// label index (see DefaultIndexThreshold).
 	Indexed bool
@@ -104,21 +90,14 @@ func (c Config) planCap() int {
 	return DefaultPlanCacheCapacity
 }
 
-func (c Config) answerCap() int {
-	if c.AnswerCacheCapacity > 0 {
-		return c.AnswerCacheCapacity
-	}
-	return DefaultAnswerCacheCapacity
-}
-
 // Engine enforces one access policy under one parameter binding. It is
-// a handle: the derived security view, the rewriter and optimizer, the
-// plan cache and the answer cache belong to the policy (state) and are
-// shared by every handle Bind returns, so a ward-6 and a ward-7 nurse
-// share one plan per query shape. The handle adds only the binding,
-// which evaluation reads as an environment. An Engine is cheap to keep
-// around and reuse across documents and queries. All methods are safe
-// for concurrent use.
+// a handle: the derived security view, the rewriter and optimizer and
+// the plan cache belong to the policy (state) and are shared by every
+// handle Bind returns, so a ward-6 and a ward-7 nurse share one plan
+// per query shape. The handle adds only the binding, which evaluation
+// reads as an environment. An Engine is cheap to keep around and reuse
+// across documents and queries. All methods are safe for concurrent
+// use.
 type Engine struct {
 	s *state
 	// params binds the specification's $parameters; bound reports that
@@ -143,16 +122,6 @@ type state struct {
 	// parameterized query (xpath.Parameterize), so repeated query shapes
 	// skip rewrite+optimize whatever their literals and binding.
 	plans *plancache.Cache[*Prepared]
-
-	// answers is the semantic answer cache (Config.AnswerCache), nil
-	// when disabled. Keys embed epoch, so BumpEpoch strands — and then
-	// purges — every entry.
-	answers *anscache.Cache
-
-	// epoch counts document/policy rebinds the engine has been told
-	// about (BumpEpoch). It prefixes every answer-cache key, so answers
-	// derived before a swap are unreachable by construction afterward.
-	epoch atomic.Uint64
 
 	queries   atomic.Uint64
 	cancelled atomic.Uint64
@@ -206,16 +175,13 @@ func FromViewConfig(view *secview.View, cfg Config) (*Engine, error) {
 		rw:    rw,
 		plans: plancache.New[*Prepared](cfg.planCap()),
 	}
-	if cfg.AnswerCache {
-		s.answers = anscache.New(cfg.answerCap())
-	}
 	return &Engine{s: s, bound: len(s.vars) == 0}, nil
 }
 
 // Bind returns the handle that evaluates under a parameter binding. It
 // fails when a specification parameter has no value; values for names
 // the specification does not use are ignored. Binding derives nothing:
-// the handle shares the view, the plans and the caches of e.
+// the handle shares the view and the plans of e.
 func (e *Engine) Bind(params map[string]string) (*Engine, error) {
 	if len(e.s.vars) == 0 {
 		return e, nil
@@ -241,26 +207,6 @@ func (e *Engine) DocumentDTD() *dtd.DTD { return e.s.spec.D }
 
 // Spec returns the access specification, $parameters unbound.
 func (e *Engine) Spec() *access.Spec { return e.s.spec }
-
-// Epoch returns the engine's current document/policy epoch. The epoch
-// is part of every answer-cache key, so cached answers from before a
-// BumpEpoch can never be served after it.
-func (e *Engine) Epoch() uint64 { return e.s.epoch.Load() }
-
-// BumpEpoch advances the epoch, called when a document the engine has
-// served (or the policy behind it) is swapped out from under it. Every
-// handle of the policy shares the epoch. Every cached answer becomes
-// unreachable by key immediately — staleness by construction — and the
-// answer cache is purged to reclaim the memory; plans survive, because
-// a plan depends only on the policy and the query shape, never on a
-// document. Label indexes need no purge: each document owns its index,
-// keyed by the document's generation.
-func (e *Engine) BumpEpoch() {
-	e.s.epoch.Add(1)
-	if e.s.answers != nil {
-		e.s.answers.Purge()
-	}
-}
 
 // RewriteMode names the engine's rewriting strategy: "flat" for a
 // non-recursive view, "height-free" for a recursive view rewritten via
@@ -362,56 +308,24 @@ func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, er
 // bound a query with a deadline or cancel it mid-flight. Plan rewriting
 // and caching complete normally either way — a cancelled query leaves
 // the plan cache exactly as a successful one would, so a retry hits the
-// cached plan.
-//
-// With Config.AnswerCache on, the prepared plan is first offered to the
-// semantic answer cache: a provably-equal cached plan answers directly,
-// a provable base-of-trailing-qualifiers match answers by filtering the
-// cached node-set, and only a miss runs the evaluator (whose successful
-// result is then cached). Answers are cached per environment — binding
-// and literal values — since one plan serves them all. Hits report eval
-// mode "cached".
+// cached plan. Every query runs the evaluator.
 func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
 	e.s.queries.Add(1)
 	prep, lits, err := e.prepared(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	env := e.env(lits)
-	qm := obs.QueryMetricsFromContext(ctx)
-	if qm != nil {
+	if qm := obs.QueryMetricsFromContext(ctx); qm != nil {
 		// The rendered optimized plan is the request's fingerprint basis
 		// (see internal/qstats); it is precomputed on the Prepared, so
 		// surfacing it is a field copy on hits and misses alike.
 		qm.PlanText = prep.text
 	}
-	var group string
-	if e.s.answers != nil {
-		group = e.docGroup(doc, env)
-		out, kind, err := e.s.answers.Lookup(ctx, group, prep.text, prep.Optimized, env, e.s.opt)
-		if err != nil {
-			e.noteCancel(err)
-			return nil, err
-		}
-		if qm != nil {
-			qm.AnswerCacheHit = kind.String()
-		}
-		if kind != anscache.KindMiss {
-			if qm != nil {
-				qm.EvalMode = obs.ModeCached
-			}
-			return out, nil
-		}
-	}
-	out, err := e.evalPrepared(ctx, prep, doc, env)
+	out, err := e.evalPrepared(ctx, prep, doc, e.env(lits))
 	if err != nil {
 		e.noteCancel(err)
-		return out, err
 	}
-	if e.s.answers != nil {
-		e.s.answers.Put(group, prep.text, prep.Optimized, out)
-	}
-	return out, nil
+	return out, err
 }
 
 // noteCancel counts a query that ended with a context error.
@@ -419,36 +333,6 @@ func (e *Engine) noteCancel(err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		e.s.cancelled.Add(1)
 	}
-}
-
-// docGroup keys a document and an environment for the answer cache:
-// the engine epoch, the document's id, and every value the plan reads —
-// the specification parameters (in sorted order) and the query
-// literals. Handles of one policy share the cache and its plans, so the
-// values must be in the key: a ward-6 answer must never serve ward 7.
-// The epoch prefix makes every pre-swap entry unreachable after
-// BumpEpoch. Each value is length-prefixed, so no value can forge
-// another's key.
-func (e *Engine) docGroup(doc *xmltree.Document, env xpath.Env) string {
-	b := make([]byte, 0, 64)
-	b = strconv.AppendUint(b, e.s.epoch.Load(), 10)
-	b = append(b, 0)
-	b = strconv.AppendUint(b, doc.ID(), 10)
-	for _, v := range e.s.vars {
-		b = appendValue(b, env.Params[v])
-	}
-	b = append(b, 0)
-	for _, v := range env.Literals {
-		b = appendValue(b, v)
-	}
-	return string(b)
-}
-
-func appendValue(b []byte, v string) []byte {
-	b = append(b, 0)
-	b = strconv.AppendInt(b, int64(len(v)), 10)
-	b = append(b, ':')
-	return append(b, v...)
 }
 
 // evalPrepared runs the evaluation phase. When the context carries a
@@ -461,7 +345,6 @@ func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.
 	out, visited, err := xpath.EvalDocEnvCtx(ctx, prep.Optimized, doc, env)
 	if qm != nil {
 		qm.Eval = time.Since(start)
-		qm.EvalMode = obs.ModeEval
 		qm.NodesVisited = visited
 	}
 	return out, err
@@ -511,10 +394,8 @@ type Explain struct {
 	MemoCells      int    `json:"memo_cells"`
 	RulesFired     uint64 `json:"rules_fired"`
 	PrunedBranches uint64 `json:"pruned_branches"`
-	// EvalMode is obs.ModeEval: explain always evaluates. NodesVisited
-	// is the evaluator's work counter for this run (see
+	// NodesVisited is the evaluator's work counter for this run (see
 	// obs.QueryMetrics).
-	EvalMode     string `json:"eval_mode"`
 	NodesVisited uint64 `json:"nodes_visited,omitempty"`
 	ResultCount  int    `json:"result_count"`
 	// DocHeight is the document's height; RecursiveView flags the view
@@ -527,12 +408,6 @@ type Explain struct {
 	// plan cache for this query (explain re-measures regardless, and
 	// re-caches its fresh plan).
 	PlanWasCached bool `json:"plan_was_cached"`
-	// AnswerCacheHit is the answer-cache outcome the serving path would
-	// have seen for this (document, plan, environment): "equal",
-	// "containment", or "miss"; empty when Config.AnswerCache is off.
-	// Explain still evaluates fresh — the phase timings above are always
-	// measured — and caches its fresh answer like a served query would.
-	AnswerCacheHit string `json:"answer_cache_hit,omitempty"`
 }
 
 // ExplainCtx answers a view query like QueryCtx while measuring every
@@ -576,22 +451,10 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	prep := newPrepared(po)
 	e.s.plans.Put(key, prep)
 	qm.PlanText = prep.text
-	var group string
-	if e.s.answers != nil {
-		// Probe the answer cache for the report, then evaluate fresh
-		// anyway: explain's contract is measured phases.
-		group = e.docGroup(doc, env)
-		if _, kind, lerr := e.s.answers.Lookup(ctx, group, prep.text, prep.Optimized, env, e.s.opt); lerr == nil {
-			qm.AnswerCacheHit = kind.String()
-		}
-	}
 	out, err := e.evalPrepared(ctx, prep, doc, env)
 	if err != nil {
 		e.noteCancel(err)
 		return nil, err
-	}
-	if e.s.answers != nil {
-		e.s.answers.Put(group, prep.text, prep.Optimized, out)
 	}
 	ex.Rewritten = xpath.String(pt)
 	ex.Optimized = prep.text
@@ -601,9 +464,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	ex.RewriteNs = qm.Rewrite.Nanoseconds()
 	ex.OptimizeNs = qm.Optimize.Nanoseconds()
 	ex.EvalNs = qm.Eval.Nanoseconds()
-	ex.EvalMode = qm.EvalMode
 	ex.NodesVisited = qm.NodesVisited
-	ex.AnswerCacheHit = qm.AnswerCacheHit
 	ex.ResultCount = len(out)
 	return ex, nil
 }
@@ -632,13 +493,7 @@ type Stats struct {
 	// PlanCacheNodes sums the AST size of every cached optimized plan,
 	// the memory-side view of the plan cache.
 	PlanCacheNodes int `json:"plan_cache_nodes"`
-	// AnswerCache reports the semantic answer cache (Config.AnswerCache;
-	// zero when off). Hits are equal hits; ContainmentHits count answers
-	// assembled by qualifier-filtering a cached superset.
-	AnswerCache anscache.Stats `json:"answer_cache"`
-	// Epoch is the engine's document/policy epoch (see BumpEpoch).
-	Epoch uint64 `json:"epoch"`
-	// Evals counts evaluator runs; answer-cache hits run none.
+	// Evals counts evaluator runs.
 	Evals uint64 `json:"evals"`
 	// OptimizeRules and OptimizePruned count the optimizer's DTD-driven
 	// simplification decisions and the subtrees they removed (see
@@ -652,13 +507,7 @@ func (e *Engine) Stats() Stats {
 	rules, pruned := e.s.opt.Stats()
 	nodes := 0
 	e.s.plans.Each(func(_ string, prep *Prepared) { nodes += prep.nodes })
-	var ans anscache.Stats
-	if e.s.answers != nil {
-		ans = e.s.answers.Stats()
-	}
 	return Stats{
-		AnswerCache:    ans,
-		Epoch:          e.s.epoch.Load(),
 		Queries:        e.s.queries.Load(),
 		Cancelled:      e.s.cancelled.Load(),
 		PlanCache:      e.s.plans.Stats(),
@@ -690,8 +539,8 @@ type Prepared struct {
 	Env xpath.Env
 
 	// text is xpath.String(Optimized) and nodes its AST size, computed
-	// once at build time: text is the answer cache's exact-match key and
-	// the query fingerprint's basis, needed per query.
+	// once at build time: text is the query fingerprint's basis, needed
+	// per query.
 	text  string
 	nodes int
 }

@@ -167,8 +167,7 @@ func AdexMix() Mix {
 // its class, query, and binding but its weight becomes round(64 /
 // (i+1)^s), floored at 1, so the leading entries dominate the traffic.
 // Real query logs are popularity-skewed — a few hot queries asked over
-// and over — and this is the workload a semantic answer cache exists
-// for; s <= 0 returns the mix unchanged (uniform default weights
+// and over; s <= 0 returns the mix unchanged (uniform default weights
 // untouched).
 func ZipfMix(m Mix, s float64) Mix {
 	if s <= 0 {

@@ -18,8 +18,7 @@
 // Pooling: Get/Put recycle Sets through a global sync.Pool so
 // steady-state evaluation does near-zero set allocation. Ownership is
 // strictly caller-tracked — a Set obtained from Get must be Put exactly
-// once, and nothing may retain a pooled Set across Put. Long-lived
-// holders (the answer cache) use New/Clone, which never touch the pool.
+// once, and nothing may retain a pooled Set across Put.
 package nodeset
 
 import (
@@ -34,15 +33,6 @@ const wordBits = 64
 type Set struct {
 	words []uint64
 	n     int // universe size in bits
-}
-
-// New returns an empty set over the universe [0, n). The set is heap
-// allocated and never pooled — use it for long-lived storage (caches);
-// transient evaluation scratch should come from Get.
-func New(n int) *Set {
-	s := &Set{}
-	s.Reset(n)
-	return s
 }
 
 // Reset re-sizes the set to the universe [0, n) and clears it. Backing
@@ -124,13 +114,6 @@ func (s *Set) AndNot(t *Set) {
 func (s *Set) Copy(t *Set) {
 	s.Reset(t.n)
 	copy(s.words, t.words)
-}
-
-// Clone returns a fresh, never-pooled copy — for storage that outlives
-// the evaluation that built the set (the answer cache).
-func (s *Set) Clone() *Set {
-	c := &Set{words: append([]uint64(nil), s.words...), n: s.n}
-	return c
 }
 
 // Count returns the number of members.

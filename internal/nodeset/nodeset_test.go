@@ -111,7 +111,7 @@ func TestSetOpsRandomized(t *testing.T) {
 // at exact word boundaries.
 func TestAddRangeBoundaries(t *testing.T) {
 	for _, tc := range [][2]int{{0, 0}, {0, 63}, {63, 64}, {64, 127}, {0, 128}, {5, 5}, {62, 130}, {10, 3}} {
-		s := New(200)
+		s := newSet(200)
 		s.AddRange(tc[0], tc[1])
 		for i := 0; i < 200; i++ {
 			want := tc[0] <= i && i <= tc[1]
@@ -138,22 +138,30 @@ func TestPoolReuseIsClean(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence verifies Clone snapshots don't alias.
-func TestCloneIndependence(t *testing.T) {
-	s := New(100)
+// TestCopyIndependence verifies a Copy does not alias its source.
+func TestCopyIndependence(t *testing.T) {
+	s := newSet(100)
 	s.Add(3)
-	c := s.Clone()
+	c := newSet(1)
+	c.Copy(s)
 	s.Add(7)
 	if c.Has(7) {
-		t.Fatal("clone aliases source")
+		t.Fatal("copy aliases source")
 	}
-	if !c.Has(3) {
-		t.Fatal("clone missing member")
+	if !c.Has(3) || c.Universe() != 100 {
+		t.Fatal("copy missing member or universe")
 	}
 }
 
+// newSet returns an empty, never-pooled set over [0, n).
+func newSet(n int) *Set {
+	s := &Set{}
+	s.Reset(n)
+	return s
+}
+
 func BenchmarkOrLarge(b *testing.B) {
-	s, t2 := New(10240), New(10240)
+	s, t2 := newSet(10240), newSet(10240)
 	for i := 0; i < 10240; i += 3 {
 		t2.Add(i)
 	}

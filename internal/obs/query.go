@@ -20,14 +20,6 @@ import (
 	"unicode/utf8"
 )
 
-// Eval modes reported by the pipeline: ModeEval when the evaluator
-// ran, ModeCached when the answer came from the semantic answer cache
-// and no evaluator ran at all (see internal/anscache).
-const (
-	ModeEval   = "eval"
-	ModeCached = "cached"
-)
-
 // QueryMetrics is the record of one request. The server installs one
 // per admitted request (WithQueryMetrics); the pipeline layers write
 // their phase durations and cache outcomes into it, and the server adds
@@ -74,22 +66,16 @@ type QueryMetrics struct {
 	// definition, so every bound request sets it).
 	PlanCacheHit   bool
 	EngineCacheHit bool
-	// AnswerCacheHit is the answer-cache outcome when the engine has one
-	// enabled: "equal", "containment", or "miss" (anscache.Kind.String);
-	// empty when the cache is off.
-	AnswerCacheHit string
 
-	// EvalMode is ModeEval or ModeCached.
-	EvalMode string
 	// NodesVisited counts the evaluator's cooperation ticks (one per
 	// path step plus one per node in the hot loops) — a work-done proxy.
 	NodesVisited uint64
 
 	// PlanText is the optimized-plan text of the plan that served the
-	// request — the normalization the answer cache keys on, and (paired
-	// with the user class) the basis of the server's query fingerprint
-	// (see internal/qstats). The engine stores the rendered text with
-	// the cached plan, so surfacing it costs a field copy, not a render.
+	// request; paired with the user class, it is the basis of the
+	// server's query fingerprint (see internal/qstats). The engine stores
+	// the rendered text with the cached plan, so surfacing it costs a
+	// field copy, not a render.
 	PlanText string
 }
 
@@ -142,8 +128,6 @@ func (m *QueryMetrics) MarshalJSON() ([]byte, error) {
 		EvalUs       int64             `json:"eval_us"`
 		SerializeUs  int64             `json:"serialize_us"`
 		PlanCacheHit bool              `json:"plan_cache_hit"`
-		AnswerCache  string            `json:"answer_cache,omitempty"`
-		EvalMode     string            `json:"eval_mode,omitempty"`
 		NodesVisited uint64            `json:"nodes_visited"`
 		ResultCount  int               `json:"result_count"`
 	}{
@@ -151,7 +135,7 @@ func (m *QueryMetrics) MarshalJSON() ([]byte, error) {
 		truncate(m.Query), m.Fingerprint,
 		m.Total.Microseconds(), m.Rewrite.Microseconds(), m.Optimize.Microseconds(),
 		m.Eval.Microseconds(), m.Serialize.Microseconds(),
-		m.PlanCacheHit, m.AnswerCacheHit, m.EvalMode, m.NodesVisited, m.ResultCount,
+		m.PlanCacheHit, m.NodesVisited, m.ResultCount,
 	})
 }
 

@@ -31,7 +31,7 @@ func TestWithQueryMetricsNilCarrier(t *testing.T) {
 }
 
 func TestQueryMetricsRoundTrip(t *testing.T) {
-	qm := &QueryMetrics{EvalMode: ModeEval}
+	qm := &QueryMetrics{RequestID: 1}
 	ctx := WithQueryMetrics(context.Background(), qm)
 	if got := QueryMetricsFromContext(ctx); got != qm {
 		t.Errorf("round trip returned %p, want %p", got, qm)
@@ -60,8 +60,6 @@ func TestRecordJSONGolden(t *testing.T) {
 		Serialize:      444 * time.Microsecond,
 		PlanCacheHit:   true,
 		EngineCacheHit: true,
-		AnswerCacheHit: "miss",
-		EvalMode:       ModeEval,
 		NodesVisited:   55,
 		PlanText:       "/hospital/dept",
 	}
@@ -73,7 +71,7 @@ func TestRecordJSONGolden(t *testing.T) {
 		`"params":{"bed":"` + strings.Repeat("b", MaxLoggedBytes) + `...[truncated]","wardNo":"7"},` +
 		`"status":200,"query":"//patient[name = \"\u003cx\u003e\"]/name","fingerprint":"9f3c",` +
 		`"total_us":1234,"rewrite_us":11,"optimize_us":22,"eval_us":333,"serialize_us":444,` +
-		`"plan_cache_hit":true,"answer_cache":"miss","eval_mode":"eval","nodes_visited":55,"result_count":3}`
+		`"plan_cache_hit":true,"nodes_visited":55,"result_count":3}`
 	if string(got) != want {
 		t.Errorf("record JSON\n got %s\nwant %s", got, want)
 	}

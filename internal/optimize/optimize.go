@@ -13,8 +13,8 @@ import (
 // stateful only as a cache of DTD facts: reach sets, recProc tables for
 // '//' and reaching sets are shared across queries under a mutex, so an
 // Optimizer is safe for concurrent use. The DP memo lives for one public
-// call (OptimizeAt, OptimizeCounted, Reach, Contains, Equivalent): plans are
-// cached by the caller, so a memo kept across calls would only hold
+// call (OptimizeAt, OptimizeCounted, Reach): plans are cached by the
+// caller, so a memo kept across calls would only hold
 // heap, and a plan never depends on the calls made before it.
 type Optimizer struct {
 	mu sync.Mutex

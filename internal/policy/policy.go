@@ -63,8 +63,8 @@ func NewRegistry(d *dtd.DTD) *Registry {
 }
 
 // NewRegistryWithConfig is NewRegistry with serving-layer tuning:
-// engineCfg is handed to every class's engine (plan-cache size, answer
-// cache). engineCap has no effect (see DefaultEngineCacheCapacity).
+// engineCfg is handed to every class's engine (plan-cache size).
+// engineCap has no effect (see DefaultEngineCacheCapacity).
 func NewRegistryWithConfig(d *dtd.DTD, engineCap int, engineCfg core.Config) *Registry {
 	return &Registry{
 		d:         d,
@@ -145,21 +145,6 @@ func (c *Class) EngineCtx(ctx context.Context, params map[string]string) (*core.
 	return e, nil
 }
 
-// BumpEpoch advances the epoch of the class's engine (see
-// core.Engine.BumpEpoch): every cached answer, under any binding,
-// becomes unreachable.
-func (c *Class) BumpEpoch() { c.engine.BumpEpoch() }
-
-// BumpEpoch advances the epoch of every class's engine. Servers call it
-// when a document is rebound (swapped, reloaded) so no answer derived
-// against the old tree can be served against the new one — even when
-// the tree was mutated in place.
-func (r *Registry) BumpEpoch() {
-	for _, name := range r.order {
-		r.classes[name].BumpEpoch()
-	}
-}
-
 // ClassStats is the serving counters of one user class: its one
 // engine's, shared by every binding.
 type ClassStats struct {
@@ -170,7 +155,7 @@ type ClassStats struct {
 	// RewriteMode is the engine's rewriting strategy ("flat" or
 	// "height-free"; see core.Engine.RewriteMode).
 	RewriteMode string `json:"rewrite_mode"`
-	// Engine holds the plan-cache, answer-cache and evaluation counters.
+	// Engine holds the plan-cache and evaluation counters.
 	Engine core.Stats `json:"engine"`
 }
 

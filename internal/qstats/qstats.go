@@ -1,8 +1,7 @@
 // Package qstats is the per-query-fingerprint statistics registry
 // behind the server's /queryz endpoint — pg_stat_statements for the
 // security-view serving stack. A fingerprint identifies one query shape
-// as the answer cache sees it: the (user class, optimized-plan text)
-// pair, so two surface queries that rewrite and optimize to the same
+// as the engine plans it: the (user class, optimized-plan text) pair, so two surface queries that rewrite and optimize to the same
 // plan share one row. A class's plans keep its $parameters and the
 // query's literals symbolic, so the same query under two parameter
 // bindings, or with two different literals, is one row too: a row is a
@@ -10,9 +9,8 @@
 //
 // Per fingerprint the registry keeps request counts, per-phase latency
 // digests (reusing internal/latency, so /queryz percentiles are honest
-// the same way /statsz ones are), eval-mode and set-representation
-// tallies, plan/answer-cache outcome counts, nodes-visited and
-// result-size sums, and a last-seen timestamp.
+// the same way /statsz ones are), plan-cache hit counts, nodes-visited
+// and result-size sums, and a last-seen timestamp.
 //
 // Cardinality is bounded by a sharded space-saving top-K structure:
 // when a shard is full, a new fingerprint replaces the shard's
@@ -63,7 +61,6 @@ const (
 	SortEvalTime  = "eval_time"  // cumulative eval-phase time (default)
 	SortTotalTime = "total_time" // cumulative end-to-end time
 	SortCount     = "count"      // request count
-	SortMissRate  = "miss_rate"  // answer-cache miss rate, count-weighted
 )
 
 // entry is one tracked fingerprint. Entries live behind their shard's
@@ -83,10 +80,6 @@ type entry struct {
 	slack uint64
 
 	planHits    uint64
-	ansEqual    uint64
-	ansContain  uint64
-	ansMiss     uint64
-	modes       map[string]uint64
 	nodes       uint64
 	resultNodes uint64
 	lastSeenNs  int64 // unix nanoseconds
@@ -136,7 +129,7 @@ func (r *Registry) Capacity() int {
 }
 
 // hashKey is the fingerprint hash: FNV-1a over class NUL plan — the
-// same normalization the answer cache keys on, prefixed by the class.
+// plan-cache entry's optimized text, prefixed by the class.
 func hashKey(class, plan string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(class))
@@ -192,7 +185,6 @@ func (r *Registry) Observe(m *obs.QueryMetrics) {
 			plan:  plan,
 			query: clip(m.Query),
 			hash:  h,
-			modes: make(map[string]uint64, 2),
 		}
 		if len(sh.entries) >= sh.cap {
 			// Space-saving replacement: evict the minimum-count row and
@@ -214,17 +206,6 @@ func (r *Registry) Observe(m *obs.QueryMetrics) {
 	e.count++
 	if m.PlanCacheHit {
 		e.planHits++
-	}
-	switch m.AnswerCacheHit {
-	case "equal":
-		e.ansEqual++
-	case "containment":
-		e.ansContain++
-	case "miss":
-		e.ansMiss++
-	}
-	if m.EvalMode != "" {
-		e.modes[m.EvalMode]++
 	}
 	e.nodes += m.NodesVisited
 	if m.ResultCount > 0 {
@@ -256,13 +237,7 @@ type FingerprintStats struct {
 	// is within [count-count_slack, count]. 0 (omitted) means exact.
 	CountSlack uint64 `json:"count_slack,omitempty"`
 
-	PlanCacheHits    uint64  `json:"plan_cache_hits"`
-	AnsCacheEqual    uint64  `json:"anscache_equal_hits,omitempty"`
-	AnsCacheContain  uint64  `json:"anscache_containment_hits,omitempty"`
-	AnsCacheMisses   uint64  `json:"anscache_misses,omitempty"`
-	AnsCacheMissRate float64 `json:"anscache_miss_rate,omitempty"`
-
-	EvalModes map[string]uint64 `json:"eval_modes,omitempty"`
+	PlanCacheHits uint64 `json:"plan_cache_hits"`
 
 	NodesVisited uint64 `json:"nodes_visited"`
 	ResultNodes  uint64 `json:"result_nodes"`
@@ -281,47 +256,25 @@ type FingerprintStats struct {
 	LastSeenUnixUs int64 `json:"last_seen_unix_us"`
 }
 
-// missRate is the count-weighted answer-cache miss rate: misses over
-// all requests with a recorded answer-cache outcome (0 when the cache
-// never reported, i.e. it is off).
-func (e *entry) missRate() float64 {
-	outcomes := e.ansEqual + e.ansContain + e.ansMiss
-	if outcomes == 0 {
-		return 0
-	}
-	return float64(e.ansMiss) / float64(outcomes)
-}
-
 func (e *entry) stats() FingerprintStats {
-	fs := FingerprintStats{
-		Class:            e.class,
-		Fingerprint:      strconv.FormatUint(e.hash, 16),
-		Query:            e.query,
-		Plan:             e.plan,
-		Count:            e.count,
-		CountSlack:       e.slack,
-		PlanCacheHits:    e.planHits,
-		AnsCacheEqual:    e.ansEqual,
-		AnsCacheContain:  e.ansContain,
-		AnsCacheMisses:   e.ansMiss,
-		AnsCacheMissRate: e.missRate(),
-		NodesVisited:     e.nodes,
-		ResultNodes:      e.resultNodes,
-		TotalSumUs:       e.total.SumNs() / 1e3,
-		EvalSumUs:        e.eval.SumNs() / 1e3,
-		Total:            e.total.Snapshot().Summarize(),
-		Rewrite:          e.rewrite.Snapshot().Summarize(),
-		Optimize:         e.optimize.Snapshot().Summarize(),
-		Eval:             e.eval.Snapshot().Summarize(),
-		LastSeenUnixUs:   e.lastSeenNs / 1e3,
+	return FingerprintStats{
+		Class:          e.class,
+		Fingerprint:    strconv.FormatUint(e.hash, 16),
+		Query:          e.query,
+		Plan:           e.plan,
+		Count:          e.count,
+		CountSlack:     e.slack,
+		PlanCacheHits:  e.planHits,
+		NodesVisited:   e.nodes,
+		ResultNodes:    e.resultNodes,
+		TotalSumUs:     e.total.SumNs() / 1e3,
+		EvalSumUs:      e.eval.SumNs() / 1e3,
+		Total:          e.total.Snapshot().Summarize(),
+		Rewrite:        e.rewrite.Snapshot().Summarize(),
+		Optimize:       e.optimize.Snapshot().Summarize(),
+		Eval:           e.eval.Snapshot().Summarize(),
+		LastSeenUnixUs: e.lastSeenNs / 1e3,
 	}
-	if len(e.modes) > 0 {
-		fs.EvalModes = make(map[string]uint64, len(e.modes))
-		for k, v := range e.modes {
-			fs.EvalModes[k] = v
-		}
-	}
-	return fs
 }
 
 // Top returns up to n fingerprints sorted descending by the given key
@@ -346,8 +299,6 @@ func (r *Registry) Top(n int, by string) []FingerprintStats {
 		switch by {
 		case SortCount:
 			return float64(fs.Count)
-		case SortMissRate:
-			return fs.AnsCacheMissRate
 		case SortTotalTime:
 			return float64(fs.TotalSumUs)
 		default:

@@ -16,7 +16,6 @@ func obsWith(class, plan, query string, eval time.Duration) *obs.QueryMetrics {
 		Query:        query,
 		Total:        eval + time.Millisecond,
 		Eval:         eval,
-		EvalMode:     "eval",
 		NodesVisited: 10,
 		ResultCount:  3,
 	}
@@ -27,7 +26,6 @@ func TestObserveAccumulates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		o := obsWith("nurse", "/hospital/ward/patient", "//patient", time.Duration(i+1)*time.Millisecond)
 		o.PlanCacheHit = i > 0
-		o.AnswerCacheHit = "miss"
 		r.Observe(o)
 	}
 	top := r.Top(0, SortEvalTime)
@@ -40,12 +38,6 @@ func TestObserveAccumulates(t *testing.T) {
 	}
 	if fs.PlanCacheHits != 4 {
 		t.Errorf("plan cache hits = %d, want 4", fs.PlanCacheHits)
-	}
-	if fs.AnsCacheMisses != 5 || fs.AnsCacheMissRate != 1 {
-		t.Errorf("anscache misses = %d rate %g, want 5 rate 1", fs.AnsCacheMisses, fs.AnsCacheMissRate)
-	}
-	if fs.EvalModes["eval"] != 5 {
-		t.Errorf("mode tallies = %v", fs.EvalModes)
 	}
 	if fs.NodesVisited != 50 || fs.ResultNodes != 15 {
 		t.Errorf("nodes = %d results = %d, want 50/15", fs.NodesVisited, fs.ResultNodes)
@@ -136,18 +128,13 @@ func TestTopSortAndLimit(t *testing.T) {
 		r.Observe(obsWith("c", "/cheap", "/cheap", time.Microsecond))
 	}
 	r.Observe(obsWith("c", "/slow", "/slow", 50*time.Millisecond))
-	o := obsWith("c", "/missy", "/missy", time.Millisecond)
-	o.AnswerCacheHit = "miss"
-	r.Observe(o)
+	r.Observe(obsWith("c", "/mid", "/mid", time.Millisecond))
 
 	if top := r.Top(1, SortEvalTime); len(top) != 1 || top[0].Plan != "/slow" {
 		t.Errorf("top by eval_time = %+v, want /slow", top)
 	}
 	if top := r.Top(1, SortCount); len(top) != 1 || top[0].Plan != "/cheap" {
 		t.Errorf("top by count = %+v, want /cheap", top)
-	}
-	if top := r.Top(1, SortMissRate); len(top) != 1 || top[0].Plan != "/missy" {
-		t.Errorf("top by miss_rate = %+v, want /missy", top)
 	}
 	if top := r.Top(1, SortTotalTime); len(top) != 1 || top[0].Plan != "/slow" {
 		t.Errorf("top by total_time = %+v, want /slow", top)

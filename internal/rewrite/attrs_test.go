@@ -97,6 +97,6 @@ func TestRewriteAttrEquivalence(t *testing.T) {
 		"patient[not(@ssn)]",
 		`//record[@code = "J11"]`,
 	} {
-		checkEquivalent(t, v, doc, q)
+		checkRewrite(t, v, doc, q)
 	}
 }

@@ -81,10 +81,10 @@ func hospitalInstance() *xmltree.Document {
 	))
 }
 
-// checkEquivalent verifies the defining property of Rewrite: p over the
+// checkRewrite verifies the defining property of Rewrite: p over the
 // materialized view equals p_t over the document (node-for-node through
 // the materialization correspondence).
-func checkEquivalent(t *testing.T, v *secview.View, doc *xmltree.Document, query string) {
+func checkRewrite(t *testing.T, v *secview.View, doc *xmltree.Document, query string) {
 	t.Helper()
 	m, err := secview.Materialize(v, doc)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestRewriteEquivalenceSuite(t *testing.T) {
 		"dept[staffInfo]",
 	}
 	for _, q := range queries {
-		checkEquivalent(t, v, doc, q)
+		checkRewrite(t, v, doc, q)
 	}
 }
 
@@ -372,7 +372,7 @@ func TestRewriteRecursiveUnfolded(t *testing.T) {
 func TestRewriteRecursiveEquivalence(t *testing.T) {
 	v, doc := recursiveViewFixture(t)
 	for _, q := range []string{".", "b", "a", "a/b", "//b", "//a", "//a[b = \"3\"]", "a/a/b", "//a[not(a)]"} {
-		checkEquivalent(t, v, doc, q)
+		checkRewrite(t, v, doc, q)
 	}
 }
 

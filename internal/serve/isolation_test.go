@@ -19,18 +19,17 @@ import (
 	"repro/internal/xpath"
 )
 
-// Cross-binding isolation. One plan serves every binding of a class, and
-// with the answer cache on, one cache holds every binding's answers, so
+// Cross-binding isolation. One plan serves every binding of a class, so
 // these tests check that no answer crosses from one ward, or one
 // literal value, to another: each served body must equal the one built
 // from the requester's own view instance T_v (secview.Materialize).
 
 // isolationServer serves the nurse class over a document whose patients
 // are in wards 6 and 7.
-func isolationServer(t *testing.T, answerCache bool) *Server {
+func isolationServer(t *testing.T) *Server {
 	t.Helper()
 	spec := dtds.NurseSpec()
-	reg := policy.NewRegistryWithConfig(spec.D, 0, core.Config{AnswerCache: answerCache})
+	reg := policy.NewRegistry(spec.D)
 	if _, err := reg.DefineSpec("nurse", spec); err != nil {
 		t.Fatalf("DefineSpec: %v", err)
 	}
@@ -76,8 +75,7 @@ func viewBody(t *testing.T, doc *xmltree.Document, ward, q string) (body string,
 }
 
 // isolationQueries: the same texts for both wards; literal-only
-// variants of one shape; a base query before its qualified restriction
-// (an answer-cache containment candidate).
+// variants of one shape; a base query before its qualified restriction.
 var isolationQueries = []string{
 	"//patient/name",
 	`//patient[wardNo = "6"]/name`,
@@ -93,64 +91,56 @@ var isolationQueries = []string{
 const isolationShapes = 5
 
 func TestCrossBindingIsolation(t *testing.T) {
-	for _, answerCache := range []bool{false, true} {
-		t.Run(fmt.Sprintf("anscache=%t", answerCache), func(t *testing.T) {
-			s := isolationServer(t, answerCache)
-			h := s.Handler()
-			nonEmpty, served := 0, 0
-			// Two rounds, wards interleaved: the second round finds every
-			// plan, and with the cache on every answer, already cached —
-			// under the other ward's binding as well as its own.
-			for round := 0; round < 2; round++ {
-				for _, q := range isolationQueries {
-					for _, ward := range []string{"6", "7"} {
-						want, n := viewBody(t, s.doc, ward, q)
-						w := get(t, h, "/query?class=nurse&param=wardNo="+ward+"&q="+url.QueryEscape(q))
-						if w.Code != http.StatusOK {
-							t.Fatalf("ward %s %q: status %d: %s", ward, q, w.Code, w.Body.String())
-						}
-						if got := w.Body.String(); got != want {
-							t.Fatalf("round %d, ward %s, %q: served body differs from the ward's T_v answer\ngot  %.300q\nwant %.300q", round, ward, q, got, want)
-						}
-						served++
-						if n > 0 {
-							nonEmpty++
-						}
-					}
+	s := isolationServer(t)
+	h := s.Handler()
+	nonEmpty, served := 0, 0
+	// Two rounds, wards interleaved: the second round finds every plan
+	// already cached, under the other ward's binding as well as its own.
+	for round := 0; round < 2; round++ {
+		for _, q := range isolationQueries {
+			for _, ward := range []string{"6", "7"} {
+				want, n := viewBody(t, s.doc, ward, q)
+				w := get(t, h, "/query?class=nurse&param=wardNo="+ward+"&q="+url.QueryEscape(q))
+				if w.Code != http.StatusOK {
+					t.Fatalf("ward %s %q: status %d: %s", ward, q, w.Code, w.Body.String())
+				}
+				if got := w.Body.String(); got != want {
+					t.Fatalf("round %d, ward %s, %q: served body differs from the ward's T_v answer\ngot  %.300q\nwant %.300q", round, ward, q, got, want)
+				}
+				served++
+				if n > 0 {
+					nonEmpty++
 				}
 			}
-			if nonEmpty < served/2 {
-				t.Fatalf("only %d of %d answers non-empty; the document does not exercise the wards", nonEmpty, served)
-			}
-			cs := s.Stats().Classes[0].Engine
-			if cs.PlanCache.Entries != isolationShapes {
-				t.Errorf("plan cache holds %d plans, want one per shape (%d)", cs.PlanCache.Entries, isolationShapes)
-			}
-			if answerCache && cs.AnswerCache.Hits == 0 {
-				t.Errorf("answer cache never hit: %+v", cs.AnswerCache)
-			}
-			// /queryz has one row per plan shape, and its counts still
-			// reconcile with the pipeline total.
-			qz := getQueryz(t, h, "/queryz?n=0")
-			if len(qz.Top) != isolationShapes {
-				t.Errorf("/queryz has %d rows, want one per shape (%d)", len(qz.Top), isolationShapes)
-			}
-			var total uint64
-			for _, r := range qz.Top {
-				total += r.Count
-			}
-			pipeline := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total")
-			if total != pipeline || pipeline != uint64(served) || qz.Registry.Observations != pipeline {
-				t.Errorf("/queryz counts %d, observations %d, sv_pipeline_total %d, served %d", total, qz.Registry.Observations, pipeline, served)
-			}
-		})
+		}
+	}
+	if nonEmpty < served/2 {
+		t.Fatalf("only %d of %d answers non-empty; the document does not exercise the wards", nonEmpty, served)
+	}
+	cs := s.Stats().Classes[0].Engine
+	if cs.PlanCache.Entries != isolationShapes {
+		t.Errorf("plan cache holds %d plans, want one per shape (%d)", cs.PlanCache.Entries, isolationShapes)
+	}
+	// /queryz has one row per plan shape, and its counts still
+	// reconcile with the pipeline total.
+	qz := getQueryz(t, h, "/queryz?n=0")
+	if len(qz.Top) != isolationShapes {
+		t.Errorf("/queryz has %d rows, want one per shape (%d)", len(qz.Top), isolationShapes)
+	}
+	var total uint64
+	for _, r := range qz.Top {
+		total += r.Count
+	}
+	pipeline := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total")
+	if total != pipeline || pipeline != uint64(served) || qz.Registry.Observations != pipeline {
+		t.Errorf("/queryz counts %d, observations %d, sv_pipeline_total %d, served %d", total, qz.Registry.Observations, pipeline, served)
 	}
 }
 
-// TestAnswerCacheKeyedByLiteral: with the answer cache on, two queries
-// that differ only in a literal share one plan but never one answer.
-func TestAnswerCacheKeyedByLiteral(t *testing.T) {
-	s := isolationServer(t, true)
+// TestLiteralVariantsShareOnePlan: two queries that differ only in a
+// literal share one plan, yet each is answered for its own literal.
+func TestLiteralVariantsShareOnePlan(t *testing.T) {
+	s := isolationServer(t)
 	h := s.Handler()
 	for _, q := range []string{`//patient[wardNo = "6"]/name`, `//patient[wardNo = "7"]/name`, `//patient[wardNo = "6"]/name`} {
 		want, _ := viewBody(t, s.doc, "6", q)
@@ -160,8 +150,8 @@ func TestAnswerCacheKeyedByLiteral(t *testing.T) {
 		}
 	}
 	e := s.Stats().Classes[0].Engine
-	if e.PlanCache.Entries != 1 || e.AnswerCache.Hits != 1 || e.AnswerCache.Misses != 2 {
-		t.Errorf("plan cache %+v, answer cache %+v: want one plan, the repeated literal hit, the other missed", e.PlanCache, e.AnswerCache)
+	if e.PlanCache.Entries != 1 || e.PlanCache.Hits != 2 || e.Evals != 3 {
+		t.Errorf("plan cache %+v, %d evals: want one plan, hit twice, and every query evaluated", e.PlanCache, e.Evals)
 	}
 }
 

@@ -83,12 +83,9 @@ func TestMetricszExposition(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("plan-cache misses = %d, want 1 (one distinct query)", misses)
 	}
-	// With the answer cache off every pipeline runs the evaluator.
-	if got := metricValue(t, body, `sv_eval_total{mode="eval"}`); got != pipeline {
-		t.Errorf("evals = %d, want %d", got, pipeline)
-	}
-	if got := metricValue(t, body, `sv_eval_total{mode="cached"}`); got != 0 {
-		t.Errorf("cached evals = %d, want 0 with the answer cache off", got)
+	// Every pipeline runs the evaluator.
+	if got := s.Stats().Classes[0].Engine.Evals; got != pipeline {
+		t.Errorf("engine evals = %d, want pipeline count %d", got, pipeline)
 	}
 	if got := metricValue(t, body, "sv_request_duration_seconds_count"); got != n {
 		t.Errorf("request histogram count = %d, want %d (admitted requests only)", got, n)
@@ -112,8 +109,8 @@ func TestStatszPipelineSection(t *testing.T) {
 	if p.PlanCacheHits != 2 || p.PlanCacheMisses != 1 {
 		t.Errorf("plan cache = %d hits / %d misses, want 2/1", p.PlanCacheHits, p.PlanCacheMisses)
 	}
-	if p.Evals != 3 || p.CachedEvals != 0 {
-		t.Errorf("evals = %d, cached = %d, want 3/0", p.Evals, p.CachedEvals)
+	if evals := s.Stats().Classes[0].Engine.Evals; evals != 3 {
+		t.Errorf("engine evals = %d, want 3", evals)
 	}
 	for _, phase := range []string{"rewrite", "optimize", "eval", "serialize"} {
 		lat, ok := p.Phases[phase]
@@ -154,7 +151,7 @@ func TestExplainzEndpoint(t *testing.T) {
 	if ex.RewriteNs <= 0 || ex.OptimizeNs <= 0 || ex.EvalNs <= 0 {
 		t.Errorf("phase durations not all positive: %+v", ex)
 	}
-	if ex.Rewritten == "" || ex.Optimized == "" || ex.EvalMode == "" {
+	if ex.Rewritten == "" || ex.Optimized == "" || ex.NodesVisited == 0 {
 		t.Errorf("explain fields missing: %+v", ex)
 	}
 	if !ex.PlanWasCached {
@@ -171,7 +168,7 @@ func TestExplainzEndpoint(t *testing.T) {
 		t.Errorf("record phases %d/%d/%d µs, explain %d/%d/%d ns",
 			rec.RewriteUs, rec.OptimizeUs, rec.EvalUs, ex.RewriteNs, ex.OptimizeNs, ex.EvalNs)
 	}
-	if rec.TotalUs < rec.RewriteUs+rec.OptimizeUs+rec.EvalUs || rec.PlanCacheHit || rec.EvalMode != obs.ModeEval || rec.ResultCount != ex.ResultCount {
+	if rec.TotalUs < rec.RewriteUs+rec.OptimizeUs+rec.EvalUs || rec.PlanCacheHit || rec.NodesVisited != ex.NodesVisited || rec.ResultCount != ex.ResultCount {
 		t.Errorf("record outcome: %+v", rec)
 	}
 	if ex.MemoCells == 0 {
@@ -265,7 +262,7 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 				snapErrs.Add(1)
 				t.Errorf("mid-flight histogram sums to %d, count %d", sum, st.Latency.Count)
 			}
-			if st.OK+st.BadRequests+st.Timeouts+st.InternalErrors+st.Rejected+st.ClientCancels > st.Requests {
+			if st.OK+st.BadRequests+st.TooLarge+st.Timeouts+st.InternalErrors+st.Rejected+st.ClientCancels > st.Requests {
 				snapErrs.Add(1)
 				t.Errorf("mid-flight responses exceed requests: %+v", st)
 			}
@@ -315,7 +312,7 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	if st.Requests != sent.Load() {
 		t.Errorf("requests = %d, sent %d", st.Requests, sent.Load())
 	}
-	if got := st.OK + st.BadRequests + st.Timeouts + st.InternalErrors + st.Rejected + st.ClientCancels; got != st.Requests {
+	if got := st.OK + st.BadRequests + st.TooLarge + st.Timeouts + st.InternalErrors + st.Rejected + st.ClientCancels; got != st.Requests {
 		t.Errorf("response classes sum to %d, requests %d", got, st.Requests)
 	}
 	if st.OK != st.Pipeline.Count {
@@ -326,6 +323,50 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Errorf("in-flight = %d after load", st.InFlight)
+	}
+}
+
+// TestResponseAccountingSumsToRequests: the /statsz response classes
+// and sv_responses_total count /query outcomes only, so each sums to
+// the /query request count. /query answers 200, 400 and 413 here, mixed
+// with /queryz and /explainz errors, which count in neither.
+func TestResponseAccountingSumsToRequests(t *testing.T) {
+	s := newTestServer(t, Config{}, 3)
+	h := s.Handler()
+	q := "/query?class=nurse&param=wardNo=1&q="
+	for _, c := range []struct {
+		target string
+		code   int
+	}{
+		{q + url.QueryEscape("//patient/name"), http.StatusOK},
+		{"/queryz?n=abc", http.StatusBadRequest},
+		{"/query?class=nurse", http.StatusBadRequest},
+		{"/queryz?sort=bogus", http.StatusBadRequest},
+		{"/explainz?class=nurse", http.StatusBadRequest},
+		{"/explainz?class=ghost&q=//name", http.StatusBadRequest},
+		{q + url.QueryEscape("//"+strings.Repeat("x", MaxQueryBytes)), http.StatusRequestEntityTooLarge},
+		{"/explainz?class=nurse&q=" + url.QueryEscape("//"+strings.Repeat("x", MaxQueryBytes)), http.StatusRequestEntityTooLarge},
+		{q + url.QueryEscape("//["), http.StatusBadRequest},
+		{q + url.QueryEscape("//name"), http.StatusOK},
+	} {
+		if w := get(t, h, c.target); w.Code != c.code {
+			t.Fatalf("%.80s: status %d, want %d", c.target, w.Code, c.code)
+		}
+	}
+	st := s.Stats().Server
+	if st.Requests != 5 || st.OK != 2 || st.BadRequests != 2 || st.TooLarge != 1 {
+		t.Errorf("requests %d, ok %d, bad %d, too large %d; want 5, 2, 2, 1", st.Requests, st.OK, st.BadRequests, st.TooLarge)
+	}
+	if sum := st.OK + st.BadRequests + st.TooLarge + st.Timeouts + st.InternalErrors + st.Rejected + st.ClientCancels; sum != st.Requests {
+		t.Errorf("response classes sum to %d, requests %d: %+v", sum, st.Requests, st)
+	}
+	body := get(t, h, "/metricsz").Body.String()
+	var responses uint64
+	for _, code := range []string{"200", "400", "413", "429", "499", "500", "504"} {
+		responses += metricValue(t, body, `sv_responses_total{code="`+code+`"}`)
+	}
+	if requests := metricValue(t, body, "sv_requests_total"); responses != requests {
+		t.Errorf("sv_responses_total sums to %d, sv_requests_total %d", responses, requests)
 	}
 }
 
@@ -344,7 +385,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("events = %d, want 1: %+v", len(got), got)
 	}
 	ev := got[0]
-	if ev.Kind != "slow" || ev.Status != http.StatusOK || ev.Class != "nurse" || ev.EvalMode != obs.ModeEval {
+	if ev.Kind != "slow" || ev.Status != http.StatusOK || ev.Class != "nurse" || ev.NodesVisited == 0 {
 		t.Errorf("slow event: %+v", ev)
 	}
 	if ev.ResultCount == 0 || ev.TotalUs < ev.RewriteUs+ev.OptimizeUs+ev.EvalUs+ev.SerializeUs {

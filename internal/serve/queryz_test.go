@@ -3,14 +3,12 @@ package serve
 // /queryz and wide-event-log suite: the fingerprint registry's
 // accounting invariant against sv_pipeline_total (sequential and under
 // concurrent load), sort/limit parameter handling, query-text
-// truncation in the event log, per-class answer-cache splitting in
-// /statsz, and the structured event log end to end.
+// truncation in the event log, one answer path per request, and the
+// structured event log end to end.
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
@@ -21,36 +19,9 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/core"
-	"repro/internal/dtds"
 	"repro/internal/eventlog"
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/xmlgen"
 )
-
-// newAnscacheTestServer is newTestServer with the semantic answer cache
-// enabled on every derived engine.
-func newAnscacheTestServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	spec := dtds.NurseSpec()
-	reg := policy.NewRegistryWithConfig(spec.D, 0, core.Config{AnswerCache: true})
-	if _, err := reg.DefineSpec("nurse", spec); err != nil {
-		t.Fatalf("DefineSpec: %v", err)
-	}
-	doc := xmlgen.Generate(spec.D, xmlgen.Config{
-		Seed:      7,
-		MinRepeat: 2,
-		MaxRepeat: 4,
-		Value: func(r *rand.Rand, label string) string {
-			if label == "wardNo" {
-				return fmt.Sprintf("%d", r.Intn(4))
-			}
-			return fmt.Sprintf("%s-%d", label, r.Intn(1000))
-		},
-	})
-	return New(reg, doc, cfg)
-}
 
 func getQueryz(t *testing.T, h http.Handler, target string) QueryzResponse {
 	t.Helper()
@@ -206,16 +177,13 @@ type event struct {
 	EvalUs       int64             `json:"eval_us"`
 	SerializeUs  int64             `json:"serialize_us"`
 	PlanCacheHit bool              `json:"plan_cache_hit"`
-	AnswerCache  string            `json:"answer_cache"`
-	EvalMode     string            `json:"eval_mode"`
 	NodesVisited uint64            `json:"nodes_visited"`
 	ResultCount  int               `json:"result_count"`
 }
 
 // eventLogServer is newTestServer writing its events to a fresh log. The
 // returned function closes the log and decodes every line; each line
-// must hold exactly the record's keys (params, answer_cache and
-// eval_mode may be omitted).
+// must hold exactly the record's keys (params may be omitted).
 func eventLogServer(t *testing.T, cfg Config, maxRepeat int) (*Server, func() []event) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
@@ -246,9 +214,7 @@ func eventLogServer(t *testing.T, cfg Config, maxRepeat int) (*Server, func() []
 			if err := json.Unmarshal(sc.Bytes(), &keys); err != nil {
 				t.Fatal(err)
 			}
-			for _, optional := range []string{"params", "answer_cache", "eval_mode"} {
-				delete(keys, optional)
-			}
+			delete(keys, "params")
 			if len(keys) != 15 {
 				t.Errorf("event line has %d required keys, want 15: %s", len(keys), sc.Text())
 			}
@@ -368,7 +334,7 @@ func TestEventLog(t *testing.T) {
 		if ev.Params["wardNo"] != "1" || len(ev.Params) != 1 {
 			t.Errorf("event %d binding = %v, want wardNo=1", i, ev.Params)
 		}
-		if ev.EvalMode == "" || ev.ResultCount == 0 {
+		if ev.NodesVisited == 0 || ev.ResultCount == 0 {
 			t.Errorf("event %d missing pipeline fields: %+v", i, ev)
 		}
 	}
@@ -393,34 +359,37 @@ func TestEventLog(t *testing.T) {
 	}
 }
 
-// TestStatszPerClassAnswerCache: /statsz splits answer-cache outcomes
-// per class (the class's one engine, shared by every binding) while the
-// Prometheus counters stay aggregated — and the two agree.
-func TestStatszPerClassAnswerCache(t *testing.T) {
-	s := newAnscacheTestServer(t, Config{})
+// TestOneAnswerPath: every answered /query runs the evaluator. Distinct
+// and repeated queries, under two bindings, all count once in the
+// class's engine evals, in the /statsz pipeline count and in
+// sv_pipeline_total, so no request is answered without evaluation.
+func TestOneAnswerPath(t *testing.T) {
+	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
-	const q = "//patient/name"
-	for i := 0; i < 2; i++ { // second run is an equal hit
-		if w := get(t, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape(q)); w.Code != http.StatusOK {
-			t.Fatalf("query %d status = %d", i, w.Code)
+	queries := []string{"//patient/name", "//patient", "//patient/name", "//patient[.//medication]", "//patient", "//patient/name"}
+	n := 0
+	for _, ward := range []string{"1", "2"} {
+		for _, q := range queries {
+			if w := get(t, h, "/query?class=nurse&param=wardNo="+ward+"&q="+url.QueryEscape(q)); w.Code != http.StatusOK {
+				t.Fatalf("ward %s %q: status %d", ward, q, w.Code)
+			}
+			n++
 		}
 	}
 	st := s.Stats()
 	if len(st.Classes) != 1 {
 		t.Fatalf("classes = %d, want 1", len(st.Classes))
 	}
-	ans := st.Classes[0].Engine.AnswerCache
-	if ans.Hits != 1 || ans.Misses != 1 {
-		t.Errorf("per-class answer cache = %+v, want 1 hit 1 miss", ans)
+	evals := st.Classes[0].Engine.Evals
+	pipeline := st.Server.Pipeline.Count
+	if evals != uint64(n) || pipeline != uint64(n) {
+		t.Errorf("engine evals %d, pipeline count %d; want both %d", evals, pipeline, n)
 	}
-	hits := ans.Hits
-	body := get(t, h, "/metricsz").Body.String()
-	if got := metricValue(t, body, "sv_anscache_hits_total"); got != hits {
-		t.Errorf("sv_anscache_hits_total = %d, want %d", got, hits)
+	if got := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total"); got != pipeline {
+		t.Errorf("sv_pipeline_total = %d, /statsz pipeline count %d", got, pipeline)
 	}
-	// The cached answer's fingerprint row records the outcome too.
-	qz := getQueryz(t, h, "/queryz?n=0")
-	if len(qz.Top) != 1 || qz.Top[0].AnsCacheEqual != 1 || qz.Top[0].AnsCacheMisses != 1 {
-		t.Errorf("queryz anscache tallies = %+v", qz.Top)
+	// Repeats hit the plan cache and are still evaluated.
+	if hits := st.Server.Pipeline.PlanCacheHits; hits != uint64(n-3) {
+		t.Errorf("plan-cache hits = %d, want %d (three shapes)", hits, n-3)
 	}
 }

@@ -12,8 +12,8 @@
 //	          per-phase (rewrite/optimize/eval/serialize) latency
 //	          histograms
 //	/queryz   per-fingerprint query statistics (internal/qstats): the
-//	          top-K query shapes by cumulative eval time, count, or
-//	          answer-cache miss rate
+//	          top-K query shapes by cumulative eval time, total time or
+//	          count
 //	/explainz one query, freshly measured per phase: core.Explain plus
 //	          the request's record
 //	/healthz  liveness; 503 once graceful drain has begun
@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/anscache"
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/latency"
@@ -181,7 +180,7 @@ type Server struct {
 
 	// Observability: the request-ID sequence, drain flag, Prometheus
 	// registry, and the always-on per-request rollups — per-phase
-	// latency digests plus the pipeline/cache/mode counters they are
+	// latency digests plus the pipeline and plan-cache counters they are
 	// keyed against (see observePipeline for the invariant).
 	reqID    atomic.Uint64
 	draining atomic.Bool
@@ -192,15 +191,10 @@ type Server struct {
 	// exceed it (see recordQuery).
 	qstats *qstats.Registry
 
-	phases     [numPhases]latency.Digest
-	pipeline   atomic.Uint64
-	planHits   atomic.Uint64
-	planMisses atomic.Uint64
-	// evals and cachedEvals split completed pipelines by whether the
-	// evaluator ran or the answer cache served them: sv_eval_total's
-	// two modes and the /statsz evals/cached_evals counters.
-	evals       atomic.Uint64
-	cachedEvals atomic.Uint64
+	phases      [numPhases]latency.Digest
+	pipeline    atomic.Uint64
+	planHits    atomic.Uint64
+	planMisses  atomic.Uint64
 	slowQueries atomic.Uint64
 	explains    atomic.Uint64
 
@@ -241,7 +235,7 @@ func New(reg *policy.Registry, doc *xmltree.Document, cfg Config) *Server {
 // disagree.
 func (s *Server) registerMetrics() {
 	m := s.metrics
-	const respHelp = "Query responses by HTTP status code."
+	const respHelp = "/query responses by HTTP status code; they sum to sv_requests_total."
 	m.CounterFunc("sv_requests_total", "Queries received by /query, admitted or not.", s.requests.Load)
 	m.CounterFunc("sv_responses_total", respHelp, s.ok.Load, obs.L("code", "200"))
 	m.CounterFunc("sv_responses_total", respHelp, s.badRequests.Load, obs.L("code", "400"))
@@ -251,7 +245,7 @@ func (s *Server) registerMetrics() {
 	m.CounterFunc("sv_responses_total", respHelp, s.internalErrors.Load, obs.L("code", "500"))
 	m.CounterFunc("sv_responses_total", respHelp, s.timeouts.Load, obs.L("code", "504"))
 	m.CounterFunc("sv_explains_total", "/explainz requests admitted.", s.explains.Load)
-	const limitHelp = "Queries refused for exceeding a fixed request bound: bytes (413) or AST depth (400, also counted under code 400)."
+	const limitHelp = "/query requests refused for exceeding a fixed request bound: bytes (413) or AST depth (400, also counted under code 400)."
 	m.CounterFunc("sv_query_limit_rejections_total", limitHelp, s.tooLarge.Load, obs.L("limit", "bytes"))
 	m.CounterFunc("sv_query_limit_rejections_total", limitHelp, s.tooDeep.Load, obs.L("limit", "depth"))
 	m.CounterFunc("sv_slow_queries_total", "Admitted queries slower than the slow-query threshold.", s.slowQueries.Load)
@@ -285,29 +279,6 @@ func (s *Server) registerMetrics() {
 	const planHelp = "Plan-cache outcomes for completed pipelines."
 	m.CounterFunc("sv_plan_cache_total", planHelp, s.planHits.Load, obs.L("result", "hit"))
 	m.CounterFunc("sv_plan_cache_total", planHelp, s.planMisses.Load, obs.L("result", "miss"))
-	const modeHelp = "Completed pipelines by whether the evaluator ran (eval) or the answer cache served them (cached)."
-	m.CounterFunc("sv_eval_total", modeHelp, s.evals.Load, obs.L("mode", obs.ModeEval))
-	m.CounterFunc("sv_eval_total", modeHelp, s.cachedEvals.Load, obs.L("mode", obs.ModeCached))
-	// Semantic answer-cache counters, rolled up over every class's engine
-	// like the plan-cache gauges below. All four stay 0 with -anscache
-	// off, which promcheck accepts (a counter may be zero, not absent).
-	ansSum := func(pick func(anscache.Stats) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, cs := range s.reg.Stats() {
-				n += pick(cs.Engine.AnswerCache)
-			}
-			return n
-		}
-	}
-	m.CounterFunc("sv_anscache_hits_total", "Answer-cache equal hits: the incoming plan was provably the same query as a cached one.",
-		ansSum(func(a anscache.Stats) uint64 { return a.Hits }))
-	m.CounterFunc("sv_anscache_containment_hits_total", "Answer-cache containment hits: the answer was filtered from a provably containing cached result.",
-		ansSum(func(a anscache.Stats) uint64 { return a.ContainmentHits }))
-	m.CounterFunc("sv_anscache_misses_total", "Answer-cache misses: no provably-safe cached entry; the evaluator ran.",
-		ansSum(func(a anscache.Stats) uint64 { return a.Misses }))
-	m.CounterFunc("sv_anscache_evictions_total", "Answer-cache entries evicted by the LRU bound.",
-		ansSum(func(a anscache.Stats) uint64 { return a.Evictions }))
 	const rwHelp = "Policy engines (one per user class) by rewriting strategy (flat, height-free)."
 	for _, mode := range []string{"flat", "height-free"} {
 		mode := mode
@@ -445,7 +416,6 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 		// Refuse instead of queueing: a saturated server answering 429
 		// immediately keeps latency bounded for the queries it did
 		// admit; clients retry with backoff.
-		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server saturated: too many in-flight queries", http.StatusTooManyRequests)
 		return false
@@ -472,10 +442,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	qm, timeout, err := s.parseQueryRequest(w, r)
 	if err != nil {
-		s.badRequest(w, err)
+		s.countResponse(clientError(w, err), err)
 		return
 	}
 	if !s.admit(w) {
+		s.countResponse(http.StatusTooManyRequests, nil)
 		return
 	}
 	defer s.release()
@@ -498,35 +469,57 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		qm.Serialize = time.Since(serialize)
 	case errors.Is(err, context.DeadlineExceeded):
 		qm.Status = http.StatusGatewayTimeout
-		s.timeouts.Add(1)
 		http.Error(w, fmt.Sprintf("query exceeded its %v deadline", timeout), qm.Status)
 	case errors.Is(err, context.Canceled):
 		// The client went away; nothing useful can be written, but the
 		// status keeps the access log honest (499 is the de-facto
 		// client-closed-request code).
 		qm.Status = 499
-		s.clientCancels.Add(1)
 		w.WriteHeader(qm.Status)
 	case clientFault(err):
-		qm.Status = http.StatusBadRequest
-		s.badRequest(w, err)
+		qm.Status = clientError(w, err)
 	default:
 		// The request was well-formed; the failure is the server's
 		// (derivation, rewriting, or evaluation broke). Reporting it as
 		// 400 would tell the client to stop retrying a query that is
 		// fine, and would hide server bugs from the error budget.
 		qm.Status = http.StatusInternalServerError
-		s.internalErrors.Add(1)
 		http.Error(w, fmt.Sprintf("internal error answering query: %v", err), qm.Status)
 	}
 	qm.Time = time.Now()
 	qm.Total = qm.Time.Sub(start)
 	s.lat.Observe(qm.Total)
+	s.countResponse(qm.Status, err)
 	if qm.Status == http.StatusOK {
-		s.ok.Add(1)
 		s.observePipeline(qm)
 	}
 	s.recordQuery(qm)
+}
+
+// countResponse counts one /query response under its status class; err
+// is the request's error, if any. handleQuery is its only caller, so
+// the classes sum to Requests at quiescence: /explainz and /queryz
+// answer their errors without touching these counters.
+func (s *Server) countResponse(status int, err error) {
+	switch status {
+	case http.StatusOK:
+		s.ok.Add(1)
+	case http.StatusBadRequest:
+		if errors.Is(err, xpath.ErrQueryTooDeep) {
+			s.tooDeep.Add(1)
+		}
+		s.badRequests.Add(1)
+	case http.StatusRequestEntityTooLarge:
+		s.tooLarge.Add(1)
+	case http.StatusTooManyRequests:
+		s.rejected.Add(1)
+	case 499:
+		s.clientCancels.Add(1)
+	case http.StatusGatewayTimeout:
+		s.timeouts.Add(1)
+	default:
+		s.internalErrors.Add(1)
+	}
 }
 
 // observePipeline feeds one successfully answered request's per-phase
@@ -545,12 +538,6 @@ func (s *Server) observePipeline(qm *obs.QueryMetrics) {
 		s.planHits.Add(1)
 	} else {
 		s.planMisses.Add(1)
-	}
-	switch qm.EvalMode {
-	case obs.ModeEval:
-		s.evals.Add(1)
-	case obs.ModeCached:
-		s.cachedEvals.Add(1)
 	}
 }
 
@@ -633,7 +620,7 @@ type explainzResponse struct {
 func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	qm, timeout, err := s.parseQueryRequest(w, r)
 	if err != nil {
-		s.badRequest(w, err)
+		clientError(w, err)
 		return
 	}
 	if !s.admit(w) {
@@ -651,15 +638,12 @@ func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			s.timeouts.Add(1)
 			http.Error(w, fmt.Sprintf("explain exceeded its %v deadline", timeout), http.StatusGatewayTimeout)
 		case errors.Is(err, context.Canceled):
-			s.clientCancels.Add(1)
 			w.WriteHeader(499)
 		case clientFault(err):
-			s.badRequest(w, err)
+			clientError(w, err)
 		default:
-			s.internalErrors.Add(1)
 			http.Error(w, fmt.Sprintf("internal error explaining query: %v", err), http.StatusInternalServerError)
 		}
 		return
@@ -695,14 +679,14 @@ type QueryzResponse struct {
 }
 
 // handleQueryz dumps per-fingerprint query statistics, heaviest first.
-// ?sort= picks the key (eval_time, total_time, count, miss_rate); ?n=
+// ?sort= picks the key (eval_time, total_time, count); ?n=
 // bounds the rows (0 or negative = all).
 func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	n := 50
 	if v := r.FormValue("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil {
-			s.badRequest(w, fmt.Errorf("bad n %q (want an integer)", v))
+			clientError(w, fmt.Errorf("bad n %q (want an integer)", v))
 			return
 		}
 		n = parsed
@@ -711,10 +695,10 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	switch by {
 	case "":
 		by = qstats.SortEvalTime
-	case qstats.SortEvalTime, qstats.SortTotalTime, qstats.SortCount, qstats.SortMissRate:
+	case qstats.SortEvalTime, qstats.SortTotalTime, qstats.SortCount:
 	default:
-		s.badRequest(w, fmt.Errorf("bad sort %q (want %s, %s, %s, or %s)",
-			by, qstats.SortEvalTime, qstats.SortTotalTime, qstats.SortCount, qstats.SortMissRate))
+		clientError(w, fmt.Errorf("bad sort %q (want %s, %s, or %s)",
+			by, qstats.SortEvalTime, qstats.SortTotalTime, qstats.SortCount))
 		return
 	}
 	writeJSON(w, QueryzResponse{
@@ -750,19 +734,16 @@ func clientFault(err error) bool {
 		errors.As(err, &bindErr)
 }
 
-// badRequest answers a client fault: 413 for a request over a byte
-// bound, else 400, counting queries over the depth bound apart.
-func (s *Server) badRequest(w http.ResponseWriter, err error) {
+// clientError answers a client fault, 413 for a request over a byte
+// bound and 400 otherwise, and returns the status. It counts nothing
+// (see countResponse).
+func clientError(w http.ResponseWriter, err error) int {
+	status := http.StatusBadRequest
 	if errors.Is(err, errTooLarge) {
-		s.tooLarge.Add(1)
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		return
+		status = http.StatusRequestEntityTooLarge
 	}
-	if errors.Is(err, xpath.ErrQueryTooDeep) {
-		s.tooDeep.Add(1)
-	}
-	s.badRequests.Add(1)
-	http.Error(w, err.Error(), http.StatusBadRequest)
+	http.Error(w, err.Error(), status)
+	return status
 }
 
 // writeResult wraps the selected nodes in a <result> envelope so the
@@ -836,6 +817,7 @@ type ServerStats struct {
 	Requests       uint64       `json:"requests"`
 	OK             uint64       `json:"ok"`
 	BadRequests    uint64       `json:"bad_requests"`
+	TooLarge       uint64       `json:"too_large"`
 	InternalErrors uint64       `json:"internal_errors"`
 	Rejected       uint64       `json:"rejected"`
 	Timeouts       uint64       `json:"timeouts"`
@@ -850,7 +832,7 @@ type ServerStats struct {
 	Explains       uint64       `json:"explains"`
 	Latency        LatencyStats `json:"latency"`
 	// Pipeline is the completed-pipeline rollup: the per-phase latency
-	// digests and the cache/mode outcome counters keyed to them (every
+	// digests and the plan-cache outcome counters keyed to them (every
 	// phase count equals Pipeline.Count; see observePipeline).
 	Pipeline PipelineStats `json:"pipeline"`
 }
@@ -860,15 +842,12 @@ type PipelineStats struct {
 	Count           uint64                  `json:"count"`
 	PlanCacheHits   uint64                  `json:"plan_cache_hits"`
 	PlanCacheMisses uint64                  `json:"plan_cache_misses"`
-	Evals           uint64                  `json:"evals"`
-	CachedEvals     uint64                  `json:"cached_evals"`
 	Phases          map[string]LatencyStats `json:"phases"`
 }
 
 // Statsz is the full /statsz document: the server's own counters plus
 // the policy registry's per-class counters (each class has one engine,
-// shared by every binding: its plan-cache, answer-cache and evaluation
-// counters).
+// shared by every binding: its plan-cache and evaluation counters).
 type Statsz struct {
 	Server  ServerStats         `json:"server"`
 	Classes []policy.ClassStats `json:"classes"`
@@ -890,6 +869,7 @@ func (s *Server) Stats() Statsz {
 	pipeline := s.pipeline.Load()
 	ok := s.ok.Load()
 	badRequests := s.badRequests.Load()
+	tooLarge := s.tooLarge.Load()
 	internalErrors := s.internalErrors.Load()
 	rejected := s.rejected.Load()
 	timeouts := s.timeouts.Load()
@@ -899,6 +879,7 @@ func (s *Server) Stats() Statsz {
 			Requests:       s.requests.Load(),
 			OK:             ok,
 			BadRequests:    badRequests,
+			TooLarge:       tooLarge,
 			InternalErrors: internalErrors,
 			Rejected:       rejected,
 			Timeouts:       timeouts,
@@ -916,8 +897,6 @@ func (s *Server) Stats() Statsz {
 				Count:           pipeline,
 				PlanCacheHits:   s.planHits.Load(),
 				PlanCacheMisses: s.planMisses.Load(),
-				Evals:           s.evals.Load(),
-				CachedEvals:     s.cachedEvals.Load(),
 				Phases:          phases,
 			},
 		},

@@ -674,6 +674,5 @@ func (l *loader) finish() *Document {
 			start, next = end, next+1
 		}
 	}
-	d.id = docIDs.Add(1)
 	return d
 }

@@ -260,7 +260,6 @@ type Document struct {
 	height int
 	byOrd  []*Node
 	gen    uint64
-	id     uint64
 
 	labels   atomic.Pointer[labelTable]
 	labelsMu sync.Mutex // serializes label table builds
@@ -275,9 +274,6 @@ type labelTable struct {
 	gen     uint64
 	byLabel map[string][]int32
 }
-
-// docIDs hands out Document ids; 0 means "not yet assigned".
-var docIDs atomic.Uint64
 
 // NewDocument wraps a root node into a document and assigns document
 // order.
@@ -295,9 +291,6 @@ func NewDocument(root *Node) *Document {
 // dictionary, keyed by generation, are dropped and rebuilt on their
 // next use.
 func (d *Document) Renumber() {
-	if d.id == 0 {
-		d.id = docIDs.Add(1)
-	}
 	d.gen++
 	d.labels.Store(nil)
 	d.values.Store(nil)
@@ -321,11 +314,6 @@ func (d *Document) Renumber() {
 	walk(d.Root, 0)
 	d.size = len(d.byOrd)
 }
-
-// ID returns the document's process-unique id, assigned by its first
-// Renumber (NewDocument runs one). Caches key documents by it: unlike a
-// pointer, an id is never reused by a later document.
-func (d *Document) ID() uint64 { return d.id }
 
 // Labeled returns the ordinals of the document's nodes carrying label,
 // in document order (Nodes()[ord] is the node). The slice is shared;
@@ -372,11 +360,11 @@ func (d *Document) buildLabels() *labelTable {
 func (d *Document) Size() int { return d.size }
 
 // Generation counts Renumber calls on this document. Ordinal-keyed
-// storage that outlives one evaluation (the answer cache's bitsets)
-// records the generation it was built against and treats a mismatch as
-// stale: after any renumbering the same ordinal may name a different
-// node, so a recorded ordinal set is only meaningful at its own
-// generation.
+// storage that outlives one evaluation (the label index, the value
+// dictionary) records the generation it was built against and treats a
+// mismatch as stale: after any renumbering the same ordinal may name a
+// different node, so a recorded ordinal set is only meaningful at its
+// own generation.
 func (d *Document) Generation() uint64 { return d.gen }
 
 // Nodes returns every node in document order. The slice is the

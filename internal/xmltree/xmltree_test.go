@@ -361,17 +361,3 @@ func TestDocOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestDocumentIDs: every document gets its own nonzero id, which a
-// Renumber keeps.
-func TestDocumentIDs(t *testing.T) {
-	a, b := sampleDoc(), sampleDoc()
-	if a.ID() == 0 || b.ID() == 0 || a.ID() == b.ID() {
-		t.Fatalf("ids %d and %d, want distinct and nonzero", a.ID(), b.ID())
-	}
-	id := a.ID()
-	a.Renumber()
-	if a.ID() != id {
-		t.Errorf("Renumber changed the id from %d to %d", id, a.ID())
-	}
-}

@@ -88,12 +88,7 @@ func EvalDocEnvCtx(ctx context.Context, p Path, doc *xmltree.Document, env Env) 
 
 // EvalAtCtx is EvalAtErr honoring a context; see EvalDocCtx.
 func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	return EvalAtEnvCtx(ctx, p, nodes, Env{})
-}
-
-// EvalAtEnvCtx is EvalAtCtx with the plan's variables bound by env.
-func EvalAtEnvCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, error) {
-	out, _, err := evalCtx(ctx, p, nodes, env)
+	out, _, err := evalCtx(ctx, p, nodes, Env{})
 	return out, err
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # netsmoke drives a real svserve over TCP: it generates a recursive
-# (fig7) document, starts the server on loopback (-anscache on), runs
-# svload against it in closed-loop, open-loop, and repeated-query
-# (Zipf-skewed) mode, asserts /explainz returns a full per-phase
-# explain for a recursive query, validates /metricsz with promcheck and
-# requires the answer cache to have served hits, checks /queryz
+# (fig7) document, starts the server on loopback, runs svload against
+# it in closed-loop, open-loop, and repeated-query (Zipf-skewed) mode,
+# asserts /explainz returns a full per-phase explain for a recursive
+# query, validates /metricsz with promcheck and requires the repeated
+# queries to have hit the plan cache, checks that every answered query
+# ran the evaluator and that no answer-cache series survives, checks /queryz
 # fingerprint accounting against sv_pipeline_total and the structured
 # event log for well-formed wide events, requires deep and oversized
 # queries to get a 4xx without harming the server, and finally SIGTERMs
@@ -49,7 +50,7 @@ echo "netsmoke: generating recursive fig7 document"
 echo "netsmoke: starting svserve on $BASE"
 "$WORK/bin/svserve" -builtin fig7 -doc "$WORK/fig7.xml" -addr "127.0.0.1:${PORT}" \
     -max-inflight 8 -timeout 250ms -read-header-timeout 2s -drain 10s \
-    -anscache -slow-query 5s \
+    -slow-query 5s \
     -eventlog "$WORK/events.jsonl" -eventlog-sample 1 >"$WORK/svserve.log" 2>&1 &
 SRV_PID=$!
 
@@ -73,7 +74,13 @@ echo "netsmoke: open-loop svload over TCP (fixed 200 rps point)"
 "$WORK/bin/svload" -url "$BASE" -builtin fig7 -rates 200 -duration 500ms \
     -timeout 250ms -out /dev/null -q
 
-echo "netsmoke: repeated-query Zipf svload over TCP (answer cache serving path)"
+# plan_hits prints sv_plan_cache_total{result="hit"} from a /metricsz text.
+plan_hits() {
+    awk '$1 == "sv_plan_cache_total{result=\"hit\"}" { v = $2 } END { print v + 0 }' "$1"
+}
+curl -fsS "$BASE/metricsz" >"$WORK/metrics-before-zipf.txt" || fail "/metricsz request failed"
+
+echo "netsmoke: repeated-query Zipf svload over TCP (plan-cache hits, every query evaluated)"
 "$WORK/bin/svload" -url "$BASE" -builtin fig7 -zipf 1.2 -levels 8 -duration 500ms \
     -timeout 250ms -out /dev/null -q
 
@@ -85,9 +92,10 @@ import json, sys
 r = json.load(open(sys.argv[1]))
 assert r["doc_nodes"] >= 10000, f'doc only {r["doc_nodes"]} nodes'
 p = r["server_stats"]["pipeline"]
-assert p["evals"] > 0, p
+assert p["count"] > 0, p
 # The removed per-mode and per-representation counters must stay gone.
-for gone in ("sequential_evals", "parallel_evals", "indexed_evals", "bitset_evals", "slice_evals"):
+for gone in ("evals", "cached_evals", "sequential_evals", "parallel_evals", "indexed_evals",
+             "bitset_evals", "slice_evals"):
     assert gone not in p, (gone, p)
 EOF
 
@@ -96,9 +104,12 @@ curl -fsS --get "$BASE/explainz" \
     --data-urlencode "class=user" \
     --data-urlencode "q=//a//a/b" >"$WORK/explain.json" ||
     fail "/explainz request failed"
-for field in '"rewrite_ns"' '"optimize_ns"' '"eval_ns"' '"rewritten"' '"optimized"' '"eval_mode"' '"record"'; do
+for field in '"rewrite_ns"' '"optimize_ns"' '"eval_ns"' '"rewritten"' '"optimized"' '"nodes_visited"' '"record"'; do
     grep -q "$field" "$WORK/explain.json" || fail "/explainz response missing $field"
 done
+if grep -E 'eval_mode|answer_cache' "$WORK/explain.json"; then
+    fail "/explainz reports a removed eval-mode or answer-cache field"
+fi
 # The explain path bypasses the plan cache, so all three phases must
 # report nonzero durations even on a warm server, in the explain and in
 # the request's record alike.
@@ -134,16 +145,18 @@ curl -fsS "$BASE/metricsz" >"$WORK/metrics.txt" || fail "/metricsz request faile
 "$WORK/bin/promcheck" "$WORK/metrics.txt" || fail "/metricsz failed promcheck"
 grep -q '^sv_phase_duration_seconds_count{phase="rewrite"}' "$WORK/metrics.txt" ||
     fail "/metricsz missing per-phase histogram"
-# The Zipf-skewed run repeats hot queries, so the answer cache must have
-# served some of them.
-awk '$1 == "sv_anscache_hits_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
-    fail "/metricsz sv_anscache_hits_total not > 0 after repeated-query run"
-# Serving has one evaluator: every sv_eval_total series is mode="eval"
-# or mode="cached", and the evaluator must have run. The removed repr
-# label, the parallel/indexed modes and the unfold rewrite mode must not
-# reappear anywhere in the exposition.
-awk '$1 == "sv_eval_total{mode=\"eval\"}" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
-    fail '/metricsz sv_eval_total{mode="eval"} not > 0 after load'
+# The Zipf-skewed run repeats hot queries, so it must have hit the plan
+# cache (the hit count grew across that run).
+[ "$(plan_hits "$WORK/metrics.txt")" -gt "$(plan_hits "$WORK/metrics-before-zipf.txt")" ] ||
+    fail '/metricsz sv_plan_cache_total{result="hit"} did not grow over the repeated-query run'
+awk '$1 == "sv_pipeline_total" { v = $2 } END { exit !(v > 0) }' "$WORK/metrics.txt" ||
+    fail '/metricsz sv_pipeline_total not > 0 after load'
+# Serving has one answer path: no answer-cache series, no eval-mode
+# split, no epoch. The removed repr label, the parallel/indexed modes
+# and the unfold rewrite mode must not reappear either.
+if grep -E 'sv_anscache_|sv_eval_total|cached_evals|answer_cache|epoch' "$WORK/metrics.txt"; then
+    fail "/metricsz exposes a removed answer-cache, eval-mode or epoch series"
+fi
 if grep -v '^#' "$WORK/metrics.txt" | grep -E 'repr=|mode="(parallel|indexed|sequential)"|"unfold"'; then
     fail "/metricsz exposes a removed eval mode, repr label or unfold rewrite mode"
 fi
@@ -164,14 +177,19 @@ awk '$1 == "sv_query_limit_rejections_total{limit=\"depth\"}" { v = $2 } END { e
 awk '$1 == "sv_responses_total{code=\"413\"}" { v = $2 } END { exit !(v == 1) }' "$WORK/metrics.txt" ||
     fail '/metricsz sv_responses_total{code="413"} != 1'
 
-echo "netsmoke: /statsz eval count, one engine per class"
+echo "netsmoke: /statsz eval and response accounting, one engine per class"
 curl -fsS "$BASE/statsz" >"$WORK/statsz.json" || fail "/statsz request failed"
 python3 - "$WORK/statsz.json" <<'EOF' || fail "/statsz eval accounting broken"
 import json, sys
 s = json.load(open(sys.argv[1]))
 p = s["server"]["pipeline"]
-assert p["evals"] > 0, p
-assert p["evals"] + p["cached_evals"] == p["count"], p
+assert p["count"] > 0, p
+# At quiescence the /query response classes sum to the request count;
+# /explainz and /queryz errors count in none of them.
+srv = s["server"]
+answered = sum(srv[k] for k in ("ok", "bad_requests", "too_large", "internal_errors",
+                                "rejected", "timeouts", "client_cancels"))
+assert answered == srv["requests"], srv
 # One engine per class, shared by every binding: each class reports its
 # engine directly, every class served queries, and the per-binding list
 # and engine-cache counters are gone.
@@ -180,10 +198,15 @@ assert classes, s
 for c in classes:
     assert "bindings" not in c and "engine_cache" not in c, c
     assert c["engine"]["evals"] > 0, c
-assert sum(c["engine"]["evals"] for c in classes) >= p["evals"], (classes, p)
+# Every answered query ran the evaluator; explains and failed
+# evaluations may add engine evals, so the class sum bounds the
+# pipeline count from above.
+assert sum(c["engine"]["evals"] for c in classes) >= p["count"], (classes, p)
+assert "evals" not in p, p
 text = json.dumps(s)
 for gone in ("set_repr", "parallel_evals", "indexed_evals", "height_cache", "unfold",
-             "engine_cache_hits", "engine_cache_misses"):
+             "engine_cache_hits", "engine_cache_misses", "sv_anscache_", "sv_eval_total",
+             "cached_evals", "answer_cache", "epoch"):
     assert gone not in text, gone
 EOF
 

@@ -65,8 +65,7 @@ type (
 	// Engine enforces one bound access policy end to end (Fig. 3), with
 	// a bounded plan cache in front of the rewrite+optimize stages.
 	Engine = core.Engine
-	// EngineConfig tunes an engine's serving layer: plan-cache capacity
-	// and the answer cache.
+	// EngineConfig tunes an engine's serving layer: plan-cache capacity.
 	EngineConfig = core.Config
 	// EngineStats is a snapshot of an engine's query, cache, and
 	// evaluation counters.
@@ -125,7 +124,7 @@ func Validate(doc *Document, d *DTD) error { return xmltree.Validate(doc, d) }
 func NewEngine(spec *Spec) (*Engine, error) { return core.New(spec) }
 
 // NewEngineWithConfig is NewEngine with explicit serving-layer tuning:
-// plan-cache capacity and the answer cache.
+// plan-cache capacity.
 func NewEngineWithConfig(spec *Spec, cfg EngineConfig) (*Engine, error) {
 	return core.NewWithConfig(spec, cfg)
 }
