@@ -1,6 +1,8 @@
 # Developer targets. `make check` is the tier-1 verification extension
-# recorded in ROADMAP.md: build, vet, and the full test suite under the
-# race detector (the concurrent query-serving layer must stay race-free).
+# recorded in ROADMAP.md: build, gofmt (any Go file of the repo that
+# `gofmt -l` names fails the target; ignored build trees such as
+# .bench_build/ are skipped), vet, and the full test suite under the race detector (the
+# concurrent query-serving layer must stay race-free).
 
 GO ?= go
 
@@ -13,6 +15,8 @@ test:
 	$(GO) test ./...
 
 check: build
+	@unformatted=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -32,7 +36,7 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache|BenchmarkDeepDescendant|BenchmarkHeightSweep|BenchmarkFreshEngineIndexed' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkRecEval|BenchmarkSigmaGuard' -benchmem -benchtime 1x ./internal/xpath
-	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion' -benchmem -benchtime 1x ./internal/optimize
+	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion|BenchmarkPlanMiss' -benchmem -benchtime 1x ./internal/optimize
 	$(GO) test -run xxx -bench 'BenchmarkParseDocument|BenchmarkValidate' -benchmem -benchtime 1x ./internal/xmltree
 
 # perfbench-check vets and tests the serving benchmark. perfbench is a

@@ -109,13 +109,6 @@ func (s *Set) AndNot(t *Set) {
 	}
 }
 
-// Copy makes s an exact copy of t (same universe, same members),
-// reusing s's backing storage when possible.
-func (s *Set) Copy(t *Set) {
-	s.Reset(t.n)
-	copy(s.words, t.words)
-}
-
 // Count returns the number of members.
 func (s *Set) Count() int {
 	c := 0

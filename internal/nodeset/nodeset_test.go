@@ -47,7 +47,7 @@ func assertSame(t *testing.T, s *Set, r refSet) {
 	}
 }
 
-// TestSetOpsRandomized pins Add/AddRange/Or/And/AndNot/Copy against a
+// TestSetOpsRandomized pins Add/AddRange/Or/And/AndNot against a
 // map-based reference over many random op sequences and odd universe
 // sizes (word boundaries included).
 func TestSetOpsRandomized(t *testing.T) {
@@ -95,15 +95,11 @@ func TestSetOpsRandomized(t *testing.T) {
 		}
 		assertSame(t, s, ref)
 		assertSame(t, other, oref)
-		cp := Get(0)
-		cp.Copy(s)
-		assertSame(t, cp, ref)
 		if s.Empty() != (len(ref) == 0) {
 			t.Fatalf("Empty=%v want %v", s.Empty(), len(ref) == 0)
 		}
 		Put(s)
 		Put(other)
-		Put(cp)
 	}
 }
 
@@ -135,21 +131,6 @@ func TestPoolReuseIsClean(t *testing.T) {
 		}
 		g.Add(n - 1)
 		Put(g)
-	}
-}
-
-// TestCopyIndependence verifies a Copy does not alias its source.
-func TestCopyIndependence(t *testing.T) {
-	s := newSet(100)
-	s.Add(3)
-	c := newSet(1)
-	c.Copy(s)
-	s.Add(7)
-	if c.Has(7) {
-		t.Fatal("copy aliases source")
-	}
-	if !c.Has(3) || c.Universe() != 100 {
-		t.Fatal("copy missing member or universe")
 	}
 }
 

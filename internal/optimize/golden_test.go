@@ -18,7 +18,7 @@ import (
 	"repro/internal/xpath"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/churn_plans.golden from the current optimizer")
+var updateGolden = flag.Bool("update", false, "rewrite the plan goldens under testdata from the current rewriter and optimizer")
 
 // goldenWards are the nurse bindings whose optimized plans are pinned.
 var goldenWards = []string{"7", "300"}
@@ -100,9 +100,17 @@ func TestChurnPlanGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "churn_plans.golden")
+	checkGolden(t, filepath.Join("testdata", "churn_plans.golden"),
+		"# sha256[:8] of the optimized plan text, nurse ward, churn query", lines)
+}
+
+// checkGolden compares lines with the golden file at path, ignoring its
+// '#' comment lines; with -update it writes header and lines there
+// instead.
+func checkGolden(t *testing.T, path, header string, lines []string) {
+	t.Helper()
 	if *updateGolden {
-		body := "# sha256[:8] of the optimized plan text, nurse ward, churn query\n" + strings.Join(lines, "\n") + "\n"
+		body := header + "\n" + strings.Join(lines, "\n") + "\n"
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +132,7 @@ func TestChurnPlanGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(lines) {
-		t.Fatalf("golden has %d plans, the query space has %d", len(want), len(lines))
+		t.Fatalf("%s has %d plans, the query space has %d", path, len(want), len(lines))
 	}
 	bad := 0
 	for i := range lines {
@@ -135,6 +143,6 @@ func TestChurnPlanGolden(t *testing.T) {
 		}
 	}
 	if bad > 0 {
-		t.Errorf("%d of %d optimized plans differ from the golden", bad, len(lines))
+		t.Errorf("%d of %d plans differ from %s", bad, len(lines), path)
 	}
 }

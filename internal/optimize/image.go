@@ -27,6 +27,7 @@ package optimize
 
 import (
 	"repro/internal/dtd"
+	"repro/internal/typedp"
 	"repro/internal/xpath"
 )
 
@@ -121,7 +122,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		if p.Name == xpath.TextName {
 			if c, ok := o.d.Production(a); ok && c.Kind == dtd.Text {
 				n := b.node(a)
-				leaf := b.node(textNode)
+				leaf := b.node(typedp.Text)
 				leaf.frontier = true
 				n.kids = append(n.kids, leaf)
 				return n
@@ -218,18 +219,18 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 			}
 			return spine[t]
 		}
-		for _, t := range o.reachDescend(a) {
+		for _, t := range o.dp.ReachDescend(a) {
 			sub := b.build(p.Sub, t)
 			if sub == nil {
 				continue
 			}
 			var nt *inode
-			if t == textNode && a != textNode {
+			if t == typedp.Text && a != typedp.Text {
 				// Text has no DTD type to reach: one text leaf, shared
 				// like any spine node, hangs under every text-typed type.
 				// Types in sorted order keep the kid order reproducible.
-				nt = b.node(textNode)
-				for _, x := range o.reachDescend(a) {
+				nt = b.node(typedp.Text)
+				for _, x := range o.dp.ReachDescend(a) {
 					if c, ok := o.d.Production(x); ok && c.Kind == dtd.Text {
 						nx := cover(x)
 						nx.kids = append(nx.kids, nt)
@@ -395,9 +396,6 @@ func pruneDead(root *inode) bool {
 	strip(root)
 	return live[root]
 }
-
-// textNode is the pseudo image-graph node for text content.
-const textNode = "#text"
 
 // reachingSet returns the DTD types from which b is reachable (b
 // included), cached per target.

@@ -1,10 +1,11 @@
 package optimize
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dtd"
+	"repro/internal/typedp"
 	"repro/internal/xpath"
 )
 
@@ -14,15 +15,16 @@ import (
 // '//' and reaching sets are shared across queries under a mutex, so an
 // Optimizer is safe for concurrent use. The DP memo lives for one public
 // call (OptimizeAt, OptimizeCounted, Reach): plans are cached by the
-// caller, so a memo kept across calls would only hold
-// heap, and a plan never depends on the calls made before it.
+// caller, so a memo kept across calls would only hold heap, and a plan
+// never depends on the calls made before it. The DP and recProc are
+// package typedp's, which Algorithm rewrite drives too: this package
+// supplies the DTD's label edges, the union and qualifier rules and the
+// cyclic fallback.
 type Optimizer struct {
 	mu sync.Mutex
 	d  *dtd.DTD
 
-	memo     map[memoKey]result // nil between calls
-	recReach map[string][]string
-	recPaths map[string]map[string]xpath.Path
+	dp       *typedp.DP // the DP memo and the recProc tables
 	reaching map[string]map[string]bool
 
 	// rules counts DTD-driven simplification decisions (impossible /
@@ -42,47 +44,9 @@ type Optimizer struct {
 // '//' expansion simply keeps the descendant step instead of enumerating
 // paths when the sub-DAG below a node is cyclic.
 func New(d *dtd.DTD) *Optimizer {
-	return &Optimizer{
-		d:        d,
-		recReach: make(map[string][]string),
-		recPaths: make(map[string]map[string]xpath.Path),
-		reaching: make(map[string]map[string]bool),
-	}
-}
-
-type memoKey struct {
-	p xpath.Path
-	a string
-}
-
-// result is one DP cell: the optimized translation per reach target (see
-// package rewrite for why per-target composition is the sound variant of
-// the paper's union form).
-type result struct {
-	byTarget map[string]xpath.Path
-	reach    []string
-}
-
-func newResult() result { return result{byTarget: make(map[string]xpath.Path)} }
-
-func (r *result) add(target string, p xpath.Path) {
-	if xpath.IsEmpty(p) {
-		return
-	}
-	if prev, ok := r.byTarget[target]; ok {
-		r.byTarget[target] = xpath.MakeUnion(prev, p)
-		return
-	}
-	r.byTarget[target] = p
-	r.reach = append(r.reach, target)
-}
-
-func (r result) total() xpath.Path {
-	out := xpath.Path(xpath.Empty{})
-	for _, v := range r.reach {
-		out = xpath.MakeUnion(out, r.byTarget[v])
-	}
-	return out
+	o := &Optimizer{d: d, reaching: make(map[string]map[string]bool)}
+	o.dp = typedp.New(typedp.Lang{Edges: o.edges, Cyclic: o.cyclic, Case: o.optCase})
+	return o
 }
 
 // Optimize rewrites p (evaluated at root elements of the DTD) into an
@@ -100,12 +64,12 @@ func (o *Optimizer) OptimizeAt(p xpath.Path, a string) xpath.Path {
 
 // unlock ends a public call: the DP memo is dropped with the lock.
 func (o *Optimizer) unlock() {
-	o.memo = nil
+	o.dp.EndCall()
 	o.mu.Unlock()
 }
 
 func (o *Optimizer) optimizeAtLocked(p xpath.Path, a string) xpath.Path {
-	return xpath.Simplify(o.opt(p, a).total())
+	return xpath.Simplify(o.dp.Cell(p, a).Total())
 }
 
 // OptimizeCounted is Optimize that also reports what this call alone
@@ -138,7 +102,7 @@ func (o *Optimizer) OptimizeString(query string) (string, error) {
 
 // targets returns reach(p, a): the DTD types reachable from a via p.
 func (o *Optimizer) targets(p xpath.Path, a string) []string {
-	return o.opt(p, a).reach
+	return o.dp.Cell(p, a).Reach
 }
 
 // Reach returns reach(p, root): the element types a root-context query
@@ -150,99 +114,62 @@ func (o *Optimizer) Reach(p xpath.Path) []string {
 	return append([]string(nil), o.targets(p, o.d.Root())...)
 }
 
-func (o *Optimizer) opt(p xpath.Path, a string) result {
-	key := memoKey{p: p, a: a}
-	if res, ok := o.memo[key]; ok {
-		return res
+// edges lists the DTD's edges out of type a, each walked by its child
+// label, and a's text edge when its content is #PCDATA.
+func (o *Optimizer) edges(a string) ([]typedp.Edge, xpath.Path) {
+	var kids []typedp.Edge
+	for _, b := range o.d.Children(a) {
+		kids = append(kids, typedp.Edge{To: b, Label: b, Query: xpath.L(b)})
 	}
-	res := o.compute(p, a)
-	sort.Strings(res.reach)
-	if o.memo == nil {
-		o.memo = make(map[memoKey]result)
+	if c, ok := o.d.Production(a); ok && c.Kind == dtd.Text {
+		return kids, xpath.L(xpath.TextName)
 	}
-	o.memo[key] = res
-	return res
+	return kids, nil
 }
 
-func (o *Optimizer) compute(p xpath.Path, a string) result {
-	res := newResult()
+// cyclic is recrw(a, b) when the region below a is recursive, where the
+// label paths cannot be enumerated: the descendant step //b, which
+// reaches exactly the b descendants (and a itself for b = a) — a
+// precision fallback, never a correctness one.
+func (o *Optimizer) cyclic(a, b string) xpath.Path {
+	p := xpath.MakeDescend(xpath.L(b))
+	if b == a {
+		return xpath.MakeUnion(xpath.Self{}, p)
+	}
+	return p
+}
+
+// optCase computes the DP cells optimize does not share with rewrite.
+func (o *Optimizer) optCase(p xpath.Path, a string) typedp.Cell {
+	var res typedp.Cell
 	switch p := p.(type) {
-	case xpath.Empty:
-		return res
-	case xpath.Self: // case (1)
-		res.add(a, xpath.Self{})
-		return res
-	case xpath.Label: // case (2)
-		if p.Name == xpath.TextName {
-			if c, ok := o.d.Production(a); ok && c.Kind == dtd.Text {
-				res.add(textNode, p)
-			}
-			return res
-		}
-		if o.d.HasChild(a, p.Name) {
-			res.add(p.Name, p)
-		}
-		return res
-	case xpath.Wildcard: // case (3): expand to the concrete child labels
-		for _, b := range o.d.Children(a) {
-			res.add(b, xpath.L(b))
-		}
-		return res
-	case xpath.Seq: // case (4), per target
-		r1 := o.opt(p.Left, a)
-		for _, v := range r1.reach {
-			r2 := o.opt(p.Right, v)
-			for _, w := range r2.reach {
-				res.add(w, xpath.MakeSeq(r1.byTarget[v], r2.byTarget[w]))
-			}
-		}
-		return res
-	case xpath.Descend: // case (5): expand '//' through recProc
-		for _, b := range o.reachDescend(a) {
-			sub := o.opt(p.Sub, b)
-			for _, w := range sub.reach {
-				res.add(w, xpath.MakeSeq(o.recrw(a, b), sub.byTarget[w]))
-			}
-		}
-		return res
 	case xpath.Union: // case (6): drop a branch contained in the other
 		u := o.newUnionPass(p, a)
 		return u.decide(p, 0, 0, len(u.branches))
-	case xpath.Qualified:
-		if _, ok := p.Sub.(xpath.Self); ok { // case (7)
-			tv, q := o.optQual(p.Cond, a)
-			switch tv {
-			case tvTrue:
-				res.add(a, xpath.Self{})
-			case tvFalse:
-				// ∅
-			default:
-				res.add(a, xpath.Qualified{Sub: xpath.Self{}, Cond: q})
-			}
-			return res
+	case xpath.Qualified: // case (7): ε[q]
+		tv, q := o.optQual(p.Cond, a)
+		switch tv {
+		case tvTrue:
+			res.Add(a, xpath.Self{})
+		case tvFalse:
+			// ∅
+		default:
+			res.Add(a, xpath.Qualified{Sub: xpath.Self{}, Cond: q})
 		}
-		return o.opt(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
 	case xpath.Rec:
 		// Height-free rewrite of a recursive view region (package rewrite).
 		// The automaton is opaque to the optimizer, but its results are
 		// typed: every selected node carries ResultLabel. Keep the node,
-		// pruning it only when the DTD proves that label unreachable from
-		// the evaluation context (Reachable includes a itself, and every
-		// context a Rec is evaluated at carries its Start type's label by
-		// plan construction, so self-reach is covered).
-		if p.ResultLabel == xpath.TextName {
-			if o.textReachable(o.d.Reachable(a)) {
-				res.add(textNode, p)
-			}
-			return res
+		// pruning it only when the DTD proves that label (or text, for a
+		// text ResultLabel) unreachable from the evaluation context.
+		// reach(//, a) includes a itself, and every context a Rec is
+		// evaluated at carries its Start type's label by plan
+		// construction, so self-reach is covered.
+		if o.d.Has(a) && slices.Contains(o.dp.ReachDescend(a), p.ResultLabel) {
+			res.Add(p.ResultLabel, p)
 		}
-		if o.d.Reachable(a)[p.ResultLabel] {
-			res.add(p.ResultLabel, p)
-		}
-		return res
-	default:
-		return res
 	}
+	return res
 }
 
 // optQual is the paper's evaluate([q], A): it decides the qualifier where

@@ -1,8 +1,7 @@
 package optimize
 
 import (
-	"sort"
-
+	"repro/internal/typedp"
 	"repro/internal/xpath"
 )
 
@@ -63,10 +62,10 @@ func (u *unionPass) flatten(p xpath.Path) {
 
 // decide optimizes the union subtree p, the union node numbered node in
 // preorder (when p is a union), which covers branches [lo, hi).
-func (u *unionPass) decide(p xpath.Path, node, lo, hi int) result {
+func (u *unionPass) decide(p xpath.Path, node, lo, hi int) typedp.Cell {
 	un, ok := p.(xpath.Union)
 	if !ok {
-		return u.o.opt(p, u.a)
+		return u.o.dp.Cell(p, u.a)
 	}
 	// A binary tree over n branches has n−1 union nodes, so the right
 	// operand's preorder number follows the left operand's mid−lo−1.
@@ -86,14 +85,7 @@ func (u *unionPass) decide(p xpath.Path, node, lo, hi int) result {
 			return u.decide(un.Left, left, lo, mid)
 		}
 	}
-	res := newResult()
-	for _, rs := range []result{u.decide(un.Left, left, lo, mid), u.decide(un.Right, right, mid, hi)} {
-		for _, w := range rs.reach {
-			res.add(w, rs.byTarget[w])
-		}
-	}
-	sort.Strings(res.reach)
-	return res
+	return typedp.Union(u.decide(un.Left, left, lo, mid), u.decide(un.Right, right, mid, hi))
 }
 
 // image is image(b_lo ∪ … ∪ b_hi−1, a), with the same contract as

@@ -12,7 +12,9 @@
 // every pair (A, B) an XPath query recrw(A, B) capturing all label paths
 // from A to B in the view DTD with σ spliced in; symbolic sharing of
 // sub-expressions keeps recrw(A, B) linear in |D_v| even when the DAG has
-// exponentially many paths.
+// exponentially many paths. The DP and recProc are package typedp's,
+// which Algorithm optimize drives too: this package supplies the view
+// DTD's σ edges, qualifier rewriting and the cyclic fallback.
 //
 // Recursive view DTDs admit two treatments. Section 4.2 unfolds the view
 // DTD to the height of the concrete document, yielding a DAG the document
@@ -26,16 +28,16 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/dtd"
 	"repro/internal/secview"
+	"repro/internal/typedp"
 	"repro/internal/xpath"
 )
 
 // Rewriter holds the per-view precomputation shared by all queries: the
-// effective (possibly unfolded) DAG view DTD and the recProc tables. A
+// effective (possibly unfolded) view DTD and the recProc tables. A
 // Rewriter is safe for concurrent use: calls serialize on a mutex. The
 // DP memo lives for one Rewrite call — plans are cached by the caller,
 // so a memo kept across calls would grow with every distinct query the
@@ -51,69 +53,19 @@ type Rewriter struct {
 	// sigma maps effective production edges to σ queries over the document.
 	sigma map[[2]string]xpath.Path
 
-	// recProc results, computed lazily per source node.
-	recReach map[string][]string
-	recPaths map[string]map[string]xpath.Path
+	// dp holds the DP memo and the recProc tables.
+	dp *typedp.DP
 
 	// recGraph is the view's σ transition system, built lazily the first
 	// time recProc meets a cyclic region (height-free mode only) and
 	// shared by pointer across all Rec nodes the rewriter emits.
 	recGraph *xpath.RecGraph
 
-	memo map[memoKey]result // nil between calls
-
 	// unfolded/height record whether this rewriter's view DTD was
 	// unfolded (recursive view) and to what document height — pure
 	// observability; the algorithm never reads them back.
 	unfolded bool
 	height   int
-}
-
-type memoKey struct {
-	p xpath.Path
-	a string
-}
-
-// result is one DP cell: for a (sub-query, view type) pair it keeps the
-// local translation *per reach target*. Keeping translations per target —
-// rather than the single union rw(p', A) of Fig. 6 — is what makes step
-// composition sound: in p1/p2, the continuation rewritten for target v is
-// composed only onto the paths that lead to v, so a qualifier that is,
-// say, false at v1 but true at v2 cannot leak across (see DESIGN.md,
-// "Mixed-target step composition"). The union of the per-target
-// translations is exactly the paper's rw(p', A).
-type result struct {
-	byTarget map[string]xpath.Path
-	reach    []string // sorted set of effective view types
-}
-
-// total returns rw(p', A): the union of the per-target translations, in
-// deterministic (sorted target) order.
-func (r result) total() xpath.Path {
-	out := xpath.Path(xpath.Empty{})
-	for _, v := range r.reach {
-		out = xpath.MakeUnion(out, r.byTarget[v])
-	}
-	return out
-}
-
-func (r result) empty() bool { return len(r.byTarget) == 0 }
-
-func newResult() result {
-	return result{byTarget: make(map[string]xpath.Path)}
-}
-
-// add unions a translation into one target's cell.
-func (r *result) add(target string, p xpath.Path) {
-	if xpath.IsEmpty(p) {
-		return
-	}
-	if prev, ok := r.byTarget[target]; ok {
-		r.byTarget[target] = xpath.MakeUnion(prev, p)
-		return
-	}
-	r.byTarget[target] = p
-	r.reach = append(r.reach, target)
 }
 
 // ForView builds a rewriter for a security view. Recursive view DTDs are
@@ -168,13 +120,12 @@ func (r *Rewriter) Mode() string {
 
 func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter {
 	r := &Rewriter{
-		view:     v,
-		dv:       dv,
-		orig:     orig,
-		sigma:    make(map[[2]string]xpath.Path),
-		recReach: make(map[string][]string),
-		recPaths: make(map[string]map[string]xpath.Path),
+		view:  v,
+		dv:    dv,
+		orig:  orig,
+		sigma: make(map[[2]string]xpath.Path),
 	}
+	r.dp = typedp.New(typedp.Lang{Edges: r.edges, Cyclic: r.cyclic, Case: r.rwCase})
 	for _, a := range dv.Types() {
 		c := dv.MustProduction(a)
 		if c.Kind == dtd.Text {
@@ -215,11 +166,9 @@ func (r *Rewriter) Rewrite(p xpath.Path) (xpath.Path, error) {
 func (r *Rewriter) RewriteCounted(p xpath.Path) (xpath.Path, int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.memo = make(map[memoKey]result)
-	res := r.rw(p, r.dv.Root())
-	cells := len(r.memo)
-	r.memo = nil
-	return xpath.Simplify(res.total()), cells, nil
+	res := r.dp.Cell(p, r.dv.Root())
+	cells := r.dp.EndCall()
+	return xpath.Simplify(res.Total()), cells, nil
 }
 
 // RewriteString parses, rewrites, and prints in one step.
@@ -248,90 +197,19 @@ func (r *Rewriter) attrVisible(a, name string) bool {
 	return ok
 }
 
-// textType is the pseudo view type occupied after a text() step; it has
-// no children and no σ edges.
-const textType = "#text"
-
-// rw computes the local translation rw(p', A) and reach(p', A); results
-// are memoized on (sub-query structure, node), which is exactly the
-// paper's DP table.
-func (r *Rewriter) rw(p xpath.Path, a string) result {
-	key := memoKey{p: p, a: a}
-	if res, ok := r.memo[key]; ok {
-		return res
-	}
-	res := r.compute(p, a)
-	sort.Strings(res.reach)
-	r.memo[key] = res
-	return res
-}
-
-func (r *Rewriter) compute(p xpath.Path, a string) result {
-	res := newResult()
+// rwCase computes the DP cells rewrite does not share with optimize.
+func (r *Rewriter) rwCase(p xpath.Path, a string) typedp.Cell {
+	var res typedp.Cell
 	switch p := p.(type) {
-	case xpath.Empty:
-		return res
-	case xpath.Self: // case 1
-		res.add(a, xpath.Self{})
-		return res
-	case xpath.Label: // case 2
-		if p.Name == xpath.TextName {
-			if sig, ok := r.sigma[[2]string{a, dtd.TextLabel}]; ok {
-				res.add(textType, sig)
-			}
-			return res
-		}
-		for _, child := range r.children(a) {
-			if r.orig[child] == p.Name {
-				res.add(child, r.sigmaOf(a, child))
-			}
-		}
-		return res
-	case xpath.Wildcard: // case 3
-		for _, child := range r.children(a) {
-			res.add(child, r.sigmaOf(a, child))
-		}
-		return res
-	case xpath.Seq: // case 4, per target
-		r1 := r.rw(p.Left, a)
-		for _, v := range r1.reach {
-			r2 := r.rw(p.Right, v)
-			for _, w := range r2.reach {
-				res.add(w, xpath.MakeSeq(r1.byTarget[v], r2.byTarget[w]))
-			}
-		}
-		return res
-	case xpath.Descend: // case 5, per target
-		for _, b := range r.reachDescend(a) {
-			rb := r.rw(p.Sub, b)
-			for _, w := range rb.reach {
-				res.add(w, xpath.MakeSeq(r.recrw(a, b), rb.byTarget[w]))
-			}
-		}
-		return res
 	case xpath.Union: // case 6
-		for _, sub := range []xpath.Path{p.Left, p.Right} {
-			rs := r.rw(sub, a)
-			for _, w := range rs.reach {
-				res.add(w, rs.byTarget[w])
-			}
+		return typedp.Union(r.dp.Cell(p.Left, a), r.dp.Cell(p.Right, a))
+	case xpath.Qualified: // case 7: ε[q]
+		q := r.rwQual(p.Cond, a)
+		if _, isFalse := q.(xpath.QFalse); !isFalse {
+			res.Add(a, xpath.MakeQualified(xpath.Self{}, q))
 		}
-		return res
-	case xpath.Qualified:
-		if _, ok := p.Sub.(xpath.Self); ok { // case 7: ε[q]
-			q := r.rwQual(p.Cond, a)
-			if _, isFalse := q.(xpath.QFalse); isFalse {
-				return res
-			}
-			res.add(a, xpath.MakeQualified(xpath.Self{}, q))
-			return res
-		}
-		// p1[q] ≡ p1/ε[q]: case 4 then gives each reach target its own
-		// locally rewritten qualifier.
-		return r.rw(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
-	default:
-		return res
 	}
+	return res
 }
 
 // rwQual rewrites a qualifier at view type A (Fig. 6 cases 8-12).
@@ -340,17 +218,17 @@ func (r *Rewriter) rwQual(q xpath.Qual, a string) xpath.Qual {
 	case xpath.QTrue, xpath.QFalse:
 		return q
 	case xpath.QPath: // case 8
-		res := r.rw(q.Path, a)
-		if res.empty() {
+		res := r.dp.Cell(q.Path, a)
+		if res.Empty() {
 			return xpath.QFalse{}
 		}
-		return xpath.QPath{Path: res.total()}
+		return xpath.QPath{Path: res.Total()}
 	case xpath.QEq: // case 9
-		res := r.rw(q.Path, a)
-		if res.empty() {
+		res := r.dp.Cell(q.Path, a)
+		if res.Empty() {
 			return xpath.QFalse{}
 		}
-		return xpath.QEq{Path: res.total(), Value: q.Value, Var: q.Var}
+		return xpath.QEq{Path: res.Total(), Value: q.Value, Var: q.Var}
 	case xpath.QAnd: // case 10
 		return xpath.MakeAnd(r.rwQual(q.Left, a), r.rwQual(q.Right, a))
 	case xpath.QOr: // case 11
@@ -373,20 +251,18 @@ func (r *Rewriter) rwQual(q xpath.Qual, a string) xpath.Qual {
 	}
 }
 
-// children returns the distinct child types of an effective view type.
-func (r *Rewriter) children(a string) []string {
-	if a == textType {
-		return nil
+// edges lists the production edges out of an effective view type with
+// their σ queries, and its σ text edge. Derived views define σ on every
+// edge, so a missing entry only arises for hand-built views, where the
+// child label itself is the natural default.
+func (r *Rewriter) edges(a string) ([]typedp.Edge, xpath.Path) {
+	var kids []typedp.Edge
+	for _, b := range r.dv.Children(a) {
+		sig, ok := r.sigma[[2]string{a, b}]
+		if !ok {
+			sig = xpath.L(r.orig[b])
+		}
+		kids = append(kids, typedp.Edge{To: b, Label: r.orig[b], Query: sig})
 	}
-	return r.dv.Children(a)
-}
-
-// sigmaOf returns σ for an effective production edge; derived views
-// define σ on every edge, so a missing entry only arises for hand-built
-// views, where the child label itself is the natural default.
-func (r *Rewriter) sigmaOf(parent, child string) xpath.Path {
-	if p, ok := r.sigma[[2]string{parent, child}]; ok {
-		return p
-	}
-	return xpath.L(r.orig[child])
+	return kids, r.sigma[[2]string{a, dtd.TextLabel}]
 }

@@ -512,9 +512,10 @@ func (p *parser) expectParens() error {
 
 // parseLiteral parses "str", 'str', $var, or a bare number/word constant.
 // It returns (value, varName). A string literal's bytes are taken as they
-// are, except that a doubled delimiter ("" inside "…", '' inside '…')
-// stands for one, as in XPath 2.0; the printer relies on that to write
-// any value.
+// are, except that a doubled delimiter stands for one, as in XPath 2.0:
+// two double quotes inside a double-quoted literal, two single quotes
+// inside a single-quoted one. The printer relies on that to write any
+// value.
 func (p *parser) parseLiteral() (string, string, error) {
 	p.skipSpace()
 	switch {
