@@ -153,11 +153,13 @@ func main() {
 
 	rep.Finding = findVerdict(rep.Levels, *timeout)
 	if srv != nil {
-		st := srv.Stats().Server
-		rep.Server = &st
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		rep.Mem = newMemReport(memBefore, memAfter, st.Requests)
+		var sent uint64
+		for _, l := range rep.Levels {
+			sent += l.Requests
+		}
+		rep.Mem = newMemReport(memBefore, memAfter, sent)
 	}
 	rep.TopQueries = topFingerprints(srv, *targetURL)
 
@@ -187,20 +189,19 @@ func main() {
 
 // report is the BENCH_svload.json schema.
 type report struct {
-	Tool        string             `json:"tool"`
-	Scenario    string             `json:"scenario"`
-	Document    string             `json:"document"`
-	DocNodes    int                `json:"doc_nodes,omitempty"`
-	DocHeight   int                `json:"doc_height,omitempty"`
-	TimeoutNs   int64              `json:"timeout_ns"`
-	DurationNs  int64              `json:"duration_per_level_ns"`
-	MaxInFlight int                `json:"max_in_flight"`
-	Zipf        float64            `json:"zipf,omitempty"`
-	Mix         loadgen.Mix        `json:"mix"`
-	Levels      []loadgen.Result   `json:"levels"`
-	Finding     finding            `json:"finding"`
-	Server      *serve.ServerStats `json:"server_stats,omitempty"`
-	Mem         *memReport         `json:"mem_stats,omitempty"`
+	Tool        string           `json:"tool"`
+	Scenario    string           `json:"scenario"`
+	Document    string           `json:"document"`
+	DocNodes    int              `json:"doc_nodes,omitempty"`
+	DocHeight   int              `json:"doc_height,omitempty"`
+	TimeoutNs   int64            `json:"timeout_ns"`
+	DurationNs  int64            `json:"duration_per_level_ns"`
+	MaxInFlight int              `json:"max_in_flight"`
+	Zipf        float64          `json:"zipf,omitempty"`
+	Mix         loadgen.Mix      `json:"mix"`
+	Levels      []loadgen.Result `json:"levels"`
+	Finding     finding          `json:"finding"`
+	Mem         *memReport       `json:"mem_stats,omitempty"`
 	// TopQueries is the server's five heaviest /queryz fingerprints by
 	// cumulative eval time, so the bench trajectory attributes a
 	// regression to the query shapes that caused it.
@@ -232,10 +233,10 @@ func topFingerprints(srv *serve.Server, baseURL string) []qstats.FingerprintStat
 
 // memReport is the in-process allocation cost of serving the whole run:
 // runtime.MemStats deltas from just before the first level (post-GC) to
-// just after the last, normalized per admitted request. The ordinal
-// bitset work is judged on this section — a representation change that
-// moves allocs_per_request or gc_cycles shows up here without needing a
-// profiler.
+// just after the last, normalized per request sent (Σ levels[].requests,
+// admitted or not). The ordinal bitset work is judged on this section —
+// a representation change that moves allocs_per_request or gc_cycles
+// shows up here without needing a profiler.
 type memReport struct {
 	GCCycles        uint32  `json:"gc_cycles"`
 	TotalAllocBytes uint64  `json:"total_alloc_bytes"`

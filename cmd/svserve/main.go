@@ -11,11 +11,10 @@
 // Endpoints:
 //
 //	GET /query?class=nurse&param=wardNo=6&q=//patient/name[&timeout=250ms]
-//	GET /statsz   — JSON counters: server (requests, latency histogram,
-//	                timeouts, rejections) and per-class engine/plan-cache
-//	                stats from the layers below
-//	GET /metricsz — the same counters plus per-phase latency histograms
-//	                in Prometheus text exposition format
+//	GET /metricsz — every counter in Prometheus text exposition format:
+//	                requests and responses by status, request and
+//	                per-phase latency histograms, plan-cache outcomes,
+//	                and per-class evals and plan-cache evictions/entries
 //	GET /queryz   — per-fingerprint query statistics (top-K by eval
 //	                time, total time, or count)
 //	GET /explainz — one query with fresh per-phase timings and the

@@ -250,9 +250,9 @@ func (e *Engine) env(lits []string) xpath.Env {
 // through a handle whose specification parameters are unbound. A
 // context carrying a QueryMetrics record gets the cache outcome and, on
 // a miss, the rewrite and optimize durations. Concurrent misses on one
-// key may build the plan more than once and the last Put wins
-// (GetOrCompute singleflights, but this path wants per-request metrics
-// attribution, and a duplicate plan build is harmless).
+// key may build the plan more than once and the last Put wins: a
+// duplicate plan build is harmless, and each request still gets its own
+// rewrite and optimize times.
 func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []string, error) {
 	if err := e.checkVars(p); err != nil {
 		return nil, nil, err
@@ -480,8 +480,8 @@ func (e *Engine) ExplainStringCtx(ctx context.Context, doc *xmltree.Document, qu
 
 // Stats is a point-in-time snapshot of the engine's serving counters.
 // Every handle of one policy reports the same counters: they belong to
-// the shared state. The JSON field names are part of the /statsz wire
-// format.
+// the shared state. svserve exposes Evals, PlanCache.Evictions and
+// PlanCache.Entries per class on /metricsz.
 type Stats struct {
 	// Queries counts Query/QueryString calls.
 	Queries uint64 `json:"queries"`

@@ -1,5 +1,5 @@
 // Package latency is the shared online latency accounting used by the
-// serving layer (/statsz, /metricsz), the observability registry, and
+// serving layer (/metricsz, /queryz), the observability registry, and
 // the load generator: a fixed geometric bucket ladder fine enough for
 // percentile estimation, a lock-free Digest safe for concurrent Observe
 // calls, and histogram-interpolation quantile estimates (p50/p95/p99)
@@ -8,8 +8,8 @@
 //
 // Units: everything internal is nanosecond-based (sums, maxima,
 // quantile arithmetic); microseconds and milliseconds exist only at the
-// edges (the /statsz JSON wire format and human-facing summaries via
-// the *Us accessors, CLI output). Consumers converting for display
+// edges (JSON summaries such as /queryz rows and svload reports via the
+// *Us accessors, CLI output); /metricsz converts to seconds. Consumers converting for display
 // divide at the edge rather than storing converted values.
 package latency
 
@@ -44,13 +44,6 @@ var Bounds = [...]time.Duration{
 
 // NumBuckets is the bucket count including the +inf bucket.
 const NumBuckets = len(Bounds) + 1
-
-// BucketNames label the buckets in JSON output, in bucket order.
-var BucketNames = [NumBuckets]string{
-	"le_100us", "le_250us", "le_500us", "le_1ms", "le_2500us", "le_5ms",
-	"le_10ms", "le_25ms", "le_50ms", "le_100ms", "le_250ms", "le_500ms",
-	"le_1s", "le_2500ms", "le_5s", "le_10s", "inf",
-}
 
 // Digest is an online latency accumulator: sum, exact max, and the
 // bucket histogram, all nanosecond-based. The count is not stored
@@ -89,16 +82,16 @@ func bucketIndex(v time.Duration) int {
 	return len(Bounds)
 }
 
-// Snapshot is a point-in-time copy of a Digest, suitable for JSON
-// encoding and quantile estimation. Buckets are in ladder order
-// (BucketNames gives the labels). Count equals the bucket sum exactly,
+// Snapshot is a point-in-time copy of a Digest, for quantile
+// estimation and exposition. Buckets are in ladder order (the last is
+// the +inf bucket). Count equals the bucket sum exactly,
 // always; SumNs and MaxNs may lag or lead it by in-flight observations
 // when snapshotted under load.
 type Snapshot struct {
-	Count   uint64             `json:"count"`
-	SumNs   uint64             `json:"sum_ns"`
-	MaxNs   uint64             `json:"max_ns"`
-	Buckets [NumBuckets]uint64 `json:"-"`
+	Count   uint64
+	SumNs   uint64
+	MaxNs   uint64
+	Buckets [NumBuckets]uint64
 }
 
 // Snapshot copies the digest's counters. Count is derived from the
@@ -184,18 +177,15 @@ func (s Snapshot) QuantileNs(q float64) float64 {
 	return float64(s.MaxNs)
 }
 
-// Microsecond-edge accessors: the /statsz wire format and human-facing
-// summaries report microseconds; these divide at the edge so no
-// converted value is ever stored.
+// Microsecond-edge accessors: JSON summaries and human-facing output
+// report microseconds; these divide at the edge so no converted value
+// is ever stored.
 
 // QuantileUs is QuantileNs in microseconds.
 func (s Snapshot) QuantileUs(q float64) float64 { return s.QuantileNs(q) / 1e3 }
 
 // MeanUs is MeanNs in microseconds.
 func (s Snapshot) MeanUs() float64 { return s.MeanNs() / 1e3 }
-
-// SumUs is the observation sum in whole microseconds.
-func (s Snapshot) SumUs() uint64 { return s.SumNs / 1e3 }
 
 // MaxUs is the observed maximum in whole microseconds.
 func (s Snapshot) MaxUs() uint64 { return s.MaxNs / 1e3 }
@@ -222,13 +212,4 @@ func (s Snapshot) Summarize() Summary {
 		P99Us:  s.QuantileUs(0.99),
 		MaxUs:  float64(s.MaxNs) / 1e3,
 	}
-}
-
-// BucketMap renders the histogram as a name→count map for JSON output.
-func (s Snapshot) BucketMap() map[string]uint64 {
-	m := make(map[string]uint64, NumBuckets)
-	for i, name := range BucketNames {
-		m[name] = s.Buckets[i]
-	}
-	return m
 }

@@ -7,9 +7,6 @@ import (
 )
 
 func TestBucketShape(t *testing.T) {
-	if len(BucketNames) != len(Bounds)+1 {
-		t.Fatalf("BucketNames has %d entries for %d bounds", len(BucketNames), len(Bounds))
-	}
 	for i := 1; i < len(Bounds); i++ {
 		if Bounds[i] <= Bounds[i-1] {
 			t.Errorf("Bounds not increasing at %d: %v then %v", i, Bounds[i-1], Bounds[i])

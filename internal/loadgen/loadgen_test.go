@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dtds"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/xmlgen"
@@ -270,13 +272,25 @@ func TestHospitalSaturationSmoke(t *testing.T) {
 		t.Errorf("%d of %d admitted requests exceeded deadline+grace (limit %d)",
 			res.DeadlineViolations, res.Admitted.Count, limit)
 	}
-	// The server's own accounting must agree on the status classes.
-	st := srv.Stats().Server
-	if st.Rejected != res.Rejected {
-		t.Errorf("server counted %d rejections, client saw %d", st.Rejected, res.Rejected)
+	// The server's own accounting (/metricsz) must agree on the status
+	// classes.
+	var text strings.Builder
+	srv.Metrics().WriteText(&text)
+	samples, err := obs.ParseSamples(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatalf("/metricsz: %v", err)
 	}
-	if st.OK != res.OK {
-		t.Errorf("server counted %d oks, client saw %d", st.OK, res.OK)
+	responses := map[string]uint64{}
+	for _, sm := range samples {
+		if sm.Name == "sv_responses_total" {
+			responses[sm.Labels["code"]] = uint64(sm.Value)
+		}
+	}
+	if responses["429"] != res.Rejected {
+		t.Errorf("server counted %d rejections, client saw %d", responses["429"], res.Rejected)
+	}
+	if responses["200"] != res.OK {
+		t.Errorf("server counted %d oks, client saw %d", responses["200"], res.OK)
 	}
 }
 

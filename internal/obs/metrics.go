@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/latency"
 )
@@ -23,30 +21,6 @@ type Label struct {
 
 // L is shorthand for building a Label.
 func L(name, value string) Label { return Label{Name: name, Value: value} }
-
-// Counter is a monotonically increasing metric.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Histogram is a latency histogram over the shared latency.Digest
-// bucket ladder. Internally everything is nanosecond-based (the digest
-// stores nanoseconds); the Prometheus exposition converts to seconds,
-// the convention for *_duration_seconds metrics.
-type Histogram struct{ d latency.Digest }
-
-// Observe records one duration.
-func (h *Histogram) Observe(v time.Duration) { h.d.Observe(v) }
-
-// Snapshot returns the underlying digest snapshot (nanosecond units).
-func (h *Histogram) Snapshot() latency.Snapshot { return h.d.Snapshot() }
 
 // metricKind tags a series with its exposition TYPE.
 type metricKind int
@@ -73,8 +47,7 @@ type series struct {
 	labels    []Label
 	counter   func() uint64           // kindCounter
 	gauge     func() float64          // kindGauge
-	histogram *Histogram              // kindHistogram
-	histSnap  func() latency.Snapshot // kindHistogram via HistogramFunc
+	histogram func() latency.Snapshot // kindHistogram
 }
 
 // family groups the series sharing one metric name (one HELP/TYPE
@@ -88,8 +61,12 @@ type family struct {
 
 // Registry holds a process-local set of metrics and renders them in the
 // Prometheus text exposition format. Registration happens at server
-// construction; Observe/Inc on the returned handles and WriteText are
-// safe for concurrent use.
+// construction; every series reads its value from the function it was
+// registered with, at exposition time. WriteText reads the families in
+// the order they were first registered, and each family's series in
+// registration order; callers that need a consistent snapshot order
+// their registrations (see serve.Server.registerMetrics). Registration
+// and WriteText are safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -116,14 +93,6 @@ func (r *Registry) register(name, help string, kind metricKind, s *series) {
 	f.series = append(f.series, s)
 }
 
-// Counter registers (or extends, with new labels) a counter family and
-// returns the handle to increment.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &series{labels: labels, counter: c.Value})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — the bridge for counters that already exist as
 // atomics elsewhere (the serve package's request counters), so the
@@ -137,21 +106,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.register(name, help, kindGauge, &series{labels: labels, gauge: fn})
 }
 
-// Histogram registers a duration histogram family member and returns
-// the handle to observe into.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	h := &Histogram{}
-	r.register(name, help, kindHistogram, &series{labels: labels, histogram: h})
-	return h
-}
-
 // HistogramFunc registers a histogram whose snapshot is read from fn at
 // exposition time — the bridge for digests that already exist elsewhere
-// (the server's request-latency digest feeding both /statsz and
-// /metricsz), so the two endpoints render one underlying histogram and
-// can never disagree.
+// (the server's request-latency and per-phase digests), so the
+// exposition renders the digest itself and never keeps a second copy.
+// The histogram is exposed in seconds, the convention for
+// *_duration_seconds metrics; the digest stays nanosecond-based.
 func (r *Registry) HistogramFunc(name, help string, fn func() latency.Snapshot, labels ...Label) {
-	r.register(name, help, kindHistogram, &series{labels: labels, histSnap: fn})
+	r.register(name, help, kindHistogram, &series{labels: labels, histogram: fn})
 }
 
 // bucketLeSeconds are the exposition 'le' values: the shared latency
@@ -193,12 +155,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 }
 
 func writeHistogram(b *strings.Builder, name string, s *series) {
-	var snap latency.Snapshot
-	if s.histSnap != nil {
-		snap = s.histSnap()
-	} else {
-		snap = s.histogram.Snapshot()
-	}
+	snap := s.histogram()
 	cum := uint64(0)
 	for i, le := range bucketLeSeconds {
 		cum += snap.Buckets[i]

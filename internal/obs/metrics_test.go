@@ -14,15 +14,14 @@ import (
 // change to the wire format must show up here as an explicit diff.
 func TestExpositionPin(t *testing.T) {
 	r := NewRegistry()
-	ok := r.Counter("test_requests_total", "Total requests.", L("code", "200"))
-	ok.Add(3)
-	errs := r.Counter("test_requests_total", "Total requests.", L("code", "500"))
-	errs.Inc()
+	r.CounterFunc("test_requests_total", "Total requests.", func() uint64 { return 3 }, L("code", "200"))
+	r.CounterFunc("test_requests_total", "Total requests.", func() uint64 { return 1 }, L("code", "500"))
 	r.GaugeFunc("test_in_flight", "In-flight requests.", func() float64 { return 1.5 })
-	h := r.Histogram("test_duration_seconds", "Request duration.")
-	h.Observe(50 * time.Microsecond)  // le 0.0001
-	h.Observe(300 * time.Microsecond) // le 0.0005
-	h.Observe(2 * time.Second)        // le 2.5
+	var d latency.Digest
+	d.Observe(50 * time.Microsecond)  // le 0.0001
+	d.Observe(300 * time.Microsecond) // le 0.0005
+	d.Observe(2 * time.Second)        // le 2.5
+	r.HistogramFunc("test_duration_seconds", "Request duration.", d.Snapshot)
 
 	const want = `# HELP test_requests_total Total requests.
 # TYPE test_requests_total counter
@@ -63,17 +62,20 @@ test_duration_seconds_count 3
 }
 
 // TestWriteTextValidates: the writer's output must pass the independent
-// validator for a registry spanning every metric kind and label shape.
+// validator for a registry spanning every metric kind and label shape,
+// and ParseSamples must read escaped label values and sample values
+// back as registered.
 func TestWriteTextValidates(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("app_events_total", "Events.", L("kind", "a"), L("zone", `quoted "z" \ back`))
-	c.Add(7)
+	const zone = `quoted "z" \ back` + "\nline"
+	r.CounterFunc("app_events_total", "Events.", func() uint64 { return 7 }, L("kind", "a"), L("zone", zone))
 	r.CounterFunc("app_reads_total", "Reads.", func() uint64 { return 12 })
 	r.GaugeFunc("app_temp", "Temp with\nnewline help.", func() float64 { return -2.25 })
-	h := r.Histogram("app_wait_seconds", "Wait.", L("q", "fast"))
+	var wait latency.Digest
 	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
+		wait.Observe(time.Duration(i) * time.Millisecond)
 	}
+	r.HistogramFunc("app_wait_seconds", "Wait.", wait.Snapshot, L("q", "fast"))
 	var idle latency.Digest
 	r.HistogramFunc("app_idle_seconds", "Idle (empty histogram).", idle.Snapshot)
 
@@ -81,8 +83,21 @@ func TestWriteTextValidates(t *testing.T) {
 	if err := r.WriteText(&b); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
-	if err := ValidateExposition(strings.NewReader(b.String())); err != nil {
-		t.Errorf("writer output fails the validator: %v\n%s", err, b.String())
+	samples, err := ParseSamples(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("writer output fails the validator: %v\n%s", err, b.String())
+	}
+	if got := samples[0]; got.Name != "app_events_total" || got.Labels["zone"] != zone || got.Labels["kind"] != "a" || got.Value != 7 {
+		t.Errorf("first sample = %+v, want app_events_total{kind=a, zone=%q} 7", got, zone)
+	}
+	var count float64
+	for _, sm := range samples {
+		if sm.Name == "app_wait_seconds_count" && sm.Labels["q"] == "fast" {
+			count = sm.Value
+		}
+	}
+	if count != 100 {
+		t.Errorf("app_wait_seconds_count = %v, want 100", count)
 	}
 }
 

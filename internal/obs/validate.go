@@ -19,11 +19,28 @@ import (
 // and deliberately shares no code with WriteText so a formatting bug
 // cannot hide from its own validator.
 func ValidateExposition(r io.Reader) error {
+	_, err := ParseSamples(r)
+	return err
+}
+
+// Sample is one sample line of an exposition: the sample name (with
+// any _bucket/_sum/_count suffix), its labels and its value.
+type Sample struct {
+	Name   string
+	Labels map[string]string
+	Value  float64
+}
+
+// ParseSamples validates r as ValidateExposition does and returns its
+// samples in exposition order. Tests read /metricsz values through
+// it, so every value they assert on has passed the validator.
+func ParseSamples(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	types := make(map[string]string) // family -> TYPE
 	helps := make(map[string]bool)
 	hist := make(map[string]*histCheck) // family+labels -> bucket state
+	var samples []Sample
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -33,26 +50,28 @@ func ValidateExposition(r io.Reader) error {
 		}
 		if strings.HasPrefix(line, "#") {
 			if err := validateComment(line, types, helps); err != nil {
-				return fmt.Errorf("line %d: %w", lineNo, err)
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			continue
 		}
-		if err := validateSample(line, types, hist); err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
+		sm, err := validateSample(line, types, hist)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
+		samples = append(samples, sm)
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	for key, h := range hist {
 		if err := h.finish(); err != nil {
-			return fmt.Errorf("histogram %s: %w", key, err)
+			return nil, fmt.Errorf("histogram %s: %w", key, err)
 		}
 	}
 	if len(types) == 0 {
-		return fmt.Errorf("no metric families found")
+		return nil, fmt.Errorf("no metric families found")
 	}
-	return nil
+	return samples, nil
 }
 
 func validateComment(line string, types map[string]string, helps map[string]bool) error {
@@ -87,11 +106,12 @@ func validateComment(line string, types map[string]string, helps map[string]bool
 	return nil
 }
 
-func validateSample(line string, types map[string]string, hist map[string]*histCheck) error {
+func validateSample(line string, types map[string]string, hist map[string]*histCheck) (Sample, error) {
 	name, labels, value, err := parseSample(line)
 	if err != nil {
-		return err
+		return Sample{}, err
 	}
+	sm := Sample{Name: name, Labels: labels, Value: value}
 	family := name
 	suffix := ""
 	for _, s := range []string{"_bucket", "_sum", "_count"} {
@@ -103,13 +123,13 @@ func validateSample(line string, types map[string]string, hist map[string]*histC
 	}
 	typ, ok := types[family]
 	if !ok {
-		return fmt.Errorf("sample %s has no TYPE declaration", name)
+		return sm, fmt.Errorf("sample %s has no TYPE declaration", name)
 	}
 	if typ == "histogram" && suffix == "" {
-		return fmt.Errorf("histogram %s exposes bare samples (want _bucket/_sum/_count)", name)
+		return sm, fmt.Errorf("histogram %s exposes bare samples (want _bucket/_sum/_count)", name)
 	}
 	if typ == "counter" && value < 0 {
-		return fmt.Errorf("counter %s has negative value %v", name, value)
+		return sm, fmt.Errorf("counter %s has negative value %v", name, value)
 	}
 	if suffix != "" {
 		key := family + "{" + labelsSansLe(labels) + "}"
@@ -118,9 +138,9 @@ func validateSample(line string, types map[string]string, hist map[string]*histC
 			h = &histCheck{}
 			hist[key] = h
 		}
-		return h.observe(suffix, labels, value)
+		return sm, h.observe(suffix, labels, value)
 	}
-	return nil
+	return sm, nil
 }
 
 // parseSample splits `name{labels} value [timestamp]`.

@@ -1,10 +1,11 @@
 // Package plancache provides a size-bounded, mutex-sharded LRU cache
-// for the query-serving layer: rewritten-and-optimized query plans
-// (core.Prepared) and derived enforcement engines are both expensive
-// artifacts keyed by small strings, and the paper's Fig. 3 pipeline
-// recomputes them per request unless something holds on to them. A Cache keeps the hot entries, evicts in
-// least-recently-used order, and is safe for concurrent use; sharding
-// keeps lock contention low when many goroutines serve queries at once.
+// for the query-serving layer: each class engine keeps its rewritten
+// and optimized query plans (core.Prepared) in one, keyed by the
+// query's shape, because the paper's Fig. 3 pipeline would otherwise
+// rewrite and optimize every request anew. A Cache keeps the hot
+// entries, evicts in least-recently-used order, and is safe for
+// concurrent use; sharding keeps lock contention low when many
+// goroutines serve queries at once.
 package plancache
 
 import (
@@ -25,24 +26,9 @@ type Cache[V any] struct {
 	mask   uint32
 	cap    int
 
-	// flight deduplicates concurrent GetOrCompute misses per key: the
-	// first miss becomes the leader and computes; followers block on the
-	// leader's call and share its result. Guarded by flightMu, which is
-	// never held while compute runs.
-	flightMu sync.Mutex
-	flight   map[string]*call[V]
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-}
-
-// call is one in-flight compute shared by every goroutine that missed on
-// its key while it ran.
-type call[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
 }
 
 type shard[V any] struct {
@@ -69,7 +55,7 @@ func New[V any](capacity int) *Cache[V] {
 	if capacity < 2*n {
 		n = 1
 	}
-	c := &Cache[V]{shards: make([]shard[V], n), mask: uint32(n - 1), cap: capacity, flight: make(map[string]*call[V])}
+	c := &Cache[V]{shards: make([]shard[V], n), mask: uint32(n - 1), cap: capacity}
 	per := (capacity + n - 1) / n
 	for i := range c.shards {
 		c.shards[i].items = make(map[string]*list.Element)
@@ -129,50 +115,6 @@ func (c *Cache[V]) Put(key string, val V) {
 	}
 }
 
-// GetOrCompute returns the cached value for key, or computes, caches,
-// and returns it. Concurrent misses on the same key run compute exactly
-// once (per-key singleflight): the first miss computes while the others
-// wait and share its result, so a cold-start stampede of identical
-// requests cannot burn one derivation per request. compute runs without
-// any shard lock (or the flight lock) held, so it may itself use the
-// cache — but a compute that GetOrComputes its own key would deadlock,
-// where before it would have recursed forever. A compute error is
-// returned to the leader and every waiter without caching anything.
-func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (V, error) {
-	if v, ok := c.Get(key); ok {
-		return v, nil
-	}
-	c.flightMu.Lock()
-	if cl, inFlight := c.flight[key]; inFlight {
-		c.flightMu.Unlock()
-		<-cl.done
-		return cl.val, cl.err
-	}
-	cl := &call[V]{done: make(chan struct{})}
-	c.flight[key] = cl
-	c.flightMu.Unlock()
-
-	// Re-check the cache once leadership is held: a previous leader may
-	// have Put the value between our Get miss and taking the flight lock.
-	if v, ok := c.Get(key); ok {
-		cl.val = v
-	} else {
-		cl.val, cl.err = compute()
-		if cl.err == nil {
-			c.Put(key, cl.val)
-		}
-	}
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	close(cl.done)
-	if cl.err != nil {
-		var zero V
-		return zero, cl.err
-	}
-	return cl.val, nil
-}
-
 // Len returns the current number of cached entries.
 func (c *Cache[V]) Len() int {
 	n := 0
@@ -183,17 +125,6 @@ func (c *Cache[V]) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Purge drops every entry. Counters are preserved.
-func (c *Cache[V]) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[string]*list.Element)
-		s.order.Init()
-		s.mu.Unlock()
-	}
 }
 
 // Each calls fn once per cached entry with the key and current value.
@@ -217,8 +148,7 @@ func (c *Cache[V]) Each(fn func(key string, v V)) {
 	}
 }
 
-// Stats is a point-in-time snapshot of the cache counters. The JSON
-// field names are part of the /statsz wire format.
+// Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`

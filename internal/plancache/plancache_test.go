@@ -3,9 +3,7 @@ package plancache
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestGetPut(t *testing.T) {
@@ -74,139 +72,6 @@ func TestZeroCapacity(t *testing.T) {
 	}
 }
 
-func TestGetOrCompute(t *testing.T) {
-	c := New[int](4)
-	calls := 0
-	get := func() (int, error) { calls++; return 42, nil }
-	v, err := c.GetOrCompute("k", get)
-	if err != nil || v != 42 {
-		t.Fatalf("GetOrCompute = %d, %v", v, err)
-	}
-	if v, _ := c.GetOrCompute("k", get); v != 42 {
-		t.Fatalf("second GetOrCompute = %d", v)
-	}
-	if calls != 1 {
-		t.Errorf("compute ran %d times, want 1", calls)
-	}
-	if _, err := c.GetOrCompute("bad", func() (int, error) { return 0, fmt.Errorf("boom") }); err == nil {
-		t.Errorf("compute error swallowed")
-	}
-	if _, ok := c.Get("bad"); ok {
-		t.Errorf("failed compute was cached")
-	}
-}
-
-// TestGetOrComputeSingleflight is the cold-start stampede regression:
-// N concurrent misses on one key must run compute exactly once, with
-// every caller receiving the computed value.
-func TestGetOrComputeSingleflight(t *testing.T) {
-	c := New[int](8)
-	const workers = 64
-	var computes atomic.Int32
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]int, workers)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-gate
-			results[w], errs[w] = c.GetOrCompute("hot", func() (int, error) {
-				computes.Add(1)
-				// Hold the computation open long enough that every other
-				// worker arrives while it is in flight.
-				time.Sleep(20 * time.Millisecond)
-				return 7, nil
-			})
-		}(w)
-	}
-	close(gate)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Errorf("compute ran %d times under %d concurrent misses, want 1", n, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil || results[w] != 7 {
-			t.Fatalf("worker %d: GetOrCompute = %d, %v", w, results[w], errs[w])
-		}
-	}
-	if v, ok := c.Get("hot"); !ok || v != 7 {
-		t.Errorf("value not cached after singleflight: %d, %v", v, ok)
-	}
-}
-
-// TestGetOrComputeSingleflightError checks a failed compute is shared
-// with every waiter and nothing is cached.
-func TestGetOrComputeSingleflightError(t *testing.T) {
-	c := New[int](8)
-	var computes atomic.Int32
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	for w := range errs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-gate
-			_, errs[w] = c.GetOrCompute("bad", func() (int, error) {
-				computes.Add(1)
-				time.Sleep(10 * time.Millisecond)
-				return 0, fmt.Errorf("boom")
-			})
-		}(w)
-	}
-	close(gate)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Errorf("failing compute ran %d times, want 1", n)
-	}
-	for w, err := range errs {
-		if err == nil {
-			t.Errorf("worker %d: error not shared", w)
-		}
-	}
-	if _, ok := c.Get("bad"); ok {
-		t.Errorf("failed compute was cached")
-	}
-	// The key must be retryable after the failure clears the flight.
-	if v, err := c.GetOrCompute("bad", func() (int, error) { return 3, nil }); err != nil || v != 3 {
-		t.Errorf("retry after failed flight = %d, %v", v, err)
-	}
-}
-
-// TestGetOrComputeDistinctKeysParallel checks singleflight does not
-// serialize unrelated keys: two computes on different keys must be able
-// to overlap in time.
-func TestGetOrComputeDistinctKeysParallel(t *testing.T) {
-	c := New[int](8)
-	both := make(chan struct{}, 2)
-	rendezvous := func() {
-		both <- struct{}{}
-		deadline := time.After(2 * time.Second)
-		for len(both) < 2 {
-			select {
-			case <-deadline:
-				return // the test below reports the failure
-			default:
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for _, k := range []string{"left", "right"} {
-		wg.Add(1)
-		go func(k string) {
-			defer wg.Done()
-			c.GetOrCompute(k, func() (int, error) { rendezvous(); return 1, nil })
-		}(k)
-	}
-	wg.Wait()
-	if len(both) != 2 {
-		t.Fatalf("computes on distinct keys did not overlap (rendezvous count %d)", len(both))
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	c := New[int](8)
 	c.Put("a", 1)
@@ -216,19 +81,6 @@ func TestStatsCounters(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 2 || s.Misses != 1 || s.Entries != 1 || s.Capacity != 8 {
 		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestPurge(t *testing.T) {
-	c := New[int](8)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("Len after Purge = %d", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Errorf("purged entry still present")
 	}
 }
 

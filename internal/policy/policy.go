@@ -145,6 +145,10 @@ func (c *Class) EngineCtx(ctx context.Context, params map[string]string) (*core.
 	return e, nil
 }
 
+// Stats snapshots the counters of the class's engine, shared by every
+// binding.
+func (c *Class) Stats() core.Stats { return c.engine.Stats() }
+
 // ClassStats is the serving counters of one user class: its one
 // engine's, shared by every binding.
 type ClassStats struct {
@@ -168,7 +172,7 @@ func (r *Registry) Stats() []ClassStats {
 			Class:       name,
 			Params:      c.Params(),
 			RewriteMode: c.engine.RewriteMode(),
-			Engine:      c.engine.Stats(),
+			Engine:      c.Stats(),
 		})
 	}
 	return out

@@ -8,9 +8,10 @@
 // plan shape, not a binding.
 //
 // Per fingerprint the registry keeps request counts, per-phase latency
-// digests (reusing internal/latency, so /queryz percentiles are honest
-// the same way /statsz ones are), plan-cache hit counts, nodes-visited
-// and result-size sums, and a last-seen timestamp.
+// digests (reusing internal/latency, so /queryz percentiles are
+// estimated within one bucket rung and never exceed the observed
+// maximum), plan-cache hit counts, nodes-visited and result-size sums,
+// and a last-seen timestamp.
 //
 // Cardinality is bounded by a sharded space-saving top-K structure:
 // when a shard is full, a new fingerprint replaces the shard's

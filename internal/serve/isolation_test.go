@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtds"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
@@ -117,9 +118,9 @@ func TestCrossBindingIsolation(t *testing.T) {
 	if nonEmpty < served/2 {
 		t.Fatalf("only %d of %d answers non-empty; the document does not exercise the wards", nonEmpty, served)
 	}
-	cs := s.Stats().Classes[0].Engine
-	if cs.PlanCache.Entries != isolationShapes {
-		t.Errorf("plan cache holds %d plans, want one per shape (%d)", cs.PlanCache.Entries, isolationShapes)
+	m := scrape(t, h)
+	if n := m.value("sv_plan_cache_entries", obs.L("class", "nurse")); n != isolationShapes {
+		t.Errorf("plan cache holds %d plans, want one per shape (%d)", n, isolationShapes)
 	}
 	// /queryz has one row per plan shape, and its counts still
 	// reconcile with the pipeline total.
@@ -131,7 +132,7 @@ func TestCrossBindingIsolation(t *testing.T) {
 	for _, r := range qz.Top {
 		total += r.Count
 	}
-	pipeline := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total")
+	pipeline := m.value("sv_pipeline_total")
 	if total != pipeline || pipeline != uint64(served) || qz.Registry.Observations != pipeline {
 		t.Errorf("/queryz counts %d, observations %d, sv_pipeline_total %d, served %d", total, qz.Registry.Observations, pipeline, served)
 	}
@@ -149,7 +150,7 @@ func TestLiteralVariantsShareOnePlan(t *testing.T) {
 			t.Fatalf("%q: status %d, body differs from the T_v answer\ngot  %.300q\nwant %.300q", q, w.Code, w.Body.String(), want)
 		}
 	}
-	e := s.Stats().Classes[0].Engine
+	e := s.reg.Stats()[0].Engine
 	if e.PlanCache.Entries != 1 || e.PlanCache.Hits != 2 || e.Evals != 3 {
 		t.Errorf("plan cache %+v, %d evals: want one plan, hit twice, and every query evaluated", e.PlanCache, e.Evals)
 	}

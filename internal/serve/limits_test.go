@@ -6,6 +6,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func post(t *testing.T, h http.Handler, target, body string) *httptest.ResponseRecorder {
@@ -57,16 +59,16 @@ func TestQueryBoundsRejectDeepQueries(t *testing.T) {
 	if w := post(t, h, "/query", "class=nurse&param=wardNo%3D1&q="+url.QueryEscape("//patient/name")); w.Code != http.StatusOK {
 		t.Fatalf("server stopped answering after the rejections: status %d %q", w.Code, w.Body.String())
 	}
-	m := get(t, h, "/metricsz").Body.String()
-	if got := metricValue(t, m, `sv_responses_total{code="413"}`); got != 3 {
+	m := scrape(t, h)
+	if got := m.value("sv_responses_total", obs.L("code", "413")); got != 3 {
 		t.Errorf(`sv_responses_total{code="413"} = %d, want 3`, got)
 	}
-	if got := metricValue(t, m, `sv_query_limit_rejections_total{limit="bytes"}`); got != 3 {
+	if got := m.value("sv_query_limit_rejections_total", obs.L("limit", "bytes")); got != 3 {
 		t.Errorf("byte-bound rejections = %d, want 3", got)
 	}
 	// The deep /explainz is refused too, but the limit counters count
 	// /query responses only, like sv_responses_total.
-	if got := metricValue(t, m, `sv_query_limit_rejections_total{limit="depth"}`); got != 4 {
+	if got := m.value("sv_query_limit_rejections_total", obs.L("limit", "depth")); got != 4 {
 		t.Errorf("depth-bound rejections = %d, want 4", got)
 	}
 }

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,19 +14,66 @@ import (
 	"repro/internal/obs"
 )
 
-// metricValue extracts one sample value from a Prometheus exposition
-// (the full sample name including any label set, e.g.
-// `sv_phase_duration_seconds_count{phase="rewrite"}`).
-func metricValue(t *testing.T, exposition, sample string) uint64 {
+// metrics is one /metricsz scrape, parsed by obs.ParseSamples (the
+// exposition validator's own parser), so every value a test reads has
+// passed the validator.
+type metrics struct {
+	t       *testing.T
+	text    string
+	samples []obs.Sample
+}
+
+// scrape reads and parses /metricsz.
+func scrape(t *testing.T, h http.Handler) metrics {
 	t.Helper()
-	re := regexp.MustCompile("(?m)^" + regexp.QuoteMeta(sample) + " ([0-9]+)$")
-	m := re.FindStringSubmatch(exposition)
-	if m == nil {
-		t.Fatalf("sample %q not found in exposition:\n%s", sample, exposition)
+	w := get(t, h, "/metricsz")
+	if w.Code != http.StatusOK {
+		t.Fatalf("metricsz status = %d", w.Code)
 	}
-	var v uint64
-	fmt.Sscanf(m[1], "%d", &v)
-	return v
+	samples, err := obs.ParseSamples(strings.NewReader(w.Body.String()))
+	if err != nil {
+		t.Fatalf("/metricsz fails validation: %v\n%s", err, w.Body.String())
+	}
+	return metrics{t: t, text: w.Body.String(), samples: samples}
+}
+
+// value returns the sample named name whose label set is exactly
+// labels, as a count; a missing sample fails the test.
+func (m metrics) value(name string, labels ...obs.Label) uint64 {
+	m.t.Helper()
+	return uint64(m.float(name, labels...))
+}
+
+// float is value for a sample that is not a count (a histogram _sum).
+func (m metrics) float(name string, labels ...obs.Label) float64 {
+	m.t.Helper()
+	for _, sm := range m.samples {
+		if sm.Name != name || len(sm.Labels) != len(labels) {
+			continue
+		}
+		match := true
+		for _, l := range labels {
+			if v, ok := sm.Labels[l.Name]; !ok || v != l.Value {
+				match = false
+			}
+		}
+		if match {
+			return sm.Value
+		}
+	}
+	m.t.Fatalf("sample %s%v not found in /metricsz:\n%s", name, labels, m.text)
+	return 0
+}
+
+// sum adds the samples named name over every label set (0 if none).
+func (m metrics) sum(name string) uint64 {
+	var n uint64
+	for _, sm := range m.samples {
+		if sm.Name == name {
+			n += uint64(sm.Value)
+		}
+	}
+	return n
 }
 
 // TestMetricszExposition: /metricsz passes the independent format
@@ -47,36 +92,27 @@ func TestMetricszExposition(t *testing.T) {
 	// A failed request must not contribute a pipeline observation.
 	get(t, h, "/query?class=nurse")
 
-	w := get(t, h, "/metricsz")
-	if w.Code != http.StatusOK {
-		t.Fatalf("metricsz status = %d", w.Code)
-	}
-	if ct := w.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+	if ct := get(t, h, "/metricsz").Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	body := w.Body.String()
-	if err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
-		t.Fatalf("/metricsz fails validation: %v\n%s", err, body)
-	}
-
-	if got := metricValue(t, body, "sv_requests_total"); got != n+1 {
+	m := scrape(t, h)
+	if got := m.value("sv_requests_total"); got != n+1 {
 		t.Errorf("sv_requests_total = %d, want %d", got, n+1)
 	}
-	if got := metricValue(t, body, `sv_responses_total{code="200"}`); got != n {
+	if got := m.value("sv_responses_total", obs.L("code", "200")); got != n {
 		t.Errorf("ok responses = %d, want %d", got, n)
 	}
-	pipeline := metricValue(t, body, "sv_pipeline_total")
+	pipeline := m.value("sv_pipeline_total")
 	if pipeline != n {
 		t.Errorf("sv_pipeline_total = %d, want %d", pipeline, n)
 	}
-	for _, phase := range []string{"rewrite", "optimize", "eval", "serialize"} {
-		sample := fmt.Sprintf(`sv_phase_duration_seconds_count{phase=%q}`, phase)
-		if got := metricValue(t, body, sample); got != pipeline {
-			t.Errorf("%s = %d, want pipeline count %d", sample, got, pipeline)
+	for _, phase := range phaseNames {
+		if got := m.value("sv_phase_duration_seconds_count", obs.L("phase", phase)); got != pipeline {
+			t.Errorf("phase %s count = %d, want pipeline count %d", phase, got, pipeline)
 		}
 	}
-	hits := metricValue(t, body, `sv_plan_cache_total{result="hit"}`)
-	misses := metricValue(t, body, `sv_plan_cache_total{result="miss"}`)
+	hits := m.value("sv_plan_cache_total", obs.L("result", "hit"))
+	misses := m.value("sv_plan_cache_total", obs.L("result", "miss"))
 	if hits+misses != pipeline {
 		t.Errorf("plan cache hit+miss = %d+%d, want pipeline count %d", hits, misses, pipeline)
 	}
@@ -84,16 +120,45 @@ func TestMetricszExposition(t *testing.T) {
 		t.Errorf("plan-cache misses = %d, want 1 (one distinct query)", misses)
 	}
 	// Every pipeline runs the evaluator.
-	if got := s.Stats().Classes[0].Engine.Evals; got != pipeline {
-		t.Errorf("engine evals = %d, want pipeline count %d", got, pipeline)
+	if got := m.value("sv_class_evals_total", obs.L("class", "nurse")); got != pipeline {
+		t.Errorf("class evals = %d, want pipeline count %d", got, pipeline)
 	}
-	if got := metricValue(t, body, "sv_request_duration_seconds_count"); got != n {
+	if got := m.value("sv_request_duration_seconds_count"); got != n {
 		t.Errorf("request histogram count = %d, want %d (admitted requests only)", got, n)
 	}
 }
 
-// TestStatszPipelineSection: the JSON twin of the exposition reports the
-// same always-on pipeline accounting.
+// TestMetricszReadOrder: WriteText reads families in registration
+// order, so every effect family must come before the families counted
+// earlier in a request (its causes); otherwise a mid-flight scrape can
+// show an effect whose cause it has not read yet.
+func TestMetricszReadOrder(t *testing.T) {
+	text := scrape(t, newTestServer(t, Config{}, 3).Handler()).text
+	pos := func(family string) int {
+		i := strings.Index(text, "# TYPE "+family+" ")
+		if i < 0 {
+			t.Fatalf("family %s not in /metricsz", family)
+		}
+		return i
+	}
+	for _, c := range []struct{ effect, cause string }{
+		{"sv_responses_total", "sv_requests_total"},
+		{"sv_request_duration_seconds", "sv_requests_total"},
+		{"sv_phase_duration_seconds", "sv_pipeline_total"},
+		{"sv_plan_cache_total", "sv_pipeline_total"},
+		{"sv_qstats_observations_total", "sv_pipeline_total"},
+		{"sv_pipeline_total", "sv_class_evals_total"},
+	} {
+		if pos(c.effect) > pos(c.cause) {
+			t.Errorf("%s is read after its cause %s", c.effect, c.cause)
+		}
+	}
+}
+
+// TestStatszPipelineSection: /metricsz carries the pipeline accounting
+// the removed /statsz pipeline section had: the count, the plan-cache
+// split, a phase digest per phase with the pipeline's count, and the
+// class's evals.
 func TestStatszPipelineSection(t *testing.T) {
 	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
@@ -102,24 +167,26 @@ func TestStatszPipelineSection(t *testing.T) {
 			t.Fatalf("query %d: status %d", i, w.Code)
 		}
 	}
-	p := s.Stats().Server.Pipeline
-	if p.Count != 3 {
-		t.Fatalf("pipeline count = %d, want 3", p.Count)
+	m := scrape(t, h)
+	if n := m.value("sv_pipeline_total"); n != 3 {
+		t.Fatalf("pipeline count = %d, want 3", n)
 	}
-	if p.PlanCacheHits != 2 || p.PlanCacheMisses != 1 {
-		t.Errorf("plan cache = %d hits / %d misses, want 2/1", p.PlanCacheHits, p.PlanCacheMisses)
+	hits, misses := m.value("sv_plan_cache_total", obs.L("result", "hit")), m.value("sv_plan_cache_total", obs.L("result", "miss"))
+	if hits != 2 || misses != 1 {
+		t.Errorf("plan cache = %d hits / %d misses, want 2/1", hits, misses)
 	}
-	if evals := s.Stats().Classes[0].Engine.Evals; evals != 3 {
-		t.Errorf("engine evals = %d, want 3", evals)
+	if evals := m.value("sv_class_evals_total", obs.L("class", "nurse")); evals != 3 {
+		t.Errorf("class evals = %d, want 3", evals)
 	}
-	for _, phase := range []string{"rewrite", "optimize", "eval", "serialize"} {
-		lat, ok := p.Phases[phase]
-		if !ok || lat.Count != p.Count {
-			t.Errorf("phase %q: %+v (want count %d)", phase, lat, p.Count)
+	for _, phase := range phaseNames {
+		if n := m.value("sv_phase_duration_seconds_count", obs.L("phase", phase)); n != 3 {
+			t.Errorf("phase %q count = %d, want 3", phase, n)
 		}
 	}
-	if p.Phases["eval"].SumMicros == 0 || p.Phases["serialize"].SumMicros == 0 {
-		t.Error("eval or serialize phase sum is zero across 3 queries")
+	for _, phase := range []string{"eval", "serialize"} {
+		if m.float("sv_phase_duration_seconds_sum", obs.L("phase", phase)) == 0 {
+			t.Errorf("%s phase sum is zero across 3 queries", phase)
+		}
 	}
 }
 
@@ -184,12 +251,13 @@ func TestExplainzEndpoint(t *testing.T) {
 	// The missing-q request fails validation before admission; the ghost
 	// class is admitted and fails in the registry — both 400, but only
 	// the admitted one counts as an explain.
-	if st := s.Stats().Server; st.Explains != 2 {
-		t.Errorf("Explains = %d, want 2 (the admitted explains)", st.Explains)
+	m := scrape(t, h)
+	if n := m.value("sv_explains_total"); n != 2 {
+		t.Errorf("sv_explains_total = %d, want 2 (the admitted explains)", n)
 	}
 	// /explainz must not perturb the /query pipeline accounting.
-	if p := s.Stats().Server.Pipeline; p.Count != 1 {
-		t.Errorf("pipeline count = %d after explain, want 1", p.Count)
+	if n := m.value("sv_pipeline_total"); n != 1 {
+		t.Errorf("pipeline count = %d after explain, want 1", n)
 	}
 }
 
@@ -209,8 +277,8 @@ func TestHealthzDrainTransition(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "draining") {
 		t.Errorf("post-drain healthz = %d %q, want 503 draining", w.Code, w.Body.String())
 	}
-	if !s.Stats().Server.Draining {
-		t.Error("stats do not report draining")
+	if scrape(t, h).value("sv_draining") != 1 {
+		t.Error("sv_draining does not report the drain")
 	}
 	// Queries already in the building keep working during the drain —
 	// only the health signal flips.
@@ -224,10 +292,13 @@ func TestHealthzDrainTransition(t *testing.T) {
 }
 
 // TestStatsUnderConcurrentLoad hammers the server from many goroutines
-// while snapshotting /statsz and /metricsz mid-flight: snapshots must
-// stay internally consistent (histogram sums to count, responses never
-// exceed requests) and totals must be exact once the load stops. The
-// race detector covers the memory model; this covers the accounting.
+// while scraping /metricsz mid-flight: every scrape must hold the cause
+// of each effect it shows (responses never exceed requests; phase
+// counts, plan-cache outcomes and /queryz observations never exceed the
+// pipeline count, which never exceeds the class evals; every histogram's
+// buckets sum to its count), and totals must be exact once the load
+// stops. The race detector covers the memory model; this covers the
+// accounting.
 func TestStatsUnderConcurrentLoad(t *testing.T) {
 	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
@@ -240,9 +311,9 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	const workers, perWorker = 8, 30
 	var sent atomic.Uint64
 	stop := make(chan struct{})
-	var snapErrs atomic.Uint64
 
-	// Snapshot reader racing the writers.
+	// Scraper racing the writers. It reports with Errorf only: Fatal
+	// must not run off the test goroutine.
 	var snapWG sync.WaitGroup
 	snapWG.Add(1)
 	go func() {
@@ -253,42 +324,35 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 				return
 			default:
 			}
-			st := s.Stats().Server
-			var sum uint64
-			for _, n := range st.Latency.Buckets {
-				sum += n
+			text := get(t, h, "/metricsz").Body.String()
+			// ParseSamples validates the scrape, which includes each
+			// histogram's _count equalling its +Inf bucket.
+			samples, err := obs.ParseSamples(strings.NewReader(text))
+			if err != nil {
+				t.Errorf("mid-flight /metricsz invalid: %v", err)
+				return
 			}
-			if sum != st.Latency.Count {
-				snapErrs.Add(1)
-				t.Errorf("mid-flight histogram sums to %d, count %d", sum, st.Latency.Count)
+			m := metrics{t: t, text: text, samples: samples}
+			requests, pipeline := m.sum("sv_requests_total"), m.sum("sv_pipeline_total")
+			if responses := m.sum("sv_responses_total"); responses > requests {
+				t.Errorf("mid-flight responses %d exceed requests %d", responses, requests)
 			}
-			if st.OK+st.BadRequests+st.TooLarge+st.Timeouts+st.InternalErrors+st.Rejected+st.ClientCancels > st.Requests {
-				snapErrs.Add(1)
-				t.Errorf("mid-flight responses exceed requests: %+v", st)
+			if n := m.sum("sv_request_duration_seconds_count"); n > requests {
+				t.Errorf("mid-flight request histogram count %d exceeds requests %d", n, requests)
 			}
-			for phase, lat := range st.Pipeline.Phases {
-				// Stats reads phase digests before the pipeline counter, so
-				// mid-flight a phase count may trail but never lead it.
-				if lat.Count > st.Pipeline.Count {
-					snapErrs.Add(1)
-					t.Errorf("mid-flight phase %q count %d exceeds pipeline %d", phase, lat.Count, st.Pipeline.Count)
-				}
-				// Phases snapshot one digest at a time, so only assert
-				// within one phase's own snapshot.
-				var psum uint64
-				for _, n := range lat.Buckets {
-					psum += n
-				}
-				if psum != lat.Count {
-					snapErrs.Add(1)
-					t.Errorf("mid-flight phase %q buckets sum %d != count %d", phase, psum, lat.Count)
+			for _, sm := range samples {
+				if sm.Name == "sv_phase_duration_seconds_count" && uint64(sm.Value) > pipeline {
+					t.Errorf("mid-flight phase %q count %v exceeds pipeline %d", sm.Labels["phase"], sm.Value, pipeline)
 				}
 			}
-			if w := get(t, h, "/metricsz"); w.Code == http.StatusOK {
-				if err := obs.ValidateExposition(strings.NewReader(w.Body.String())); err != nil {
-					snapErrs.Add(1)
-					t.Errorf("mid-flight /metricsz invalid: %v", err)
-				}
+			if n := m.sum("sv_plan_cache_total"); n > pipeline {
+				t.Errorf("mid-flight plan-cache hits+misses %d exceed pipeline %d", n, pipeline)
+			}
+			if n := m.sum("sv_qstats_observations_total"); n > pipeline {
+				t.Errorf("mid-flight qstats observations %d exceed pipeline %d", n, pipeline)
+			}
+			if evals := m.sum("sv_class_evals_total"); pipeline > evals {
+				t.Errorf("mid-flight pipeline %d exceeds class evals %d", pipeline, evals)
 			}
 		}
 	}()
@@ -308,27 +372,40 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	close(stop)
 	snapWG.Wait()
 
-	st := s.Stats().Server
-	if st.Requests != sent.Load() {
-		t.Errorf("requests = %d, sent %d", st.Requests, sent.Load())
+	m := scrape(t, h)
+	requests := m.value("sv_requests_total")
+	if requests != sent.Load() {
+		t.Errorf("requests = %d, sent %d", requests, sent.Load())
 	}
-	if got := st.OK + st.BadRequests + st.TooLarge + st.Timeouts + st.InternalErrors + st.Rejected + st.ClientCancels; got != st.Requests {
-		t.Errorf("response classes sum to %d, requests %d", got, st.Requests)
+	if got := m.sum("sv_responses_total"); got != requests {
+		t.Errorf("response classes sum to %d, requests %d", got, requests)
 	}
-	if st.OK != st.Pipeline.Count {
-		t.Errorf("pipeline count %d != ok %d", st.Pipeline.Count, st.OK)
+	code := func(c string) uint64 { return m.value("sv_responses_total", obs.L("code", c)) }
+	pipeline := m.value("sv_pipeline_total")
+	if ok := code("200"); pipeline != ok {
+		t.Errorf("pipeline count %d != ok %d", pipeline, ok)
 	}
-	if st.Latency.Count != st.OK+st.Timeouts+st.InternalErrors+st.ClientCancels {
-		t.Errorf("latency count %d, admitted %d", st.Latency.Count, st.OK+st.Timeouts)
+	for _, phase := range phaseNames {
+		if n := m.value("sv_phase_duration_seconds_count", obs.L("phase", phase)); n != pipeline {
+			t.Errorf("phase %s count %d, pipeline %d", phase, n, pipeline)
+		}
 	}
-	if st.InFlight != 0 {
-		t.Errorf("in-flight = %d after load", st.InFlight)
+	if n := m.sum("sv_plan_cache_total"); n != pipeline {
+		t.Errorf("plan-cache hits+misses %d, pipeline %d", n, pipeline)
+	}
+	if n := m.value("sv_qstats_observations_total"); n != pipeline {
+		t.Errorf("qstats observations %d, pipeline %d", n, pipeline)
+	}
+	if admitted := code("200") + code("504") + code("500") + code("499"); m.value("sv_request_duration_seconds_count") != admitted {
+		t.Errorf("latency count %d, admitted %d", m.value("sv_request_duration_seconds_count"), admitted)
+	}
+	if n := m.value("sv_in_flight"); n != 0 {
+		t.Errorf("in-flight = %d after load", n)
 	}
 }
 
-// TestResponseAccountingSumsToRequests: the /statsz response classes
-// and sv_responses_total count /query outcomes only, so each sums to
-// the /query request count. /query answers 200, 400 and 413 here, mixed
+// TestResponseAccountingSumsToRequests: sv_responses_total counts
+// /query outcomes only, so it sums to the /query request count. /query answers 200, 400 and 413 here, mixed
 // with /queryz and /explainz errors, which count in neither.
 func TestResponseAccountingSumsToRequests(t *testing.T) {
 	s := newTestServer(t, Config{}, 3)
@@ -353,19 +430,17 @@ func TestResponseAccountingSumsToRequests(t *testing.T) {
 			t.Fatalf("%.80s: status %d, want %d", c.target, w.Code, c.code)
 		}
 	}
-	st := s.Stats().Server
-	if st.Requests != 5 || st.OK != 2 || st.BadRequests != 2 || st.TooLarge != 1 {
-		t.Errorf("requests %d, ok %d, bad %d, too large %d; want 5, 2, 2, 1", st.Requests, st.OK, st.BadRequests, st.TooLarge)
+	m := scrape(t, h)
+	requests := m.value("sv_requests_total")
+	ok, bad, tooLarge := m.value("sv_responses_total", obs.L("code", "200")), m.value("sv_responses_total", obs.L("code", "400")), m.value("sv_responses_total", obs.L("code", "413"))
+	if requests != 5 || ok != 2 || bad != 2 || tooLarge != 1 {
+		t.Errorf("requests %d, ok %d, bad %d, too large %d; want 5, 2, 2, 1", requests, ok, bad, tooLarge)
 	}
-	if sum := st.OK + st.BadRequests + st.TooLarge + st.Timeouts + st.InternalErrors + st.Rejected + st.ClientCancels; sum != st.Requests {
-		t.Errorf("response classes sum to %d, requests %d: %+v", sum, st.Requests, st)
-	}
-	body := get(t, h, "/metricsz").Body.String()
 	var responses uint64
 	for _, code := range []string{"200", "400", "413", "429", "499", "500", "504"} {
-		responses += metricValue(t, body, `sv_responses_total{code="`+code+`"}`)
+		responses += m.value("sv_responses_total", obs.L("code", code))
 	}
-	if requests := metricValue(t, body, "sv_requests_total"); responses != requests {
+	if responses != requests {
 		t.Errorf("sv_responses_total sums to %d, sv_requests_total %d", responses, requests)
 	}
 }
@@ -391,15 +466,15 @@ func TestSlowQueryLog(t *testing.T) {
 	if ev.ResultCount == 0 || ev.TotalUs < ev.RewriteUs+ev.OptimizeUs+ev.EvalUs+ev.SerializeUs {
 		t.Errorf("slow event phases: %+v", ev)
 	}
-	if s.Stats().Server.SlowQueries != 1 {
-		t.Errorf("SlowQueries = %d, want 1", s.Stats().Server.SlowQueries)
+	if n := scrape(t, s.Handler()).value("sv_slow_queries_total"); n != 1 {
+		t.Errorf("sv_slow_queries_total = %d, want 1", n)
 	}
 
 	// Without an event log a slow query is only counted.
 	quiet := newTestServer(t, Config{SlowQueryThreshold: time.Nanosecond}, 4)
 	get(t, quiet.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//patient/name"))
-	if quiet.Stats().Server.SlowQueries != 1 {
-		t.Errorf("SlowQueries without an event log = %d, want 1", quiet.Stats().Server.SlowQueries)
+	if n := scrape(t, quiet.Handler()).value("sv_slow_queries_total"); n != 1 {
+		t.Errorf("sv_slow_queries_total without an event log = %d, want 1", n)
 	}
 
 	// Negative threshold disables slow classification entirely.
@@ -408,8 +483,8 @@ func TestSlowQueryLog(t *testing.T) {
 	if got := events2(); len(got) != 0 {
 		t.Errorf("disabled threshold wrote %d events", len(got))
 	}
-	if s2.Stats().Server.SlowQueries != 0 {
-		t.Errorf("disabled threshold counted %d slow queries", s2.Stats().Server.SlowQueries)
+	if n := scrape(t, s2.Handler()).value("sv_slow_queries_total"); n != 0 {
+		t.Errorf("disabled threshold counted %d slow queries", n)
 	}
 }
 

@@ -68,19 +68,19 @@ func TestQueryzAccounting(t *testing.T) {
 			t.Errorf("fingerprint %s: digest count %d != count %d", fs.Fingerprint, fs.Total.Count, fs.Count)
 		}
 	}
-	body := get(t, h, "/metricsz").Body.String()
-	pipeline := metricValue(t, body, "sv_pipeline_total")
+	m := scrape(t, h)
+	pipeline := m.value("sv_pipeline_total")
 	if sum != pipeline || qz.Registry.Observations != pipeline {
 		t.Errorf("count sum = %d, observations = %d, sv_pipeline_total = %d; want all equal",
 			sum, qz.Registry.Observations, pipeline)
 	}
-	if got := metricValue(t, body, "sv_qstats_observations_total"); got != pipeline {
+	if got := m.value("sv_qstats_observations_total"); got != pipeline {
 		t.Errorf("sv_qstats_observations_total = %d, want %d", got, pipeline)
 	}
-	if got := metricValue(t, body, "sv_qstats_fingerprints"); got != uint64(len(queries)) {
+	if got := m.value("sv_qstats_fingerprints"); got != uint64(len(queries)) {
 		t.Errorf("sv_qstats_fingerprints = %d, want %d", got, len(queries))
 	}
-	if got := metricValue(t, body, "sv_qstats_capacity"); got != uint64(s.QueryStats().Capacity()) {
+	if got := m.value("sv_qstats_capacity"); got != uint64(s.QueryStats().Capacity()) {
 		t.Errorf("sv_qstats_capacity = %d, want %d", got, s.QueryStats().Capacity())
 	}
 
@@ -139,7 +139,7 @@ func TestQueryzConcurrentInvariant(t *testing.T) {
 			for _, fs := range qz.Top {
 				sum += fs.Count
 			}
-			pipeline := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total")
+			pipeline := scrape(t, h).sum("sv_pipeline_total")
 			if sum > pipeline {
 				t.Errorf("mid-flight count sum %d exceeds sv_pipeline_total %d", sum, pipeline)
 				return
@@ -155,7 +155,7 @@ func TestQueryzConcurrentInvariant(t *testing.T) {
 	for _, fs := range qz.Top {
 		sum += fs.Count
 	}
-	if pipeline := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total"); sum != pipeline {
+	if pipeline := scrape(t, h).value("sv_pipeline_total"); sum != pipeline {
 		t.Errorf("quiescent count sum = %d, sv_pipeline_total = %d", sum, pipeline)
 	}
 }
@@ -361,8 +361,8 @@ func TestEventLog(t *testing.T) {
 
 // TestOneAnswerPath: every answered /query runs the evaluator. Distinct
 // and repeated queries, under two bindings, all count once in the
-// class's engine evals, in the /statsz pipeline count and in
-// sv_pipeline_total, so no request is answered without evaluation.
+// class's evals (sv_class_evals_total) and in sv_pipeline_total, so no
+// request is answered without evaluation.
 func TestOneAnswerPath(t *testing.T) {
 	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
@@ -376,20 +376,17 @@ func TestOneAnswerPath(t *testing.T) {
 			n++
 		}
 	}
-	st := s.Stats()
-	if len(st.Classes) != 1 {
-		t.Fatalf("classes = %d, want 1", len(st.Classes))
+	m := scrape(t, h)
+	if classes := m.sum("sv_plan_cache_entries"); classes != 3 {
+		t.Fatalf("plan cache entries over all classes = %d, want 3 (one class, three shapes)", classes)
 	}
-	evals := st.Classes[0].Engine.Evals
-	pipeline := st.Server.Pipeline.Count
+	evals := m.value("sv_class_evals_total", obs.L("class", "nurse"))
+	pipeline := m.value("sv_pipeline_total")
 	if evals != uint64(n) || pipeline != uint64(n) {
-		t.Errorf("engine evals %d, pipeline count %d; want both %d", evals, pipeline, n)
-	}
-	if got := metricValue(t, get(t, h, "/metricsz").Body.String(), "sv_pipeline_total"); got != pipeline {
-		t.Errorf("sv_pipeline_total = %d, /statsz pipeline count %d", got, pipeline)
+		t.Errorf("class evals %d, pipeline count %d; want both %d", evals, pipeline, n)
 	}
 	// Repeats hit the plan cache and are still evaluated.
-	if hits := st.Server.Pipeline.PlanCacheHits; hits != uint64(n-3) {
+	if hits := m.value("sv_plan_cache_total", obs.L("result", "hit")); hits != uint64(n-3) {
 		t.Errorf("plan-cache hits = %d, want %d (three shapes)", hits, n-3)
 	}
 }

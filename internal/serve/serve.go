@@ -7,10 +7,11 @@
 // and the observability surface reports the full counter stack:
 //
 //	/query    answer one view query
-//	/statsz   JSON counters (server + per-class engine/plan caches)
-//	/metricsz Prometheus text exposition of the same counters plus
-//	          per-phase (rewrite/optimize/eval/serialize) latency
-//	          histograms
+//	/metricsz Prometheus text exposition of every counter: requests
+//	          and responses by status, request and per-phase
+//	          (rewrite/optimize/eval/serialize) latency histograms,
+//	          plan-cache outcomes, and per-class evals and plan-cache
+//	          evictions and entries
 //	/queryz   per-fingerprint query statistics (internal/qstats): the
 //	          top-K query shapes by cumulative eval time, total time or
 //	          count
@@ -230,13 +231,67 @@ func New(reg *policy.Registry, doc *xmltree.Document, cfg Config) *Server {
 }
 
 // registerMetrics wires the server's counters into the Prometheus
-// registry. Everything is a read-at-exposition bridge over the same
-// atomics /statsz reports — the two endpoints can never double-count or
-// disagree.
+// registry. Every series is a read-at-exposition bridge over an atomic
+// or digest the request path already keeps, so /metricsz is the one
+// counter surface and holds no copy of its own.
+//
+// Registration order is read order: WriteText reads the families in the
+// order they are first registered. A request increments its counters
+// in a fixed sequence (sv_requests_total; the class engine's evals and
+// plan cache; the latency digest; sv_responses_total;
+// sv_pipeline_total; the phase digests and sv_plan_cache_total; the
+// /queryz registry; sv_slow_queries_total; the event log), so each
+// family is registered before every family incremented earlier in a
+// request: effects before causes. A scrape taken mid-flight then holds
+// the cause of every effect it shows: Σ sv_responses_total and the
+// request histogram's count are at most sv_requests_total; each phase
+// count, the plan-cache outcomes and sv_qstats_observations_total are
+// at most sv_pipeline_total, which is at most Σ sv_class_evals_total.
+// At quiescence the first two and the phase counts are equalities.
+// The per-class series cover the classes defined when the server is
+// built.
 func (s *Server) registerMetrics() {
 	m := s.metrics
+	const evHelp = "Structured wide-event log activity; both 0 when -eventlog is off."
+	m.CounterFunc("sv_eventlog_events_total", evHelp, func() uint64 {
+		if s.cfg.EventLog == nil {
+			return 0
+		}
+		ev, _ := s.cfg.EventLog.Stats()
+		return ev
+	})
+	m.CounterFunc("sv_eventlog_rotations_total", evHelp, func() uint64 {
+		if s.cfg.EventLog == nil {
+			return 0
+		}
+		_, rot := s.cfg.EventLog.Stats()
+		return rot
+	})
+	m.CounterFunc("sv_slow_queries_total", "Admitted queries slower than the slow-query threshold.", s.slowQueries.Load)
+	// Fingerprint-registry health (/queryz): the observation/eviction
+	// counters that say whether the top-K is exact (zero evictions) or
+	// carries space-saving slack, plus row occupancy against its bound.
+	m.CounterFunc("sv_qstats_observations_total", "Answered queries folded into the fingerprint registry.", func() uint64 {
+		return s.qstats.Stats().Observations
+	})
+	m.CounterFunc("sv_qstats_evictions_total", "Space-saving evictions in the fingerprint registry (nonzero means some rows carry a count_slack bound).", func() uint64 {
+		return s.qstats.Stats().Evictions
+	})
+	m.GaugeFunc("sv_qstats_fingerprints", "Query fingerprints currently tracked by the /queryz registry.", func() float64 {
+		return float64(s.qstats.Stats().Fingerprints)
+	})
+	m.GaugeFunc("sv_qstats_capacity", "Fingerprint bound of the /queryz registry.", func() float64 {
+		return float64(s.qstats.Capacity())
+	})
+	const phaseHelp = "Per-phase request latency (serialize is writing the response); a plan-cache hit observes 0 for rewrite and optimize, so every phase's count equals sv_pipeline_total."
+	for i := range s.phases {
+		m.HistogramFunc("sv_phase_duration_seconds", phaseHelp, s.phases[i].Snapshot, obs.L("phase", phaseNames[i]))
+	}
+	const planHelp = "Plan-cache outcomes for completed pipelines."
+	m.CounterFunc("sv_plan_cache_total", planHelp, s.planHits.Load, obs.L("result", "hit"))
+	m.CounterFunc("sv_plan_cache_total", planHelp, s.planMisses.Load, obs.L("result", "miss"))
+	m.CounterFunc("sv_pipeline_total", "Queries that completed the rewrite-optimize-eval pipeline.", s.pipeline.Load)
 	const respHelp = "/query responses by HTTP status code; they sum to sv_requests_total."
-	m.CounterFunc("sv_requests_total", "Queries received by /query, admitted or not.", s.requests.Load)
 	m.CounterFunc("sv_responses_total", respHelp, s.ok.Load, obs.L("code", "200"))
 	m.CounterFunc("sv_responses_total", respHelp, s.badRequests.Load, obs.L("code", "400"))
 	m.CounterFunc("sv_responses_total", respHelp, s.tooLarge.Load, obs.L("code", "413"))
@@ -244,11 +299,25 @@ func (s *Server) registerMetrics() {
 	m.CounterFunc("sv_responses_total", respHelp, s.clientCancels.Load, obs.L("code", "499"))
 	m.CounterFunc("sv_responses_total", respHelp, s.internalErrors.Load, obs.L("code", "500"))
 	m.CounterFunc("sv_responses_total", respHelp, s.timeouts.Load, obs.L("code", "504"))
-	m.CounterFunc("sv_explains_total", "/explainz requests admitted.", s.explains.Load)
 	const limitHelp = "/query requests refused for exceeding a fixed request bound: bytes (413) or AST depth (400, also counted under code 400)."
 	m.CounterFunc("sv_query_limit_rejections_total", limitHelp, s.tooLarge.Load, obs.L("limit", "bytes"))
 	m.CounterFunc("sv_query_limit_rejections_total", limitHelp, s.tooDeep.Load, obs.L("limit", "depth"))
-	m.CounterFunc("sv_slow_queries_total", "Admitted queries slower than the slow-query threshold.", s.slowQueries.Load)
+	m.HistogramFunc("sv_request_duration_seconds", "End-to-end /query latency (admitted requests).", s.lat.Snapshot)
+	for _, name := range s.reg.Names() {
+		c, _ := s.reg.Class(name)
+		class := obs.L("class", name)
+		m.CounterFunc("sv_class_evals_total", "Evaluator runs of the class's engine (answered queries, failed evaluations and explains).", func() uint64 {
+			return c.Stats().Evals
+		}, class)
+		m.CounterFunc("sv_plan_cache_evictions_total", "Plans evicted from the class's plan cache; a steady rate means the cache is too small for the query mix.", func() uint64 {
+			return c.Stats().PlanCache.Evictions
+		}, class)
+		m.GaugeFunc("sv_plan_cache_entries", "Plans held in the class's plan cache.", func() float64 {
+			return float64(c.Stats().PlanCache.Entries)
+		}, class)
+	}
+	m.CounterFunc("sv_requests_total", "Queries received by /query, admitted or not.", s.requests.Load)
+	m.CounterFunc("sv_explains_total", "/explainz requests admitted.", s.explains.Load)
 	m.GaugeFunc("sv_in_flight", "Queries currently holding an admission slot.", func() float64 {
 		return float64(s.inFlight.Load())
 	})
@@ -270,15 +339,6 @@ func (s *Server) registerMetrics() {
 	m.GaugeFunc("sv_document_height", "Height of the served document.", func() float64 {
 		return float64(s.doc.Height())
 	})
-	m.HistogramFunc("sv_request_duration_seconds", "End-to-end /query latency (admitted requests).", s.lat.Snapshot)
-	const phaseHelp = "Per-phase request latency (serialize is writing the response); a plan-cache hit observes 0 for rewrite and optimize, so every phase's count equals sv_pipeline_total."
-	for i := range s.phases {
-		m.HistogramFunc("sv_phase_duration_seconds", phaseHelp, s.phases[i].Snapshot, obs.L("phase", phaseNames[i]))
-	}
-	m.CounterFunc("sv_pipeline_total", "Queries that completed the rewrite-optimize-eval pipeline.", s.pipeline.Load)
-	const planHelp = "Plan-cache outcomes for completed pipelines."
-	m.CounterFunc("sv_plan_cache_total", planHelp, s.planHits.Load, obs.L("result", "hit"))
-	m.CounterFunc("sv_plan_cache_total", planHelp, s.planMisses.Load, obs.L("result", "miss"))
 	const rwHelp = "Policy engines (one per user class) by rewriting strategy (flat, height-free)."
 	for _, mode := range []string{"flat", "height-free"} {
 		mode := mode
@@ -298,36 +358,6 @@ func (s *Server) registerMetrics() {
 			n += cs.Engine.PlanCacheNodes
 		}
 		return float64(n)
-	})
-	// Fingerprint-registry health (/queryz): row occupancy against its
-	// bound, plus the observation/eviction counters that say whether the
-	// top-K is exact (zero evictions) or carries space-saving slack.
-	m.GaugeFunc("sv_qstats_fingerprints", "Query fingerprints currently tracked by the /queryz registry.", func() float64 {
-		return float64(s.qstats.Stats().Fingerprints)
-	})
-	m.GaugeFunc("sv_qstats_capacity", "Fingerprint bound of the /queryz registry.", func() float64 {
-		return float64(s.qstats.Capacity())
-	})
-	m.CounterFunc("sv_qstats_observations_total", "Answered queries folded into the fingerprint registry.", func() uint64 {
-		return s.qstats.Stats().Observations
-	})
-	m.CounterFunc("sv_qstats_evictions_total", "Space-saving evictions in the fingerprint registry (nonzero means some rows carry a count_slack bound).", func() uint64 {
-		return s.qstats.Stats().Evictions
-	})
-	const evHelp = "Structured wide-event log activity; both 0 when -eventlog is off."
-	m.CounterFunc("sv_eventlog_events_total", evHelp, func() uint64 {
-		if s.cfg.EventLog == nil {
-			return 0
-		}
-		ev, _ := s.cfg.EventLog.Stats()
-		return ev
-	})
-	m.CounterFunc("sv_eventlog_rotations_total", evHelp, func() uint64 {
-		if s.cfg.EventLog == nil {
-			return 0
-		}
-		_, rot := s.cfg.EventLog.Stats()
-		return rot
 	})
 }
 
@@ -349,7 +379,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.HandleFunc("/metricsz", s.handleMetricsz)
 	mux.HandleFunc("/queryz", s.handleQueryz)
 	mux.HandleFunc("/explainz", s.handleExplainz)
@@ -779,131 +808,4 @@ func parseParams(kvs []string) (map[string]string, error) {
 		params[name] = value
 	}
 	return params, nil
-}
-
-// LatencyStats is the /statsz latency section: a count/sum pair, the
-// exact observed maximum, histogram-derived percentile estimates, and
-// the full bucket histogram (the geometric ladder of latency.Bounds,
-// 100µs–10s plus +inf; each observation lands in exactly one bucket, so
-// the bucket counts sum to count). Microsecond units on the wire; the
-// digests underneath are nanosecond-based.
-type LatencyStats struct {
-	Count     uint64  `json:"count"`
-	SumMicros uint64  `json:"sum_us"`
-	MaxMicros float64 `json:"max_us"`
-	// P50/P95/P99Micros are estimated from the histogram by linear
-	// interpolation within the rank's bucket (clamped to the observed
-	// max), so they are honest to within one bucket rung.
-	P50Micros float64           `json:"p50_us"`
-	P95Micros float64           `json:"p95_us"`
-	P99Micros float64           `json:"p99_us"`
-	Buckets   map[string]uint64 `json:"buckets"`
-}
-
-func latencyStats(snap latency.Snapshot) LatencyStats {
-	return LatencyStats{
-		Count:     snap.Count,
-		SumMicros: snap.SumUs(),
-		MaxMicros: float64(snap.MaxNs) / 1e3,
-		P50Micros: snap.QuantileUs(0.50),
-		P95Micros: snap.QuantileUs(0.95),
-		P99Micros: snap.QuantileUs(0.99),
-		Buckets:   snap.BucketMap(),
-	}
-}
-
-// ServerStats is the server section of /statsz.
-type ServerStats struct {
-	Requests       uint64       `json:"requests"`
-	OK             uint64       `json:"ok"`
-	BadRequests    uint64       `json:"bad_requests"`
-	TooLarge       uint64       `json:"too_large"`
-	InternalErrors uint64       `json:"internal_errors"`
-	Rejected       uint64       `json:"rejected"`
-	Timeouts       uint64       `json:"timeouts"`
-	ClientCancels  uint64       `json:"client_cancels"`
-	InFlight       int64        `json:"in_flight"`
-	MaxInFlight    int          `json:"max_in_flight"`
-	UptimeSeconds  float64      `json:"uptime_seconds"`
-	DocumentNodes  int          `json:"document_nodes"`
-	DocumentHeight int          `json:"document_height"`
-	Draining       bool         `json:"draining"`
-	SlowQueries    uint64       `json:"slow_queries"`
-	Explains       uint64       `json:"explains"`
-	Latency        LatencyStats `json:"latency"`
-	// Pipeline is the completed-pipeline rollup: the per-phase latency
-	// digests and the plan-cache outcome counters keyed to them (every
-	// phase count equals Pipeline.Count; see observePipeline).
-	Pipeline PipelineStats `json:"pipeline"`
-}
-
-// PipelineStats reports the always-on per-phase accounting.
-type PipelineStats struct {
-	Count           uint64                  `json:"count"`
-	PlanCacheHits   uint64                  `json:"plan_cache_hits"`
-	PlanCacheMisses uint64                  `json:"plan_cache_misses"`
-	Phases          map[string]LatencyStats `json:"phases"`
-}
-
-// Statsz is the full /statsz document: the server's own counters plus
-// the policy registry's per-class counters (each class has one engine,
-// shared by every binding: its plan-cache and evaluation counters).
-type Statsz struct {
-	Server  ServerStats         `json:"server"`
-	Classes []policy.ClassStats `json:"classes"`
-}
-
-// Stats snapshots the server and registry counters.
-//
-// Read ordering matters for snapshots taken under load: effect counters
-// are read before their cause counters (response classes before
-// requests, phase digests before the pipeline count), so every effect a
-// snapshot contains has its cause in the same snapshot. Mid-flight the
-// response classes sum to at most Requests and each phase count is at
-// most Pipeline.Count; at quiescence both are exact equalities.
-func (s *Server) Stats() Statsz {
-	phases := make(map[string]LatencyStats, numPhases)
-	for i := range s.phases {
-		phases[phaseNames[i]] = latencyStats(s.phases[i].Snapshot())
-	}
-	pipeline := s.pipeline.Load()
-	ok := s.ok.Load()
-	badRequests := s.badRequests.Load()
-	tooLarge := s.tooLarge.Load()
-	internalErrors := s.internalErrors.Load()
-	rejected := s.rejected.Load()
-	timeouts := s.timeouts.Load()
-	clientCancels := s.clientCancels.Load()
-	return Statsz{
-		Server: ServerStats{
-			Requests:       s.requests.Load(),
-			OK:             ok,
-			BadRequests:    badRequests,
-			TooLarge:       tooLarge,
-			InternalErrors: internalErrors,
-			Rejected:       rejected,
-			Timeouts:       timeouts,
-			ClientCancels:  clientCancels,
-			InFlight:       s.inFlight.Load(),
-			MaxInFlight:    s.cfg.maxInFlight(),
-			UptimeSeconds:  time.Since(s.started).Seconds(),
-			DocumentNodes:  s.doc.Size(),
-			DocumentHeight: s.doc.Height(),
-			Draining:       s.draining.Load(),
-			SlowQueries:    s.slowQueries.Load(),
-			Explains:       s.explains.Load(),
-			Latency:        latencyStats(s.lat.Snapshot()),
-			Pipeline: PipelineStats{
-				Count:           pipeline,
-				PlanCacheHits:   s.planHits.Load(),
-				PlanCacheMisses: s.planMisses.Load(),
-				Phases:          phases,
-			},
-		},
-		Classes: s.reg.Stats(),
-	}
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
 }

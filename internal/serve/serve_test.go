@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtds"
-	"repro/internal/latency"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
@@ -66,9 +65,9 @@ func TestQueryOK(t *testing.T) {
 	if !strings.HasPrefix(body, "<result count=") || !strings.HasSuffix(strings.TrimSpace(body), "</result>") {
 		t.Errorf("body is not a result envelope: %.120q", body)
 	}
-	st := s.Stats().Server
-	if st.Requests != 1 || st.OK != 1 || st.Latency.Count != 1 {
-		t.Errorf("server stats after one query: %+v", st)
+	m := scrape(t, h)
+	if m.value("sv_requests_total") != 1 || m.value("sv_responses_total", obs.L("code", "200")) != 1 || m.value("sv_request_duration_seconds_count") != 1 {
+		t.Errorf("metrics after one query:\n%s", m.text)
 	}
 }
 
@@ -92,8 +91,8 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400 (body %q)", c.name, w.Code, w.Body.String())
 		}
 	}
-	if st := s.Stats().Server; st.BadRequests != uint64(len(cases)) {
-		t.Errorf("BadRequests = %d, want %d", st.BadRequests, len(cases))
+	if n := scrape(t, h).value("sv_responses_total", obs.L("code", "400")); n != uint64(len(cases)) {
+		t.Errorf("400 responses = %d, want %d", n, len(cases))
 	}
 }
 
@@ -154,12 +153,12 @@ func TestAdmissionControl(t *testing.T) {
 	if w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//name")); w.Code != http.StatusOK {
 		t.Errorf("post-drain request: status %d", w.Code)
 	}
-	st := s.Stats().Server
-	if st.Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", st.Rejected)
+	m := scrape(t, s.Handler())
+	if n := m.value("sv_responses_total", obs.L("code", "429")); n != 1 {
+		t.Errorf("429 responses = %d, want 1", n)
 	}
-	if st.InFlight != 0 {
-		t.Errorf("InFlight = %d after drain", st.InFlight)
+	if n := m.value("sv_in_flight"); n != 0 {
+		t.Errorf("sv_in_flight = %d after drain", n)
 	}
 }
 
@@ -179,8 +178,8 @@ func TestDeadline504(t *testing.T) {
 	if elapsed >= 100*time.Millisecond {
 		t.Errorf("deadline response took %v, want well under 100ms", elapsed)
 	}
-	if st := s.Stats().Server; st.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1", st.Timeouts)
+	if n := scrape(t, h).value("sv_responses_total", obs.L("code", "504")); n != 1 {
+		t.Errorf("504 responses = %d, want 1", n)
 	}
 	// Same query with a generous budget succeeds — the cancelled run left
 	// the class engine and its plan cache usable.
@@ -190,8 +189,9 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
-// TestStatszShape: /statsz decodes as JSON with the server section, the
-// latency histogram, and per-class engine stats from the layers below.
+// TestStatszShape: /statsz is gone (404); /metricsz is the one counter
+// surface, and the per-class facts /statsz carried are series with a
+// class label, one per defined class.
 func TestStatszShape(t *testing.T) {
 	s := newTestServer(t, Config{}, 4)
 	h := s.Handler()
@@ -200,50 +200,24 @@ func TestStatszShape(t *testing.T) {
 			t.Fatalf("query %d: status %d", i, w.Code)
 		}
 	}
-	w := get(t, h, "/statsz")
-	if w.Code != http.StatusOK {
-		t.Fatalf("statsz status = %d", w.Code)
+	if w := get(t, h, "/statsz"); w.Code != http.StatusNotFound {
+		t.Errorf("/statsz status = %d, want 404", w.Code)
 	}
-	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("Content-Type = %q", ct)
+	m := scrape(t, h)
+	for _, name := range []string{"sv_class_evals_total", "sv_plan_cache_evictions_total", "sv_plan_cache_entries"} {
+		var classes []string
+		for _, sm := range m.samples {
+			if sm.Name == name {
+				classes = append(classes, sm.Labels["class"])
+			}
+		}
+		if len(classes) != 1 || classes[0] != "nurse" {
+			t.Errorf("%s: class labels %q, want one series for nurse", name, classes)
+		}
 	}
-	var got Statsz
-	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
-		t.Fatalf("statsz does not decode: %v\n%s", err, w.Body.String())
-	}
-	sv := got.Server
-	if sv.Requests != 3 || sv.OK != 3 {
-		t.Errorf("requests/ok = %d/%d, want 3/3", sv.Requests, sv.OK)
-	}
-	if sv.Latency.Count != 3 || len(sv.Latency.Buckets) != latency.NumBuckets {
-		t.Errorf("latency section: %+v", sv.Latency)
-	}
-	if !(sv.Latency.P50Micros <= sv.Latency.P95Micros && sv.Latency.P95Micros <= sv.Latency.P99Micros) {
-		t.Errorf("percentiles not ordered: %+v", sv.Latency)
-	}
-	if sv.Latency.P99Micros > sv.Latency.MaxMicros {
-		t.Errorf("p99 %v exceeds max %v", sv.Latency.P99Micros, sv.Latency.MaxMicros)
-	}
-	var total uint64
-	for _, n := range sv.Latency.Buckets {
-		total += n
-	}
-	if total != sv.Latency.Count {
-		t.Errorf("histogram buckets sum to %d, count %d", total, sv.Latency.Count)
-	}
-	if sv.DocumentNodes == 0 || sv.DocumentHeight == 0 {
-		t.Errorf("document fields empty: %+v", sv)
-	}
-	if len(got.Classes) != 1 || got.Classes[0].Class != "nurse" {
-		t.Fatalf("classes = %+v", got.Classes)
-	}
-	cl := got.Classes[0]
-	if len(cl.Params) != 1 || cl.Params[0] != "wardNo" {
-		t.Fatalf("class params = %v", cl.Params)
-	}
-	eng := cl.Engine
-	if eng.Queries != 3 || eng.PlanCache.Misses != 1 || eng.PlanCache.Hits != 2 {
-		t.Errorf("engine stats: %+v", eng)
+	nurse := obs.L("class", "nurse")
+	if evals, entries, evictions := m.value("sv_class_evals_total", nurse), m.value("sv_plan_cache_entries", nurse), m.value("sv_plan_cache_evictions_total", nurse); evals != 3 || entries != 1 || evictions != 0 {
+		t.Errorf("nurse: %d evals, %d plans, %d evictions; want 3, 1, 0", evals, entries, evictions)
 	}
 }
 
@@ -259,12 +233,12 @@ func TestInternalErrorIs500(t *testing.T) {
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500 (body %q)", w.Code, w.Body.String())
 	}
-	st := s.Stats().Server
-	if st.InternalErrors != 1 {
-		t.Errorf("InternalErrors = %d, want 1", st.InternalErrors)
+	m := scrape(t, s.Handler())
+	if n := m.value("sv_responses_total", obs.L("code", "500")); n != 1 {
+		t.Errorf("500 responses = %d, want 1", n)
 	}
-	if st.BadRequests != 0 {
-		t.Errorf("BadRequests = %d, want 0 (internal failure misreported as client fault)", st.BadRequests)
+	if n := m.value("sv_responses_total", obs.L("code", "400")); n != 0 {
+		t.Errorf("400 responses = %d, want 0 (internal failure misreported as client fault)", n)
 	}
 }
 
@@ -287,18 +261,18 @@ func TestClientFaultClassification(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400 (body %q)", c.name, w.Code, w.Body.String())
 		}
 	}
-	st := s.Stats().Server
-	if st.InternalErrors != 0 {
-		t.Errorf("InternalErrors = %d, want 0", st.InternalErrors)
+	m := scrape(t, h)
+	if n := m.value("sv_responses_total", obs.L("code", "500")); n != 0 {
+		t.Errorf("500 responses = %d, want 0", n)
 	}
-	if st.BadRequests != uint64(len(cases)) {
-		t.Errorf("BadRequests = %d, want %d", st.BadRequests, len(cases))
+	if n := m.value("sv_responses_total", obs.L("code", "400")); n != uint64(len(cases)) {
+		t.Errorf("400 responses = %d, want %d", n, len(cases))
 	}
 }
 
 // TestHistogramSumsToCount: after a spread of requests (fast, slow, and
 // timed-out), every observation landed in exactly one bucket of the
-// finer ladder, so the bucket counts sum to latency.count.
+// finer ladder, so the bucket counts sum to the histogram's count.
 func TestHistogramSumsToCount(t *testing.T) {
 	s := newTestServer(t, Config{}, 8)
 	h := s.Handler()
@@ -313,7 +287,7 @@ func TestHistogramSumsToCount(t *testing.T) {
 			get(t, h, target)
 		}
 	}
-	lat := s.Stats().Server.Latency
+	lat := s.lat.Snapshot()
 	if lat.Count != uint64(3*len(targets)) {
 		t.Fatalf("latency count = %d, want %d", lat.Count, 3*len(targets))
 	}
@@ -323,6 +297,11 @@ func TestHistogramSumsToCount(t *testing.T) {
 	}
 	if total != lat.Count {
 		t.Errorf("histogram buckets sum to %d, count %d", total, lat.Count)
+	}
+	// The exposition renders the same digest: its _count and +Inf bucket
+	// (equal, or ParseSamples fails) match the snapshot.
+	if n := scrape(t, h).value("sv_request_duration_seconds_count"); n != lat.Count {
+		t.Errorf("sv_request_duration_seconds_count = %d, digest count %d", n, lat.Count)
 	}
 }
 

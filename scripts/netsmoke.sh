@@ -5,7 +5,8 @@
 # asserts /explainz returns a full per-phase explain for a recursive
 # query, validates /metricsz with promcheck and requires the repeated
 # queries to have hit the plan cache, checks that every answered query
-# ran the evaluator and that no answer-cache series survives, checks /queryz
+# ran the evaluator, that the responses sum to the requests and that no
+# answer-cache series or /statsz endpoint survives, checks /queryz
 # fingerprint accounting against sv_pipeline_total and the structured
 # event log for well-formed wide events, requires deep and oversized
 # queries to get a 4xx without harming the server, and finally SIGTERMs
@@ -91,12 +92,11 @@ python3 - "$WORK/large.json" <<'EOF' || fail "hospital-large run did not evaluat
 import json, sys
 r = json.load(open(sys.argv[1]))
 assert r["doc_nodes"] >= 10000, f'doc only {r["doc_nodes"]} nodes'
-p = r["server_stats"]["pipeline"]
-assert p["count"] > 0, p
-# The removed per-mode and per-representation counters must stay gone.
-for gone in ("evals", "cached_evals", "sequential_evals", "parallel_evals", "indexed_evals",
-             "bitset_evals", "slice_evals"):
-    assert gone not in p, (gone, p)
+# Some requests were answered (that the server's pipeline count equals
+# its 200s is pinned by internal/serve's concurrent-load test).
+assert sum(l["ok"] for l in r["levels"]) > 0, r["levels"]
+# The report no longer copies the server's counters.
+assert "server_stats" not in r, list(r)
 EOF
 
 echo "netsmoke: /explainz on a recursive query"
@@ -177,33 +177,36 @@ awk '$1 == "sv_query_limit_rejections_total{limit=\"depth\"}" { v = $2 } END { e
 awk '$1 == "sv_responses_total{code=\"413\"}" { v = $2 } END { exit !(v == 1) }' "$WORK/metrics.txt" ||
     fail '/metricsz sv_responses_total{code="413"} != 1'
 
-echo "netsmoke: /statsz eval and response accounting, one engine per class"
-curl -fsS "$BASE/statsz" >"$WORK/statsz.json" || fail "/statsz request failed"
-python3 - "$WORK/statsz.json" <<'EOF' || fail "/statsz eval accounting broken"
-import json, sys
-s = json.load(open(sys.argv[1]))
-p = s["server"]["pipeline"]
-assert p["count"] > 0, p
-# At quiescence the /query response classes sum to the request count;
-# /explainz and /queryz errors count in none of them.
-srv = s["server"]
-answered = sum(srv[k] for k in ("ok", "bad_requests", "too_large", "internal_errors",
-                                "rejected", "timeouts", "client_cancels"))
-assert answered == srv["requests"], srv
-# One engine per class, shared by every binding: each class reports its
-# engine directly, every class served queries, and the per-binding list
-# and engine-cache counters are gone.
-classes = s["classes"]
-assert classes, s
-for c in classes:
-    assert "bindings" not in c and "engine_cache" not in c, c
-    assert c["engine"]["evals"] > 0, c
-# Every answered query ran the evaluator; explains and failed
-# evaluations may add engine evals, so the class sum bounds the
-# pipeline count from above.
-assert sum(c["engine"]["evals"] for c in classes) >= p["count"], (classes, p)
-assert "evals" not in p, p
-text = json.dumps(s)
+echo "netsmoke: /metricsz eval and response accounting, one engine per class; no /statsz"
+code="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/statsz" || true)"
+[ "$code" = "404" ] || fail "/statsz answered $code, want 404"
+python3 - "$WORK/metrics.txt" <<'EOF' || fail "/metricsz eval or response accounting broken"
+import re, sys
+text = open(sys.argv[1]).read()
+# (name, labels, value) per sample line; promcheck validated the format.
+samples = []
+for line in text.splitlines():
+    if line and not line.startswith("#"):
+        m = re.match(r'([a-z_]+)(?:\{(.*)\})? (\S+)$', line)
+        assert m, line
+        labels = dict(re.findall(r'([a-z_]+)="([^"]*)"', m.group(2) or ""))
+        samples.append((m.group(1), labels, float(m.group(3))))
+def total(name):
+    return sum(v for n, _, v in samples if n == name)
+pipeline = total("sv_pipeline_total")
+assert pipeline > 0, pipeline
+# At quiescence the /query responses sum to the request count;
+# /explainz and /queryz errors count in neither.
+responses, requests = total("sv_responses_total"), total("sv_requests_total")
+assert responses == requests, (responses, requests)
+# One engine per class, and every class served queries. Every answered
+# query ran the evaluator; explains and failed evaluations may add
+# evals, so the class sum bounds the pipeline count from above.
+evals = {l["class"]: v for n, l, v in samples if n == "sv_class_evals_total"}
+assert evals and all(v > 0 for v in evals.values()), evals
+assert sum(evals.values()) >= pipeline, (evals, pipeline)
+for name in ("sv_plan_cache_evictions_total", "sv_plan_cache_entries"):
+    assert {l["class"] for n, l, _ in samples if n == name} == set(evals), name
 for gone in ("set_repr", "parallel_evals", "indexed_evals", "height_cache", "unfold",
              "engine_cache_hits", "engine_cache_misses", "sv_anscache_", "sv_eval_total",
              "cached_evals", "answer_cache", "epoch"):
