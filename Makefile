@@ -38,6 +38,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRecEval|BenchmarkSigmaGuard' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion|BenchmarkPlanMiss' -benchmem -benchtime 1x ./internal/optimize
 	$(GO) test -run xxx -bench 'BenchmarkParseDocument|BenchmarkValidate' -benchmem -benchtime 1x ./internal/xmltree
+	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
 
 # perfbench-check vets and tests the serving benchmark. perfbench is a
 # nested module, so the root `go build ./...` and `go test ./...` skip

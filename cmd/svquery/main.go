@@ -160,9 +160,11 @@ func queryOnce(engine *core.Engine, doc *xmltree.Document, p xpath.Path, timeout
 }
 
 func printResult(result []*xmltree.Node) {
+	var b []byte
 	for _, n := range result {
-		fmt.Print(n.String())
+		b = n.AppendXML(b)
 	}
+	os.Stdout.Write(b)
 }
 
 // printStats dumps the engine counters; when qm carries a surfaced

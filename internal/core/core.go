@@ -173,7 +173,7 @@ func FromViewConfig(view *secview.View, cfg Config) (*Engine, error) {
 		view:  view,
 		opt:   optimize.New(view.Doc),
 		rw:    rw,
-		plans: plancache.New[*Prepared](cfg.planCap()),
+		plans: plancache.NewWeighted(cfg.planCap(), func(p *Prepared) int { return p.nodes }),
 	}
 	return &Engine{s: s, bound: len(s.vars) == 0}, nil
 }
@@ -491,7 +491,8 @@ type Stats struct {
 	// PlanCache reports the query-shape → plan cache.
 	PlanCache plancache.Stats `json:"plan_cache"`
 	// PlanCacheNodes sums the AST size of every cached optimized plan,
-	// the memory-side view of the plan cache.
+	// the memory-side view of the plan cache. The cache keeps it as a
+	// running total (plancache.NewWeighted), so Stats walks nothing.
 	PlanCacheNodes int `json:"plan_cache_nodes"`
 	// Evals counts evaluator runs.
 	Evals uint64 `json:"evals"`
@@ -505,13 +506,11 @@ type Stats struct {
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	rules, pruned := e.s.opt.Stats()
-	nodes := 0
-	e.s.plans.Each(func(_ string, prep *Prepared) { nodes += prep.nodes })
 	return Stats{
 		Queries:        e.s.queries.Load(),
 		Cancelled:      e.s.cancelled.Load(),
 		PlanCache:      e.s.plans.Stats(),
-		PlanCacheNodes: nodes,
+		PlanCacheNodes: int(e.s.plans.Weight()),
 		Evals:          e.s.evals.Load(),
 		OptimizeRules:  rules,
 		OptimizePruned: pruned,

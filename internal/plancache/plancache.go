@@ -29,6 +29,9 @@ type Cache[V any] struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
+
+	weigh  func(V) int
+	weight atomic.Int64
 }
 
 type shard[V any] struct {
@@ -45,6 +48,15 @@ type entry[V any] struct {
 
 // New returns a cache holding at most capacity entries.
 func New[V any](capacity int) *Cache[V] {
+	return NewWeighted(capacity, func(V) int { return 0 })
+}
+
+// NewWeighted is New with a weight per entry: the cache keeps the sum of
+// its entries' weights as a running total (Weight), which Put updates as
+// it inserts, replaces and evicts, so an observability endpoint can read
+// a figure of the cached artifacts (e.g. the node count of cached plans)
+// without walking the cache.
+func NewWeighted[V any](capacity int, weigh func(V) int) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -55,7 +67,7 @@ func New[V any](capacity int) *Cache[V] {
 	if capacity < 2*n {
 		n = 1
 	}
-	c := &Cache[V]{shards: make([]shard[V], n), mask: uint32(n - 1), cap: capacity}
+	c := &Cache[V]{shards: make([]shard[V], n), mask: uint32(n - 1), cap: capacity, weigh: weigh}
 	per := (capacity + n - 1) / n
 	for i := range c.shards {
 		c.shards[i].items = make(map[string]*list.Element)
@@ -93,27 +105,37 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put inserts or refreshes key, evicting the least recently used entry
 // of the key's shard when the shard is full.
 func (c *Cache[V]) Put(key string, val V) {
+	delta := c.weigh(val)
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*entry[V]).val = val
+		e := el.Value.(*entry[V])
+		delta -= c.weigh(e.val)
+		e.val = val
 		s.order.MoveToFront(el)
 		s.mu.Unlock()
+		c.weight.Add(int64(delta))
 		return
 	}
 	s.items[key] = s.order.PushFront(&entry[V]{key: key, val: val})
 	var evicted int
 	for s.order.Len() > s.cap {
-		back := s.order.Back()
-		s.order.Remove(back)
-		delete(s.items, back.Value.(*entry[V]).key)
+		back := s.order.Remove(s.order.Back()).(*entry[V])
+		delete(s.items, back.key)
+		delta -= c.weigh(back.val)
 		evicted++
 	}
 	s.mu.Unlock()
+	c.weight.Add(int64(delta))
 	if evicted > 0 {
 		c.evictions.Add(uint64(evicted))
 	}
 }
+
+// Weight returns the sum of the cached entries' weights (see
+// NewWeighted); 0 for a cache made by New. Puts running concurrently
+// may or may not be counted yet.
+func (c *Cache[V]) Weight() int64 { return c.weight.Load() }
 
 // Len returns the current number of cached entries.
 func (c *Cache[V]) Len() int {
@@ -125,27 +147,6 @@ func (c *Cache[V]) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Each calls fn once per cached entry with the key and current value.
-// The snapshot is taken shard by shard under the shard locks, so fn must
-// not touch the cache; entries added or evicted while Each runs may or
-// may not be seen. Recency is not updated. It exists so observability
-// endpoints can roll cached artifacts' own figures (e.g. the node
-// counts of cached plans) up into one report.
-func (c *Cache[V]) Each(fn func(key string, v V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		snap := make(map[string]V, len(s.items))
-		for k, el := range s.items {
-			snap[k] = el.Value.(*entry[V]).val
-		}
-		s.mu.Unlock()
-		for k, v := range snap {
-			fn(k, v)
-		}
-	}
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

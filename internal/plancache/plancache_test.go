@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -108,5 +109,49 @@ func TestConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := c.Len(); n > 64+len(c.shards)-1 {
 		t.Errorf("bound exceeded after concurrent load: %d", n)
+	}
+}
+
+// walkWeight sums the weights of the cached entries by walking every
+// shard: what Weight's running total must equal.
+func walkWeight[V any](c *Cache[V]) int64 {
+	var sum int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for _, el := range s.items {
+			sum += int64(c.weigh(el.Value.(*entry[V]).val))
+		}
+		s.mu.Unlock()
+	}
+	return sum
+}
+
+// TestWeightRunningTotal: after every step of a random sequence of
+// inserts, replacements of existing keys and evicting inserts, on a
+// one-shard and a sharded cache, Weight equals a fresh walk.
+func TestWeightRunningTotal(t *testing.T) {
+	for _, capacity := range []int{1, 5, 64} {
+		r := rand.New(rand.NewSource(int64(capacity)))
+		c := NewWeighted(capacity, func(v int) int { return v })
+		var replaced, evicting int
+		for i := 0; i < 5000; i++ {
+			key := fmt.Sprintf("k%d", r.Intn(3*capacity))
+			if _, ok := c.Get(key); ok {
+				replaced++
+			} else if c.Len() >= capacity {
+				evicting++
+			}
+			c.Put(key, r.Intn(50))
+			if got, want := c.Weight(), walkWeight(c); got != want {
+				t.Fatalf("capacity %d, step %d: Weight = %d, walk = %d", capacity, i, got, want)
+			}
+		}
+		if replaced == 0 || evicting == 0 || c.Stats().Evictions == 0 {
+			t.Fatalf("capacity %d: sequence had %d replacements and %d evicting inserts", capacity, replaced, evicting)
+		}
+	}
+	if w := New[int](4).Weight(); w != 0 {
+		t.Errorf("unweighted cache: Weight = %d", w)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -494,5 +495,32 @@ func TestPprofEndpoint(t *testing.T) {
 	w := get(t, s.Handler(), "/debug/pprof/")
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "goroutine") {
 		t.Errorf("pprof index: %d %.80q", w.Code, w.Body.String())
+	}
+}
+
+// BenchmarkMetricsScrape renders /metricsz with the class's plan cache
+// full: 512 cached plans (the default capacity) from distinct
+// //a/b and //a//b query shapes over the hospital labels.
+func BenchmarkMetricsScrape(b *testing.B) {
+	s := newTestServer(b, Config{}, 3)
+	h := s.Handler()
+	labels := []string{"hospital", "dept", "clinicalTrial", "patientInfo", "patient", "name", "wardNo", "treatment",
+		"trial", "regular", "bill", "medication", "staffInfo", "staff", "doctor", "nurse"}
+	for _, sep := range []string{"/", "//"} {
+		for _, a := range labels {
+			for _, c := range labels {
+				q := "//" + a + sep + c
+				if w := get(b, h, "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape(q)); w.Code != http.StatusOK {
+					b.Fatalf("%s: status %d", q, w.Code)
+				}
+			}
+		}
+	}
+	w := &discardWriter{h: http.Header{}}
+	r := httptest.NewRequest("GET", "/metricsz", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, r)
 	}
 }

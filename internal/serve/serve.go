@@ -40,6 +40,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -775,17 +776,33 @@ func clientError(w http.ResponseWriter, err error) int {
 	return status
 }
 
+// maxPooledResult is the largest response buffer writeResult returns to
+// its pool. A buffer that grew past it for a large answer is left to the
+// collector, so one big response does not pin its size in memory.
+const maxPooledResult = 64 << 10
+
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeResult wraps the selected nodes in a <result> envelope so the
-// response body is a single well-formed XML document.
+// response body is a single well-formed XML document. It renders the
+// envelope and every answer (xmltree.Node.AppendXML) into one pooled
+// buffer and writes it with one Write.
 func writeResult(w http.ResponseWriter, nodes []*xmltree.Node) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	var b strings.Builder
-	fmt.Fprintf(&b, "<result count=\"%d\">\n", len(nodes))
+	buf := resultBufs.Get().(*[]byte)
+	b := append((*buf)[:0], `<result count="`...)
+	b = strconv.AppendInt(b, int64(len(nodes)), 10)
+	b = append(b, "\">\n"...)
 	for _, n := range nodes {
-		b.WriteString(n.String())
+		b = n.AppendXML(b)
 	}
-	b.WriteString("</result>\n")
-	w.Write([]byte(b.String()))
+	b = append(b, "</result>\n"...)
+	w.Write(b)
+	if cap(b) > maxPooledResult {
+		b = nil
+	}
+	*buf = b
+	resultBufs.Put(buf)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -23,7 +23,7 @@ import (
 
 // newTestServer builds a server over the hospital scenario: the unbound
 // nurse policy (wardNo binds per request) and a generated ward document.
-func newTestServer(t *testing.T, cfg Config, maxRepeat int) *Server {
+func newTestServer(t testing.TB, cfg Config, maxRepeat int) *Server {
 	t.Helper()
 	spec := dtds.NurseSpec()
 	reg := policy.NewRegistryWithConfig(spec.D, 0, core.Config{})
@@ -44,7 +44,7 @@ func newTestServer(t *testing.T, cfg Config, maxRepeat int) *Server {
 	return New(reg, doc, cfg)
 }
 
-func get(t *testing.T, h http.Handler, target string) *httptest.ResponseRecorder {
+func get(t testing.TB, h http.Handler, target string) *httptest.ResponseRecorder {
 	t.Helper()
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))

@@ -204,7 +204,9 @@ func TestParseRejects(t *testing.T) {
 
 // FuzzParse holds the loader to encoding/xml (through OracleParse): it
 // must reject every input the oracle rejects, and where both accept,
-// build the same node table. It may reject more.
+// build the same node table. It may reject more. What it accepts also
+// renders (AppendXML, byte-identical to OracleXML) to XML that loads
+// back to the same tree, up to sameReload's whitespace rules.
 func FuzzParse(f *testing.F) {
 	for _, src := range loaderCases {
 		f.Add(src)
@@ -224,6 +226,17 @@ func FuzzParse(f *testing.F) {
 		case err == nil:
 			if diff := sameDocument(got, want); diff != "" {
 				t.Fatalf("trees differ: %s", diff)
+			}
+			out := got.Root.AppendXML(nil)
+			if string(out) != xmltree.OracleXML(got.Root) {
+				t.Fatalf("AppendXML differs from the reference writer")
+			}
+			back, err := xmltree.ParseString(string(out))
+			if err != nil {
+				t.Fatalf("rendering does not load back: %v\n%s", err, out)
+			}
+			if diff := sameReload(got.Root, back.Root); diff != "" {
+				t.Fatalf("parse → AppendXML → parse: %s\n%s", diff, out)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"repro/internal/dtd"
@@ -97,4 +98,56 @@ func ValidateRef(doc *Document, d *dtd.DTD) error {
 		return nil
 	}
 	return check(doc.Root)
+}
+
+// OracleXML is the reference serializer AppendXML is tested against: a
+// recursive strings.Builder writer with fmt for text and close tags,
+// strings.Repeat for indentation and its own copy of the escaper.
+func OracleXML(n *Node) string {
+	var b strings.Builder
+	oracleNode(&b, n, 0)
+	return b.String()
+}
+
+func oracleNode(b *strings.Builder, n *Node, depth int) {
+	indent := strings.Repeat("  ", depth)
+	if n.Kind == TextNode {
+		fmt.Fprintf(b, "%s%s\n", indent, oracleEscape(n.Data))
+		return
+	}
+	b.WriteString(indent)
+	b.WriteByte('<')
+	b.WriteString(n.Label)
+	oracleAttrs(b, n)
+	if len(n.Children) == 0 {
+		b.WriteString("/>\n")
+		return
+	}
+	if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+		fmt.Fprintf(b, ">%s</%s>\n", oracleEscape(n.Children[0].Data), n.Label)
+		return
+	}
+	b.WriteString(">\n")
+	for _, c := range n.Children {
+		oracleNode(b, c, depth+1)
+	}
+	fmt.Fprintf(b, "%s</%s>\n", indent, n.Label)
+}
+
+func oracleAttrs(b *strings.Builder, n *Node) {
+	if len(n.Attrs) == 0 {
+		return
+	}
+	names := make([]string, 0, len(n.Attrs))
+	for k := range n.Attrs {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		fmt.Fprintf(b, ` %s="%s"`, k, strings.ReplaceAll(oracleEscape(n.Attrs[k]), `"`, "&quot;"))
+	}
+}
+
+func oracleEscape(s string) string {
+	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace(s)
 }

@@ -35,9 +35,9 @@ func MustParseString(s string) *Document {
 	return d
 }
 
-// Serialize writes the document as XML to w.
+// Serialize writes the document as XML to w (see Node.AppendXML).
 func (d *Document) Serialize(w io.Writer) error {
-	_, err := io.WriteString(w, d.Root.String())
+	_, err := w.Write(d.Root.AppendXML(nil))
 	return err
 }
 
