@@ -38,7 +38,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRecEval|BenchmarkSigmaGuard' -benchmem -benchtime 1x ./internal/xpath
 	$(GO) test -run xxx -bench 'BenchmarkOptimizeUnion|BenchmarkPlanMiss' -benchmem -benchtime 1x ./internal/optimize
 	$(GO) test -run xxx -bench 'BenchmarkParseDocument|BenchmarkValidate' -benchmem -benchtime 1x ./internal/xmltree
-	$(GO) test -run xxx -bench 'BenchmarkWriteResult' -benchmem -benchtime 1x ./internal/serve
+	$(GO) test -run xxx -bench 'BenchmarkWriteResult|BenchmarkServeQuery' -benchmem -benchtime 1x ./internal/serve
 
 # perfbench-check vets and tests the serving benchmark. perfbench is a
 # nested module, so the root `go build ./...` and `go test ./...` skip
@@ -101,8 +101,10 @@ fuzz-smoke:
 	$(GO) test ./internal/xpath -fuzz 'FuzzParseQual$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xpath -fuzz 'FuzzEval$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xpath -fuzz 'FuzzEvalQual$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/xpath -fuzz 'FuzzParameterizedString$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dtd -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dtd -fuzz 'FuzzParseElementSyntax$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dtd -fuzz 'FuzzMatchLabels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -fuzz 'FuzzRewriteRecursive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xmltree -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME)

@@ -20,13 +20,13 @@ import (
 const heavyQuery = "//*[//name]//*[//name]//name"
 
 // bigHospital generates a hospital document with high fan-out (dept*,
-// patient*, staff* all repeat 28-30 times, ~20k nodes), large enough
-// that heavyQuery runs for many milliseconds.
+// patient*, staff* all repeat 68-70 times, ~113k nodes), large enough
+// that heavyQuery runs for well over the test's 5 ms floor.
 func bigHospital() *xmltree.Document {
 	return xmlgen.Generate(dtds.Hospital(), xmlgen.Config{
 		Seed:      11,
-		MinRepeat: 28,
-		MaxRepeat: 30,
+		MinRepeat: 68,
+		MaxRepeat: 70,
 		Value: func(r *rand.Rand, label string) string {
 			if label == "wardNo" {
 				return fmt.Sprintf("%d", r.Intn(4))

@@ -119,8 +119,8 @@ type state struct {
 	rw *rewrite.Rewriter
 
 	// plans caches rewritten-and-optimized queries by the text of the
-	// parameterized query (xpath.Parameterize), so repeated query shapes
-	// skip rewrite+optimize whatever their literals and binding.
+	// parameterized query (xpath.ParameterizedString), so repeated query
+	// shapes skip rewrite+optimize whatever their literals and binding.
 	plans *plancache.Cache[*Prepared]
 
 	queries   atomic.Uint64
@@ -236,13 +236,14 @@ func (e *Engine) env(lits []string) xpath.Env {
 
 // prepared returns the cached plan for a query's shape, building and
 // caching it on a miss, plus the query's literals in placeholder order.
-// The query's p = "c" constants are renamed to placeholders first
-// (xpath.Parameterize), so queries that differ only in their constants
-// share one plan. This is sound because rewrite and optimize treat
-// constants as opaque: their one test on a value is syntactic equality,
-// which a consistent renaming keeps between query literals; a literal
-// equal to a specification constant just no longer proves it, and the
-// optimizer then proves less.
+// The cache key is the query printed with its p = "c" constants renamed
+// to placeholders (xpath.ParameterizedString), so queries that differ
+// only in their constants share one plan; only a miss builds the
+// renamed query (xpath.Parameterize) that gets rewritten. This is sound
+// because rewrite and optimize treat constants as opaque: their one test
+// on a value is syntactic equality, which a consistent renaming keeps
+// between query literals; a literal equal to a specification constant
+// just no longer proves it, and the optimizer then proves less.
 //
 // Queries with $variables of their own are rejected up front: depending
 // on the document they would either error mid-evaluation or silently
@@ -257,8 +258,7 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []strin
 	if err := e.checkVars(p); err != nil {
 		return nil, nil, err
 	}
-	shape, lits := xpath.Parameterize(p)
-	key := xpath.String(shape)
+	key, lits := xpath.ParameterizedString(p)
 	qm := obs.QueryMetricsFromContext(ctx)
 	if prep, ok := e.s.plans.Get(key); ok {
 		if qm != nil {
@@ -267,6 +267,7 @@ func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []strin
 		return prep, lits, nil
 	}
 	start := time.Now()
+	shape, _ := xpath.Parameterize(p)
 	pt, err := e.s.rw.Rewrite(shape)
 	if err != nil {
 		return nil, nil, err
@@ -426,8 +427,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 		qm = &obs.QueryMetrics{}
 		ctx = obs.WithQueryMetrics(ctx, qm)
 	}
-	shape, lits := xpath.Parameterize(p)
-	key := xpath.String(shape)
+	key, lits := xpath.ParameterizedString(p)
 	env := e.env(lits)
 	ex := &Explain{
 		Query:         xpath.String(p),
@@ -440,6 +440,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	}
 	_, ex.PlanWasCached = e.s.plans.Get(key)
 	start := time.Now()
+	shape, _ := xpath.Parameterize(p)
 	pt, cells, err := e.s.rw.RewriteCounted(shape)
 	if err != nil {
 		return nil, err

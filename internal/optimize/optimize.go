@@ -45,7 +45,7 @@ type Optimizer struct {
 // paths when the sub-DAG below a node is cyclic.
 func New(d *dtd.DTD) *Optimizer {
 	o := &Optimizer{d: d, reaching: make(map[string]map[string]bool)}
-	o.dp = typedp.New(typedp.Lang{Edges: o.edges, Cyclic: o.cyclic, Case: o.optCase})
+	o.dp = typedp.New(typedp.Lang{Edges: o.edges, Cyclic: o.cyclic, Qual: o.optSelfQual, Case: o.optCase})
 	return o
 }
 
@@ -100,18 +100,13 @@ func (o *Optimizer) OptimizeString(query string) (string, error) {
 	return xpath.String(o.Optimize(p)), nil
 }
 
-// targets returns reach(p, a): the DTD types reachable from a via p.
-func (o *Optimizer) targets(p xpath.Path, a string) []string {
-	return o.dp.Cell(p, a).Reach
-}
-
 // Reach returns reach(p, root): the element types a root-context query
 // can select over instances of the DTD (sorted; the pseudo type "#text"
 // marks text results). Static analyses build on this.
 func (o *Optimizer) Reach(p xpath.Path) []string {
 	o.mu.Lock()
 	defer o.unlock()
-	return append([]string(nil), o.targets(p, o.d.Root())...)
+	return o.dp.Cell(p, o.d.Root()).Reach()
 }
 
 // edges lists the DTD's edges out of type a, each walked by its child
@@ -146,16 +141,6 @@ func (o *Optimizer) optCase(p xpath.Path, a string) typedp.Cell {
 	case xpath.Union: // case (6): drop a branch contained in the other
 		u := o.newUnionPass(p, a)
 		return u.decide(p, 0, 0, len(u.branches))
-	case xpath.Qualified: // case (7): ε[q]
-		tv, q := o.optQual(p.Cond, a)
-		switch tv {
-		case tvTrue:
-			res.Add(a, xpath.Self{})
-		case tvFalse:
-			// ∅
-		default:
-			res.Add(a, xpath.Qualified{Sub: xpath.Self{}, Cond: q})
-		}
 	case xpath.Rec:
 		// Height-free rewrite of a recursive view region (package rewrite).
 		// The automaton is opaque to the optimizer, but its results are
@@ -168,6 +153,20 @@ func (o *Optimizer) optCase(p xpath.Path, a string) typedp.Cell {
 		if o.d.Has(a) && slices.Contains(o.dp.ReachDescend(a), p.ResultLabel) {
 			res.Add(p.ResultLabel, p)
 		}
+	}
+	return res
+}
+
+// optSelfQual computes the cell of ε[q] at type a (case (7)).
+func (o *Optimizer) optSelfQual(q xpath.Qual, a string) typedp.Cell {
+	var res typedp.Cell
+	switch tv, q := o.optQual(q, a); tv {
+	case tvTrue:
+		res.Add(a, xpath.Self{})
+	case tvFalse:
+		// ∅
+	default:
+		res.Add(a, xpath.Qualified{Sub: xpath.Self{}, Cond: q})
 	}
 	return res
 }

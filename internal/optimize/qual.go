@@ -152,12 +152,12 @@ func (o *Optimizer) guaranteedDepth(p xpath.Path, a string, depth int) bool {
 		if !o.guaranteedDepth(p.Left, a, depth+1) {
 			return false
 		}
-		targets := o.targets(p.Left, a)
-		if len(targets) == 0 {
+		targets := o.dp.Cell(p.Left, a)
+		if targets.Empty() {
 			return false
 		}
-		for _, b := range targets {
-			if !o.guaranteedDepth(p.Right, b, depth+1) {
+		for i := 0; i < targets.Len(); i++ {
+			if !o.guaranteedDepth(p.Right, targets.Target(i), depth+1) {
 				return false
 			}
 		}
@@ -184,5 +184,5 @@ func allStarred(c dtd.Content) bool {
 // impossible reports that p selects nothing at any A element (the
 // non-existence constraint): no DTD node is reachable from A via p.
 func (o *Optimizer) impossible(p xpath.Path, a string) bool {
-	return len(o.targets(p, a)) == 0
+	return o.dp.Cell(p, a).Empty()
 }

@@ -90,9 +90,13 @@ type entry struct {
 
 type shard struct {
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[rowKey]*entry
 	cap     int
 }
+
+// rowKey is a row's (class, plan) fingerprint as a map key; a struct of
+// the two strings needs no concatenated copy per observation.
+type rowKey struct{ class, plan string }
 
 // Registry is the bounded fingerprint statistics store. All methods are
 // safe for concurrent use.
@@ -115,7 +119,7 @@ func New(capacity int) *Registry {
 	}
 	r := &Registry{}
 	for i := range r.shards {
-		r.shards[i] = shard{entries: make(map[string]*entry, per), cap: per}
+		r.shards[i] = shard{entries: make(map[rowKey]*entry, per), cap: per}
 	}
 	return r
 }
@@ -174,7 +178,7 @@ func (r *Registry) Observe(m *obs.QueryMetrics) {
 	}
 	plan = clip(plan)
 	h := hashKey(class, plan)
-	key := class + "\x00" + plan
+	key := rowKey{class: class, plan: plan}
 	sh := &r.shards[h%numShards]
 	r.observations.Add(1)
 
@@ -192,10 +196,11 @@ func (r *Registry) Observe(m *obs.QueryMetrics) {
 			// inherit its count, so the Count sum over the shard still
 			// advances by exactly one per observation and a newly hot
 			// query overtakes stale rows instead of thrashing.
-			minKey, minCount := "", uint64(0)
+			var minKey rowKey
+			minCount, first := uint64(0), true
 			for k, cand := range sh.entries {
-				if minKey == "" || cand.count < minCount {
-					minKey, minCount = k, cand.count
+				if first || cand.count < minCount {
+					minKey, minCount, first = k, cand.count, false
 				}
 			}
 			delete(sh.entries, minKey)

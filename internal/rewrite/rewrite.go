@@ -125,7 +125,7 @@ func newRewriter(v *secview.View, dv *dtd.DTD, orig map[string]string) *Rewriter
 		orig:  orig,
 		sigma: make(map[[2]string]xpath.Path),
 	}
-	r.dp = typedp.New(typedp.Lang{Edges: r.edges, Cyclic: r.cyclic, Case: r.rwCase})
+	r.dp = typedp.New(typedp.Lang{Edges: r.edges, Cyclic: r.cyclic, Qual: r.rwSelfQual, Case: r.rwCase})
 	for _, a := range dv.Types() {
 		c := dv.MustProduction(a)
 		if c.Kind == dtd.Text {
@@ -199,15 +199,18 @@ func (r *Rewriter) attrVisible(a, name string) bool {
 
 // rwCase computes the DP cells rewrite does not share with optimize.
 func (r *Rewriter) rwCase(p xpath.Path, a string) typedp.Cell {
-	var res typedp.Cell
-	switch p := p.(type) {
-	case xpath.Union: // case 6
+	if p, ok := p.(xpath.Union); ok { // case 6
 		return typedp.Union(r.dp.Cell(p.Left, a), r.dp.Cell(p.Right, a))
-	case xpath.Qualified: // case 7: ε[q]
-		q := r.rwQual(p.Cond, a)
-		if _, isFalse := q.(xpath.QFalse); !isFalse {
-			res.Add(a, xpath.MakeQualified(xpath.Self{}, q))
-		}
+	}
+	return typedp.Cell{}
+}
+
+// rwSelfQual computes the cell of ε[q] at view type A (case 7).
+func (r *Rewriter) rwSelfQual(q xpath.Qual, a string) typedp.Cell {
+	var res typedp.Cell
+	q = r.rwQual(q, a)
+	if _, isFalse := q.(xpath.QFalse); !isFalse {
+		res.Add(a, xpath.MakeQualified(xpath.Self{}, q))
 	}
 	return res
 }

@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -394,37 +393,34 @@ func (s *Server) Handler() http.Handler {
 
 // parseQueryRequest validates the shared request parameters: class
 // (required), q (required, at most MaxQueryBytes), param=name=value
-// (repeatable), timeout (Go duration, clamped to Config.MaxTimeout).
-// It returns the request's record with its identity filled in, and the
-// request's deadline. A body over maxBodyBytes is cut off unread.
+// (repeatable), timeout (Go duration, clamped to Config.MaxTimeout),
+// read from the body and the URL as r.ParseForm reads them (see
+// readQueryForm). It returns the request's record with its identity
+// filled in, and the request's deadline. A body over maxBodyBytes is
+// cut off unread.
 func (s *Server) parseQueryRequest(w http.ResponseWriter, r *http.Request) (*obs.QueryMetrics, time.Duration, error) {
 	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	}
-	if err := r.ParseForm(); err != nil {
+	f, err := readQueryForm(r)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, 0, fmt.Errorf("%w: body over %d bytes", errTooLarge, maxBodyBytes)
 		}
 		return nil, 0, fmt.Errorf("malformed form: %v", err)
 	}
-	qm := &obs.QueryMetrics{
-		Class: r.Form.Get("class"),
-		Query: r.Form.Get("q"),
-	}
-	if qm.Class == "" || qm.Query == "" {
+	if f.class == "" || f.q == "" {
 		return nil, 0, errors.New("need class= and q= parameters")
 	}
-	if len(qm.Query) > MaxQueryBytes {
-		return nil, 0, fmt.Errorf("%w: query of %d bytes, over %d", errTooLarge, len(qm.Query), MaxQueryBytes)
+	if len(f.q) > MaxQueryBytes {
+		return nil, 0, fmt.Errorf("%w: query of %d bytes, over %d", errTooLarge, len(f.q), MaxQueryBytes)
 	}
-	params, err := parseParams(r.Form["param"])
-	if err != nil {
-		return nil, 0, err
+	if f.paramErr != nil {
+		return nil, 0, f.paramErr
 	}
-	qm.Params = params
 	timeout := s.cfg.defaultTimeout()
-	if v := r.Form.Get("timeout"); v != "" {
+	if v := f.timeout; v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return nil, 0, fmt.Errorf("bad timeout %q (want a positive Go duration like 250ms)", v)
@@ -434,7 +430,7 @@ func (s *Server) parseQueryRequest(w http.ResponseWriter, r *http.Request) (*obs
 	if max := s.cfg.maxTimeout(); timeout == 0 || timeout > max {
 		timeout = max
 	}
-	return qm, timeout, nil
+	return &obs.QueryMetrics{Class: f.class, Query: f.q, Params: f.params}, timeout, nil
 }
 
 // admit claims an admission slot or answers 429. Callers that get true
@@ -783,12 +779,18 @@ const maxPooledResult = 64 << 10
 
 var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// xmlContentType is the Content-Type of every /query answer. Header
+// values are only read or replaced, never appended to in place (a
+// length-1 slice at capacity reallocates first), so one shared slice
+// serves every response; Header().Set would allocate one per answer.
+var xmlContentType = []string{"application/xml; charset=utf-8"}
+
 // writeResult wraps the selected nodes in a <result> envelope so the
 // response body is a single well-formed XML document. It renders the
 // envelope and every answer (xmltree.Node.AppendXML) into one pooled
 // buffer and writes it with one Write.
 func writeResult(w http.ResponseWriter, nodes []*xmltree.Node) {
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header()["Content-Type"] = xmlContentType
 	buf := resultBufs.Get().(*[]byte)
 	b := append((*buf)[:0], `<result count="`...)
 	b = strconv.AppendInt(b, int64(len(nodes)), 10)
@@ -810,19 +812,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func parseParams(kvs []string) (map[string]string, error) {
-	if len(kvs) == 0 {
-		return nil, nil
-	}
-	params := make(map[string]string, len(kvs))
-	for _, kv := range kvs {
-		name, value, ok := strings.Cut(kv, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad param %q (want name=value)", kv)
-		}
-		params[name] = value
-	}
-	return params, nil
 }

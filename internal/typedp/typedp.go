@@ -9,8 +9,6 @@
 package typedp
 
 import (
-	"sort"
-
 	"repro/internal/xpath"
 )
 
@@ -35,10 +33,12 @@ type Lang struct {
 	// a cycle, so its label paths cannot be enumerated; b is Text for
 	// the text target.
 	Cyclic func(a, b string) xpath.Path
-	// Case returns the cell of every query form the DP does not share:
-	// unions, ε[q], and anything else but Empty, Self, Label, Wildcard,
-	// Seq, Descend and p[q] with p ≠ ε. It computes sub-cells through
-	// DP.Cell.
+	// Qual returns the cell of ε[q] at type a. Its sub-cells come
+	// through DP.Cell.
+	Qual func(q xpath.Qual, a string) Cell
+	// Case returns the cell of every other query form the DP does not
+	// share: unions, and anything else but Empty, Self, Label, Wildcard,
+	// Seq, Descend and Qualified. It computes sub-cells through DP.Cell.
 	Case func(p xpath.Path, a string) Cell
 }
 
@@ -50,9 +50,29 @@ type Lang struct {
 // false at v1 but true at v2 cannot leak across (DESIGN.md,
 // "Mixed-target step composition"). The union of the per-target
 // translations is the paper's rw(p', A).
+//
+// A cell holds its (target, translation) entries in place: the first
+// two inline, the rest in an overflow slice, so the common cell of one
+// or two targets allocates nothing of its own. Cells are values; a
+// memoized cell is never modified again, so copies may share the
+// overflow slice.
 type Cell struct {
-	Reach    []string // the targets, sorted once the cell is memoized
-	byTarget map[string]xpath.Path
+	n     int
+	small [2]entry
+	more  []entry
+}
+
+type entry struct {
+	target string
+	path   xpath.Path
+}
+
+// at returns the i-th entry in place.
+func (c *Cell) at(i int) *entry {
+	if i < len(c.small) {
+		return &c.small[i]
+	}
+	return &c.more[i-len(c.small)]
 }
 
 // Add unions a translation into one target's entry. An empty
@@ -61,26 +81,57 @@ func (c *Cell) Add(target string, p xpath.Path) {
 	if xpath.IsEmpty(p) {
 		return
 	}
-	if prev, ok := c.byTarget[target]; ok {
-		c.byTarget[target] = xpath.MakeUnion(prev, p)
-		return
+	for i := 0; i < c.n; i++ {
+		if e := c.at(i); e.target == target {
+			e.path = xpath.MakeUnion(e.path, p)
+			return
+		}
 	}
-	if c.byTarget == nil {
-		c.byTarget = make(map[string]xpath.Path)
+	if c.n < len(c.small) {
+		c.small[c.n] = entry{target: target, path: p}
+	} else {
+		c.more = append(c.more, entry{target: target, path: p})
 	}
-	c.byTarget[target] = p
-	c.Reach = append(c.Reach, target)
+	c.n++
+}
+
+// sort orders the entries by target in place. Cells hold few targets,
+// so insertion sort does; it writes nothing when they are in order
+// already, which keeps a memoized cell that a Lang case returns as is
+// untouched.
+func (c *Cell) sort() {
+	for i := 1; i < c.n; i++ {
+		for j := i; j > 0 && c.at(j).target < c.at(j-1).target; j-- {
+			x, y := c.at(j), c.at(j-1)
+			*x, *y = *y, *x
+		}
+	}
+}
+
+// Len returns the number of targets.
+func (c Cell) Len() int { return c.n }
+
+// Target returns the i-th target. A memoized cell's targets are sorted.
+func (c Cell) Target(i int) string { return c.at(i).target }
+
+// Reach returns the targets in a fresh slice.
+func (c Cell) Reach() []string {
+	out := make([]string, c.n)
+	for i := range out {
+		out[i] = c.at(i).target
+	}
+	return out
 }
 
 // Empty reports whether the cell selects nothing.
-func (c Cell) Empty() bool { return len(c.Reach) == 0 }
+func (c Cell) Empty() bool { return c.n == 0 }
 
 // Total returns rw(p', A): the union of the per-target translations, in
-// Reach order.
+// target order.
 func (c Cell) Total() xpath.Path {
 	out := xpath.Path(xpath.Empty{})
-	for _, v := range c.Reach {
-		out = xpath.MakeUnion(out, c.byTarget[v])
+	for i := 0; i < c.n; i++ {
+		out = xpath.MakeUnion(out, c.at(i).path)
 	}
 	return out
 }
@@ -88,12 +139,22 @@ func (c Cell) Total() xpath.Path {
 // Union is the per-target union of two cells (case 6 of Fig. 6).
 func Union(c1, c2 Cell) Cell {
 	var out Cell
-	for _, c := range [2]Cell{c1, c2} {
-		for _, w := range c.Reach {
-			out.Add(w, c.byTarget[w])
+	for _, c := range [2]*Cell{&c1, &c2} {
+		for i := 0; i < c.n; i++ {
+			e := c.at(i)
+			out.Add(e.target, e.path)
 		}
 	}
 	return out
+}
+
+// compose adds prefix/w for every entry w of next: the continuation
+// cell at one target, composed onto the path that leads to it.
+func (c *Cell) compose(prefix xpath.Path, next Cell) {
+	for i := 0; i < next.n; i++ {
+		e := next.at(i)
+		c.Add(e.target, xpath.MakeSeq(prefix, e.path))
+	}
 }
 
 // DP holds the tables of one Rewriter or Optimizer: the per-call memo,
@@ -101,13 +162,17 @@ func Union(c1, c2 Cell) Cell {
 // not safe for concurrent use; its owner serializes calls.
 type DP struct {
 	lang  Lang
-	memo  map[memoKey]Cell // nil between calls
+	memo  map[memoKey]Cell // emptied between calls
 	edges map[string]typeEdges
 	rec   map[string]recTable
 }
 
+// memoKey names a cell: the sub-query p at type a, or, with p nil, the
+// qualifier step ε[q] at a. Keying ε[q] on its qualifier lets p1[q]
+// reach the cell of ε[q] without building that step.
 type memoKey struct {
 	p xpath.Path
+	q xpath.Qual
 	a string
 }
 
@@ -128,12 +193,22 @@ func New(lang Lang) *DP {
 	return &DP{lang: lang, edges: make(map[string]typeEdges), rec: make(map[string]recTable)}
 }
 
-// EndCall drops the memo at the end of one public call, so a plan never
-// depends on the calls before it, and returns the number of cells it
-// held.
+// maxKeptMemo is the largest memo, in cells, that EndCall keeps for the
+// next call to reuse. A larger one is dropped, so one huge query does
+// not pin its table for the life of the DP.
+const maxKeptMemo = 1 << 10
+
+// EndCall empties the memo at the end of one public call, so a plan
+// never depends on the calls before it, and returns the number of cells
+// it held. The memo's table is kept for the next call unless it held
+// more than maxKeptMemo cells.
 func (dp *DP) EndCall() int {
 	n := len(dp.memo)
-	dp.memo = nil
+	if n > maxKeptMemo {
+		dp.memo = nil
+	} else {
+		clear(dp.memo)
+	}
 	return n
 }
 
@@ -150,12 +225,30 @@ func (dp *DP) Edges(a string) ([]Edge, xpath.Path) {
 // Cell returns the cell of p at type a, memoized on (sub-query
 // structure, type) for the current call: the paper's DP table.
 func (dp *DP) Cell(p xpath.Path, a string) Cell {
-	key := memoKey{p: p, a: a}
+	if q, ok := p.(xpath.Qualified); ok {
+		if _, self := q.Sub.(xpath.Self); self {
+			return dp.qualCell(q.Cond, a)
+		}
+	}
+	return dp.memoized(memoKey{p: p, a: a})
+}
+
+// qualCell returns the cell of ε[q] at type a.
+func (dp *DP) qualCell(q xpath.Qual, a string) Cell {
+	return dp.memoized(memoKey{q: q, a: a})
+}
+
+func (dp *DP) memoized(key memoKey) Cell {
 	if c, ok := dp.memo[key]; ok {
 		return c
 	}
-	c := dp.compute(p, a)
-	sort.Strings(c.Reach)
+	var c Cell
+	if key.p == nil {
+		c = dp.lang.Qual(key.q, key.a)
+	} else {
+		c = dp.compute(key.p, key.a)
+	}
+	c.sort()
 	if dp.memo == nil {
 		dp.memo = make(map[memoKey]Cell)
 	}
@@ -189,26 +282,24 @@ func (dp *DP) compute(p xpath.Path, a string) Cell {
 		}
 	case xpath.Seq: // case 4, per target
 		c1 := dp.Cell(p.Left, a)
-		for _, v := range c1.Reach {
-			c2 := dp.Cell(p.Right, v)
-			for _, w := range c2.Reach {
-				c.Add(w, xpath.MakeSeq(c1.byTarget[v], c2.byTarget[w]))
-			}
+		for i := 0; i < c1.n; i++ {
+			v := c1.at(i)
+			c.compose(v.path, dp.Cell(p.Right, v.target))
 		}
 	case xpath.Descend: // case 5, per target
 		for _, b := range dp.ReachDescend(a) {
-			cb := dp.Cell(p.Sub, b)
-			for _, w := range cb.Reach {
-				c.Add(w, xpath.MakeSeq(dp.Recrw(a, b), cb.byTarget[w]))
+			if cb := dp.Cell(p.Sub, b); !cb.Empty() {
+				c.compose(dp.Recrw(a, b), cb)
 			}
 		}
 	case xpath.Qualified:
-		if _, ok := p.Sub.(xpath.Self); ok {
-			return dp.lang.Case(p, a)
+		// p1[q] ≡ p1/ε[q] (p1 ≠ ε, see Cell): case 4 then gives each
+		// reach target its own qualifier.
+		c1 := dp.Cell(p.Sub, a)
+		for i := 0; i < c1.n; i++ {
+			v := c1.at(i)
+			c.compose(v.path, dp.qualCell(p.Cond, v.target))
 		}
-		// p1[q] ≡ p1/ε[q]: case 4 then gives each reach target its own
-		// qualifier.
-		return dp.Cell(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
 	default:
 		return dp.lang.Case(p, a)
 	}

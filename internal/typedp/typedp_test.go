@@ -26,6 +26,7 @@ func labelDP(kids map[string][]string, text ...string) *DP {
 			return es, nil
 		},
 		Cyclic: func(a, b string) xpath.Path { return xpath.MakeDescend(xpath.L(b)) },
+		Qual:   func(q xpath.Qual, a string) Cell { return Cell{} },
 		Case: func(p xpath.Path, a string) Cell {
 			if u, ok := p.(xpath.Union); ok {
 				return Union(dp.Cell(u.Left, a), dp.Cell(u.Right, a))

@@ -47,10 +47,9 @@ func ordinalDoc(nodes []*xmltree.Node) *xmltree.Document {
 	return d
 }
 
-// evalOrdinal runs one bitset evaluation end to end: context slice in,
-// result slice out, every intermediate set pooled.
-func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, error) {
-	b := &bitEval{se: t, doc: d, env: env}
+// eval runs one bitset evaluation end to end: context slice in, result
+// slice out, every intermediate set pooled.
+func (b *bitEval) eval(p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
 	b.owned, b.free = b.ownedBuf[:0], b.freeBuf[:0]
 	defer b.release()
 	ctx := b.get()
@@ -68,11 +67,11 @@ func evalOrdinal(t *ticker, d *xmltree.Document, p Path, nodes []*xmltree.Node, 
 // obtained (owned) so release can return each to the pool exactly once
 // no matter how evaluation unwound; recycle moves a set to the free
 // list for reuse within this evaluation without touching ownership.
-// A bitEval is single-goroutine, like the ticker it wraps. Both lists
+// A bitEval is single-goroutine, like the ticker it holds. Both lists
 // start on inline arrays sized for a typical served plan, so they grow
 // by append only on unusually large ones.
 type bitEval struct {
-	se       *ticker
+	se       ticker
 	doc      *xmltree.Document
 	env      Env // binds the plan's variables; see env.go
 	owned    []*nodeset.Set
@@ -105,7 +104,7 @@ func (b *bitEval) recycle(s *nodeset.Set) {
 }
 
 // release returns every owned set to the pool. After release no set
-// handed out by get may be used — evalOrdinal materializes the result
+// handed out by get may be used — eval materializes the result
 // into a fresh slice before releasing.
 func (b *bitEval) release() {
 	for _, s := range b.owned {

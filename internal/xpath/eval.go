@@ -106,8 +106,9 @@ func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xm
 	if d == nil {
 		return nil, 0, ErrUnnumbered
 	}
-	out, err := evalOrdinal(t, d, p, nodes, env)
-	return out, uint64(t.ticks), err
+	b := &bitEval{se: t, doc: d, env: env}
+	out, err := b.eval(p, nodes)
+	return out, uint64(b.se.ticks), err
 }
 
 // EvalRef evaluates p at the context nodes with the reference evaluator:
@@ -142,7 +143,7 @@ func EvalQualErr(q Qual, v *xmltree.Node) (bool, error) {
 	return seqEval{}.qual(q, v)
 }
 
-// tickMask sets the cooperative cancellation poll rate: one ctx.Done()
+// tickMask sets the cooperative cancellation poll rate: one ctx.Err()
 // check per tickMask+1 ticks. Ticks fire once per path step and once per
 // node in the hot loops (descendant collection, qualifier filtering), so
 // a 1ms deadline is noticed within microseconds even mid-step on a large
@@ -162,8 +163,8 @@ type ticker struct {
 
 // newTicker captures the context's deadline once so every poll can
 // compare against the clock directly; see cancelled.
-func newTicker(ctx context.Context) *ticker {
-	e := &ticker{ctx: ctx}
+func newTicker(ctx context.Context) ticker {
+	e := ticker{ctx: ctx}
 	if ctx != nil {
 		e.deadline, e.timed = ctx.Deadline()
 	}
@@ -183,20 +184,20 @@ func (e *ticker) tick() error {
 	return e.cancelled()
 }
 
-// cancelled polls the context immediately (no tick rate limit). Beyond
-// the ctx.Done() select it also checks an expired deadline against the
-// clock: the runtime timer that closes Done can lag the deadline by tens
-// of milliseconds when a CPU-bound evaluation monopolizes a single-P
+// cancelled polls the context immediately (no tick rate limit). It
+// reads ctx.Err() rather than selecting on ctx.Done(), which would make
+// the context build its Done channel on every evaluation. Beyond that
+// it also checks an expired deadline against the clock: the runtime
+// timer that cancels the context can lag the deadline by tens of
+// milliseconds when a CPU-bound evaluation monopolizes a single-P
 // scheduler, and a deadline the caller set must cut the query off even
 // then.
 func (e *ticker) cancelled() error {
 	if e.ctx == nil {
 		return nil
 	}
-	select {
-	case <-e.ctx.Done():
-		return e.ctx.Err()
-	default:
+	if err := e.ctx.Err(); err != nil {
+		return err
 	}
 	if e.timed && !time.Now().Before(e.deadline) {
 		return context.DeadlineExceeded

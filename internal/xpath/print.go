@@ -14,14 +14,26 @@ import (
 // buffer grown by doubling would stay attached to every one of them.
 func String(p Path) string {
 	b := getBuf()
-	writePath(b, p, precUnion)
+	writePath(b, p, precUnion, nil)
 	return putBuf(b)
+}
+
+// ParameterizedString returns String(Parameterize(p)) and Parameterize's
+// literals in one walk over p, without building the renamed query: each
+// p = "c" constant prints as its placeholder, numbered in first
+// occurrence order with equal constants sharing one, and the walk
+// collects the constants as it goes. Plan caches key on this text.
+func ParameterizedString(p Path) (string, []string) {
+	b := getBuf()
+	var r renamer
+	writePath(b, p, precUnion, &r)
+	return putBuf(b), r.lits
 }
 
 // QualString renders a qualifier (without the surrounding brackets).
 func QualString(q Qual) string {
 	b := getBuf()
-	writeQual(b, q, qprecOr)
+	writeQual(b, q, qprecOr, nil)
 	return putBuf(b)
 }
 
@@ -51,76 +63,80 @@ const (
 	precStep
 )
 
-func writePath(b *bytes.Buffer, p Path, ctx int) {
-	switch p := p.(type) {
+// writePath writes p at precedence ctx. With r non-nil it writes the
+// parameterized text instead: each p = "c" constant goes out as r's
+// placeholder for it (see ParameterizedString). A parenthesized node is
+// written again through p itself, the interface value it came in, so
+// printing boxes nothing.
+func writePath(b *bytes.Buffer, p Path, ctx int, r *renamer) {
+	switch n := p.(type) {
 	case Empty:
 		b.WriteString("∅")
 	case Self:
 		b.WriteString(".")
 	case Label:
-		if p.Name == TextName {
+		if n.Name == TextName {
 			b.WriteString("text()")
 		} else {
-			b.WriteString(p.Name)
+			b.WriteString(n.Name)
 		}
 	case Wildcard:
 		b.WriteString("*")
 	case Seq:
 		if ctx > precSeq {
-			b.WriteString("(")
-			writePath(b, p, precUnion)
-			b.WriteString(")")
+			writeParen(b, p, r)
 			return
 		}
 		// A Descend on the left must be parenthesized: "//a/b" re-parses as
 		// //(a/b), not (//a)/b.
-		if _, ok := p.Left.(Descend); ok {
-			b.WriteString("(")
-			writePath(b, p.Left, precUnion)
-			b.WriteString(")")
+		if _, ok := n.Left.(Descend); ok {
+			writeParen(b, n.Left, r)
 		} else {
-			writePath(b, p.Left, precSeq)
+			writePath(b, n.Left, precSeq, r)
 		}
 		// p1/(//p2) is rendered p1//p2.
-		if d, ok := p.Right.(Descend); ok {
+		if d, ok := n.Right.(Descend); ok {
 			b.WriteString("//")
-			writePath(b, d.Sub, precStep)
+			writePath(b, d.Sub, precStep, r)
 			return
 		}
 		b.WriteString("/")
-		writePath(b, p.Right, precStep)
+		writePath(b, n.Right, precStep, r)
 	case Descend:
 		if ctx > precSeq {
-			b.WriteString("(")
-			writePath(b, p, precUnion)
-			b.WriteString(")")
+			writeParen(b, p, r)
 			return
 		}
 		b.WriteString("//")
-		writePath(b, p.Sub, precStep)
+		writePath(b, n.Sub, precStep, r)
 	case Union:
 		if ctx > precUnion {
-			b.WriteString("(")
-			writePath(b, p, precUnion)
-			b.WriteString(")")
+			writeParen(b, p, r)
 			return
 		}
-		writePath(b, p.Left, precUnion)
+		writePath(b, n.Left, precUnion, r)
 		b.WriteString(" | ")
 		// The parser is left-associative; parenthesize a right-nested union.
-		writePath(b, p.Right, precSeq)
+		writePath(b, n.Right, precSeq, r)
 	case Qualified:
-		writePath(b, p.Sub, precStep)
+		writePath(b, n.Sub, precStep, r)
 		b.WriteString("[")
-		writeQual(b, p.Cond, qprecOr)
+		writeQual(b, n.Cond, qprecOr, r)
 		b.WriteString("]")
 	case Rec:
 		// Rec has no concrete syntax (it only appears in rewritten plans,
 		// which are never re-parsed); render a compact opaque form.
-		fmt.Fprintf(b, "rec{%s=>%s}", p.Start, p.Accept)
+		fmt.Fprintf(b, "rec{%s=>%s}", n.Start, n.Accept)
 	default:
 		fmt.Fprintf(b, "<?path %T>", p)
 	}
+}
+
+// writeParen writes p in parentheses.
+func writeParen(b *bytes.Buffer, p Path, r *renamer) {
+	b.WriteString("(")
+	writePath(b, p, precUnion, r)
+	b.WriteString(")")
 }
 
 // Qualifier precedence: or < and < not/atom.
@@ -142,14 +158,12 @@ func writeLiteral(b *bytes.Buffer, v string) {
 // writeQualPath writes the path of a qualifier atom. A path that starts
 // with a label named not, true or false is parenthesized, or it would
 // reparse as that keyword.
-func writeQualPath(b *bytes.Buffer, p Path, ctx int) {
+func writeQualPath(b *bytes.Buffer, p Path, ctx int, r *renamer) {
 	switch leadingLabel(p) {
 	case "not", "true", "false":
-		b.WriteString("(")
-		writePath(b, p, precUnion)
-		b.WriteString(")")
+		writeParen(b, p, r)
 	default:
-		writePath(b, p, ctx)
+		writePath(b, p, ctx, r)
 	}
 }
 
@@ -171,57 +185,65 @@ func leadingLabel(p Path) string {
 	}
 }
 
-func writeQual(b *bytes.Buffer, q Qual, ctx int) {
-	switch q := q.(type) {
+func writeQual(b *bytes.Buffer, q Qual, ctx int, r *renamer) {
+	switch n := q.(type) {
 	case QTrue:
 		b.WriteString("true()")
 	case QFalse:
 		b.WriteString("false()")
 	case QPath:
-		writeQualPath(b, q.Path, precUnion)
+		writeQualPath(b, n.Path, precUnion, r)
 	case QEq:
-		writeQualPath(b, q.Path, precSeq)
+		writeQualPath(b, n.Path, precSeq, r)
 		b.WriteString(" = ")
-		if q.Var != "" {
+		switch {
+		case n.Var != "":
 			b.WriteString("$")
-			b.WriteString(q.Var)
-		} else {
-			writeLiteral(b, q.Value)
+			b.WriteString(n.Var)
+		case r != nil:
+			b.WriteString("$")
+			b.WriteString(LiteralVar(r.index(n.Value)))
+		default:
+			writeLiteral(b, n.Value)
 		}
 	case QAttrEq:
 		b.WriteString("@")
-		b.WriteString(q.Name)
+		b.WriteString(n.Name)
 		b.WriteString(" = ")
-		writeLiteral(b, q.Value)
+		writeLiteral(b, n.Value)
 	case QAttrHas:
-		fmt.Fprintf(b, "@%s", q.Name)
+		b.WriteString("@")
+		b.WriteString(n.Name)
 	case QAnd:
 		if ctx > qprecAnd {
-			b.WriteString("(")
-			writeQual(b, q, qprecOr)
-			b.WriteString(")")
+			writeQualParen(b, q, r)
 			return
 		}
-		writeQual(b, q.Left, qprecAnd)
+		writeQual(b, n.Left, qprecAnd, r)
 		b.WriteString(" and ")
 		// The parser is left-associative; parenthesize a right-nested and.
-		writeQual(b, q.Right, qprecNot)
+		writeQual(b, n.Right, qprecNot, r)
 	case QOr:
 		if ctx > qprecOr {
-			b.WriteString("(")
-			writeQual(b, q, qprecOr)
-			b.WriteString(")")
+			writeQualParen(b, q, r)
 			return
 		}
-		writeQual(b, q.Left, qprecOr)
+		writeQual(b, n.Left, qprecOr, r)
 		b.WriteString(" or ")
 		// The parser is left-associative; parenthesize a right-nested or.
-		writeQual(b, q.Right, qprecAnd)
+		writeQual(b, n.Right, qprecAnd, r)
 	case QNot:
 		b.WriteString("not(")
-		writeQual(b, q.Sub, qprecOr)
+		writeQual(b, n.Sub, qprecOr, r)
 		b.WriteString(")")
 	default:
 		fmt.Fprintf(b, "<?qual %T>", q)
 	}
+}
+
+// writeQualParen writes q in parentheses.
+func writeQualParen(b *bytes.Buffer, q Qual, r *renamer) {
+	b.WriteString("(")
+	writeQual(b, q, qprecOr, r)
+	b.WriteString(")")
 }
