@@ -2,7 +2,9 @@
 # recorded in ROADMAP.md: build, gofmt (any Go file of the repo that
 # `gofmt -l` names fails the target; ignored build trees such as
 # .bench_build/ are skipped), vet, and the full test suite under the race detector (the
-# concurrent query-serving layer must stay race-free).
+# concurrent query-serving layer must stay race-free), then perfbench-check:
+# perfbench is a nested module the root build skips, so an API change
+# that breaks it fails here rather than in a benchmark run.
 
 GO ?= go
 
@@ -19,6 +21,7 @@ check: build
 		echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) perfbench-check
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 100x .

@@ -128,7 +128,7 @@ func main() {
 				ctx, cancel = context.WithTimeout(ctx, *timeout)
 				defer cancel()
 			}
-			result, _, err := xpath.EvalDocCtx(ctx, final, doc)
+			result, _, err := xpath.Evaluate(ctx, final, []*xmltree.Node{doc.Root}, xpath.Env{})
 			if err != nil {
 				fatal(err)
 			}

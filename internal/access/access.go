@@ -294,20 +294,6 @@ func Accessibility(s *Spec, doc *xmltree.Document) map[*xmltree.Node]bool {
 	return acc
 }
 
-// AccessibleNodes returns the accessible nodes of the document in
-// document order.
-func AccessibleNodes(s *Spec, doc *xmltree.Document) []*xmltree.Node {
-	acc := Accessibility(s, doc)
-	var out []*xmltree.Node
-	doc.Root.Walk(func(n *xmltree.Node) bool {
-		if acc[n] {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
-}
-
 func childKey(c *xmltree.Node) string {
 	if c.Kind == xmltree.TextNode {
 		return dtd.TextLabel

@@ -283,11 +283,25 @@ func TestAccessibilityDenySubtreeInheritance(t *testing.T) {
 	}
 }
 
+// accessibleNodes returns the accessible nodes of the document in
+// document order.
+func accessibleNodes(s *Spec, doc *xmltree.Document) []*xmltree.Node {
+	acc := Accessibility(s, doc)
+	var out []*xmltree.Node
+	doc.Root.Walk(func(n *xmltree.Node) bool {
+		if acc[n] {
+			out = append(out, n)
+		}
+		return true
+	})
+	return out
+}
+
 func TestAccessibleNodesOrder(t *testing.T) {
 	_, s := nurse(t)
 	bound, _ := s.Bind(map[string]string{"wardNo": "6"})
 	doc := hospitalInstance()
-	nodes := AccessibleNodes(bound, doc)
+	nodes := accessibleNodes(bound, doc)
 	if len(nodes) == 0 {
 		t.Fatalf("no accessible nodes")
 	}

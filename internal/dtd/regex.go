@@ -255,72 +255,6 @@ func (c Content) MatchContent(labels []string) bool {
 	return MatchLabels(c.Regex(), labels)
 }
 
-// FirstLabels returns the set of labels that can begin a word of L(r).
-func FirstLabels(r Regex) map[string]bool {
-	out := make(map[string]bool)
-	var walk func(Regex)
-	walk = func(r Regex) {
-		switch r := r.(type) {
-		case RText:
-			out[TextLabel] = true
-		case RName:
-			out[r.Name] = true
-		case RSeq:
-			for _, p := range r.Parts {
-				walk(p)
-				if !Nullable(p) {
-					return
-				}
-			}
-		case RAlt:
-			for _, a := range r.Alts {
-				walk(a)
-			}
-		case RStar:
-			walk(r.Sub)
-		case RPlus:
-			walk(r.Sub)
-		case ROpt:
-			walk(r.Sub)
-		}
-	}
-	walk(r)
-	return out
-}
-
-// RegexNames returns the distinct element-type names referenced by the
-// regular expression, in first-occurrence order.
-func RegexNames(r Regex) []string {
-	var out []string
-	seen := make(map[string]bool)
-	var walk func(Regex)
-	walk = func(r Regex) {
-		switch r := r.(type) {
-		case RName:
-			if !seen[r.Name] {
-				seen[r.Name] = true
-				out = append(out, r.Name)
-			}
-		case RSeq:
-			for _, p := range r.Parts {
-				walk(p)
-			}
-		case RAlt:
-			for _, a := range r.Alts {
-				walk(a)
-			}
-		case RStar:
-			walk(r.Sub)
-		case RPlus:
-			walk(r.Sub)
-		case ROpt:
-			walk(r.Sub)
-		}
-	}
-	walk(r)
-	return out
-}
-
 // ensure interface completeness at compile time
 var _ = []Regex{RNone{}, REpsilon{}, RText{}, RName{}, RSeq{}, RAlt{}, RStar{}, RPlus{}, ROpt{}}
 

@@ -187,9 +187,6 @@ func (s Snapshot) QuantileUs(q float64) float64 { return s.QuantileNs(q) / 1e3 }
 // MeanUs is MeanNs in microseconds.
 func (s Snapshot) MeanUs() float64 { return s.MeanNs() / 1e3 }
 
-// MaxUs is the observed maximum in whole microseconds.
-func (s Snapshot) MaxUs() uint64 { return s.MaxNs / 1e3 }
-
 // Summary is the compact JSON report of a digest: count/mean/max plus
 // the standard percentile triplet. Microsecond units throughout (a
 // wire-format edge; see the package comment).

@@ -51,9 +51,6 @@ func (s *Set) Reset(n int) {
 	s.n = n
 }
 
-// Universe returns the size n of the universe [0, n).
-func (s *Set) Universe() int { return s.n }
-
 // Add inserts ordinal i. Adding an ordinal outside the universe panics
 // via the slice bounds check — ordinals come from the same document the
 // universe was sized from, so that is a caller bug, not an input error.
@@ -152,13 +149,6 @@ func (s *Set) ForEachUntil(f func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// AppendOrds appends the members in ascending order to dst and returns
-// the extended slice.
-func (s *Set) AppendOrds(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }
 
 // pool recycles evaluation scratch sets. Reset on Get clears only the

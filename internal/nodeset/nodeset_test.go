@@ -26,7 +26,8 @@ func assertSame(t *testing.T, s *Set, r refSet) {
 	if s.Count() != len(r) {
 		t.Fatalf("Count=%d want %d", s.Count(), len(r))
 	}
-	got := s.AppendOrds(nil)
+	var got []int
+	s.ForEach(func(i int) { got = append(got, i) })
 	prev := -1
 	for _, i := range got {
 		if i <= prev {
@@ -126,8 +127,8 @@ func TestPoolReuseIsClean(t *testing.T) {
 	Put(s)
 	for _, n := range []int{64, 512, 1024} {
 		g := Get(n)
-		if !g.Empty() || g.Universe() != n {
-			t.Fatalf("pooled Get(%d) not clean: empty=%v universe=%d", n, g.Empty(), g.Universe())
+		if !g.Empty() || g.n != n {
+			t.Fatalf("pooled Get(%d) not clean: empty=%v universe=%d", n, g.Empty(), g.n)
 		}
 		g.Add(n - 1)
 		Put(g)

@@ -83,16 +83,13 @@ func TestChurnPlanGolden(t *testing.T) {
 		}
 		reused := optimize.New(view.Doc)
 		for i, q := range queries {
-			pt, err := rw.Rewrite(xpath.MustParse(q))
-			if err != nil {
-				t.Fatalf("rewrite %q: %v", q, err)
-			}
-			got := xpath.String(reused.Optimize(pt))
+			pt, _ := rw.Rewrite(xpath.MustParse(q))
+			got := xpath.String(optimized(reused, pt))
 			// A fresh Optimizer for every query would dominate the test's
 			// run time; every 5th query and every dept-ward plan (the
 			// longest unions) cover both shapes.
 			if i%5 == 0 || strings.HasPrefix(q, "//dept[") {
-				if fresh := xpath.String(optimize.New(view.Doc).Optimize(pt)); fresh != got {
+				if fresh := xpath.String(optimized(optimize.New(view.Doc), pt)); fresh != got {
 					t.Errorf("ward %s %q: reused optimizer printed\n%s\nfresh printed\n%s", ward, q, got, fresh)
 				}
 			}

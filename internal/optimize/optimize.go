@@ -14,7 +14,7 @@ import (
 // stateful only as a cache of DTD facts: reach sets, recProc tables for
 // '//' and reaching sets are shared across queries under a mutex, so an
 // Optimizer is safe for concurrent use. The DP memo lives for one public
-// call (OptimizeAt, OptimizeCounted, Reach): plans are cached by the
+// call (OptimizeAt, Reach): plans are cached by the
 // caller, so a memo kept across calls would only hold heap, and a plan
 // never depends on the calls made before it. The DP and recProc are
 // package typedp's, which Algorithm rewrite drives too: this package
@@ -51,15 +51,20 @@ func New(d *dtd.DTD) *Optimizer {
 
 // Optimize rewrites p (evaluated at root elements of the DTD) into an
 // equivalent query. Queries proved empty by DTD constraints return ∅.
-func (o *Optimizer) Optimize(p xpath.Path) xpath.Path {
+// rulesFired and pruned are what this call alone decided: the
+// DTD-driven rules it fired and the subtrees they pruned (the per-call
+// share of Stats), which explain reports.
+func (o *Optimizer) Optimize(p xpath.Path) (out xpath.Path, rulesFired, pruned uint64) {
 	return o.OptimizeAt(p, o.d.Root())
 }
 
-// OptimizeAt rewrites p as evaluated at elements of type a.
-func (o *Optimizer) OptimizeAt(p xpath.Path, a string) xpath.Path {
+// OptimizeAt is Optimize for p evaluated at elements of type a.
+func (o *Optimizer) OptimizeAt(p xpath.Path, a string) (out xpath.Path, rulesFired, pruned uint64) {
 	o.mu.Lock()
 	defer o.unlock()
-	return o.optimizeAtLocked(p, a)
+	r0, p0 := o.rules, o.pruned
+	out = o.optimizeAtLocked(p, a)
+	return out, o.rules - r0, o.pruned - p0
 }
 
 // unlock ends a public call: the DP memo is dropped with the lock.
@@ -72,32 +77,12 @@ func (o *Optimizer) optimizeAtLocked(p xpath.Path, a string) xpath.Path {
 	return xpath.Simplify(o.dp.Cell(p, a).Total())
 }
 
-// OptimizeCounted is Optimize that also reports what this call alone
-// decided: the DTD-driven rules it fired and the subtrees they pruned
-// (the per-call share of Stats), which explain reports.
-func (o *Optimizer) OptimizeCounted(p xpath.Path) (out xpath.Path, rulesFired, pruned uint64) {
-	o.mu.Lock()
-	defer o.unlock()
-	r0, p0 := o.rules, o.pruned
-	out = o.optimizeAtLocked(p, o.d.Root())
-	return out, o.rules - r0, o.pruned - p0
-}
-
 // Stats reports the optimizer's cumulative counters: DTD-driven
 // simplification rules fired and subtrees pruned by them.
 func (o *Optimizer) Stats() (rulesFired, prunedBranches uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.rules, o.pruned
-}
-
-// OptimizeString parses, optimizes at the root, and prints.
-func (o *Optimizer) OptimizeString(query string) (string, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	return xpath.String(o.Optimize(p)), nil
 }
 
 // Reach returns reach(p, root): the element types a root-context query

@@ -126,7 +126,7 @@ func TestImageBudgetOverflow(t *testing.T) {
 	d := dtd.MustParse("root a\na -> b\nb -> b + c\nc -> #PCDATA\n")
 	o := New(d)
 	p := xpath.MustParse(wide + " | nosuchlabel")
-	po := o.Optimize(p)
+	po, _, _ := o.Optimize(p)
 	if xpath.IsEmpty(po) {
 		t.Fatalf("overflow turned a live query into ∅")
 	}
@@ -168,7 +168,7 @@ func TestOptimizeRecursiveSemantics(t *testing.T) {
 		doc := xmlgen.Generate(d, xmlgen.Config{Seed: seed, MaxRepeat: 2, MaxDepth: 6})
 		for _, q := range queries {
 			p := xpath.MustParse(q)
-			po := o.Optimize(p)
+			po, _, _ := o.Optimize(p)
 			a := xpath.EvalDoc(p, doc)
 			b := xpath.EvalDoc(po, doc)
 			if len(a) != len(b) {
@@ -194,7 +194,7 @@ func TestOptimizeAdexSemanticsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randAdexPath(r, labels, 3)
-		po := o.Optimize(p)
+		po, _, _ := o.Optimize(p)
 		a := xpath.EvalDoc(p, doc)
 		b := xpath.EvalDoc(po, doc)
 		if len(a) != len(b) {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/obs"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // ErrUnknownClass marks requests naming a user class the registry does
@@ -34,9 +35,9 @@ type BindingError struct{ Err error }
 func (e *BindingError) Error() string { return e.Err.Error() }
 func (e *BindingError) Unwrap() error { return e.Err }
 
-// Deprecated: no effect. Each class keeps one engine for every
-// binding, so there is no per-binding engine cache to bound; the
-// constant stays for callers that pass it to NewRegistryWithConfig.
+// Deprecated: no effect, kept only because perfbench pins it. Each
+// class keeps one engine for every binding, so there is no per-binding
+// engine cache to bound.
 const DefaultEngineCacheCapacity = 128
 
 // Registry holds the user classes defined over one document DTD.
@@ -64,7 +65,8 @@ func NewRegistry(d *dtd.DTD) *Registry {
 
 // NewRegistryWithConfig is NewRegistry with serving-layer tuning:
 // engineCfg is handed to every class's engine (plan-cache size).
-// engineCap has no effect (see DefaultEngineCacheCapacity).
+// engineCap has no effect; it is kept only because perfbench pins this
+// signature (see DefaultEngineCacheCapacity).
 func NewRegistryWithConfig(d *dtd.DTD, engineCap int, engineCfg core.Config) *Registry {
 	return &Registry{
 		d:         d,
@@ -189,30 +191,39 @@ func (r *Registry) Query(class string, params map[string]string, doc *xmltree.Do
 // and plan rewriting complete normally either way, so retries hit warm
 // caches).
 func (r *Registry) QueryCtx(ctx context.Context, class string, params map[string]string, doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
-	c, ok := r.classes[class]
-	if !ok {
-		return nil, fmt.Errorf("policy: %w %q", ErrUnknownClass, class)
-	}
-	e, err := c.EngineCtx(ctx, params)
+	e, p, err := r.request(ctx, class, params, query)
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryStringCtx(ctx, doc, query)
+	return e.QueryCtx(ctx, doc, p)
+}
+
+// request resolves one request's engine handle and parses its query.
+func (r *Registry) request(ctx context.Context, class string, params map[string]string, query string) (*core.Engine, xpath.Path, error) {
+	c, ok := r.classes[class]
+	if !ok {
+		return nil, nil, fmt.Errorf("policy: %w %q", ErrUnknownClass, class)
+	}
+	e, err := c.EngineCtx(ctx, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := xpath.Parse(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, p, nil
 }
 
 // ExplainCtx answers a view query like QueryCtx but through the
 // engine's explain path: every pipeline phase is measured fresh and the
 // intermediate query strings are reported (see core.Engine.ExplainCtx).
 func (r *Registry) ExplainCtx(ctx context.Context, class string, params map[string]string, doc *xmltree.Document, query string) (*core.Explain, error) {
-	c, ok := r.classes[class]
-	if !ok {
-		return nil, fmt.Errorf("policy: %w %q", ErrUnknownClass, class)
-	}
-	e, err := c.EngineCtx(ctx, params)
+	e, p, err := r.request(ctx, class, params, query)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExplainStringCtx(ctx, doc, query)
+	return e.ExplainCtx(ctx, doc, p)
 }
 
 // ViewDTD returns the schema published to one user class under a

@@ -19,7 +19,7 @@ import (
 // engine, and the class keeps one plan per query shape, however many
 // bindings ask.
 func TestEngineCacheBounded(t *testing.T) {
-	r := NewRegistryWithConfig(dtds.Hospital(), 4, core.Config{})
+	r := NewRegistryWithConfig(dtds.Hospital(), 0, core.Config{})
 	c, err := r.Define("nurse", dtds.NurseSpecSource)
 	if err != nil {
 		t.Fatalf("Define: %v", err)
@@ -144,9 +144,9 @@ func TestRegistryEnginesShareLabelIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		prep, err := e.PrepareString(q)
+		prep, err := e.Prepare(xpath.MustParse(q))
 		if err != nil {
-			t.Fatalf("PrepareString(%q): %v", q, err)
+			t.Fatalf("Prepare(%q): %v", q, err)
 		}
 		bound, err := xpath.BindVars(prep.Optimized, prep.Env.Map())
 		if err != nil {

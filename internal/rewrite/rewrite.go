@@ -61,11 +61,9 @@ type Rewriter struct {
 	// shared by pointer across all Rec nodes the rewriter emits.
 	recGraph *xpath.RecGraph
 
-	// unfolded/height record whether this rewriter's view DTD was
-	// unfolded (recursive view) and to what document height — pure
-	// observability; the algorithm never reads them back.
+	// unfolded records that this rewriter's view DTD was unfolded
+	// (recursive view); only Mode reads it.
 	unfolded bool
-	height   int
 }
 
 // ForView builds a rewriter for a security view. Recursive view DTDs are
@@ -93,16 +91,8 @@ func ForViewWithHeight(v *secview.View, height int) (*Rewriter, error) {
 	r := newRewriter(v, unfolded, orig)
 	r.sigma = sigma
 	r.unfolded = true
-	r.height = height
 	return r, nil
 }
-
-// Unfolded reports whether the view DTD was unfolded (recursive view);
-// Height is the document height it was unfolded to (0 otherwise).
-func (r *Rewriter) Unfolded() bool { return r.unfolded }
-
-// Height returns the unfolding height; see Unfolded.
-func (r *Rewriter) Height() int { return r.height }
 
 // Mode names the rewriting strategy: "flat" for a non-recursive view,
 // "height-free" for a recursive view rewritten via Rec automata, and
@@ -153,35 +143,16 @@ func identityOrig(d *dtd.DTD) map[string]string {
 
 // Rewrite translates a view query into an equivalent document query
 // p_t = rw(p, r) and simplifies it. A query that can select nothing on
-// any view instance rewrites to ∅.
-func (r *Rewriter) Rewrite(p xpath.Path) (xpath.Path, error) {
-	pt, _, err := r.RewriteCounted(p)
-	return pt, err
-}
-
-// RewriteCounted is Rewrite that also reports the number of DP cells
-// the call memoized — its working-set size, which explain reports. The
-// memo is dropped when the call returns, so this is bounded by one
-// query's cells however many queries came before.
-func (r *Rewriter) RewriteCounted(p xpath.Path) (xpath.Path, int, error) {
+// any view instance rewrites to ∅. cells is the number of DP cells the
+// call memoized — its working-set size, which explain reports. The memo
+// is dropped when the call returns, so cells is bounded by one query's
+// cells however many queries came before.
+func (r *Rewriter) Rewrite(p xpath.Path) (pt xpath.Path, cells int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res := r.dp.Cell(p, r.dv.Root())
-	cells := r.dp.EndCall()
-	return xpath.Simplify(res.Total()), cells, nil
-}
-
-// RewriteString parses, rewrites, and prints in one step.
-func (r *Rewriter) RewriteString(query string) (string, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	pt, err := r.Rewrite(p)
-	if err != nil {
-		return "", err
-	}
-	return xpath.String(pt), nil
+	cells = r.dp.EndCall()
+	return xpath.Simplify(res.Total()), cells
 }
 
 // attrVisible reports whether a view type exposes the attribute: the

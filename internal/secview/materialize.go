@@ -50,20 +50,6 @@ func (e *AbortError) Error() string {
 // (inaccessible) node and are exempt from the accessibility filter — they
 // expose structure, never the hidden label or content.
 func Materialize(v *View, doc *xmltree.Document) (*Materialized, error) {
-	return materialize(v, doc, false)
-}
-
-// MaterializeLenient materializes with the abort conditions relaxed: an
-// unmatched concatenation entry is skipped, an over-matched one keeps the
-// first node, and an unmatched disjunction yields no child. The result
-// may not conform to the view DTD; it is intended for administrator
-// tooling that wants to inspect a view of a document for which no sound
-// and complete view exists (Theorem 3.2), never for the checkers.
-func MaterializeLenient(v *View, doc *xmltree.Document) (*Materialized, error) {
-	return materialize(v, doc, true)
-}
-
-func materialize(v *View, doc *xmltree.Document, lenient bool) (*Materialized, error) {
 	if doc.Root.Label != v.Doc.Root() {
 		return nil, fmt.Errorf("secview: document root %q does not match DTD root %q", doc.Root.Label, v.Doc.Root())
 	}
@@ -74,7 +60,7 @@ func materialize(v *View, doc *xmltree.Document, lenient bool) (*Materialized, e
 	}
 	root := xmltree.NewElement(v.DTD.Root())
 	m.DocOf[root] = doc.Root
-	e := &expander{v: v, acc: acc, m: m, lenient: lenient}
+	e := &expander{v: v, acc: acc, m: m}
 	e.copyAttrs(root, doc.Root)
 	if err := e.expand(root, doc.Root); err != nil {
 		return nil, err
@@ -85,10 +71,9 @@ func materialize(v *View, doc *xmltree.Document, lenient bool) (*Materialized, e
 
 // expander carries the materialization state down the view tree.
 type expander struct {
-	v       *View
-	acc     map[*xmltree.Node]bool
-	m       *Materialized
-	lenient bool
+	v   *View
+	acc map[*xmltree.Node]bool
+	m   *Materialized
 }
 
 // expand generates the children of view node vn (labeled with a view type
@@ -106,9 +91,6 @@ func (e *expander) expand(vn, dn *xmltree.Node) error {
 		p := e.v.MustSigma(a, dtd.TextLabel)
 		res := accessible(evalSigma(p, dn), e.acc)
 		if len(res) != 1 || res[0].Kind != xmltree.TextNode {
-			if e.lenient {
-				return nil
-			}
 			return &AbortError{ViewType: a, Child: "str", Reason: fmt.Sprintf("σ returned %d accessible text nodes, need exactly 1", len(res))}
 		}
 		txt := xmltree.NewText(res[0].Data)
@@ -128,14 +110,7 @@ func (e *expander) expand(vn, dn *xmltree.Node) error {
 			}
 			res := e.extract(a, it.Name, dn)
 			if len(res) != 1 {
-				if e.lenient {
-					if len(res) == 0 {
-						continue
-					}
-					res = res[:1]
-				} else {
-					return &AbortError{ViewType: a, Child: it.Name, Reason: fmt.Sprintf("σ returned %d usable nodes, need exactly 1", len(res))}
-				}
+				return &AbortError{ViewType: a, Child: it.Name, Reason: fmt.Sprintf("σ returned %d usable nodes, need exactly 1", len(res))}
 			}
 			if err := e.attach(vn, it.Name, res[0]); err != nil {
 				return err
@@ -151,21 +126,12 @@ func (e *expander) expand(vn, dn *xmltree.Node) error {
 				continue
 			}
 			if len(res) > 1 || matched != "" {
-				if e.lenient {
-					if matched == "" {
-						matched, node = it.Name, res[0]
-					}
-					continue
-				}
 				return &AbortError{ViewType: a, Child: it.Name, Reason: "disjunction matched more than one alternative"}
 			}
 			matched = it.Name
 			node = res[0]
 		}
 		if matched == "" {
-			if e.lenient {
-				return nil
-			}
 			return &AbortError{ViewType: a, Child: prod.String(), Reason: "disjunction matched no alternative"}
 		}
 		return e.attach(vn, matched, node)

@@ -253,3 +253,31 @@ b -> #PCDATA
 		t.Fatalf("incomplete view passed the checker")
 	}
 }
+
+// TestMaterializeAbortsWithoutAView: where no view instance fits the
+// document (Theorem 3.2's abort conditions), materialization fails with
+// an AbortError instead of guessing — for a required concatenation
+// child whose condition fails, and for a disjunction none of whose
+// alternatives is accessible.
+func TestMaterializeAbortsWithoutAView(t *testing.T) {
+	for _, tc := range []struct {
+		name, dtd, ann string
+		doc            *xmltree.Document
+	}{
+		{"concatenation", "root r\nr -> a, b\na -> flag\nflag -> #PCDATA\nb -> #PCDATA\n",
+			`ann(r, a) = [flag = "on"]`,
+			xmltree.NewDocument(xmltree.E("r", xmltree.E("a", xmltree.T("flag", "off")), xmltree.T("b", "data")))},
+		{"disjunction", "root r\nr -> t\nt -> x + y\nx -> #PCDATA\ny -> #PCDATA\n",
+			"ann(t, x) = [. = \"never\"]\nann(t, y) = [. = \"never\"]\n",
+			xmltree.NewDocument(xmltree.E("r", xmltree.E("t", xmltree.T("x", "value"))))},
+	} {
+		v, err := Derive(access.MustParseAnnotations(dtd.MustParse(tc.dtd), tc.ann))
+		if err != nil {
+			t.Fatalf("%s: Derive: %v", tc.name, err)
+		}
+		var abort *AbortError
+		if _, err := Materialize(v, tc.doc); !errors.As(err, &abort) {
+			t.Errorf("%s: Materialize = %v, want AbortError", tc.name, err)
+		}
+	}
+}

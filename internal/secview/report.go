@@ -73,24 +73,6 @@ func (v *View) Report() string {
 	return b.String()
 }
 
-// Disposition returns what the derivation did with one document type.
-// Accessibility is context-sensitive, so a type exposed in the view may
-// additionally have been short-cut in hidden contexts; the dominant
-// (most visible) disposition is reported.
-func (v *View) Disposition(t string) TypeDisposition {
-	dummyByHidden := make(map[string]string, len(v.DummyOf))
-	for x, hidden := range v.DummyOf {
-		dummyByHidden[hidden] = x
-	}
-	mentioned := make(map[string]bool)
-	for _, p := range v.sigma {
-		for _, l := range xpath.Labels(p) {
-			mentioned[l] = true
-		}
-	}
-	return v.dispositionOf(t, v.Doc.Reachable(v.Doc.Root()), dummyByHidden, mentioned)
-}
-
 func (v *View) dispositionOf(t string, reach map[string]bool, dummyByHidden map[string]string, mentioned map[string]bool) TypeDisposition {
 	switch {
 	case !reach[t]:

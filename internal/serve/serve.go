@@ -59,7 +59,8 @@ const (
 	DefaultMaxTimeout  = 30 * time.Second
 	DefaultMaxInFlight = 64
 	DefaultSlowQuery   = time.Second
-	// Deprecated: no effect; see Config.TraceSampleEvery.
+	// Deprecated: no effect, kept only because perfbench pins it; see
+	// Config.TraceSampleEvery.
 	DefaultTraceSampling = 0
 )
 
@@ -95,8 +96,9 @@ type Config struct {
 	// sv_slow_queries_total and logged as a "slow" event. 0 means
 	// DefaultSlowQuery; negative disables slow-query classification.
 	SlowQueryThreshold time.Duration
-	// Deprecated: no effect. Requests carry no span trees; every
-	// admitted request has its obs.QueryMetrics record instead.
+	// Deprecated: no effect, kept only because perfbench pins it.
+	// Requests carry no span trees; every admitted request has its
+	// obs.QueryMetrics record instead.
 	TraceSampleEvery int
 	// QueryStatsCapacity bounds the per-fingerprint statistics registry
 	// behind /queryz (0 = qstats.DefaultCapacity). The registry is
@@ -370,9 +372,6 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // itself is the caller's job (http.Server.Shutdown); this only
 // publishes the intent. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Handler returns the server's route table; see the package comment for
 // the endpoint inventory.

@@ -137,7 +137,7 @@ f -> #PCDATA
 `)
 	f := func(seed int64, branch uint8) bool {
 		doc := Generate(d, Config{Seed: seed, MaxRepeat: int(branch%6) + 1})
-		return xmltree.Conforms(doc, d)
+		return xmltree.Validate(doc, d) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -12,7 +12,7 @@ package xmltree
 // The payoff is locality: a pre-order scan of a subtree (descendant
 // steps, index posting-list filters) touches one contiguous allocation
 // instead of chasing per-node heap pointers, and the byOrd table built
-// by Renumber points straight into the arena, so Subtree() intervals
+// by Renumber points straight into the arena, so subtree intervals
 // are slices of memory laid out in exactly the order they are read.
 // Attribute maps are shared with the source nodes, not copied.
 func (d *Document) Compact() {

@@ -149,5 +149,5 @@ func oracleAttrs(b *strings.Builder, n *Node) {
 }
 
 func oracleEscape(s string) string {
-	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace(s)
+	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;").Replace(s)
 }

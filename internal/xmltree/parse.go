@@ -25,16 +25,6 @@ func ParseString(s string) (*Document, error) {
 	return load(s)
 }
 
-// MustParseString parses trusted XML (test fixtures, embedded examples)
-// and panics on error.
-func MustParseString(s string) *Document {
-	d, err := ParseString(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Serialize writes the document as XML to w (see Node.AppendXML).
 func (d *Document) Serialize(w io.Writer) error {
 	_, err := w.Write(d.Root.AppendXML(nil))

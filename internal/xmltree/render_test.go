@@ -74,22 +74,20 @@ func TestAppendXMLGrowsOnce(t *testing.T) {
 
 // sameReload reports how reload, the document loaded back from the
 // rendering of orig, differs from it; "" if it does not. The writer
-// indents children of mixed content onto their own lines and does not
-// escape \r (the loader reads \r and \r\n as \n), so text is compared
-// exactly only where it is an element's single child, and otherwise
-// with whitespace removed.
+// indents children of mixed content onto their own lines, so text is
+// compared exactly only where it is an element's single child, and
+// otherwise with whitespace removed. Attribute values compare exactly.
 func sameReload(orig, reload *xmltree.Node) string {
-	crlf := strings.NewReplacer("\r\n", "\n", "\r", "\n")
 	if orig.Kind != reload.Kind || orig.Label != reload.Label || len(orig.Attrs) != len(reload.Attrs) {
 		return "node " + orig.Path() + " differs"
 	}
 	for k, v := range orig.Attrs {
-		if w, ok := reload.Attr(k); !ok || w != crlf.Replace(v) {
+		if w, ok := reload.Attr(k); !ok || w != v {
 			return "attribute " + k + " of " + orig.Path() + " differs"
 		}
 	}
 	if orig.Kind == xmltree.TextNode {
-		if reload.Data != crlf.Replace(orig.Data) {
+		if reload.Data != orig.Data {
 			return "text of " + orig.Path() + " differs"
 		}
 		return ""

@@ -168,8 +168,3 @@ func checkAttrs(n *Node, defs []dtd.AttrDef, d *dtd.DTD) error {
 	}
 	return nil
 }
-
-// Conforms reports whether the document conforms to the DTD.
-func Conforms(doc *Document, d *dtd.DTD) bool {
-	return Validate(doc, d) == nil
-}

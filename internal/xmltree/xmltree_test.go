@@ -236,8 +236,8 @@ func TestValidate(t *testing.T) {
 	if err := Validate(doc, d); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if !Conforms(doc, d) {
-		t.Errorf("Conforms = false")
+	if Validate(doc, d) != nil {
+		t.Errorf("Validate rejected a conforming document")
 	}
 	// Wrong root.
 	bad := NewDocument(E("dept"))

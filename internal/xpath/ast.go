@@ -143,16 +143,6 @@ const TextName = "#text"
 // L returns a single label step.
 func L(name string) Path { return Label{Name: name} }
 
-// SeqOf chains steps left to right: SeqOf(a,b,c) = a/b/c. It applies the
-// ∅ and ε laws, so SeqOf never builds dead or redundant compositions.
-func SeqOf(parts ...Path) Path {
-	var out Path = Self{}
-	for _, p := range parts {
-		out = MakeSeq(out, p)
-	}
-	return out
-}
-
 // MakeSeq composes p1/p2 applying the ∅ and ε laws.
 func MakeSeq(p1, p2 Path) Path {
 	if IsEmpty(p1) || IsEmpty(p2) {
@@ -190,16 +180,6 @@ func MakeUnion(p1, p2 Path) Path {
 		return p1
 	}
 	return Union{Left: p1, Right: p2}
-}
-
-// UnionOf folds MakeUnion over the operands; it returns ∅ for no
-// operands.
-func UnionOf(parts ...Path) Path {
-	var out Path = Empty{}
-	for _, p := range parts {
-		out = MakeUnion(out, p)
-	}
-	return out
 }
 
 // MakeQualified builds p[q] applying the QTrue/QFalse and ∅ laws.

@@ -67,7 +67,7 @@ func TestEvalDocCtxDeadlinePrompt(t *testing.T) {
 	// Sanity: uncancelled evaluation is genuinely slow (otherwise the
 	// promptness assertion below proves nothing).
 	start := time.Now()
-	if _, _, err := xpath.EvalDocCtx(nil, p, doc); err != nil {
+	if _, _, err := xpath.Evaluate(nil, p, []*xmltree.Node{doc.Root}, xpath.Env{}); err != nil {
 		t.Fatalf("uncancelled eval: %v", err)
 	}
 	full := time.Since(start)
@@ -78,7 +78,7 @@ func TestEvalDocCtxDeadlinePrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	_, _, err := xpath.EvalDocCtx(ctx, p, doc)
+	_, _, err := xpath.Evaluate(ctx, p, []*xmltree.Node{doc.Root}, xpath.Env{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -89,7 +89,7 @@ func TestEvalDocCtxDeadlinePrompt(t *testing.T) {
 func TestEvalDocCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := xpath.EvalDocCtx(ctx, xpath.MustParse("//leaf"), chainDoc(5))
+	res, _, err := xpath.Evaluate(ctx, xpath.MustParse("//leaf"), []*xmltree.Node{chainDoc(5).Root}, xpath.Env{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -113,7 +113,7 @@ func TestEvalIndexedCtxDeadlinePrompt(t *testing.T) {
 	ctx := []*xmltree.Node{spine[0], doc.Root.Children[0]}
 
 	start := time.Now()
-	if _, err := xpath.EvalAtErr(p, ctx); err != nil {
+	if _, err := evalAt(p, ctx); err != nil {
 		t.Fatalf("uncancelled eval: %v", err)
 	}
 	full := time.Since(start)
@@ -124,7 +124,7 @@ func TestEvalIndexedCtxDeadlinePrompt(t *testing.T) {
 	dctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	_, err := xpath.EvalAtCtx(dctx, p, ctx)
+	_, _, err := xpath.Evaluate(dctx, p, ctx, xpath.Env{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -138,7 +138,7 @@ func TestEvalIndexedCtxAlreadyCancelled(t *testing.T) {
 	doc := chainDoc(5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := xpath.EvalAtCtx(ctx, xpath.MustParse("//leaf"), doc.Root.Children)
+	res, _, err := xpath.Evaluate(ctx, xpath.MustParse("//leaf"), doc.Root.Children, xpath.Env{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -147,13 +147,13 @@ func TestEvalIndexedCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestEvalIndexedCtxCountedTicks: EvalDocCtx reports nonzero cooperation
+// TestEvalIndexedCtxCountedTicks: Evaluate reports nonzero cooperation
 // ticks for real work on a descendant step the label index serves.
 func TestEvalIndexedCtxCountedTicks(t *testing.T) {
 	doc := chainDoc(200)
-	out, ticks, err := xpath.EvalDocCtx(context.Background(), xpath.MustParse("//leaf"), doc)
+	out, ticks, err := xpath.Evaluate(context.Background(), xpath.MustParse("//leaf"), []*xmltree.Node{doc.Root}, xpath.Env{})
 	if err != nil {
-		t.Fatalf("EvalDocCtx: %v", err)
+		t.Fatalf("Evaluate: %v", err)
 	}
 	if len(out) != 200 {
 		t.Fatalf("got %d leaves, want 200", len(out))
@@ -190,7 +190,7 @@ func TestQualifierHeavyDeadline(t *testing.T) {
 	p := wardUnion(t)
 
 	start := time.Now()
-	out, ticks, err := xpath.EvalDocCtx(context.Background(), p, doc)
+	out, ticks, err := xpath.Evaluate(context.Background(), p, []*xmltree.Node{doc.Root}, xpath.Env{})
 	full := time.Since(start)
 	if err != nil {
 		t.Fatalf("uncancelled eval: %v", err)
@@ -207,7 +207,7 @@ func TestQualifierHeavyDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), full/10)
 	defer cancel()
 	start = time.Now()
-	_, partial, err := xpath.EvalDocCtx(ctx, p, doc)
+	_, partial, err := xpath.Evaluate(ctx, p, []*xmltree.Node{doc.Root}, xpath.Env{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v after %v (full run %v), want context.DeadlineExceeded", err, elapsed, full)

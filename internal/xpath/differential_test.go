@@ -23,6 +23,17 @@ import (
 	"repro/internal/xpath"
 )
 
+// evalDoc and evalAt run the serving entry, xpath.Evaluate, with no
+// context and no bindings.
+func evalDoc(p xpath.Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
+	return evalAt(p, []*xmltree.Node{doc.Root})
+}
+
+func evalAt(p xpath.Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
+	out, _, err := xpath.Evaluate(nil, p, nodes, xpath.Env{})
+	return out, err
+}
+
 // randomDTDSource emits a small random DTD in the compact syntax:
 // element types e0..ek where ei's production draws children from the
 // types after it (always terminating), as a sequence, a choice, a star,
@@ -210,7 +221,7 @@ func TestDifferentialIndexedVsSequential(t *testing.T) {
 			p := randPath(r, labels, 3)
 			want := ref(t, p, doc.Root)
 			assertSortedUnique(t, "reference "+xpath.String(p), want)
-			got, err := xpath.EvalDocErr(p, doc)
+			got, err := evalDoc(p, doc)
 			if err != nil {
 				t.Fatalf("indexed eval error on %s: %v", xpath.String(p), err)
 			}
@@ -226,9 +237,9 @@ func TestDifferentialIndexedVsSequential(t *testing.T) {
 				ctx[i] = all[r.Intn(len(all))]
 			}
 			wantAt := ref(t, p, ctx...)
-			gotAt, err := xpath.EvalAtErr(p, ctx)
+			gotAt, err := evalAt(p, ctx)
 			if err != nil {
-				t.Fatalf("indexed EvalAt error on %s: %v", xpath.String(p), err)
+				t.Fatalf("indexed subcontext error on %s: %v", xpath.String(p), err)
 			}
 			assertSameNodes(t, "indexed@ctx ≠ sequential@ctx on "+xpath.String(p), gotAt, wantAt)
 		}
@@ -258,7 +269,7 @@ e5 -> #PCDATA
 	for i := 0; i < 25; i++ {
 		p := randPath(r, labels, 2)
 		want := ref(t, p, doc.Root)
-		got, err := xpath.EvalDocErr(p, doc)
+		got, err := evalDoc(p, doc)
 		if err != nil {
 			t.Fatalf("indexed: %v", err)
 		}
@@ -283,8 +294,8 @@ func TestEvalIndexedRejectsUnboundVars(t *testing.T) {
 		if _, err := xpath.EvalRef(p, []*xmltree.Node{doc.Root}); err == nil {
 			t.Fatalf("reference accepted unbound variable in %s", xpath.String(p))
 		}
-		if _, err := xpath.EvalDocErr(p, doc); err == nil {
-			t.Fatalf("unbound variable in %s accepted by EvalDocErr", xpath.String(p))
+		if _, err := evalDoc(p, doc); err == nil {
+			t.Fatalf("unbound variable in %s accepted by Evaluate", xpath.String(p))
 		}
 		func() {
 			defer func() {
@@ -321,7 +332,7 @@ func TestConcurrentEvalsShareDocument(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				k := (g + i) % len(queries)
-				got, err := xpath.EvalDocErr(queries[k], doc)
+				got, err := evalDoc(queries[k], doc)
 				if err != nil {
 					t.Errorf("%s: %v", xpath.String(queries[k]), err)
 					return

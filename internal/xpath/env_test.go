@@ -108,7 +108,7 @@ func TestEvalEnvMatchesBoundPlan(t *testing.T) {
 	nonEmpty := 0
 	for _, p := range plans {
 		for _, env := range envs {
-			got, _, err := EvalDocEnvCtx(nil, p, doc, env)
+			got, _, err := Evaluate(nil, p, []*xmltree.Node{doc.Root}, env)
 			if err != nil {
 				t.Fatalf("%s under %v: %v", String(p), env, err)
 			}
@@ -131,7 +131,7 @@ func TestEvalEnvMatchesBoundPlan(t *testing.T) {
 	if nonEmpty < len(plans)*len(envs)/2 {
 		t.Fatalf("only %d answers non-empty", nonEmpty)
 	}
-	if _, _, err := EvalDocEnvCtx(nil, plans[2], doc, Env{Literals: []string{"1", "2"}}); err == nil {
+	if _, _, err := Evaluate(nil, plans[2], []*xmltree.Node{doc.Root}, Env{Literals: []string{"1", "2"}}); err == nil {
 		t.Errorf("a missing parameter evaluated")
 	}
 }

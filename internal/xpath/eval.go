@@ -10,11 +10,12 @@ import (
 )
 
 // This file holds the evaluator's entry points and the reference
-// evaluator. Every Eval* function below runs the ordinal (bitset)
-// evaluator of bitset_eval.go, the one evaluator serving uses. EvalRef
-// and EvalQual run seqEval instead: a direct, per-node transcription of
-// the paper's semantics over node slices, kept as the reference every
-// differential suite and ground-truth oracle compares against.
+// evaluator. Evaluate, and EvalDoc on top of it, run the ordinal
+// (bitset) evaluator of bitset_eval.go, the one evaluator serving uses.
+// EvalRef and EvalQual run seqEval instead: a direct, per-node
+// transcription of the paper's semantics over node slices, kept as the
+// reference every differential suite and ground-truth oracle compares
+// against.
 
 // ErrUnnumbered is returned when the context nodes are not all freshly
 // numbered by one document: a node was detached or the tree mutated
@@ -23,78 +24,21 @@ import (
 // numbering, so it refuses such contexts instead of guessing.
 var ErrUnnumbered = errors.New("xpath: context nodes are not numbered by one document (renumber after structural mutation)")
 
-// Eval evaluates the query at a single context node and returns the
-// selected nodes in document order without duplicates (the paper's v⟦p⟧).
-// The query must not contain unbound variables; bind them first with
-// BindVars. Eval panics on any evaluation error — unbound variables,
-// unnumbered contexts; untrusted queries should go through EvalErr.
-func Eval(p Path, ctx *xmltree.Node) []*xmltree.Node {
-	return EvalAt(p, []*xmltree.Node{ctx})
-}
-
-// EvalErr is Eval returning an error instead of panicking.
-func EvalErr(p Path, ctx *xmltree.Node) ([]*xmltree.Node, error) {
-	return EvalAtErr(p, []*xmltree.Node{ctx})
-}
-
-// EvalAt evaluates the query at a set of context nodes and returns the
-// union of the per-node results in document order without duplicates.
-// It panics on evaluation errors; see EvalAtErr.
-func EvalAt(p Path, ctx []*xmltree.Node) []*xmltree.Node {
-	out, err := EvalAtErr(p, ctx)
-	if err != nil {
-		panic("xpath: " + err.Error())
-	}
-	return out
-}
-
-// EvalAtErr is EvalAt returning an error instead of panicking.
-func EvalAtErr(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
-	return EvalAtCtx(nil, p, ctx)
-}
-
-// EvalDoc evaluates a query over a whole document, using the document
-// root as the context node. Queries written with a leading '/' or '//'
-// behave as in standard XPath because Parse treats the root element as
-// the context: //a finds every a including the root itself. It panics on
-// evaluation errors; see EvalDocErr.
-func EvalDoc(p Path, doc *xmltree.Document) []*xmltree.Node {
-	return Eval(p, doc.Root)
-}
-
-// EvalDocErr is EvalDoc returning an error instead of panicking.
-func EvalDocErr(p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
-	return EvalErr(p, doc.Root)
-}
-
-// EvalDocCtx is EvalDocErr honoring a context: evaluation checks for
-// cancellation cooperatively (at every path step, and periodically
-// inside per-node loops) and returns ctx.Err() once the context is done.
-// A nil context disables the checks. visited reports the evaluation's
-// cooperation ticks — one per path step plus one per node in the hot
-// loops — as a nodes-visited proxy for observability; it is counted
-// only when ctx is non-nil (the counter rides the cancellation
+// Evaluate evaluates a plan at a set of context nodes and returns the
+// union of the per-node results in document order without duplicates
+// (the paper's v⟦p⟧). env binds the plan's variables ($parameters and
+// literal placeholders), so one plan serves every binding without being
+// copied per request; the zero Env binds nothing, and an unbound
+// variable is an error.
+//
+// Evaluation checks ctx for cancellation cooperatively (at every path
+// step, and periodically inside per-node loops) and returns ctx.Err()
+// once it is done; a nil ctx disables the checks. visited reports the
+// evaluation's cooperation ticks — one per path step plus one per node
+// in the hot loops — as a nodes-visited proxy for observability; it is
+// counted only when ctx is non-nil (the counter rides the cancellation
 // machinery).
-func EvalDocCtx(ctx context.Context, p Path, doc *xmltree.Document) (nodes []*xmltree.Node, visited uint64, err error) {
-	return evalCtx(ctx, p, []*xmltree.Node{doc.Root}, Env{})
-}
-
-// EvalDocEnvCtx is EvalDocCtx for a plan that still carries variables
-// ($parameters and literal placeholders): env binds them, so one plan
-// serves every binding without being copied per request.
-func EvalDocEnvCtx(ctx context.Context, p Path, doc *xmltree.Document, env Env) (nodes []*xmltree.Node, visited uint64, err error) {
-	return evalCtx(ctx, p, []*xmltree.Node{doc.Root}, env)
-}
-
-// EvalAtCtx is EvalAtErr honoring a context; see EvalDocCtx.
-func EvalAtCtx(ctx context.Context, p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	out, _, err := evalCtx(ctx, p, nodes, Env{})
-	return out, err
-}
-
-// evalCtx is the single evaluation entry point: it gates the context on
-// its numbering and runs the bitset evaluator.
-func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xmltree.Node, uint64, error) {
+func Evaluate(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) (out []*xmltree.Node, visited uint64, err error) {
 	t := newTicker(ctx)
 	if err := t.cancelled(); err != nil {
 		return nil, 0, err
@@ -107,8 +51,21 @@ func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xm
 		return nil, 0, ErrUnnumbered
 	}
 	b := &bitEval{se: t, doc: d, env: env}
-	out, err := b.eval(p, nodes)
+	out, err = b.eval(p, nodes)
 	return out, uint64(b.se.ticks), err
+}
+
+// EvalDoc evaluates a variable-free query over a whole document, using
+// the document root as the context node. Queries written with a leading
+// '/' or '//' behave as in standard XPath because Parse treats the root
+// element as the context: //a finds every a including the root itself.
+// It panics on evaluation errors; untrusted queries go through Evaluate.
+func EvalDoc(p Path, doc *xmltree.Document) []*xmltree.Node {
+	out, _, err := Evaluate(nil, p, []*xmltree.Node{doc.Root}, Env{})
+	if err != nil {
+		panic("xpath: " + err.Error())
+	}
+	return out
 }
 
 // EvalRef evaluates p at the context nodes with the reference evaluator:
@@ -116,7 +73,7 @@ func evalCtx(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) ([]*xm
 // walking. Its answers define what every other evaluation must return.
 // It is slow by design and never used for serving. Duplicate-free
 // document-order output requires the nodes to be numbered by one
-// document, as for Eval; on other inputs the answer holds the right
+// document, as for Evaluate; on other inputs the answer holds the right
 // nodes in no particular order.
 func EvalRef(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 	out, err := seqEval{}.path(p, ctx)
@@ -128,19 +85,14 @@ func EvalRef(p Path, ctx []*xmltree.Node) ([]*xmltree.Node, error) {
 
 // EvalQual evaluates a qualifier at a context node (the paper's "[q]
 // holds at v") with the reference evaluator. It panics on unbound
-// $variables; untrusted qualifiers should go through EvalQualErr.
+// $variables; an untrusted qualifier q is tested as the query .[q]
+// through EvalRef, which returns the error instead.
 func EvalQual(q Qual, v *xmltree.Node) bool {
-	hold, err := EvalQualErr(q, v)
+	hold, err := seqEval{}.qual(q, v)
 	if err != nil {
 		panic("xpath: " + err.Error())
 	}
 	return hold
-}
-
-// EvalQualErr is EvalQual returning an error instead of panicking on
-// unbound $variables or malformed AST nodes.
-func EvalQualErr(q Qual, v *xmltree.Node) (bool, error) {
-	return seqEval{}.qual(q, v)
 }
 
 // tickMask sets the cooperative cancellation poll rate: one ctx.Err()

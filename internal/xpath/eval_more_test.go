@@ -87,7 +87,7 @@ func TestEvalDeepDescendChain(t *testing.T) {
 	}
 	// //. at a leaf includes only the leaf subtree.
 	bills := EvalDoc(MustParse("//bill"), doc)
-	sub := EvalAt(MustParse("//."), bills[:1])
+	sub := mustEvalAt(MustParse("//."), bills[:1])
 	if len(sub) != 2 { // bill element + its text
 		t.Errorf("//. at leaf = %d nodes", len(sub))
 	}
@@ -108,7 +108,7 @@ func TestEvalQualifierNeverMovesContext(t *testing.T) {
 }
 
 func TestEvalEmptyContexts(t *testing.T) {
-	if got := EvalAt(MustParse("a"), nil); len(got) != 0 {
+	if got := mustEvalAt(MustParse("a"), nil); len(got) != 0 {
 		t.Errorf("empty context returned %d nodes", len(got))
 	}
 }

@@ -54,6 +54,25 @@ func texts(nodes []*xmltree.Node) []string {
 	return out
 }
 
+// evalDoc, evalAt and mustEvalAt run the serving entry, Evaluate, with
+// no context and no bindings.
+func evalDoc(p Path, doc *xmltree.Document) ([]*xmltree.Node, error) {
+	return evalAt(p, []*xmltree.Node{doc.Root})
+}
+
+func evalAt(p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
+	out, _, err := Evaluate(nil, p, nodes, Env{})
+	return out, err
+}
+
+func mustEvalAt(p Path, nodes []*xmltree.Node) []*xmltree.Node {
+	out, err := evalAt(p, nodes)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func evalStrings(t *testing.T, doc *xmltree.Document, query string) []string {
 	t.Helper()
 	p, err := Parse(query)
@@ -89,14 +108,14 @@ func TestEvalWildcardUnionSelf(t *testing.T) {
 	}
 	p = MustParse("(clinicalTrial | .)/patientInfo")
 	dept := doc.Root.Children[0]
-	res := Eval(p, dept)
+	res := mustEvalAt(p, []*xmltree.Node{dept})
 	if len(res) != 2 {
 		t.Fatalf("(clinicalTrial | .)/patientInfo returned %d nodes, want 2", len(res))
 	}
 	if res[0].Ord() >= res[1].Ord() {
 		t.Errorf("results not in document order")
 	}
-	if got := names(Eval(MustParse("."), dept)); !reflect.DeepEqual(got, []string{"dept"}) {
+	if got := names(mustEvalAt(MustParse("."), []*xmltree.Node{dept})); !reflect.DeepEqual(got, []string{"dept"}) {
 		t.Errorf("self = %v", got)
 	}
 }
@@ -229,7 +248,7 @@ func TestEvalAtMultipleContexts(t *testing.T) {
 	if len(depts) != 2 {
 		t.Fatalf("depts = %d", len(depts))
 	}
-	got := EvalAt(MustParse("patientInfo/patient/name"), depts)
+	got := mustEvalAt(MustParse("patientInfo/patient/name"), depts)
 	if !reflect.DeepEqual(texts(got), []string{"Alice", "Bob"}) {
 		t.Errorf("EvalAt = %v", texts(got))
 	}

@@ -14,15 +14,15 @@ import (
 func TestEvalErrUnboundVariable(t *testing.T) {
 	doc := hospitalDoc()
 	p := MustParse("//patient[wardNo = $w]/name")
-	if _, err := EvalDocErr(p, doc); err == nil || !strings.Contains(err.Error(), "$w") {
-		t.Errorf("EvalDocErr = %v, want unbound-variable error naming $w", err)
+	if _, err := evalDoc(p, doc); err == nil || !strings.Contains(err.Error(), "$w") {
+		t.Errorf("Evaluate = %v, want unbound-variable error naming $w", err)
 	}
-	if _, err := EvalErr(p, doc.Root); err == nil {
-		t.Errorf("EvalErr accepted unbound variable")
+	if _, err := EvalRef(p, []*xmltree.Node{doc.Root}); err == nil {
+		t.Errorf("EvalRef accepted unbound variable")
 	}
-	q := MustParseQual("wardNo = $x")
-	if _, err := EvalQualErr(q, doc.Root); err == nil || !strings.Contains(err.Error(), "$x") {
-		t.Errorf("EvalQualErr = %v", err)
+	q := Qualified{Sub: Self{}, Cond: MustParseQual("wardNo = $x")}
+	if _, err := EvalRef(q, []*xmltree.Node{doc.Root}); err == nil || !strings.Contains(err.Error(), "$x") {
+		t.Errorf("EvalRef of a qualifier = %v", err)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestEvalErrUnboundVariableInBooleans(t *testing.T) {
 		"//patient[name and wardNo = $w]/name",
 		"//patient[not(wardNo = $w)]/name",
 	} {
-		if _, err := EvalDocErr(MustParse(q), doc); err == nil {
+		if _, err := evalDoc(MustParse(q), doc); err == nil {
 			t.Errorf("%q: unbound variable not reported", q)
 		}
 	}
@@ -49,12 +49,12 @@ func TestEvalErrMatchesEval(t *testing.T) {
 	for _, q := range []string{"//patient/name", "dept/patientInfo/patient[treatment]", "(//bill | //nurse)"} {
 		p := MustParse(q)
 		want := EvalDoc(p, doc)
-		got, err := EvalDocErr(p, doc)
+		got, err := evalDoc(p, doc)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: EvalDocErr differs from EvalDoc", q)
+			t.Errorf("%q: Evaluate differs from EvalDoc", q)
 		}
 	}
 }

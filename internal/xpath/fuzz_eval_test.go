@@ -3,7 +3,7 @@ package xpath_test
 // Fuzz targets for the evaluator: any query or qualifier the parser
 // accepts must evaluate without panicking — rejections (unbound
 // $variables) must come back as errors — and must agree with the
-// reference evaluator (xpath.EvalRef, xpath.EvalQualErr) on every
+// reference evaluator (xpath.EvalRef) on every
 // accepted input, errors included. Seeds come from the example queries
 // shipped in internal/dtds (the Table 1 Adex benchmarks and the
 // hospital/nurse scenario).
@@ -75,7 +75,7 @@ func FuzzEval(f *testing.F) {
 		}
 		want, refErr := xpath.EvalRef(p, []*xmltree.Node{doc.Root})
 		for _, d := range []*xmltree.Document{doc, compact} {
-			got, err := xpath.EvalDocErr(p, d)
+			got, err := evalDoc(p, d)
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("evaluator and reference disagree on error for %q: %v vs %v", src, err, refErr)
 			}
@@ -98,7 +98,7 @@ func FuzzEval(f *testing.F) {
 }
 
 // FuzzEvalQual checks bare qualifiers: at every node, the evaluator's
-// .[q] selects the node exactly when the reference's EvalQualErr holds
+// .[q] selects the node exactly when the reference's .[q] does
 // there (and fails exactly when it fails), and one set-at-a-time
 // evaluation of .[q] at all nodes selects exactly those nodes.
 func FuzzEvalQual(f *testing.F) {
@@ -125,8 +125,9 @@ func FuzzEvalQual(f *testing.F) {
 		var held []*xmltree.Node
 		var refErr error
 		for _, n := range doc.Nodes() {
-			hold, err := xpath.EvalQualErr(q, n)
-			got, gotErr := xpath.EvalErr(p, n)
+			ref, err := xpath.EvalRef(p, []*xmltree.Node{n})
+			hold := len(ref) == 1
+			got, gotErr := evalAt(p, []*xmltree.Node{n})
 			if (err == nil) != (gotErr == nil) {
 				t.Fatalf("%q at %s: evaluator error %v, reference %v", src, n.Path(), gotErr, err)
 			}
@@ -141,7 +142,7 @@ func FuzzEvalQual(f *testing.F) {
 				held = append(held, n)
 			}
 		}
-		all, err := xpath.EvalAtErr(p, doc.Nodes())
+		all, err := evalAt(p, doc.Nodes())
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%q at every node: evaluator error %v, reference %v", src, err, refErr)
 		}

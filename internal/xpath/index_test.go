@@ -84,7 +84,7 @@ func TestEvalIndexedAtSubcontext(t *testing.T) {
 	doc := hospitalDoc()
 	depts := EvalDoc(MustParse("dept"), doc)
 	// Evaluate //bill at the second dept only.
-	got := EvalAt(MustParse("//bill"), depts[1:])
+	got := mustEvalAt(MustParse("//bill"), depts[1:])
 	want, err := EvalRef(MustParse("//bill"), depts[1:])
 	if err != nil {
 		t.Fatal(err)

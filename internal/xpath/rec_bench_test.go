@@ -48,7 +48,7 @@ func BenchmarkRecEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := EvalDocErr(plan, doc)
+			out, err := evalDoc(plan, doc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func BenchmarkRecEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := EvalDocErr(plan, doc)
+			out, err := evalDoc(plan, doc)
 			if err != nil {
 				b.Fatal(err)
 			}

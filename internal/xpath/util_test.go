@@ -199,14 +199,14 @@ func TestInCMinus(t *testing.T) {
 }
 
 func TestMakeHelpers(t *testing.T) {
-	if got := String(SeqOf(L("a"), L("b"), L("c"))); got != "a/b/c" {
-		t.Errorf("SeqOf = %q", got)
+	if got := String(MakeSeq(MakeSeq(Self{}, L("a")), MakeSeq(L("b"), L("c")))); got != "a/b/c" {
+		t.Errorf("MakeSeq = %q", got)
 	}
-	if got := String(UnionOf()); got != "∅" {
-		t.Errorf("UnionOf() = %q", got)
+	if got := String(MakeUnion(Empty{}, Empty{})); got != "∅" {
+		t.Errorf("MakeUnion(∅, ∅) = %q", got)
 	}
-	if got := String(UnionOf(L("a"), Empty{}, L("b"))); got != "a | b" {
-		t.Errorf("UnionOf = %q", got)
+	if got := String(MakeUnion(MakeUnion(L("a"), Empty{}), L("b"))); got != "a | b" {
+		t.Errorf("MakeUnion = %q", got)
 	}
 	if got := String(MakeDescend(L("a"))); got != "//a" {
 		t.Errorf("MakeDescend = %q", got)

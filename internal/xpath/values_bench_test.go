@@ -54,13 +54,13 @@ func BenchmarkSigmaGuard(b *testing.B) {
 	}
 	// Wards 1..256 hold the 256 regular patients: one dept each, four
 	// wards per dept.
-	if out, _, err := EvalDocEnvCtx(context.Background(), guard, doc, envs[0]); err != nil || len(out) != 1 {
+	if out, _, err := Evaluate(context.Background(), guard, []*xmltree.Node{doc.Root}, envs[0]); err != nil || len(out) != 1 {
 		b.Fatalf("ward 1 guard: %d depts, %v", len(out), err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := EvalDocEnvCtx(context.Background(), guard, doc, envs[i%len(envs)])
+		out, _, err := Evaluate(context.Background(), guard, []*xmltree.Node{doc.Root}, envs[i%len(envs)])
 		if err != nil {
 			b.Fatal(err)
 		}

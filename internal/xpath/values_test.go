@@ -163,7 +163,7 @@ func eqQual(r *rand.Rand, p xpath.Path, doc *xmltree.Document) (xpath.Qual, xpat
 // the plan with env substituted with the reference, at the root.
 func assertEnvMatchesRef(t *testing.T, p xpath.Path, env xpath.Env, doc *xmltree.Document) int {
 	t.Helper()
-	got, _, err := xpath.EvalDocEnvCtx(context.Background(), p, doc, env)
+	got, _, err := xpath.Evaluate(context.Background(), p, []*xmltree.Node{doc.Root}, env)
 	if err != nil {
 		t.Fatalf("eval %s: %v", xpath.String(p), err)
 	}
@@ -265,7 +265,7 @@ func TestValueIDsConcurrentFirstBuilds(t *testing.T) {
 			go func(j job) {
 				defer wg.Done()
 				<-start
-				got, err := xpath.EvalDocErr(j.p, doc)
+				got, err := evalDoc(j.p, doc)
 				if err != nil {
 					errs <- err.Error()
 					return
