@@ -528,9 +528,10 @@ func BenchmarkGenerate(b *testing.B) {
 // //dept//treatment//bill-class queries over a 10k+ node hospital
 // document, through the evaluator (label index plus subtree fills) and
 // the reference evaluator (walks, per-node qualifiers) for scale. The
-// index-build case prices the document's label index build, paid once
-// per document generation and shared by every engine. qual-eq is the
-// shape rewritten view plans repeat in every union branch: a ward test
+// renumber-index case prices Renumber, which numbers the document and
+// builds its label index and value dictionary, paid once per document
+// generation and shared by every engine. qual-eq is the shape
+// rewritten view plans repeat in every union branch: a ward test
 // guarding a descent. (GenerateHospital's wards cycle over 0..3.)
 func BenchmarkDeepDescendant(b *testing.B) {
 	doc := dtds.GenerateHospital(1, 48)
@@ -563,10 +564,9 @@ func BenchmarkDeepDescendant(b *testing.B) {
 			}
 		})
 	}
-	b.Run("index-build", func(b *testing.B) {
+	b.Run("renumber-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			doc.Renumber() // a new generation: the next lookup rebuilds
-			doc.Labeled("bill")
+			doc.Renumber()
 		}
 	})
 }
@@ -574,13 +574,12 @@ func BenchmarkDeepDescendant(b *testing.B) {
 // BenchmarkFreshEngineIndexed prices an engine miss on a large
 // document: each round binds a new ward, derives its engine, and
 // answers the binding's first //dept//treatment//bill, whose descendant
-// steps read the document's label index. The label index belongs to the document and is built
-// before the timer starts, so B/op shows that a miss allocates for
-// derivation and its answer, not for a copy of the document's index.
+// steps read the document's label index. The index belongs to the
+// document, so B/op shows that a miss allocates for derivation and its
+// answer, not for a copy of the document's index.
 func BenchmarkFreshEngineIndexed(b *testing.B) {
 	doc := dtds.GenerateHospital(1, 48)
 	p := xpath.MustParse("//dept//treatment//bill")
-	doc.Labeled("bill")
 	b.ReportMetric(float64(doc.Size()), "docnodes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -188,21 +188,6 @@ func (d *DTD) SetProduction(name string, c Content) {
 	d.prods[name] = c
 }
 
-// RemoveProduction deletes an element type and its production. It does not
-// touch references to the type from other productions.
-func (d *DTD) RemoveProduction(name string) {
-	if _, ok := d.prods[name]; !ok {
-		return
-	}
-	delete(d.prods, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Production returns the content model of an element type. The boolean is
 // false when the type is not declared.
 func (d *DTD) Production(name string) (Content, bool) {
@@ -358,39 +343,6 @@ func (d *DTD) RecursiveTypes() map[string]bool {
 		}
 	}
 	return recursive
-}
-
-// TopoOrder returns the element types in a topological order of the DTD
-// graph (parents before children). It returns an error when the DTD is
-// recursive.
-func (d *DTD) TopoOrder() ([]string, error) {
-	if d.IsRecursive() {
-		return nil, fmt.Errorf("dtd: recursive DTD has no topological order")
-	}
-	state := make(map[string]int) // 0 unvisited, 1 in progress, 2 done
-	var out []string
-	var visit func(string)
-	visit = func(a string) {
-		if state[a] != 0 {
-			return
-		}
-		state[a] = 1
-		for _, b := range d.Children(a) {
-			if d.Has(b) {
-				visit(b)
-			}
-		}
-		state[a] = 2
-		out = append(out, a)
-	}
-	for _, a := range d.order {
-		visit(a)
-	}
-	// Reverse: visit appends in post-order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out, nil
 }
 
 // Clone returns a deep copy of the DTD.

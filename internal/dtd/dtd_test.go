@@ -83,6 +83,13 @@ func TestParseErrors(t *testing.T) {
 			}
 		})
 	}
+	// A DTD built without the parser: Check fails on a dangling child
+	// reference.
+	d := New("a")
+	d.SetProduction("a", StarContent("b"))
+	if err := d.Check(); err == nil {
+		t.Errorf("Check passed with dangling reference")
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -144,35 +151,10 @@ c -> a*
 	if !types["a"] || !types["c"] || types["b"] {
 		t.Errorf("RecursiveTypes = %v", types)
 	}
-	if _, err := rec.TopoOrder(); err == nil {
-		t.Errorf("TopoOrder on recursive DTD succeeded")
-	}
 	// Self loop.
 	self := MustParse("root a\na -> a*\n")
 	if !self.RecursiveTypes()["a"] {
 		t.Errorf("self-loop not detected")
-	}
-}
-
-func TestTopoOrder(t *testing.T) {
-	d := mustHospital(t)
-	order, err := d.TopoOrder()
-	if err != nil {
-		t.Fatalf("TopoOrder: %v", err)
-	}
-	pos := make(map[string]int)
-	for i, n := range order {
-		pos[n] = i
-	}
-	if len(order) != d.Len() {
-		t.Fatalf("TopoOrder has %d types, want %d", len(order), d.Len())
-	}
-	for _, a := range d.Types() {
-		for _, b := range d.Children(a) {
-			if pos[a] >= pos[b] {
-				t.Errorf("topological order violated: %s (%d) before %s (%d)", a, pos[a], b, pos[b])
-			}
-		}
 	}
 }
 
@@ -341,20 +323,6 @@ func TestParseElementSyntaxErrors(t *testing.T) {
 		if _, err := ParseElementSyntax(src); err == nil {
 			t.Errorf("ParseElementSyntax(%q) succeeded, want error", src)
 		}
-	}
-}
-
-func TestRemoveProduction(t *testing.T) {
-	d := MustParse("root a\na -> b*\nb -> EMPTY\n")
-	d.RemoveProduction("b")
-	if d.Has("b") {
-		t.Errorf("b still declared")
-	}
-	if err := d.Check(); err == nil {
-		t.Errorf("Check passed with dangling reference")
-	}
-	if got := len(d.Types()); got != 1 {
-		t.Errorf("Types() has %d entries, want 1", got)
 	}
 }
 

@@ -261,9 +261,8 @@ func TestRegistrySeesEditAfterRenumber(t *testing.T) {
 	if !moved {
 		t.Fatal("did not find Bob's wardNo to mutate")
 	}
-	// An in-place edit must be followed by Renumber: every index derived
-	// from the tree (label index, value dictionary) is keyed by the
-	// document's generation.
+	// An in-place edit must be followed by Renumber, which rebuilds
+	// every index derived from the tree (label index, value dictionary).
 	doc.Renumber()
 	after, err := r.Query("nurse", params, doc, "//patient/name")
 	if err != nil {

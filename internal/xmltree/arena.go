@@ -16,9 +16,10 @@ package xmltree
 // are slices of memory laid out in exactly the order they are read.
 // Attribute maps are shared with the source nodes, not copied.
 func (d *Document) Compact() {
-	d.Renumber() // refresh size before sizing the arena
-	arena := make([]Node, d.size)
-	slab := make([]*Node, d.size-1) // every node but the root is someone's child
+	size := 0
+	d.Root.Walk(func(*Node) bool { size++; return true })
+	arena := make([]Node, size)
+	slab := make([]*Node, size-1) // every node but the root is someone's child
 	idx, off := 0, 0
 	var build func(src, parent *Node) *Node
 	build = func(src, parent *Node) *Node {
@@ -40,5 +41,5 @@ func (d *Document) Compact() {
 		return dst
 	}
 	d.Root = build(d.Root, nil)
-	d.Renumber() // number the arena nodes and rebuild byOrd over them
+	d.Renumber() // number and index the arena nodes
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -37,7 +36,11 @@ func TestCompactPreservesDocument(t *testing.T) {
 		size, height := orig.Size(), orig.Height()
 
 		doc := randomTree(seed, 300) // identical fresh copy to compact
+		gen := doc.Generation()
 		doc.Compact()
+		if doc.Generation() != gen+1 {
+			t.Fatalf("seed %d: Compact renumbered and indexed %d times, want once", seed, doc.Generation()-gen)
+		}
 		if doc.Root.String() != before {
 			t.Fatalf("seed %d: serialized form changed after Compact", seed)
 		}
@@ -222,37 +225,9 @@ func TestLabeledPostingLists(t *testing.T) {
 	}
 }
 
-// TestLabeledConcurrentFirstUse: goroutines released together at a
-// fresh document's first Labeled call all get the same, single build.
-func TestLabeledConcurrentFirstUse(t *testing.T) {
-	for round := int64(0); round < 10; round++ {
-		doc := randomTree(round, 5000)
-		doc.Compact()
-		const workers = 8
-		got := make([]*int32, workers)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				<-start
-				got[i] = &doc.Labeled("root")[0]
-			}(i)
-		}
-		close(start)
-		wg.Wait()
-		for i := range got {
-			if got[i] != got[0] {
-				t.Fatalf("round %d: worker %d saw a second build of the label index", round, i)
-			}
-		}
-	}
-}
-
-// TestLabeledFollowsRenumber: the label index is keyed by generation,
-// so a node appended and renumbered in shows up in the next Labeled
-// call with no other invalidation step.
+// TestLabeledFollowsRenumber: Renumber rebuilds the label index, so a
+// node appended and renumbered in shows up in the next Labeled call
+// with no other invalidation step.
 func TestLabeledFollowsRenumber(t *testing.T) {
 	doc := sampleDoc()
 	before := doc.Labeled("patient")

@@ -643,8 +643,9 @@ func (l *loader) doctype() error {
 	}
 }
 
-// finish lays out the loaded nodes as the document's node table and
-// cuts every text node's data from one string holding all text.
+// finish lays out the loaded nodes as the document's node table, cuts
+// every text node's data from one string holding all text, and indexes
+// the table.
 func (l *loader) finish() *Document {
 	d := l.doc
 	d.Root = l.root
@@ -664,5 +665,6 @@ func (l *loader) finish() *Document {
 			start, next = end, next+1
 		}
 	}
+	d.index()
 	return d
 }

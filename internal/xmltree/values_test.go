@@ -2,58 +2,47 @@ package xmltree
 
 import "testing"
 
-// TestValuesExact: a built label's nodes share an id exactly when their
-// Text() values are equal (mixed content included), nodes of other
-// labels stay Unbuilt, an absent value gets NoValue, and Renumber drops
-// the dictionary.
+// TestValuesExact: over every node, two ids are equal exactly when the
+// Text() values are equal (mixed content included), ID agrees with the
+// column, and an absent value gets NoValue; the same holds after a text
+// edit followed by Renumber.
 func TestValuesExact(t *testing.T) {
 	doc, err := ParseString(`<r><a>x</a><a>y</a><a>x</a><b>x</b><a>x<c/>y</a><a>xy</a><a/><b>z</b></r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Values() != nil {
-		t.Fatal("a fresh document has a value dictionary")
-	}
-	v := doc.BuildValues([]string{"a"}, false)
-	if !v.Covers([]string{"a"}, false) || v.Covers([]string{"a", "b"}, false) || v.Covers(nil, true) {
-		t.Fatal("BuildValues(a) covers more or less than a")
-	}
-	col := v.Column()
-	as := doc.Labeled("a")
-	for _, i := range as {
-		for _, j := range as {
-			same := doc.Nodes()[i].Text() == doc.Nodes()[j].Text()
-			if (col[i] == col[j]) != same {
-				t.Errorf("nodes %d (%q) and %d (%q): ids %d and %d", i, doc.Nodes()[i].Text(), j, doc.Nodes()[j].Text(), col[i], col[j])
+	check := func(stage string) {
+		t.Helper()
+		v := doc.Values()
+		col := v.Column()
+		nodes := doc.Nodes()
+		if len(col) != len(nodes) {
+			t.Fatalf("%s: column has %d entries for %d nodes", stage, len(col), len(nodes))
+		}
+		for i, n := range nodes {
+			for j, m := range nodes {
+				if same := n.Text() == m.Text(); (col[i] == col[j]) != same {
+					t.Errorf("%s: nodes %d (%q) and %d (%q): ids %d and %d", stage, i, n.Text(), j, m.Text(), col[i], col[j])
+				}
+			}
+			if col[i] != v.ID(n.Text()) {
+				t.Errorf("%s: node %d: column id %d, ID(%q) = %d", stage, i, col[i], n.Text(), v.ID(n.Text()))
 			}
 		}
-		if col[i] != v.ID(doc.Nodes()[i].Text()) {
-			t.Errorf("node %d: column id %d, ID(%q) = %d", i, col[i], doc.Nodes()[i].Text(), v.ID(doc.Nodes()[i].Text()))
+		if v.ID("absent") != NoValue {
+			t.Errorf("%s: a value no node carries got id %d", stage, v.ID("absent"))
 		}
 	}
-	for _, i := range doc.Labeled("b") {
-		if col[i] != Unbuilt {
-			t.Errorf("unbuilt b node %d has id %d", i, col[i])
-		}
-	}
-	if v.ID("z") != NoValue || v.ID("absent") != NoValue {
-		t.Errorf("values only unbuilt or no nodes carry got ids %d, %d", v.ID("z"), v.ID("absent"))
-	}
-	if doc.Values() != v || doc.BuildValues([]string{"a"}, false) != v {
-		t.Error("an already built label was rebuilt")
-	}
+	check("parsed")
 
-	w := doc.BuildValues([]string{"b"}, false)
-	if !w.Covers([]string{"a", "b"}, false) || w.ID("x") != v.ID("x") || w.ID("z") == NoValue {
-		t.Errorf("adding b lost a or renumbered ids: x %d → %d, z %d", v.ID("x"), w.ID("x"), w.ID("z"))
+	z := doc.Nodes()[doc.Labeled(TextLabel)[len(doc.Labeled(TextLabel))-1]]
+	if z.Data != "z" {
+		t.Fatalf("last text node holds %q, want z", z.Data)
 	}
-	all := doc.BuildValues(nil, true)
-	if !all.Covers([]string{"r", "c"}, true) || all.Column()[doc.Root.Ord()] == Unbuilt {
-		t.Error("BuildValues(all) left nodes unbuilt")
-	}
-
+	z.Data = "y"
 	doc.Renumber()
-	if doc.Values() != nil {
-		t.Error("Renumber kept the value dictionary")
+	check("edited")
+	if doc.Values().ID("z") != NoValue {
+		t.Error("Renumber kept the edited-away value z")
 	}
 }

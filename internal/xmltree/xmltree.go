@@ -13,8 +13,6 @@ package xmltree
 import (
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // NodeKind distinguishes element nodes from text (PCDATA) nodes.
@@ -198,26 +196,16 @@ func (n *Node) Path() string {
 // document order, so byOrd[n.Ord()] == n and a subtree is the
 // contiguous range byOrd[ord : ord+desc+1]). It also owns the label
 // index over that table (see Labeled) and the value dictionary (see
-// Values), so every reader of one document shares one of each.
+// Values), both built with the numbering, so every reader of one
+// document shares one of each.
 type Document struct {
 	Root   *Node
 	size   int
 	height int
 	byOrd  []*Node
 	gen    uint64
-
-	labels   atomic.Pointer[labelTable]
-	labelsMu sync.Mutex // serializes label table builds
-
-	values   atomic.Pointer[Values] // see values.go
-	valuesMu sync.Mutex             // serializes value dictionary builds
-}
-
-// labelTable is the label index of a document at one generation: for
-// each label, the ordinals of the nodes carrying it in document order.
-type labelTable struct {
-	gen     uint64
-	byLabel map[string][]int32
+	labels map[string][]int32 // ordinals of each label's nodes; see Labeled
+	values Values             // see values.go
 }
 
 // NewDocument wraps a root node into a document and assigns document
@@ -231,14 +219,11 @@ func NewDocument(root *Node) *Document {
 // Renumber reassigns document-order positions and descendant counts
 // after tree mutation. A node's subtree occupies the contiguous ord range
 // [ord, ord+desc], which makes descendant tests O(1). The same walk
-// rebuilds the byOrd node table and caches the document height, so both
-// are as fresh as the numbering itself; the label index and the value
-// dictionary, keyed by generation, are dropped and rebuilt on their
-// next use.
+// rebuilds the byOrd node table and caches the document height, and
+// the label index and the value dictionary are rebuilt from the new
+// table, so all of them are as fresh as the numbering itself.
 func (d *Document) Renumber() {
 	d.gen++
-	d.labels.Store(nil)
-	d.values.Store(nil)
 	d.byOrd = d.byOrd[:0]
 	d.height = 0
 	var walk func(node *Node, depth int) int
@@ -258,58 +243,47 @@ func (d *Document) Renumber() {
 	}
 	walk(d.Root, 0)
 	d.size = len(d.byOrd)
+	d.index()
 }
 
-// Labeled returns the ordinals of the document's nodes carrying label,
-// in document order (Nodes()[ord] is the node). The slice is shared;
-// callers must not mutate it. The label index behind it is built on
-// first use, once per generation, from the node table, and every later
-// call reads it without locking. Postings are ordinals rather than
-// pointers so the index adds nothing for the garbage collector to scan.
-func (d *Document) Labeled(label string) []int32 {
-	t := d.labels.Load()
-	if t == nil || t.gen != d.gen {
-		t = d.buildLabels()
-	}
-	return t.byLabel[label]
-}
-
-// buildLabels builds the label table for the current generation unless
-// a concurrent caller already has. Posting lists are carved from one
-// slab sized by a counting pass, each capped at its exact length.
-func (d *Document) buildLabels() *labelTable {
-	d.labelsMu.Lock()
-	defer d.labelsMu.Unlock()
-	if t := d.labels.Load(); t != nil && t.gen == d.gen {
-		return t
-	}
+// index builds the label index and the value dictionary over the node
+// table; Renumber and the loader call it once the table is laid out.
+// Posting lists are carved from one slab sized by a counting pass, each
+// capped at its exact length.
+func (d *Document) index() {
 	counts := make(map[string]int)
 	for _, n := range d.byOrd {
 		counts[n.Label]++
 	}
-	t := &labelTable{gen: d.gen, byLabel: make(map[string][]int32, len(counts))}
+	d.labels = make(map[string][]int32, len(counts))
 	slab := make([]int32, len(d.byOrd))
 	off := 0
 	for label, c := range counts {
-		t.byLabel[label] = slab[off : off : off+c]
+		d.labels[label] = slab[off : off : off+c]
 		off += c
 	}
 	for ord, n := range d.byOrd {
-		t.byLabel[n.Label] = append(t.byLabel[n.Label], int32(ord))
+		d.labels[n.Label] = append(d.labels[n.Label], int32(ord))
 	}
-	d.labels.Store(t)
-	return t
+	d.values.build(d.byOrd)
+}
+
+// Labeled returns the ordinals of the document's nodes carrying label,
+// in document order (Nodes()[ord] is the node). The slice is shared;
+// callers must not mutate it. Postings are ordinals rather than
+// pointers so the index adds nothing for the garbage collector to scan.
+func (d *Document) Labeled(label string) []int32 {
+	return d.labels[label]
 }
 
 // Size returns the number of nodes in the document (elements + text).
 func (d *Document) Size() int { return d.size }
 
 // Generation counts Renumber calls on this document. Ordinal-keyed
-// storage that outlives one evaluation (the label index, the value
-// dictionary) records the generation it was built against and treats a
-// mismatch as stale: after any renumbering the same ordinal may name a
-// different node, so a recorded ordinal set is only meaningful at its
-// own generation.
+// storage kept outside the document should record the generation it
+// was built against and treat a mismatch as stale: after any
+// renumbering the same ordinal may name a different node, so a
+// recorded ordinal set is only meaningful at its own generation.
 func (d *Document) Generation() uint64 { return d.gen }
 
 // Nodes returns every node in document order. The slice is the

@@ -150,7 +150,11 @@ func (b *bitEval) path(p Path, ctx *nodeset.Set) (*nodeset.Set, error) {
 		// Selectivity: a posting list no longer than the context is
 		// cheaper to filter by parent than the context's children are
 		// to scan, since every context node would be visited at least
-		// once.
+		// once. This is also how //l reads the label index, the way
+		// the paper's "state-of-the-art" evaluator [17] avoids full
+		// scans: Descend fills the context's subtree cover, and when
+		// the cover is at least as large as l's posting list the
+		// postings are filtered against it here.
 		if candidates := b.doc.Labeled(p.Name); len(candidates) <= ctx.Count() {
 			for _, ord := range candidates {
 				if parent := byOrd[ord].Parent; parent != nil && ctx.Has(parent.Ord()) {
@@ -189,9 +193,6 @@ func (b *bitEval) path(p Path, ctx *nodeset.Set) (*nodeset.Set, error) {
 		b.recycle(mid)
 		return out, err
 	case Descend:
-		if out, ok, err := b.descendViaIndex(p.Sub, ctx); ok || err != nil {
-			return out, err
-		}
 		dos, err := b.descendantOrSelf(ctx)
 		if err != nil {
 			return nil, err
@@ -290,98 +291,34 @@ func climb(p Path, n *xmltree.Node) *xmltree.Node {
 // the previous subtree interval (intervals are laminar, so that drops
 // exactly the covered duplicates), and fill [ord, ord+desc] for each
 // maximal interval. tickN keeps the nodes-visited count and the
-// cancellation poll rate proportional to the nodes covered.
+// cancellation poll rate proportional to the nodes covered; it is
+// called once per tickMask+1 or more covered nodes, not per interval:
+// a call per small subtree (each treatment under //bill) made
+// BenchmarkDeepDescendant's //dept//treatment//bill 5-10% slower.
 func (b *bitEval) descendantOrSelf(ctx *nodeset.Set) (*nodeset.Set, error) {
 	out := b.get()
 	byOrd := b.doc.Nodes()
-	limit := -1
+	limit, covered := -1, 0
 	var loopErr error
 	ctx.ForEachUntil(func(ord int) bool {
 		if ord <= limit {
 			return true // nested inside the previous interval
 		}
 		hi := ord + byOrd[ord].DescendantCount()
-		if loopErr = b.se.tickN(hi - ord + 1); loopErr != nil {
-			return false
-		}
 		out.AddRange(ord, hi)
 		limit = hi
-		return true
+		if covered += hi - ord + 1; covered > tickMask {
+			loopErr, covered = b.se.tickN(covered), 0
+		}
+		return loopErr == nil
 	})
+	if loopErr == nil {
+		loopErr = b.se.tickN(covered)
+	}
 	if loopErr != nil {
 		return nil, loopErr
 	}
 	return out, nil
-}
-
-// descendViaIndex answers //l... from the document's label index
-// (Document.Labeled), the way the paper's "state-of-the-art" evaluator
-// [17] avoids full scans: the context's descendant-or-self cover becomes
-// a range-filled bitset, and the posting list of l keeps the entries
-// whose parent the cover holds. ok is false when the head is not a
-// label step, or when the per-step selectivity heuristic prefers the
-// subtree fill (context cover smaller than the posting list, as for a
-// descendant step inside a qualifier tested at a few small subtrees).
-func (b *bitEval) descendViaIndex(sub Path, ctx *nodeset.Set) (*nodeset.Set, bool, error) {
-	head, rest := splitHead(sub)
-	label, ok := head.(Label)
-	if !ok {
-		return nil, false, nil
-	}
-	candidates := b.doc.Labeled(label.Name)
-	if len(candidates) == 0 {
-		return b.get(), true, nil
-	}
-	// Build the cover set and its size in one pass over the maximal
-	// subtree intervals; the fill is O(universe/64) words, cheap enough
-	// to discard if the heuristic then prefers the walk.
-	cover := b.get()
-	byOrd := b.doc.Nodes()
-	size, limit := 0, -1
-	ctx.ForEach(func(ord int) {
-		if ord <= limit {
-			return
-		}
-		hi := ord + byOrd[ord].DescendantCount()
-		cover.AddRange(ord, hi)
-		size += hi - ord + 1
-		limit = hi
-	})
-	if size < len(candidates) {
-		b.recycle(cover)
-		return nil, false, nil
-	}
-	matched := b.get()
-	for _, ord := range candidates {
-		if err := b.se.tick(); err != nil {
-			return nil, true, err
-		}
-		if parent := byOrd[ord].Parent; parent != nil && cover.Has(parent.Ord()) {
-			matched.Add(int(ord))
-		}
-	}
-	b.recycle(cover)
-	if rest == nil {
-		return matched, true, nil
-	}
-	out, err := b.path(rest, matched)
-	b.recycle(matched)
-	return out, true, err
-}
-
-// splitHead splits a path into its first step and the remainder (nil when
-// the path is a single step). Sequences are left-deep, so the head is the
-// leftmost non-Seq node.
-func splitHead(p Path) (Path, Path) {
-	seq, ok := p.(Seq)
-	if !ok {
-		return p, nil
-	}
-	head, mid := splitHead(seq.Left)
-	if mid == nil {
-		return head, seq.Right
-	}
-	return head, Seq{Left: mid, Right: seq.Right}
 }
 
 // sat returns the members of cand at which q holds: the set-at-a-time
@@ -423,8 +360,10 @@ func (b *bitEval) sat(q Qual, cand *nodeset.Set) (*nodeset.Set, error) {
 			}
 			val = bound
 		}
-		col, id := b.valueID(q.Path, val)
-		return b.semiJoin(q.Path, cand, &valueTest{col: col, id: id})
+		// Resolve the comparand to its id once; a value no node carries
+		// gets xmltree.NoValue, which matches no column entry.
+		v := b.doc.Values()
+		return b.semiJoin(q.Path, cand, &valueTest{col: v.Column(), id: v.ID(val)})
 	case QAttrEq:
 		return b.filter(cand, func(v *xmltree.Node) bool {
 			val, ok := v.Attr(q.Name)
@@ -501,47 +440,6 @@ func (b *bitEval) filter(s *nodeset.Set, keep func(*xmltree.Node) bool) (*nodese
 type valueTest struct {
 	col []int32
 	id  int32
-}
-
-// valueID resolves the comparand of a p = c qualifier to its id in the
-// document's value dictionary, first building the dictionaries of the
-// labels p's final step can select (see finalLabels), and returns the
-// dictionary's column with it. A value no such node carries gets
-// xmltree.NoValue, which matches no column entry.
-func (b *bitEval) valueID(p Path, val string) ([]int32, int32) {
-	var buf [4]string
-	labels, all := finalLabels(p, buf[:0])
-	v := b.doc.Values()
-	if !v.Covers(labels, all) {
-		v = b.doc.BuildValues(labels, all)
-	}
-	return v.Column(), v.ID(val)
-}
-
-// finalLabels appends to acc the labels of the nodes p can select, the
-// only column entries a value test over p's image reads; all is set
-// when p's final step can select any node (., *, a Rec).
-func finalLabels(p Path, acc []string) (labels []string, all bool) {
-	switch p := p.(type) {
-	case Empty:
-		return acc, false
-	case Label:
-		return append(acc, p.Name), false
-	case Seq:
-		return finalLabels(p.Right, acc)
-	case Descend:
-		return finalLabels(p.Sub, acc)
-	case Union:
-		acc, all = finalLabels(p.Left, acc)
-		if all {
-			return acc, true
-		}
-		return finalLabels(p.Right, acc)
-	case Qualified:
-		return finalLabels(p.Sub, acc)
-	default:
-		return acc, true
-	}
 }
 
 // matchValue returns the members of s whose value id is t.id, one tick

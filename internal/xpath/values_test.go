@@ -1,8 +1,8 @@
 package xpath_test
 
 // Property suite for the value dictionary behind p = c qualifiers: the
-// evaluator resolves c to an id of the document's per-label value
-// dictionaries (xmltree.Values) and compares ids, and must select
+// evaluator resolves c to an id of the document's value dictionary
+// (xmltree.Values) and compares ids, and must select
 // exactly what the reference evaluator selects by comparing strings.
 // Documents draw their text from a small pool of equal-length values,
 // so that values repeat across nodes and labels and any key coarser
@@ -234,10 +234,10 @@ func TestValueIDsMatchReference(t *testing.T) {
 	}
 }
 
-// TestValueIDsConcurrentFirstBuilds races the first dictionary builds
-// of different labels, and of every label, on fresh documents: under
-// -race this checks the lock-free publication; every answer must match
-// the reference computed beforehand.
+// TestValueIDsConcurrentFirstBuilds runs p = c evaluations over many
+// labels concurrently on fresh documents: under -race this checks that
+// evaluations only read the dictionary Renumber built; every answer
+// must match the reference computed beforehand.
 func TestValueIDsConcurrentFirstBuilds(t *testing.T) {
 	base := xmlgen.Generate(dtds.Hospital(), xmlgen.Config{Seed: 4, MinRepeat: 1, MaxRepeat: 4, Value: poolValue})
 	labels := append(dtds.Hospital().Types(), xpath.TextName)
@@ -252,7 +252,7 @@ func TestValueIDsConcurrentFirstBuilds(t *testing.T) {
 		for i, l := range labels {
 			var step xpath.Path = xpath.Label{Name: l}
 			if i%5 == 4 {
-				step = xpath.Self{} // builds every label at once
+				step = xpath.Self{} // reads every element's id
 			}
 			p := xpath.Descend{Sub: xpath.Qualified{Sub: xpath.Wildcard{}, Cond: xpath.QEq{Path: step, Value: poolValue(r, "")}}}
 			jobs = append(jobs, job{p, ref(t, p, doc.Root)})
@@ -292,17 +292,14 @@ func TestValueIDsConcurrentFirstBuilds(t *testing.T) {
 }
 
 // TestValueIDsSeeEditsAfterRenumber: a document is immutable between
-// Renumber calls, and its value dictionary is keyed by generation. An
-// in-place text edit followed by Renumber is seen by the next p = c
-// evaluation even though the previous one built the dictionary.
+// Renumber calls, which rebuilds its value dictionary. An in-place text
+// edit followed by Renumber is seen by the next p = c evaluation even
+// though an earlier one read the dictionary of the unedited text.
 func TestValueIDsSeeEditsAfterRenumber(t *testing.T) {
 	doc := dtds.GenerateHospital(3, 3)
 	p := xpath.MustParse(`//patient[wardNo = "9"]`)
 	if got := xpath.EvalDoc(p, doc); len(got) != 0 {
 		t.Fatalf("generated document already has ward 9: %d patients", len(got))
-	}
-	if doc.Values() == nil {
-		t.Fatal("evaluating p = c built no value dictionary")
 	}
 	wardNo := xpath.EvalDoc(xpath.MustParse("//patient/wardNo/text()"), doc)
 	if len(wardNo) == 0 {
@@ -310,6 +307,9 @@ func TestValueIDsSeeEditsAfterRenumber(t *testing.T) {
 	}
 	wardNo[0].Data = "9"
 	doc.Renumber()
+	if doc.Values().ID("9") == xmltree.NoValue {
+		t.Fatal("after edit and Renumber: the dictionary has no id for 9")
+	}
 	got := xpath.EvalDoc(p, doc)
 	if len(got) != 1 || got[0] != wardNo[0].Parent.Parent {
 		t.Fatalf("after edit and Renumber: %d patients in ward 9, want the edited one", len(got))
