@@ -88,13 +88,7 @@ func main() {
 		fatal(err)
 	}
 	if *explain {
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
-		ex, err := engine.ExplainCtx(ctx, doc, p)
+		ex, err := engine.ExplainUntil(context.Background(), deadlineAfter(*timeout), doc, p)
 		if err != nil {
 			fatal(err)
 		}
@@ -122,13 +116,8 @@ func main() {
 			}
 		}
 		if *noOptimize {
-			ctx := context.Background()
-			if *timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, *timeout)
-				defer cancel()
-			}
-			result, _, err := xpath.Evaluate(ctx, final, []*xmltree.Node{doc.Root}, xpath.Env{})
+			env := xpath.Env{Deadline: deadlineAfter(*timeout)}
+			result, _, err := xpath.Evaluate(context.Background(), final, []*xmltree.Node{doc.Root}, env)
 			if err != nil {
 				fatal(err)
 			}
@@ -150,13 +139,16 @@ func main() {
 // queryOnce runs one evaluation under the optional deadline, filling qm
 // with the request's metrics (the last repeat wins).
 func queryOnce(engine *core.Engine, doc *xmltree.Document, p xpath.Path, timeout time.Duration, qm *obs.QueryMetrics) ([]*xmltree.Node, error) {
-	ctx := obs.WithQueryMetrics(context.Background(), qm)
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	return engine.QueryUntil(obs.WithQueryMetrics(context.Background(), qm), deadlineAfter(timeout), doc, p)
+}
+
+// deadlineAfter is the deadline of a run bounded by -timeout: zero, no
+// deadline, when the timeout is not positive.
+func deadlineAfter(timeout time.Duration) time.Time {
+	if timeout <= 0 {
+		return time.Time{}
 	}
-	return engine.QueryCtx(ctx, doc, p)
+	return time.Now().Add(timeout)
 }
 
 func printResult(result []*xmltree.Node) {

@@ -117,3 +117,33 @@ func TestQueryCtxAlreadyCancelled(t *testing.T) {
 		t.Errorf("retry did not hit the plan cached by the cancelled query: %+v", s.PlanCache)
 	}
 }
+
+// TestQueryUntilDeadline: a deadline passed as a value, with no context
+// deadline and so no timer behind it, still cuts a long evaluation off
+// promptly with context.DeadlineExceeded, counts as cancelled and leaves
+// the plan cached. TestQueryCtxDeadline covers a context's deadline,
+// which QueryCtx passes down as the same value.
+func TestQueryUntilDeadline(t *testing.T) {
+	doc := bigHospital()
+	e := nurseEngine(t, "1")
+	p := xpath.MustParse(heavyQuery)
+	start := time.Now()
+	if _, err := e.QueryUntil(context.Background(), time.Time{}, doc, p); err != nil {
+		t.Fatalf("uncancelled query: %v", err)
+	}
+	if full := time.Since(start); full < 5*time.Millisecond {
+		t.Skipf("document too fast to test cancellation meaningfully (%v for %d nodes)", full, doc.Size())
+	}
+	start = time.Now()
+	_, err := e.QueryUntil(context.Background(), start.Add(time.Millisecond), doc, p)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed >= 100*time.Millisecond {
+		t.Errorf("query past its deadline took %v, want well under 100ms", elapsed)
+	}
+	if s := e.Stats(); s.Cancelled != 1 || s.PlanCache.Hits != 1 || s.PlanCache.Entries != 1 {
+		t.Errorf("stats after the deadline: cancelled=%d %+v (want 1 cancelled, the cached plan hit)", s.Cancelled, s.PlanCache)
+	}
+}

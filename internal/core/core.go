@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,7 +122,7 @@ type state struct {
 	rw *rewrite.Rewriter
 
 	// plans caches rewritten-and-optimized queries by the text of the
-	// parameterized query (xpath.ParameterizedString), so repeated query
+	// parameterized query (xpath.AppendParameterized), so repeated query
 	// shapes skip rewrite+optimize whatever their literals and binding.
 	plans *plancache.Cache[*Prepared]
 
@@ -218,7 +219,7 @@ func (e *Engine) RewriteMode() string { return e.s.rw.Mode() }
 // Rewrite translates a view query into the equivalent document query p_t.
 // The specification's $parameters stay symbolic in p_t. It is the
 // rewrite stage alone, timed by the serving benchmark's trace; plans
-// are built by QueryCtx, Prepare and ExplainCtx.
+// are built by QueryUntil, Prepare and ExplainUntil.
 //
 // Deprecated: height and the error are kept only because perfbench
 // pins this signature: the plan is valid for documents of any height,
@@ -243,14 +244,30 @@ func (e *Engine) env(lits []string) xpath.Env {
 	return xpath.Env{Params: e.params, Literals: lits}
 }
 
+// keyBufs holds the buffers plan-cache keys are printed into, so a
+// lookup makes no key string: only a Put does.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledKey is the largest key buffer plan returns to keyBufs.
+const maxPooledKey = 64 << 10
+
+func putKeyBuf(kb *[]byte, key []byte) {
+	if cap(key) <= maxPooledKey {
+		*kb = key[:0]
+		keyBufs.Put(kb)
+	}
+}
+
 // plan returns the cached plan for a query's shape, building and
 // caching it on a miss, plus the query's literals in placeholder order.
-// It is the one plan-build path: QueryCtx, Prepare and ExplainCtx all
+// It is the one plan-build path: QueryUntil, Prepare and ExplainUntil all
 // go through it, so each moves the plan-cache counters the same way.
 // The cache key is the query printed with its p = "c" constants renamed
-// to placeholders (xpath.ParameterizedString), so queries that differ
-// only in their constants share one plan; only a build makes the
-// renamed query (xpath.Parameterize) that gets rewritten. This is sound
+// to placeholders (xpath.AppendParameterized), so queries that differ
+// only in their constants share one plan. The key is printed into a
+// pooled buffer and made a string only when a build caches its plan;
+// only a build makes the renamed query (xpath.Parameterize) that gets
+// rewritten. This is sound
 // because rewrite and optimize treat constants as opaque: their one test
 // on a value is syntactic equality, which a consistent renaming keeps
 // between query literals; a literal equal to a specification constant
@@ -272,7 +289,9 @@ func (e *Engine) plan(ctx context.Context, p xpath.Path, ex *Explain) (*Prepared
 	if err := e.checkVars(p); err != nil {
 		return nil, nil, err
 	}
-	key, lits := xpath.ParameterizedString(p)
+	kb := keyBufs.Get().(*[]byte)
+	key, lits := xpath.AppendParameterized((*kb)[:0], p)
+	defer putKeyBuf(kb, key)
 	qm := obs.QueryMetricsFromContext(ctx)
 	prep, hit := e.s.plans.Get(key)
 	if qm != nil {
@@ -292,7 +311,7 @@ func (e *Engine) plan(ctx context.Context, p xpath.Path, ex *Explain) (*Prepared
 	}
 	if !hit {
 		prep = newPrepared(po)
-		e.s.plans.Put(key, prep)
+		e.s.plans.Put(string(key), prep)
 	}
 	if ex != nil {
 		ex.PlanWasCached = hit
@@ -325,16 +344,28 @@ func (e *Engine) checkVars(p xpath.Path) error {
 // before, and malformed or unbound-variable queries return an error
 // rather than panicking. Evaluation polls the context cooperatively and
 // returns ctx.Err() once it is done, so callers can bound a query with
-// a deadline or cancel it mid-flight. Plan rewriting and caching
+// a deadline or cancel it mid-flight; the deadline reaches the
+// evaluator as the value QueryUntil takes. Plan rewriting and caching
 // complete normally either way — a cancelled query leaves the plan
 // cache exactly as a successful one would, so a retry hits the cached
 // plan. Every query runs the evaluator.
 func (e *Engine) QueryCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
-	return e.run(ctx, doc, p, nil)
+	deadline, _ := ctx.Deadline()
+	return e.QueryUntil(ctx, deadline, doc, p)
 }
 
-// run is QueryCtx, and with a non-nil ex the pipeline of ExplainCtx.
-func (e *Engine) run(ctx context.Context, doc *xmltree.Document, p xpath.Path, ex *Explain) ([]*xmltree.Node, error) {
+// QueryUntil is QueryCtx with the deadline as a value: evaluation ends
+// with context.DeadlineExceeded once the clock passes deadline (zero for
+// none, though a deadline of ctx still holds), and ctx carries
+// cancellation and the request's record. No timer backs the deadline;
+// the evaluator compares it with the clock as it polls (xpath.Env), so a
+// server bounds every request without deriving a context per request.
+func (e *Engine) QueryUntil(ctx context.Context, deadline time.Time, doc *xmltree.Document, p xpath.Path) ([]*xmltree.Node, error) {
+	return e.run(ctx, deadline, doc, p, nil)
+}
+
+// run is QueryUntil, and with a non-nil ex the pipeline of ExplainUntil.
+func (e *Engine) run(ctx context.Context, deadline time.Time, doc *xmltree.Document, p xpath.Path, ex *Explain) ([]*xmltree.Node, error) {
 	e.s.queries.Add(1)
 	prep, lits, err := e.plan(ctx, p, ex)
 	if err != nil {
@@ -342,8 +373,10 @@ func (e *Engine) run(ctx context.Context, doc *xmltree.Document, p xpath.Path, e
 	}
 	e.s.evals.Add(1)
 	qm := obs.QueryMetricsFromContext(ctx)
+	env := e.env(lits)
+	env.Deadline = deadline
 	start := time.Now()
-	out, visited, err := xpath.Evaluate(ctx, prep.Optimized, []*xmltree.Node{doc.Root}, e.env(lits))
+	out, visited, err := xpath.Evaluate(ctx, prep.Optimized, []*xmltree.Node{doc.Root}, env)
 	if qm != nil {
 		qm.Eval = time.Since(start)
 		qm.NodesVisited = visited
@@ -408,19 +441,20 @@ type Explain struct {
 	RecursiveView bool   `json:"recursive_view"`
 	RewriteMode   string `json:"rewrite_mode"`
 	// PlanWasCached is the outcome of the explain's plan-cache lookup,
-	// counted like a QueryCtx's (explain re-measures regardless, and
+	// counted like a QueryUntil's (explain re-measures regardless, and
 	// caches its plan only on a miss).
 	PlanWasCached bool `json:"plan_was_cached"`
 }
 
-// ExplainCtx answers a view query like QueryCtx while measuring every
-// phase fresh: rewrite and optimize run even when the plan cache holds
-// the query's shape. The plan cache sees exactly what a QueryCtx of the
-// query would do to it — one counted lookup, and on a miss the built
-// plan is cached — and PlanWasCached is that lookup's outcome. A
+// ExplainUntil answers a view query like QueryUntil while measuring
+// every phase fresh: rewrite and optimize run even when the plan cache
+// holds the query's shape. The plan cache sees exactly what a
+// QueryUntil of the query would do to it — one counted lookup, and on a
+// miss the built plan is cached — and PlanWasCached is that lookup's
+// outcome. A
 // context carrying a QueryMetrics record gets the same phase durations,
 // plan text and cache outcome the Explain reports.
-func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.Path) (*Explain, error) {
+func (e *Engine) ExplainUntil(ctx context.Context, deadline time.Time, doc *xmltree.Document, p xpath.Path) (*Explain, error) {
 	qm := obs.QueryMetricsFromContext(ctx)
 	if qm == nil {
 		qm = &obs.QueryMetrics{}
@@ -432,7 +466,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 		RecursiveView: e.s.view.IsRecursive(),
 		RewriteMode:   e.RewriteMode(),
 	}
-	out, err := e.run(ctx, doc, p, ex)
+	out, err := e.run(ctx, deadline, doc, p, ex)
 	if err != nil {
 		return nil, err
 	}
@@ -449,8 +483,8 @@ func (e *Engine) ExplainCtx(ctx context.Context, doc *xmltree.Document, p xpath.
 // the shared state. svserve exposes Evals, PlanCache.Evictions and
 // PlanCache.Entries per class on /metricsz.
 type Stats struct {
-	// Queries counts QueryCtx (QueryString included) and ExplainCtx
-	// calls; Prepare evaluates nothing and is not counted.
+	// Queries counts QueryUntil (QueryCtx and QueryString included) and
+	// ExplainUntil calls; Prepare evaluates nothing and is not counted.
 	Queries uint64 `json:"queries"`
 	// Cancelled counts queries that returned a context error (deadline
 	// exceeded or caller cancellation) mid-evaluation.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/dtds"
 	"repro/internal/obs"
@@ -36,9 +37,9 @@ func TestExplainRecursive(t *testing.T) {
 	e, doc := fig7Engine(t)
 	const q = "//a//a/b"
 
-	ex, err := e.ExplainCtx(context.Background(), doc, xpath.MustParse(q))
+	ex, err := e.ExplainUntil(context.Background(), time.Time{}, doc, xpath.MustParse(q))
 	if err != nil {
-		t.Fatalf("ExplainCtx: %v", err)
+		t.Fatalf("ExplainUntil: %v", err)
 	}
 	if want := xpath.String(xpath.MustParse(q)); ex.Query != want {
 		t.Errorf("Query = %q, want %q", ex.Query, want)
@@ -76,9 +77,9 @@ func TestExplainRecursive(t *testing.T) {
 	}
 
 	// Second explain: the plan the first one re-cached is now visible.
-	ex2, err := e.ExplainCtx(context.Background(), doc, xpath.MustParse(q))
+	ex2, err := e.ExplainUntil(context.Background(), time.Time{}, doc, xpath.MustParse(q))
 	if err != nil {
-		t.Fatalf("second ExplainCtx: %v", err)
+		t.Fatalf("second ExplainUntil: %v", err)
 	}
 	if !ex2.PlanWasCached {
 		t.Error("second explain does not see the cached plan")
@@ -152,7 +153,7 @@ func TestExplainFillsRecord(t *testing.T) {
 	doc := dtds.GenerateHospital(3, 3)
 	const q = "//patient[name and wardNo]/treatment//bill"
 	qm := &obs.QueryMetrics{}
-	ex, err := e.ExplainCtx(obs.WithQueryMetrics(context.Background(), qm), doc, xpath.MustParse(q))
+	ex, err := e.ExplainUntil(obs.WithQueryMetrics(context.Background(), qm), time.Time{}, doc, xpath.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestExplainFillsRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex2, err := e.ExplainCtx(context.Background(), doc, xpath.MustParse(q))
+	ex2, err := e.ExplainUntil(context.Background(), time.Time{}, doc, xpath.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +191,9 @@ func TestExplainCountsLikeQuery(t *testing.T) {
 	for i, q := range []string{"//a/b", "//a/b", "//a//a/b", "//a/b"} {
 		p := xpath.MustParse(q)
 		exQM, qQM := &obs.QueryMetrics{}, &obs.QueryMetrics{}
-		got, err := ex.ExplainCtx(obs.WithQueryMetrics(context.Background(), exQM), doc, p)
+		got, err := ex.ExplainUntil(obs.WithQueryMetrics(context.Background(), exQM), time.Time{}, doc, p)
 		if err != nil {
-			t.Fatalf("ExplainCtx(%s): %v", q, err)
+			t.Fatalf("ExplainUntil(%s): %v", q, err)
 		}
 		if _, err := qe.QueryCtx(obs.WithQueryMetrics(context.Background(), qQM), doc, p); err != nil {
 			t.Fatalf("QueryCtx(%s): %v", q, err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dtds"
 	"repro/internal/xmltree"
@@ -377,9 +378,9 @@ func TestExplainReportsNodesVisited(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	ex, err := e.ExplainCtx(context.Background(), doc, p)
+	ex, err := e.ExplainUntil(context.Background(), time.Time{}, doc, p)
 	if err != nil {
-		t.Fatalf("ExplainCtx: %v", err)
+		t.Fatalf("ExplainUntil: %v", err)
 	}
 	if ex.NodesVisited == 0 {
 		t.Errorf("explain reported zero nodes visited")

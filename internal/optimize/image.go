@@ -49,6 +49,56 @@ type inode struct {
 	quals    []qualAt
 	held     []qualAt
 	frontier bool
+	// seen is the last walk that visited the node, and live the last
+	// pruneDead that found it live (inodes.walk numbers both).
+	seen, live uint64
+}
+
+// inodes is an Optimizer's image-graph node storage. A public call takes
+// its nodes in order and unlock gives them all back, so later builds
+// reuse the nodes, and the kid and qualifier arrays they grew, instead
+// of allocating them. Walks over a graph stamp the nodes they visit
+// with a fresh walk number instead of keeping a visited set.
+type inodes struct {
+	chunks [][]inode
+	used   int
+	walks  uint64
+}
+
+const (
+	// inodeChunk is how many nodes the storage grows by at once.
+	inodeChunk = 256
+	// maxKeptChunks bounds the storage a call leaves for the next: the
+	// nodes of a larger call are left to the collector. A churn plan
+	// build takes at most 283 nodes.
+	maxKeptChunks = 4
+)
+
+// get returns a fresh node. A reused node keeps the arrays of its kids
+// and qualifiers, emptied.
+func (s *inodes) get(label string) *inode {
+	c, i := s.used/inodeChunk, s.used%inodeChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]inode, inodeChunk))
+	}
+	s.used++
+	n := &s.chunks[c][i]
+	*n = inode{label: label, kids: n.kids[:0], quals: n.quals[:0], held: n.held[:0]}
+	return n
+}
+
+// reset gives every node back, at the end of a public call.
+func (s *inodes) reset() {
+	if len(s.chunks) > maxKeptChunks {
+		s.chunks = s.chunks[:maxKeptChunks]
+	}
+	s.used = 0
+}
+
+// walk returns a walk number no node carries yet.
+func (s *inodes) walk() uint64 {
+	s.walks++
+	return s.walks
 }
 
 // addQuals gives n the qualifiers of m, in both roles.
@@ -62,13 +112,6 @@ func (n *inode) addQuals(m *inode) {
 type qualAt struct {
 	q  xpath.Qual
 	at string // DTD type the qualifier is evaluated at
-}
-
-// igraph is the image graph image(p, A): root occurrence labeled A,
-// frontier = occurrences selected by p.
-type igraph struct {
-	root *inode
-	size int
 }
 
 // imageBudget caps image construction; larger images abort the build and
@@ -87,22 +130,24 @@ func (b *builder) node(label string) *inode {
 	if b.size > imageBudget {
 		b.overflow = true
 	}
-	return &inode{label: label}
+	return b.o.nodes.get(label)
 }
 
-// image computes image(p, A). ok is false when construction overflowed
-// the budget (callers must then skip containment tests); a nil graph with
-// ok true means p provably selects nothing at A.
-func (o *Optimizer) image(p xpath.Path, a string) (*igraph, bool) {
+// image computes the image graph image(p, A) and returns its root, the
+// occurrence labeled A; its frontier occurrences are those p selects.
+// ok is false when construction overflowed the budget (callers must then
+// skip containment tests); a nil graph with ok true means p provably
+// selects nothing at A.
+func (o *Optimizer) image(p xpath.Path, a string) (*inode, bool) {
 	b := &builder{o: o}
 	root := b.build(p, a)
 	if b.overflow {
 		return nil, false
 	}
-	if root == nil || !pruneDead(root) {
+	if root == nil || !o.nodes.pruneDead(root) {
 		return nil, true
 	}
-	return &igraph{root: root, size: b.size}, true
+	return root, true
 }
 
 // build returns the occurrence tree of p at type a, or nil when empty.
@@ -150,41 +195,7 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		}
 		return n
 	case xpath.Seq:
-		g1 := b.build(p.Left, a)
-		if g1 == nil {
-			return nil
-		}
-		// Replace each frontier occurrence with the image of p.Right at its
-		// label; dead continuations leave dead branches pruned later. Spine
-		// sharing makes the graph a DAG (or cyclic for recursive DTDs), so
-		// each occurrence is visited exactly once — re-visiting would
-		// consume the frontier of freshly spliced continuations.
-		seen := make(map[*inode]bool)
-		var attach func(n *inode)
-		attach = func(n *inode) {
-			if seen[n] {
-				return
-			}
-			seen[n] = true
-			kids := n.kids
-			for _, k := range kids {
-				attach(k)
-			}
-			if !n.frontier {
-				return
-			}
-			n.frontier = false
-			g2 := b.build(p.Right, n.label)
-			if g2 == nil {
-				return
-			}
-			// g2's root is the same occurrence as n: splice its content.
-			n.kids = append(n.kids, g2.kids...)
-			n.addQuals(g2)
-			n.frontier = g2.frontier
-		}
-		attach(g1)
-		return g1
+		return b.then(b.build(p.Left, a), p.Right, nil)
 	case xpath.Descend:
 		n := b.node(a)
 		fromA := o.d.Reachable(a)
@@ -259,25 +270,13 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 		if g2 == nil {
 			return g1
 		}
-		return mergeRoots(a, g1, g2)
+		return o.nodes.mergeRoots(a, g1, g2)
 	case xpath.Qualified:
 		if _, ok := p.Sub.(xpath.Self); !ok {
-			return b.build(xpath.Seq{Left: p.Sub, Right: xpath.Qualified{Sub: xpath.Self{}, Cond: p.Cond}}, a)
+			// p1[q] is p1/ε[q], continued without boxing that split.
+			return b.then(b.build(p.Sub, a), nil, p.Cond)
 		}
-		tv, simplified := o.optQual(p.Cond, a)
-		switch tv {
-		case tvFalse:
-			return nil
-		case tvTrue:
-			n := b.node(a)
-			n.frontier = true
-			return n
-		}
-		n := b.node(a)
-		n.frontier = true
-		n.quals = []qualAt{{q: simplified, at: a}}
-		n.held = []qualAt{{q: simplified, at: a}}
-		return n
+		return b.selfQual(p.Cond, a)
 	case xpath.Rec:
 		// A nil return means "provably empty", which simulate treats as
 		// contained in everything — unsound for an automaton the image
@@ -290,6 +289,65 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 	}
 }
 
+// then continues the image g1 of a query p1 into the image of p1/p2, or
+// of p1/ε[cond] when p2 is nil: each frontier occurrence is replaced
+// with the continuation's image at its label; dead continuations leave
+// dead branches pruned later. Spine sharing makes the graph a DAG (or
+// cyclic for recursive DTDs), so each occurrence is visited exactly
+// once — re-visiting would consume the frontier of freshly spliced
+// continuations.
+func (b *builder) then(g1 *inode, p2 xpath.Path, cond xpath.Qual) *inode {
+	if g1 != nil {
+		b.attach(g1, p2, cond, b.o.nodes.walk())
+	}
+	return g1
+}
+
+func (b *builder) attach(n *inode, p2 xpath.Path, cond xpath.Qual, walk uint64) {
+	if n.seen == walk {
+		return
+	}
+	n.seen = walk
+	for _, k := range n.kids {
+		b.attach(k, p2, cond, walk)
+	}
+	if !n.frontier {
+		return
+	}
+	n.frontier = false
+	var g2 *inode
+	if p2 != nil {
+		g2 = b.build(p2, n.label)
+	} else {
+		g2 = b.selfQual(cond, n.label)
+	}
+	if g2 == nil {
+		return
+	}
+	// g2's root is the same occurrence as n: splice its content.
+	n.kids = append(n.kids, g2.kids...)
+	n.addQuals(g2)
+	n.frontier = g2.frontier
+}
+
+// selfQual is build's case ε[q] at type a.
+func (b *builder) selfQual(q xpath.Qual, a string) *inode {
+	if b.overflow {
+		return nil
+	}
+	tv, simplified := b.o.optQual(q, a)
+	if tv == tvFalse {
+		return nil
+	}
+	n := b.node(a)
+	n.frontier = true
+	if tv == tvUnknown {
+		n.quals = append(n.quals, qualAt{q: simplified, at: a})
+		n.held = append(n.held, qualAt{q: simplified, at: a})
+	}
+	return n
+}
+
 // mergeRoots merges the root occurrences of union branches' images into
 // a fresh root; the branches stay separate below it. The roots are left
 // as they are: a '//' branch's spine can loop back to its own root on a
@@ -300,14 +358,14 @@ func (b *builder) build(p xpath.Path, a string) *inode {
 // The merged root demands every branch's qualifiers but holds only
 // those all branches hold: in .[a/d]/a/b ∪ a/c, the a/c nodes need no
 // a/d, so the union must not prove itself contained in .[a/d]/a/(b ∪ c).
-func mergeRoots(a string, roots ...*inode) *inode {
-	n := &inode{label: a}
+func (s *inodes) mergeRoots(a string, roots ...*inode) *inode {
+	n := s.get(a)
 	for i, r := range roots {
 		n.kids = append(n.kids, r.kids...)
 		n.quals = append(n.quals, r.quals...)
 		n.frontier = n.frontier || r.frontier
 		if i == 0 {
-			n.held = append([]qualAt(nil), r.held...)
+			n.held = append(n.held, r.held...)
 		} else {
 			n.held = commonQuals(n.held, r.held)
 		}
@@ -342,59 +400,63 @@ func hasKid(n, k *inode) bool {
 // pruneDead removes branches that reach no frontier occurrence; it
 // reports whether the root survives. A dead root keeps only its
 // qualifiers. Spine sharing can make the graph cyclic for recursive
-// DTDs, so liveness is a fixpoint.
-func pruneDead(root *inode) bool {
-	live := make(map[*inode]bool)
-	state := make(map[*inode]int)
-	var visit func(n *inode) bool
-	visit = func(n *inode) bool {
-		switch state[n] {
-		case 1: // in progress (cycle): resolved by the outer fixpoint
-			return live[n]
-		case 2:
-			return live[n]
-		}
-		state[n] = 1
-		ok := n.frontier
-		for _, k := range n.kids {
-			if visit(k) {
-				ok = true
-			}
-		}
-		state[n] = 2
-		if ok {
-			live[n] = true
-		}
-		return ok
-	}
-	// Iterate to a fixpoint for cyclic graphs (at most |nodes| rounds, in
-	// practice one or two).
+// DTDs, so liveness is a fixpoint: rounds of walks, each marking live
+// the nodes that reach a frontier one, until a round marks none (at most
+// |nodes| rounds, in practice one or two). A node met again within a
+// round, on a cycle, counts as what earlier rounds found it.
+func (s *inodes) pruneDead(root *inode) bool {
+	p := pruner{live: s.walk()}
 	for {
-		before := len(live)
-		state = make(map[*inode]int)
-		visit(root)
-		if len(live) == before {
+		p.round, p.marked = s.walk(), 0
+		p.visit(root)
+		if p.marked == 0 {
 			break
 		}
 	}
-	seen := make(map[*inode]bool)
-	var strip func(n *inode)
-	strip = func(n *inode) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		kept := n.kids[:0]
-		for _, k := range n.kids {
-			if live[k] {
-				kept = append(kept, k)
-				strip(k)
-			}
-		}
-		n.kids = kept
+	p.strip(root, s.walk())
+	return root.live == p.live
+}
+
+// pruner is one pruneDead: live stamps the nodes it found live, round
+// the current round's walk, and marked counts the nodes the round
+// found live first.
+type pruner struct {
+	live, round uint64
+	marked      int
+}
+
+func (p *pruner) visit(n *inode) bool {
+	if n.seen == p.round {
+		return n.live == p.live
 	}
-	strip(root)
-	return live[root]
+	n.seen = p.round
+	ok := n.frontier
+	for _, k := range n.kids {
+		if p.visit(k) {
+			ok = true
+		}
+	}
+	if ok && n.live != p.live {
+		n.live = p.live
+		p.marked++
+	}
+	return ok
+}
+
+// strip drops the dead kids of every node reachable from n.
+func (p *pruner) strip(n *inode, walk uint64) {
+	if n.seen == walk {
+		return
+	}
+	n.seen = walk
+	kept := n.kids[:0]
+	for _, k := range n.kids {
+		if k.live == p.live {
+			kept = append(kept, k)
+			p.strip(k, walk)
+		}
+	}
+	n.kids = kept
 }
 
 // reachingSet returns the DTD types from which b is reachable (b

@@ -26,6 +26,12 @@ type Optimizer struct {
 
 	dp       *typedp.DP // the DP memo and the recProc tables
 	reaching map[string]map[string]bool
+	// nodes is the image graphs' node storage, reused call after call,
+	// as are the union passes released (passes) and the simulation's
+	// memo (sim).
+	nodes  inodes
+	passes []*unionPass
+	sim    map[[2]*inode]bool
 
 	// rules counts DTD-driven simplification decisions (impossible /
 	// guaranteed qualifiers, exclusive or implied conjuncts, union
@@ -67,9 +73,11 @@ func (o *Optimizer) OptimizeAt(p xpath.Path, a string) (out xpath.Path, rulesFir
 	return out, o.rules - r0, o.pruned - p0
 }
 
-// unlock ends a public call: the DP memo is dropped with the lock.
+// unlock ends a public call: the DP memo and the image graphs are
+// dropped with the lock.
 func (o *Optimizer) unlock() {
 	o.dp.EndCall()
+	o.nodes.reset()
 	o.mu.Unlock()
 }
 
@@ -125,6 +133,7 @@ func (o *Optimizer) optCase(p xpath.Path, a string) typedp.Cell {
 	switch p := p.(type) {
 	case xpath.Union: // case (6): drop a branch contained in the other
 		u := o.newUnionPass(p, a)
+		defer u.release()
 		return u.decide(p, 0, 0, len(u.branches))
 	case xpath.Rec:
 		// Height-free rewrite of a recursive view region (package rewrite).

@@ -114,8 +114,8 @@ func TestExample52And53(t *testing.T) {
 	}
 	// The qualifier [b] is true at a (concatenation production) and must
 	// have been removed from all three images: no qual nodes anywhere.
-	for i, g := range []*igraph{g1, g2, g3} {
-		if countQuals(g.root, make(map[*inode]bool)) != 0 {
+	for i, g := range []*inode{g1, g2, g3} {
+		if countQuals(g, make(map[*inode]bool)) != 0 {
 			t.Errorf("image %d kept qualifiers", i+1)
 		}
 	}

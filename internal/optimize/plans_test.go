@@ -113,15 +113,15 @@ func TestViewPlanGolden(t *testing.T) {
 		"# sha256[:8] of the rewritten and of the optimized plan text, view, query", lines)
 }
 
-// BenchmarkPlanMiss measures plan-cache misses on a warm engine: one
-// op rewrites then optimizes every 7th parameterized churn shape, with
-// $parameters unbound as a class engine holds them and the recProc
-// tables already built. allocs/op is the allocation cost of those
-// plans; ns/plan is the time of one.
-func BenchmarkPlanMiss(b *testing.B) {
+// planMiss returns what BenchmarkPlanMiss and TestPlanMissAllocs build
+// plans from: every 7th parameterized churn shape, with $parameters
+// unbound as a class engine holds them, and a function that rewrites
+// then optimizes each of them, run once so the recProc tables are built.
+func planMiss(t testing.TB) (sample []xpath.Path, plans func()) {
+	t.Helper()
 	view, err := secview.Derive(dtds.NurseSpec())
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	seen := map[string]bool{}
 	var shapes []xpath.Path
@@ -132,26 +132,48 @@ func BenchmarkPlanMiss(b *testing.B) {
 			shapes = append(shapes, shape)
 		}
 	}
-	var sample []xpath.Path
 	for i := 0; i < len(shapes); i += 7 {
 		sample = append(sample, shapes[i])
 	}
 	rw, err := rewrite.ForView(view)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	opt := optimize.New(view.Doc)
-	plans := func() {
+	plans = func() {
 		for _, p := range sample {
 			pt, _ := rw.Rewrite(p)
 			opt.Optimize(pt)
 		}
 	}
 	plans()
+	return sample, plans
+}
+
+// BenchmarkPlanMiss measures plan-cache misses on a warm engine: one op
+// builds the plans of planMiss. allocs/op is the allocation cost of
+// those plans; ns/plan is the time of one.
+func BenchmarkPlanMiss(b *testing.B) {
+	sample, plans := planMiss(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plans()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sample)), "ns/plan")
+}
+
+// planAllocBudget is what one warm plan build of planMiss's shapes may
+// allocate on average, rewrite and optimize together: 25.6 measured,
+// plus slack (see DESIGN.md, "What a request allocates").
+const planAllocBudget = 28
+
+// TestPlanMissAllocs holds a warm plan build to planAllocBudget.
+func TestPlanMissAllocs(t *testing.T) {
+	sample, plans := planMiss(t)
+	got := testing.AllocsPerRun(5, plans) / float64(len(sample))
+	t.Logf("%.1f allocs per plan over %d shapes", got, len(sample))
+	if got > planAllocBudget {
+		t.Errorf("a warm plan build allocates %.1f times, over its budget of %d", got, planAllocBudget)
+	}
 }

@@ -2,7 +2,8 @@ package optimize
 
 import "repro/internal/xpath"
 
-// simulate reports whether g1 is simulated by g2: a sound witness that
+// simulate reports whether the image graph rooted at g1 is simulated by
+// the one rooted at g2 (nil roots are empty graphs): a sound witness that
 // the query of g1 is contained in the query of g2 at their common root
 // (Proposition 5.1). The relation extends conventional graph simulation:
 //
@@ -19,16 +20,26 @@ import "repro/internal/xpath"
 // Spine sharing can make image graphs cyclic for recursive DTDs; the
 // recursion assumes in-progress pairs hold (coinductive, greatest
 // fixpoint), keeping the test quadratic in the image sizes.
-func (o *Optimizer) simulate(g1, g2 *igraph) bool {
+func (o *Optimizer) simulate(g1, g2 *inode) bool {
 	if g1 == nil {
 		return true // the empty query is contained in everything
 	}
 	if g2 == nil {
 		return false
 	}
-	s := &simState{o: o, memo: make(map[[2]*inode]bool)}
-	return s.simu(g1.root, g2.root)
+	if o.sim == nil || len(o.sim) > maxKeptSim {
+		o.sim = make(map[[2]*inode]bool)
+	} else {
+		clear(o.sim)
+	}
+	s := simState{o: o, memo: o.sim}
+	return s.simu(g1, g2)
 }
+
+// maxKeptSim is the largest memo, in node pairs, that simulate clears
+// for the next simulation instead of dropping: clearing costs the size
+// the map grew to.
+const maxKeptSim = 256
 
 type simState struct {
 	o    *Optimizer

@@ -35,11 +35,24 @@ type branchImage struct {
 	overflow bool
 }
 
-// newUnionPass flattens p and builds each branch's image at a.
+// newUnionPass flattens p and builds each branch's image at a. It
+// reuses a pass that release gave back, with its arrays.
 func (o *Optimizer) newUnionPass(p xpath.Union, a string) *unionPass {
-	u := &unionPass{o: o, a: a}
+	var u *unionPass
+	if n := len(o.passes); n > 0 {
+		u, o.passes = o.passes[n-1], o.passes[:n-1]
+		u.branches, u.mids = u.branches[:0], u.mids[:0]
+	} else {
+		u = &unionPass{o: o}
+	}
+	u.a = a
 	u.flatten(p)
 	return u
+}
+
+// release gives the pass back to its optimizer once decide is done.
+func (u *unionPass) release() {
+	u.o.passes = append(u.o.passes, u)
 }
 
 func (u *unionPass) flatten(p xpath.Path) {
@@ -55,7 +68,7 @@ func (u *unionPass) flatten(p xpath.Path) {
 	root := b.build(p, u.a)
 	bi := branchImage{size: b.size, overflow: b.overflow}
 	if !b.overflow && root != nil {
-		bi.root, bi.live = root, pruneDead(root)
+		bi.root, bi.live = root, u.o.nodes.pruneDead(root)
 	}
 	u.branches = append(u.branches, bi)
 }
@@ -96,7 +109,7 @@ func (u *unionPass) decide(p xpath.Path, node, lo, hi int) typedp.Cell {
 // images are never mutated. A branch whose root is dead still brings its
 // qualifiers to the merged root, as it does when the range is built at
 // once.
-func (u *unionPass) image(lo, hi int) (*igraph, bool) {
+func (u *unionPass) image(lo, hi int) (*inode, bool) {
 	size := 0
 	for _, b := range u.branches[lo:hi] {
 		if b.overflow {
@@ -119,7 +132,7 @@ func (u *unionPass) image(lo, hi int) (*igraph, bool) {
 	case !live:
 		return nil, true
 	case len(u.roots) == 1:
-		return &igraph{root: u.roots[0], size: size}, true
+		return u.roots[0], true
 	}
-	return &igraph{root: mergeRoots(u.a, u.roots...), size: size}, true
+	return u.o.nodes.mergeRoots(u.a, u.roots...), true
 }

@@ -144,7 +144,7 @@ func TestUnionRangeImageMatches(t *testing.T) {
 					g2, ok2 := o.image(whole, d.Root())
 					same := ok1 == ok2 && (g1 == nil) == (g2 == nil)
 					if same && ok1 && g1 != nil {
-						same = renderImage(g1.root) == renderImage(g2.root)
+						same = renderImage(g1) == renderImage(g2)
 					}
 					if !same {
 						t.Fatalf("range [%d,%d) of %s: composed (%v, ok %v) differs from built (%v, ok %v)",

@@ -80,15 +80,17 @@ func NewWeighted[V any](capacity int, weigh func(V) int) *Cache[V] {
 // Capacity returns the configured entry bound.
 func (c *Cache[V]) Capacity() int { return c.cap }
 
-func (c *Cache[V]) shardFor(key string) *shard[V] {
+func shardFor[V any, K string | []byte](c *Cache[V], key K) *shard[V] {
 	return &c.shards[fnv32(key)&c.mask]
 }
 
 // Get returns the cached value for key and marks it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
+// The key is bytes so that a caller can probe with a reused buffer: the
+// lookup makes no string of it.
+func (c *Cache[V]) Get(key []byte) (V, bool) {
+	s := shardFor(c, key)
 	s.mu.Lock()
-	el, ok := s.items[key]
+	el, ok := s.items[string(key)]
 	if ok {
 		s.order.MoveToFront(el)
 		v := el.Value.(*entry[V]).val
@@ -106,7 +108,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // of the key's shard when the shard is full.
 func (c *Cache[V]) Put(key string, val V) {
 	delta := c.weigh(val)
-	s := c.shardFor(key)
+	s := shardFor(c, key)
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
 		e := el.Value.(*entry[V])
@@ -171,7 +173,7 @@ func (c *Cache[V]) Stats() Stats {
 
 // fnv32 is the FNV-1a hash, inlined to avoid a hash.Hash allocation on
 // every cache operation.
-func fnv32(s string) uint32 {
+func fnv32[K string | []byte](s K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619

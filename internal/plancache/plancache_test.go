@@ -9,16 +9,16 @@ import (
 
 func TestGetPut(t *testing.T) {
 	c := New[int](4)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get([]byte("a")); ok {
 		t.Fatalf("empty cache returned a hit")
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := c.Get([]byte("a")); !ok || v != 1 {
 		t.Errorf("Get(a) = %d, %v", v, ok)
 	}
 	c.Put("a", 10) // refresh
-	if v, _ := c.Get("a"); v != 10 {
+	if v, _ := c.Get([]byte("a")); v != 10 {
 		t.Errorf("refreshed Get(a) = %d", v)
 	}
 	if c.Len() != 2 {
@@ -31,13 +31,13 @@ func TestLRUEviction(t *testing.T) {
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
-	c.Get("a") // a becomes most recent; b is now LRU
+	c.Get([]byte("a")) // a becomes most recent; b is now LRU
 	c.Put("d", 4)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get([]byte("b")); ok {
 		t.Errorf("LRU entry b survived eviction")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get([]byte(k)); !ok {
 			t.Errorf("entry %s evicted unexpectedly", k)
 		}
 	}
@@ -76,9 +76,9 @@ func TestZeroCapacity(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	c := New[int](8)
 	c.Put("a", 1)
-	c.Get("a")
-	c.Get("a")
-	c.Get("missing")
+	c.Get([]byte("a"))
+	c.Get([]byte("a"))
+	c.Get([]byte("missing"))
 	s := c.Stats()
 	if s.Hits != 2 || s.Misses != 1 || s.Entries != 1 || s.Capacity != 8 {
 		t.Errorf("stats = %+v", s)
@@ -95,7 +95,7 @@ func TestConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", (g*7+i)%100)
-				if v, ok := c.Get(k); ok && v < 0 {
+				if v, ok := c.Get([]byte(k)); ok && v < 0 {
 					t.Errorf("corrupt value %d", v)
 				}
 				c.Put(k, i)
@@ -137,7 +137,7 @@ func TestWeightRunningTotal(t *testing.T) {
 		var replaced, evicting int
 		for i := 0; i < 5000; i++ {
 			key := fmt.Sprintf("k%d", r.Intn(3*capacity))
-			if _, ok := c.Get(key); ok {
+			if _, ok := c.Get([]byte(key)); ok {
 				replaced++
 			} else if c.Len() >= capacity {
 				evicting++

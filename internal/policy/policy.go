@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -183,19 +184,20 @@ func (r *Registry) Stats() []ClassStats {
 // Query answers a view query for one user: class, parameter binding,
 // document, query text.
 func (r *Registry) Query(class string, params map[string]string, doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
-	return r.QueryCtx(context.Background(), class, params, doc, query)
+	return r.QueryUntil(context.Background(), time.Time{}, class, params, doc, query)
 }
 
-// QueryCtx is Query honoring a context: the evaluation polls the context
-// cooperatively and returns ctx.Err() once it is done (engine derivation
-// and plan rewriting complete normally either way, so retries hit warm
-// caches).
-func (r *Registry) QueryCtx(ctx context.Context, class string, params map[string]string, doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
+// QueryUntil is Query honoring a context and a deadline (zero for none;
+// see core.Engine.QueryUntil): the evaluation polls both cooperatively
+// and returns ctx.Err(), or context.DeadlineExceeded past the deadline,
+// once either is done (engine derivation and plan rewriting complete
+// normally either way, so retries hit warm caches).
+func (r *Registry) QueryUntil(ctx context.Context, deadline time.Time, class string, params map[string]string, doc *xmltree.Document, query string) ([]*xmltree.Node, error) {
 	e, p, err := r.request(ctx, class, params, query)
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryCtx(ctx, doc, p)
+	return e.QueryUntil(ctx, deadline, doc, p)
 }
 
 // request resolves one request's engine handle and parses its query.
@@ -215,15 +217,15 @@ func (r *Registry) request(ctx context.Context, class string, params map[string]
 	return e, p, nil
 }
 
-// ExplainCtx answers a view query like QueryCtx but through the
+// ExplainUntil answers a view query like QueryUntil but through the
 // engine's explain path: every pipeline phase is measured fresh and the
-// intermediate query strings are reported (see core.Engine.ExplainCtx).
-func (r *Registry) ExplainCtx(ctx context.Context, class string, params map[string]string, doc *xmltree.Document, query string) (*core.Explain, error) {
+// intermediate query strings are reported (see core.Engine.ExplainUntil).
+func (r *Registry) ExplainUntil(ctx context.Context, deadline time.Time, class string, params map[string]string, doc *xmltree.Document, query string) (*core.Explain, error) {
 	e, p, err := r.request(ctx, class, params, query)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExplainCtx(ctx, doc, p)
+	return e.ExplainUntil(ctx, deadline, doc, p)
 }
 
 // ViewDTD returns the schema published to one user class under a

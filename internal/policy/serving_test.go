@@ -140,7 +140,7 @@ func TestRegistryEnginesShareLabelIndex(t *testing.T) {
 		t.Fatalf("Engine: %v", err)
 	}
 	for _, q := range []string{"//patient/name", "//dept//treatment//bill"} {
-		got, err := r.QueryCtx(context.Background(), "nurse", params, doc, q)
+		got, err := r.Query("nurse", params, doc, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -172,7 +172,7 @@ func TestRegistryEnginesShareLabelIndex(t *testing.T) {
 	// first engine used: the document owns one label index.
 	posting := &doc.Labeled("patient")[0]
 	other := map[string]string{"wardNo": "2"}
-	if _, err := r.QueryCtx(context.Background(), "nurse", other, doc, "//dept//treatment//bill"); err != nil {
+	if _, err := r.Query("nurse", other, doc, "//dept//treatment//bill"); err != nil {
 		t.Fatalf("second binding: %v", err)
 	}
 	if &doc.Labeled("patient")[0] != posting {

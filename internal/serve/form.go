@@ -40,7 +40,7 @@ var errSemicolon = errors.New("invalid semicolon separator in query")
 // anywhere fail it with ParseForm's first error, after the whole form is
 // scanned, as ParseForm does; a body cut off by http.MaxBytesReader
 // fails it with the *http.MaxBytesError the read returned. Values are
-// unescaped only when they hold an escape.
+// unescaped only when they hold an escape, all into one string.
 func readQueryForm(r *http.Request) (queryForm, error) {
 	var f queryForm
 	var err error
@@ -80,9 +80,15 @@ func (f *queryForm) scanBody(r *http.Request) error {
 }
 
 // scan reads one form-encoded string, pair by pair, as url.ParseQuery
-// does, and returns its error.
+// does, and returns its error. The escaped keys and values are all
+// unescaped into one string, allocated once for the whole form.
 func (f *queryForm) scan(query string) error {
 	var err error
+	var unescaped strings.Builder
+	if strings.ContainsAny(query, "%+") {
+		// Unescaping never lengthens a pair, so one reserve holds all.
+		unescaped.Grow(len(query))
+	}
 	for query != "" {
 		var pair string
 		pair, query, _ = strings.Cut(query, "&")
@@ -94,9 +100,9 @@ func (f *queryForm) scan(query string) error {
 			continue
 		}
 		key, value, _ := strings.Cut(pair, "=")
-		key, e := url.QueryUnescape(key)
+		key, e := unescape(&unescaped, key)
 		if e == nil {
-			value, e = url.QueryUnescape(value)
+			value, e = unescape(&unescaped, value)
 		}
 		if e != nil {
 			if err == nil {
@@ -107,6 +113,51 @@ func (f *queryForm) scan(query string) error {
 		f.set(key, value)
 	}
 	return err
+}
+
+// unescape is url.QueryUnescape, with its error, without a string per
+// value: s is returned as it is when it holds no escape, and otherwise
+// unescaped onto to, as the substring of to's text that it ends. A
+// Builder only appends, so the substrings handed out earlier keep their
+// bytes.
+func unescape(to *strings.Builder, s string) (string, error) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, nil
+	}
+	start := to.Len()
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '+':
+			to.WriteByte(' ')
+		case '%':
+			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+				bad := s[i:]
+				if len(bad) > 3 {
+					bad = bad[:3]
+				}
+				return "", url.EscapeError(bad)
+			}
+			to.WriteByte(unhex(s[i+1])<<4 | unhex(s[i+2]))
+			i += 2
+		default:
+			to.WriteByte(c)
+		}
+	}
+	return to.String()[start:], nil
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c <= 'F':
+		return c - 'A' + 10
+	}
+	return c - 'a' + 10
 }
 
 func (f *queryForm) set(key, value string) {

@@ -1,10 +1,12 @@
 // Package serve is the HTTP front-end of the query-serving stack: it
 // exposes a policy.Registry over one document as a small, bounded
-// service. Every request runs under a context deadline (the evaluators
-// poll it cooperatively, so a runaway query is cut off mid-descent), an
-// admission-control semaphore caps the number of in-flight evaluations
-// (excess load is refused with 429 instead of queueing until collapse),
-// and the observability surface reports the full counter stack:
+// service. Every request runs under a deadline, a value the evaluator
+// compares with the clock as it polls, so a runaway query is cut off
+// mid-descent with no timer per request; the request's context carries
+// client cancellation. An admission-control semaphore caps the number
+// of in-flight evaluations (excess load is refused with 429 instead of
+// queueing until collapse), and the observability surface reports the
+// full counter stack:
 //
 //	/query    answer one view query
 //	/metricsz Prometheus text exposition of every counter: requests
@@ -202,11 +204,11 @@ type Server struct {
 	explains    atomic.Uint64
 
 	// query answers one admitted request; it defaults to the registry's
-	// QueryCtx and exists so tests can inject evaluation failures.
-	query func(ctx context.Context, class string, params map[string]string, doc *xmltree.Document, q string) ([]*xmltree.Node, error)
+	// QueryUntil and exists so tests can inject evaluation failures.
+	query func(ctx context.Context, deadline time.Time, class string, params map[string]string, doc *xmltree.Document, q string) ([]*xmltree.Node, error)
 	// explain answers one /explainz request; defaults to the registry's
-	// ExplainCtx.
-	explain func(ctx context.Context, class string, params map[string]string, doc *xmltree.Document, q string) (*core.Explain, error)
+	// ExplainUntil.
+	explain func(ctx context.Context, deadline time.Time, class string, params map[string]string, doc *xmltree.Document, q string) (*core.Explain, error)
 
 	// testHook, when set, runs while the request holds its admission
 	// slot, before evaluation. Tests use it to pin requests in flight.
@@ -223,8 +225,8 @@ func New(reg *policy.Registry, doc *xmltree.Document, cfg Config) *Server {
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.maxInFlight()),
 		started: time.Now(),
-		query:   reg.QueryCtx,
-		explain: reg.ExplainCtx,
+		query:   reg.QueryUntil,
+		explain: reg.ExplainUntil,
 		metrics: obs.NewRegistry(),
 		qstats:  qstats.New(cfg.QueryStatsCapacity),
 	}
@@ -395,8 +397,8 @@ func (s *Server) Handler() http.Handler {
 // (repeatable), timeout (Go duration, clamped to Config.MaxTimeout),
 // read from the body and the URL as r.ParseForm reads them (see
 // readQueryForm). It returns the request's record with its identity
-// filled in, and the request's deadline. A body over maxBodyBytes is
-// cut off unread.
+// filled in, and how long the request may run. A body over
+// maxBodyBytes is cut off unread.
 func (s *Server) parseQueryRequest(w http.ResponseWriter, r *http.Request) (*obs.QueryMetrics, time.Duration, error) {
 	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -454,14 +456,6 @@ func (s *Server) release() {
 	<-s.sem
 }
 
-// requestCtx derives the per-request evaluation context.
-func requestCtx(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(r.Context(), timeout)
-	}
-	return r.Context(), func() {}
-}
-
 // handleQuery answers one view query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
@@ -480,11 +474,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	qm.RequestID = s.reqID.Add(1)
-	ctx, cancel := requestCtx(r, timeout)
-	defer cancel()
-
 	start := time.Now()
-	nodes, err := s.query(obs.WithQueryMetrics(ctx, qm), qm.Class, qm.Params, s.doc, qm.Query)
+	nodes, err := s.query(obs.WithQueryMetrics(r.Context(), qm), start.Add(timeout), qm.Class, qm.Params, s.doc, qm.Query)
 	qm.Status = http.StatusOK
 	qm.ResultCount = len(nodes)
 	switch {
@@ -655,11 +646,8 @@ func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	s.explains.Add(1)
 
 	qm.RequestID = s.reqID.Add(1)
-	ctx, cancel := requestCtx(r, timeout)
-	defer cancel()
-
 	start := time.Now()
-	ex, err := s.explain(obs.WithQueryMetrics(ctx, qm), qm.Class, qm.Params, s.doc, qm.Query)
+	ex, err := s.explain(obs.WithQueryMetrics(r.Context(), qm), start.Add(timeout), qm.Class, qm.Params, s.doc, qm.Query)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -745,7 +733,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// clientFault reports whether a Registry.QueryCtx error is the client's
+// clientFault reports whether a Registry.QueryUntil error is the client's
 // fault: a class the registry does not define, query syntax the parser
 // rejected, or a $parameter the request failed to bind. Everything else
 // — view derivation, rewriting, or evaluation failing on a well-formed

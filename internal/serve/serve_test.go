@@ -226,7 +226,7 @@ func TestStatszShape(t *testing.T) {
 // internal_errors, not masquerade as a client 400.
 func TestInternalErrorIs500(t *testing.T) {
 	s := newTestServer(t, Config{}, 3)
-	s.query = func(context.Context, string, map[string]string, *xmltree.Document, string) ([]*xmltree.Node, error) {
+	s.query = func(context.Context, time.Time, string, map[string]string, *xmltree.Document, string) ([]*xmltree.Node, error) {
 		return nil, errors.New("rewrite: internal invariant broken")
 	}
 	w := get(t, s.Handler(), "/query?class=nurse&param=wardNo=1&q="+url.QueryEscape("//name"))

@@ -78,7 +78,8 @@ func Generate(d *dtd.DTD, cfg Config) *xmltree.Document {
 	g.fill(root, 0)
 	// Nothing outside holds pointers into a freshly generated tree, so
 	// repack it into xmltree's flat arena for evaluation locality.
-	doc := xmltree.NewDocument(root)
+	// Compact numbers and indexes the arena, once.
+	doc := &xmltree.Document{Root: root}
 	doc.Compact()
 	return doc
 }

@@ -32,6 +32,20 @@ func TestGenerateConforms(t *testing.T) {
 	}
 }
 
+// TestGenerateNumbersOnce: a generated document is numbered and indexed
+// once, by Compact, and that numbering covers every node.
+func TestGenerateNumbersOnce(t *testing.T) {
+	doc := Generate(dtd.MustParse(shopDTD), Config{Seed: 7, MaxRepeat: 4})
+	if g := doc.Generation(); g != 1 {
+		t.Errorf("Generation() = %d after Generate, want 1", g)
+	}
+	for i, n := range doc.Nodes() {
+		if n.Ord() != i || n.Owner() != doc {
+			t.Fatalf("node %d: ord %d, owner %p; want %d, %p", i, n.Ord(), n.Owner(), i, doc)
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	d := dtd.MustParse(shopDTD)
 	a := Generate(d, Config{Seed: 42, MaxRepeat: 5})

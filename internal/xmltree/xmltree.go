@@ -249,21 +249,41 @@ func (d *Document) Renumber() {
 // index builds the label index and the value dictionary over the node
 // table; Renumber and the loader call it once the table is laid out.
 // Posting lists are carved from one slab sized by a counting pass, each
-// capped at its exact length.
+// capped at its exact length. The counting pass reads the label map once
+// per node, to number the labels densely; counting, carving and filling
+// then index slices by label number.
 func (d *Document) index() {
-	counts := make(map[string]int)
-	for _, n := range d.byOrd {
-		counts[n.Label]++
+	type label struct {
+		name     string
+		count    int
+		postings []int32
 	}
-	d.labels = make(map[string][]int32, len(counts))
+	ids := make(map[string]int32)
+	labels := make([]label, 0, 16)
+	nodeIDs := make([]int32, len(d.byOrd))
+	for ord, n := range d.byOrd {
+		id, ok := ids[n.Label]
+		if !ok {
+			id = int32(len(labels))
+			ids[n.Label] = id
+			labels = append(labels, label{name: n.Label})
+		}
+		nodeIDs[ord] = id
+		labels[id].count++
+	}
 	slab := make([]int32, len(d.byOrd))
 	off := 0
-	for label, c := range counts {
-		d.labels[label] = slab[off : off : off+c]
+	for i := range labels {
+		c := labels[i].count
+		labels[i].postings = slab[off : off : off+c]
 		off += c
 	}
-	for ord, n := range d.byOrd {
-		d.labels[n.Label] = append(d.labels[n.Label], int32(ord))
+	for ord, id := range nodeIDs {
+		labels[id].postings = append(labels[id].postings, int32(ord))
+	}
+	d.labels = make(map[string][]int32, len(labels))
+	for _, l := range labels {
+		d.labels[l.name] = l.postings
 	}
 	d.values.build(d.byOrd)
 }

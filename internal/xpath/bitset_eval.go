@@ -50,7 +50,6 @@ func ordinalDoc(nodes []*xmltree.Node) *xmltree.Document {
 // eval runs one bitset evaluation end to end: context slice in, result
 // slice out, every intermediate set pooled.
 func (b *bitEval) eval(p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	b.owned, b.free = b.ownedBuf[:0], b.freeBuf[:0]
 	defer b.release()
 	ctx := b.get()
 	for _, n := range nodes {
@@ -67,50 +66,77 @@ func (b *bitEval) eval(p Path, nodes []*xmltree.Node) ([]*xmltree.Node, error) {
 // obtained (owned) so release can return each to the pool exactly once
 // no matter how evaluation unwound; recycle moves a set to the free
 // list for reuse within this evaluation without touching ownership.
-// A bitEval is single-goroutine, like the ticker it holds. Both lists
-// start on inline arrays sized for a typical served plan, so they grow
-// by append only on unusually large ones.
+// A bitEval is single-goroutine, like the ticker it holds. It holds no
+// pointer into itself, so Evaluate keeps it on its own stack.
 type bitEval struct {
-	se       ticker
-	doc      *xmltree.Document
-	env      Env // binds the plan's variables; see env.go
-	owned    []*nodeset.Set
-	free     []*nodeset.Set
-	ownedBuf [16]*nodeset.Set
-	freeBuf  [8]*nodeset.Set
+	se    ticker
+	doc   *xmltree.Document
+	env   Env // binds the plan's variables; see env.go
+	owned setStack
+	free  setStack
 	// backward is set while a pre-image runs; see semiJoin for why an
 	// unbound variable then selects nothing instead of failing.
 	backward bool
 }
 
+// setStack is a stack of sets held in an inline array sized for a
+// typical served plan, then in an overflow slice for unusually large
+// ones. A slice over the inline array would make its holder point into
+// itself and escape to the heap.
+type setStack struct {
+	n      int
+	inline [16]*nodeset.Set
+	more   []*nodeset.Set
+}
+
+func (st *setStack) push(s *nodeset.Set) {
+	if st.n < len(st.inline) {
+		st.inline[st.n] = s
+	} else {
+		st.more = append(st.more, s)
+	}
+	st.n++
+}
+
+// pop removes and returns the top set, or nil when the stack is empty.
+func (st *setStack) pop() *nodeset.Set {
+	if st.n == 0 {
+		return nil
+	}
+	st.n--
+	if st.n < len(st.inline) {
+		return st.inline[st.n]
+	}
+	s := st.more[len(st.more)-1]
+	st.more = st.more[:len(st.more)-1]
+	return s
+}
+
 // get returns a cleared set over the document's ordinal universe,
 // reusing an evaluation-local recycled set before hitting the pool.
 func (b *bitEval) get() *nodeset.Set {
-	if n := len(b.free); n > 0 {
-		s := b.free[n-1]
-		b.free = b.free[:n-1]
+	if s := b.free.pop(); s != nil {
 		s.Reset(b.doc.Size())
 		return s
 	}
 	s := nodeset.Get(b.doc.Size())
-	b.owned = append(b.owned, s)
+	b.owned.push(s)
 	return s
 }
 
 // recycle makes a set available to the next get of this evaluation.
-// The set stays on the owned list; callers just stop using it.
+// The set stays on the owned stack; callers just stop using it.
 func (b *bitEval) recycle(s *nodeset.Set) {
-	b.free = append(b.free, s)
+	b.free.push(s)
 }
 
 // release returns every owned set to the pool. After release no set
 // handed out by get may be used — eval materializes the result
 // into a fresh slice before releasing.
 func (b *bitEval) release() {
-	for _, s := range b.owned {
+	for s := b.owned.pop(); s != nil; s = b.owned.pop() {
 		nodeset.Put(s)
 	}
-	b.owned, b.free = nil, nil
 }
 
 // materialize maps a result set back to nodes through the document's

@@ -3,6 +3,7 @@ package xpath
 import (
 	"strconv"
 	"strings"
+	"time"
 )
 
 // This file holds the evaluation environment of a parameterized plan.
@@ -14,10 +15,17 @@ import (
 
 // Env binds the variables of a plan at evaluation: the specification
 // parameters by name, and the query literals by placeholder index
-// (LiteralVar(i) reads Literals[i]). The zero Env binds nothing.
+// (LiteralVar(i) reads Literals[i]). It also carries the evaluation's
+// deadline. The zero Env binds nothing and sets no deadline.
 type Env struct {
 	Params   map[string]string
 	Literals []string
+	// Deadline, unless zero, ends evaluation with
+	// context.DeadlineExceeded once the clock passes it, as a context
+	// deadline does, but with no timer behind it: a server hands its
+	// per-request deadline to the evaluator here instead of deriving a
+	// context with a timeout for every request.
+	Deadline time.Time
 }
 
 // literalPrefix starts every placeholder name. The parser reads a

@@ -33,13 +33,15 @@ var ErrUnnumbered = errors.New("xpath: context nodes are not numbered by one doc
 //
 // Evaluation checks ctx for cancellation cooperatively (at every path
 // step, and periodically inside per-node loops) and returns ctx.Err()
-// once it is done; a nil ctx disables the checks. visited reports the
+// once it is done, or context.DeadlineExceeded once the clock passes the
+// earlier of ctx's deadline and env.Deadline; a nil ctx disables the
+// checks, env.Deadline's too. visited reports the
 // evaluation's cooperation ticks — one per path step plus one per node
 // in the hot loops — as a nodes-visited proxy for observability; it is
 // counted only when ctx is non-nil (the counter rides the cancellation
 // machinery).
 func Evaluate(ctx context.Context, p Path, nodes []*xmltree.Node, env Env) (out []*xmltree.Node, visited uint64, err error) {
-	t := newTicker(ctx)
+	t := newTicker(ctx, env.Deadline)
 	if err := t.cancelled(); err != nil {
 		return nil, 0, err
 	}
@@ -113,12 +115,15 @@ type ticker struct {
 	timed    bool
 }
 
-// newTicker captures the context's deadline once so every poll can
-// compare against the clock directly; see cancelled.
-func newTicker(ctx context.Context) ticker {
-	e := ticker{ctx: ctx}
+// newTicker takes the evaluation's deadline once, the earlier of
+// deadline (zero for none) and the context's, so every poll can compare
+// against the clock directly; see cancelled.
+func newTicker(ctx context.Context, deadline time.Time) ticker {
+	e := ticker{ctx: ctx, deadline: deadline, timed: !deadline.IsZero()}
 	if ctx != nil {
-		e.deadline, e.timed = ctx.Deadline()
+		if d, ok := ctx.Deadline(); ok && (!e.timed || d.Before(e.deadline)) {
+			e.deadline, e.timed = d, true
+		}
 	}
 	return e
 }
@@ -143,7 +148,7 @@ func (e *ticker) tick() error {
 // timer that cancels the context can lag the deadline by tens of
 // milliseconds when a CPU-bound evaluation monopolizes a single-P
 // scheduler, and a deadline the caller set must cut the query off even
-// then.
+// then. An Env.Deadline has no timer at all; this check is what ends it.
 func (e *ticker) cancelled() error {
 	if e.ctx == nil {
 		return nil

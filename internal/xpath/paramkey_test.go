@@ -58,9 +58,9 @@ func checkParameterizedString(t *testing.T, src string) {
 	}
 	shape, wantLits := Parameterize(p)
 	want := String(shape)
-	got, lits := ParameterizedString(p)
-	if got != want || !slices.Equal(lits, wantLits) {
-		t.Fatalf("ParameterizedString(%q) = %q %q, want String(Parameterize) = %q %q", src, got, lits, want, wantLits)
+	got, lits := AppendParameterized([]byte("key:"), p)
+	if string(got) != "key:"+want || !slices.Equal(lits, wantLits) {
+		t.Fatalf("AppendParameterized(%q) = %q %q, want String(Parameterize) = %q %q", src, got, lits, want, wantLits)
 	}
 }
 
@@ -83,8 +83,8 @@ func FuzzParameterizedString(f *testing.F) {
 }
 
 // TestPrintAllocs: printing allocates only the returned text, however
-// many parenthesized nodes the plan holds; the key printer adds only its
-// literal list.
+// many parenthesized nodes the plan holds; the key printer, appending
+// into a buffer with room, allocates only its literal list.
 func TestPrintAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race drops pooled buffers; allocation counts are not exact")
@@ -94,7 +94,8 @@ func TestPrintAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { String(p) }); got > 1 {
 		t.Errorf("String allocates %.0f times per plan, want 1 (the text)", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { ParameterizedString(p) }); got > 2 {
-		t.Errorf("ParameterizedString allocates %.0f times per query, want 2 (the text and the literals)", got)
+	key := make([]byte, 0, 256)
+	if got := testing.AllocsPerRun(100, func() { AppendParameterized(key, p) }); got > 1 {
+		t.Errorf("AppendParameterized allocates %.0f times per query, want 1 (the literals)", got)
 	}
 }

@@ -18,16 +18,20 @@ func String(p Path) string {
 	return putBuf(b)
 }
 
-// ParameterizedString returns String(Parameterize(p)) and Parameterize's
-// literals in one walk over p, without building the renamed query: each
-// p = "c" constant prints as its placeholder, numbered in first
-// occurrence order with equal constants sharing one, and the walk
-// collects the constants as it goes. Plan caches key on this text.
-func ParameterizedString(p Path) (string, []string) {
+// AppendParameterized appends the text of Parameterize(p) to dst and
+// returns it with Parameterize's literals, in one walk over p, without
+// building the renamed query: each p = "c" constant prints as its
+// placeholder, numbered in first occurrence order with equal constants
+// sharing one, and the walk collects the constants as it goes. Plan
+// caches key on this text; a caller that appends into a reused buffer
+// can probe its cache without making a string.
+func AppendParameterized(dst []byte, p Path) ([]byte, []string) {
 	b := getBuf()
 	var r renamer
 	writePath(b, p, precUnion, &r)
-	return putBuf(b), r.lits
+	dst = append(dst, b.Bytes()...)
+	releaseBuf(b)
+	return dst, r.lits
 }
 
 // QualString renders a qualifier (without the surrounding brackets).
@@ -49,11 +53,16 @@ func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
 // buffer to the pool.
 func putBuf(b *bytes.Buffer) string {
 	s := b.String()
+	releaseBuf(b)
+	return s
+}
+
+// releaseBuf returns a buffer to the pool unless it grew too large.
+func releaseBuf(b *bytes.Buffer) {
 	if b.Cap() <= maxPooledBuf {
 		b.Reset()
 		bufPool.Put(b)
 	}
-	return s
 }
 
 // Operator precedence levels for paths: union < seq < step.
@@ -65,7 +74,7 @@ const (
 
 // writePath writes p at precedence ctx. With r non-nil it writes the
 // parameterized text instead: each p = "c" constant goes out as r's
-// placeholder for it (see ParameterizedString). A parenthesized node is
+// placeholder for it (see AppendParameterized). A parenthesized node is
 // written again through p itself, the interface value it came in, so
 // printing boxes nothing.
 func writePath(b *bytes.Buffer, p Path, ctx int, r *renamer) {
